@@ -52,6 +52,10 @@ pub struct AnytimeOutput {
     /// Per-sample step at which the prediction was frozen (1-based;
     /// `t_max` for samples that never cleared the gate).
     pub steps_used: Vec<usize>,
+    /// Per-sample running-mean logits, `[N, classes]`, frozen at the
+    /// sample's decision step: row `r` equals row `r` of
+    /// `forward(x, steps_used[r])` bit for bit.
+    pub logits: Tensor,
     /// Steps actually simulated (the last step at which some sample was
     /// still undecided; the network can stop here).
     pub steps_simulated: usize,
@@ -67,7 +71,10 @@ impl AnytimeOutput {
     }
 }
 
-/// Per-row top-1/top-2 margin and argmax of a `[N, classes]` tensor.
+/// Per-row argmax and top-1/top-2 margin of a `[N, classes]` tensor.
+///
+/// Ties give a zero margin. A one-class row has margin `+∞`: its argmax
+/// cannot change, so every gate treats it as decided.
 fn row_margins(logits: &Tensor) -> Vec<(usize, f32)> {
     let rows = logits.shape()[0];
     let classes = logits.len() / rows.max(1);
@@ -177,16 +184,21 @@ fn anytime_forward_gated(
     let mut steps_used = vec![t_max; batch];
     let mut decided = vec![false; batch];
     let min_steps = min_steps.max(1);
+    let mut logits: Option<Tensor> = None;
     let (_, steps_simulated) = snn.forward_until(x, t_max, |t, mean| {
         let gate = gate_at(t);
+        let frozen = logits.get_or_insert_with(|| mean.clone());
+        let classes = mean.len() / batch.max(1);
         let mut undecided = 0;
         for (r, (argmax, margin)) in row_margins(mean).into_iter().enumerate() {
             if decided[r] {
                 continue;
             }
-            // Track the running prediction so a sample that never clears
-            // the gate ends with the full-deadline answer.
+            // Track the running prediction and logits so a sample that
+            // never clears the gate ends with the full-deadline answer.
             predictions[r] = argmax;
+            let row = r * classes..(r + 1) * classes;
+            frozen.data_mut()[row.clone()].copy_from_slice(&mean.data()[row]);
             if t >= min_steps && margin >= gate {
                 decided[r] = true;
                 steps_used[r] = t;
@@ -204,6 +216,7 @@ fn anytime_forward_gated(
     AnytimeOutput {
         predictions,
         steps_used,
+        logits: logits.expect("forward_until runs at least one step"),
         steps_simulated,
     }
 }
@@ -513,6 +526,43 @@ mod tests {
         let batch = test.eval_batches(16).next().unwrap();
         let out = anytime_forward_scheduled(&snn, &batch.images, &schedule);
         assert!(out.steps_used.iter().all(|&s| s > 1));
+    }
+
+    #[test]
+    fn row_margins_handles_degenerate_rows() {
+        let rows = |data: Vec<f32>, classes: usize| {
+            let n = data.len() / classes;
+            row_margins(&Tensor::from_vec(data, &[n, classes]).unwrap())
+        };
+        assert_eq!(rows(vec![1.0, 3.0, 2.0], 3), vec![(1, 1.0)]);
+        // Ties: zero margin, argmax on the last tied index (as
+        // `Tensor::argmax_rows`).
+        assert_eq!(rows(vec![0.0, 0.0, 0.0], 3), vec![(2, 0.0)]);
+        assert_eq!(rows(vec![2.0, 5.0, 5.0, 1.0], 4), vec![(2, 0.0)]);
+        // One class: the argmax cannot change, so the row is decided.
+        assert_eq!(rows(vec![5.0, -1.0], 1), vec![(0, f32::INFINITY); 2]);
+    }
+
+    #[test]
+    fn frozen_logits_match_forward_at_each_rows_exit_step() {
+        let (snn, data) = setup();
+        let batch = data.eval_batches(16).next().unwrap();
+        let t_max = 4;
+        let schedule = calibrate_margin_schedule(&snn, &data, t_max, 16, 0.9);
+        let out = anytime_forward_scheduled(&snn, &batch.images, &schedule);
+        let classes = out.logits.shape()[1];
+        let refs: Vec<Tensor> = (1..=t_max)
+            .map(|t| snn.forward(&batch.images, t).logits)
+            .collect();
+        for (r, &steps) in out.steps_used.iter().enumerate() {
+            let row = r * classes..(r + 1) * classes;
+            assert_eq!(
+                out.logits.data()[row.clone()],
+                refs[steps - 1].data()[row],
+                "row {r} frozen at step {steps}"
+            );
+        }
+        assert_eq!(out.predictions, out.logits.argmax_rows());
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!    breaker is open, the last replica serves as a degraded last
 //!    resort — availability over quarantine);
 //! 2. run the rung (`Full` / `Reduced` are fixed-T forwards, `Anytime`
-//!    is an early-exit loop behind the calibrated margin schedule);
+//!    is `ull_robust`'s early exit behind the calibrated margin
+//!    schedule);
 //! 3. for fixed-T rungs, check the per-layer spike-rate envelope
 //!    profiled for *that* T (the watchdog rejects cross-T comparisons
 //!    by design, and the `Anytime` rung is skipped because its step
@@ -40,7 +41,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
-use ull_robust::{AnytimeSchedule, RateEnvelope};
+use ull_robust::{anytime_forward_scheduled, AnytimeSchedule, RateEnvelope};
 use ull_snn::SnnNetwork;
 use ull_tensor::Tensor;
 
@@ -180,7 +181,9 @@ impl Engine {
     /// Builds an engine over an ordered replica pool.
     ///
     /// `schedule` powers the `Anytime` rung; without one, that rung
-    /// falls back to a plain full-T forward (no early exit).
+    /// falls back to a plain full-T forward (no early exit). A schedule
+    /// longer than `cfg.t_full` is truncated to it, so the rung never
+    /// simulates more steps than `Full`.
     ///
     /// # Panics
     ///
@@ -224,6 +227,10 @@ impl Engine {
             })
             .collect();
         let recorder = FlightRecorder::new(&cfg.blackbox);
+        let schedule = schedule.map(|mut s| {
+            s.margins.truncate(cfg.t_full);
+            s
+        });
         Engine {
             cfg,
             replicas: slots,
@@ -533,8 +540,16 @@ impl Engine {
                 // envelopes do not apply: the rung is served unwatched
                 // and always reports healthy. Sustained corruption is
                 // still caught by the next fixed-T batch.
-                let (logits, steps) =
-                    anytime_batch(&model.net, x, self.schedule.as_ref(), self.cfg.t_full);
+                let (logits, steps) = match &self.schedule {
+                    Some(schedule) => {
+                        let out = anytime_forward_scheduled(&model.net, x, schedule);
+                        (out.logits, out.steps_used)
+                    }
+                    None => {
+                        let out = model.net.forward(x, self.cfg.t_full);
+                        (out.logits, vec![self.cfg.t_full; batch])
+                    }
+                };
                 (logits, steps, model.version, true)
             }
         }
@@ -575,84 +590,38 @@ fn lock_breaker(m: &Mutex<CircuitBreaker>) -> std::sync::MutexGuard<'_, CircuitB
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Early-exit batch forward: freeze each row's running-mean logits the
-/// first step its top-1/top-2 margin clears the schedule's gate for
-/// that step; stop simulating once every row is frozen.
-///
-/// Without a schedule this degrades to a plain `t_max` forward.
-fn anytime_batch(
-    net: &SnnNetwork,
-    x: &Tensor,
-    schedule: Option<&AnytimeSchedule>,
-    t_max: usize,
-) -> (Tensor, Vec<usize>) {
-    let Some(schedule) = schedule else {
-        let out = net.forward(x, t_max);
-        let batch = x.shape()[0];
-        return (out.logits, vec![t_max; batch]);
-    };
-    let t_max = schedule.t_max().min(t_max).max(1);
-    let batch = x.shape()[0];
-    let mut frozen_logits: Option<Tensor> = None;
-    let mut steps_used = vec![t_max; batch];
-    let mut frozen = vec![false; batch];
-    let mut remaining = batch;
-    let (_, _steps) = net.forward_until(x, t_max, |t, mean| {
-        let frozen_view = frozen_logits.get_or_insert_with(|| mean.clone());
-        let gate = schedule.margins[t - 1];
-        let classes = mean.shape()[1];
-        for r in 0..batch {
-            if frozen[r] {
-                continue;
-            }
-            let row = &mean.data()[r * classes..(r + 1) * classes];
-            let commit = if t == t_max {
-                true
-            } else if t >= schedule.min_steps {
-                top_margin(row) >= gate
-            } else {
-                false
-            };
-            if commit {
-                frozen[r] = true;
-                steps_used[r] = t;
-                frozen_view.data_mut()[r * classes..(r + 1) * classes].copy_from_slice(row);
-                remaining -= 1;
-            }
-        }
-        remaining > 0
-    });
-    let logits = frozen_logits.unwrap_or_else(|| net.forward(x, t_max).logits);
-    (logits, steps_used)
-}
-
-/// Top-1 minus top-2 of one logit row (0 for degenerate rows).
-fn top_margin(row: &[f32]) -> f32 {
-    let mut best = f32::NEG_INFINITY;
-    let mut second = f32::NEG_INFINITY;
-    for &v in row {
-        if v > best {
-            second = best;
-            best = v;
-        } else if v > second {
-            second = v;
-        }
-    }
-    if second.is_finite() {
-        best - second
-    } else {
-        0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ull_nn::NetworkBuilder;
+    use ull_snn::SpikeSpec;
+    use ull_tensor::init::{normal, seeded_rng};
 
     #[test]
-    fn top_margin_handles_degenerate_rows() {
-        assert_eq!(top_margin(&[1.0, 3.0, 2.0]), 1.0);
-        assert_eq!(top_margin(&[0.0, 0.0, 0.0]), 0.0);
-        assert_eq!(top_margin(&[5.0]), 0.0);
+    fn anytime_rung_caps_a_long_schedule_at_t_full() {
+        let mut b = NetworkBuilder::new(3, 8, 5);
+        b.conv2d(4, 3, 1, 1);
+        b.threshold_relu(0.5);
+        b.flatten();
+        b.linear(3);
+        let net = SnnNetwork::from_network(&b.build(), &[SpikeSpec::identity(0.5)]).unwrap();
+        let cfg = ServeConfig {
+            t_full: 3,
+            ..ServeConfig::default()
+        };
+        let replica = ReplicaSpec {
+            name: "primary".to_string(),
+            net: net.clone(),
+            envelope_full: None,
+            envelope_reduced: None,
+        };
+        // Six steps of gates no multi-class row can clear: without the cap
+        // every row would run to step 6.
+        let schedule = AnytimeSchedule::uniform(6, f32::INFINITY);
+        let engine = Engine::new(cfg, vec![replica], Some(schedule));
+        let x = normal(&[4, 3, 8, 8], 0.0, 1.0, &mut seeded_rng(6));
+        let out = engine.execute(&x, RungLabel::Anytime);
+        assert_eq!(out.steps, vec![3; 4]);
+        assert_eq!(out.logits, net.forward(&x, 3).logits);
     }
 }

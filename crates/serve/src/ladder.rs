@@ -7,9 +7,9 @@
 //!
 //! ```text
 //! Full    — forward for t_full steps (paper-quality answer)
-//! Anytime — forward_until behind the calibrated margin schedule:
-//!           rows exit as soon as their logit margin clears the
-//!           per-step gate, bounded by t_full
+//! Anytime — ull_robust::anytime_forward_scheduled behind the
+//!           calibrated margin schedule: rows exit as soon as their
+//!           logit margin clears the per-step gate, bounded by t_full
 //! Reduced — forward for t_reduced steps (cheapest deterministic rung)
 //! (shed)  — not a rung: a full admission queue rejects new requests
 //!           with a typed `Overloaded` reply before they ever queue

@@ -16,7 +16,6 @@ use serde::{Deserialize, Serialize};
 use ull_tensor::Tensor;
 
 use crate::network::{SnnNetwork, SnnOutput};
-use crate::stats::SpikeStats;
 
 /// How the input image is presented to the SNN over time.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -88,22 +87,14 @@ impl SnnNetwork {
         assert!(t_steps > 0, "need at least one time step");
         let _span = ull_obs::span("snn.forward");
         let batch = x.shape()[0];
-        let mut stats = SpikeStats::new(self.nodes().len(), batch, t_steps);
-        let mut membranes: Vec<Option<Tensor>> = vec![None; self.nodes().len()];
-        let mut logits: Option<Tensor> = None;
+        let mut run = self.stepper(batch, t_steps);
         for _ in 0..t_steps {
-            let xt = encoding.encode_step(x, rng);
-            let acts = self.step_public(&xt, &mut membranes, &mut stats);
-            match &mut logits {
-                Some(l) => l.add_assign(&acts[self.output()]),
-                None => logits = Some(acts[self.output()].clone()),
-            }
+            run.step(&encoding.encode_step(x, rng));
         }
-        let mut logits = logits.expect("at least one step ran");
-        logits.scale_in_place(1.0 / t_steps as f32);
+        let out = run.finish();
         ull_obs::counter_add("snn.forward.images", batch as u64);
-        stats.publish_to_obs();
-        SnnOutput { logits, stats }
+        out.stats.publish_to_obs();
+        out
     }
 }
 

@@ -3,6 +3,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -295,6 +296,82 @@ impl StepWorkspace {
     }
 }
 
+/// One serial eval run: the [`StepWorkspace`], the [`SpikeStats`], the
+/// resolved weight pack and the optional tamper hook, plus the running sum
+/// of the output node. Every eval entry point — [`SnnNetwork::forward`]'s
+/// batch chunks, the probes and the input encodings — is a short loop over
+/// [`Stepper::step`], so they all share [`SnnNetwork::step_ws`].
+pub(crate) struct Stepper<'a> {
+    net: &'a SnnNetwork,
+    ws: StepWorkspace,
+    stats: SpikeStats,
+    pack: Option<Arc<PackedNet>>,
+    /// Fault hook plus this chunk's global batch offset.
+    tamper: Option<(&'a dyn StepTamper, usize)>,
+    logit_sum: Option<Tensor>,
+    steps: usize,
+}
+
+impl<'a> Stepper<'a> {
+    /// A fresh run over `batch` samples; `t_steps` is the step count the
+    /// stats record (an early-stopping caller may run fewer).
+    fn new(
+        net: &'a SnnNetwork,
+        batch: usize,
+        t_steps: usize,
+        pack: Option<Arc<PackedNet>>,
+        tamper: Option<(&'a dyn StepTamper, usize)>,
+    ) -> Self {
+        Stepper {
+            net,
+            ws: StepWorkspace::new(net.nodes.len()),
+            stats: SpikeStats::new(net.nodes.len(), batch, t_steps),
+            pack,
+            tamper,
+            logit_sum: None,
+            steps: 0,
+        }
+    }
+
+    /// Simulates the next time step on `input` and returns every node's
+    /// output. The activations live in the workspace and are overwritten
+    /// by the next step.
+    pub(crate) fn step(&mut self, input: &Tensor) -> &[Tensor] {
+        let tamper = self.tamper.map(|(hook, off)| (hook, self.steps, off));
+        self.net.step_ws(
+            input,
+            &mut self.ws,
+            &mut self.stats,
+            tamper,
+            self.pack.as_deref(),
+        );
+        self.steps += 1;
+        accumulate_opt(&mut self.logit_sum, &self.ws.acts[self.net.output]);
+        &self.ws.acts
+    }
+
+    /// Spike counters accumulated so far.
+    fn stats(&self) -> &SpikeStats {
+        &self.stats
+    }
+
+    /// Refills `mean` in place with the running mean of the output node.
+    fn mean_logits_into(&self, mean: &mut Tensor) {
+        mean.copy_from(self.logit_sum.as_ref().expect("at least one step ran"));
+        mean.scale_in_place(1.0 / self.steps as f32);
+    }
+
+    /// The mean output over the steps run, plus the spike counters.
+    pub(crate) fn finish(self) -> SnnOutput {
+        let mut logits = self.logit_sum.expect("at least one step ran");
+        logits.scale_in_place(1.0 / self.steps as f32);
+        SnnOutput {
+            logits,
+            stats: self.stats,
+        }
+    }
+}
+
 /// The BPTT tape: everything [`SnnNetwork::backward`] needs, and the object
 /// whose size realises the paper's Fig. 3 memory measurements.
 #[derive(Debug)]
@@ -312,6 +389,17 @@ pub struct SnnTape {
 }
 
 impl SnnTape {
+    /// `acts()[t][node]`: the output of each node at each step.
+    pub fn acts(&self) -> &[Vec<Tensor>] {
+        &self.acts
+    }
+
+    /// The dropout mask of `node`, shared by every step (`None` unless
+    /// `node` is a dropout layer with `p > 0`).
+    pub fn mask(&self, node: NodeId) -> Option<&Tensor> {
+        self.masks.get(node).and_then(Option::as_ref)
+    }
+
     /// Total bytes of cached state — the BPTT memory footprint that grows
     /// linearly with T (Fig. 3b).
     pub fn memory_bytes(&self) -> usize {
@@ -598,7 +686,6 @@ impl SnnNetwork {
         // fingerprint scan and one cache lookup, outside the worker pool —
         // and share the pack across every batch chunk and time step.
         let pack = packing::packed_for(self);
-        let pack = pack.as_deref();
         if threads <= 1 || batch < 2 {
             self.forward_chunk(x, t_steps, tamper.map(|t| (t, 0)), pack)
         } else {
@@ -611,7 +698,7 @@ impl SnnNetwork {
                     &x.slice_batch(lo, hi),
                     t_steps,
                     tamper.map(|t| (t, lo)),
-                    pack,
+                    pack.clone(),
                 )
             });
             // Merge in chunk (= batch) order: logit rows concatenate back
@@ -632,54 +719,40 @@ impl SnnNetwork {
     /// Serial simulation of one contiguous batch chunk — the single-thread
     /// body [`SnnNetwork::forward`] distributes over the pool. `tamper`
     /// carries the fault hook plus this chunk's global batch offset.
-    ///
-    /// Runs the event-driven engine: a reusable [`StepWorkspace`] makes
-    /// the steady-state step loop allocation-free, and each weighted node
-    /// routes between the dense and event-driven kernels per
-    /// [`crate::dispatch`]. Results are bit-identical to the tape-capable
-    /// [`SnnNetwork::step`] path for any routing.
     fn forward_chunk(
         &self,
         x: &Tensor,
         t_steps: usize,
         tamper: Option<(&dyn StepTamper, usize)>,
-        pack: Option<&PackedNet>,
+        pack: Option<Arc<PackedNet>>,
     ) -> SnnOutput {
-        let batch = x.shape()[0];
-        let mut stats = SpikeStats::new(self.nodes.len(), batch, t_steps);
-        let mut ws = StepWorkspace::new(self.nodes.len());
-        let mut logits: Option<Tensor> = None;
-        for t in 0..t_steps {
-            self.step_ws(
-                x,
-                &mut ws,
-                &mut stats,
-                tamper.map(|(h, off)| (h, t, off)),
-                pack,
-            );
-            let out_act = &ws.acts[self.output];
-            match &mut logits {
-                Some(l) => l.add_assign(out_act),
-                None => logits = Some(out_act.clone()),
-            }
+        let mut run = Stepper::new(self, x.shape()[0], t_steps, pack, tamper);
+        for _ in 0..t_steps {
+            run.step(x);
         }
-        let mut logits = logits.expect("at least one step ran");
-        logits.scale_in_place(1.0 / t_steps as f32);
-        SnnOutput { logits, stats }
+        run.finish()
     }
 
-    /// One eval time step over the reusable workspace — the engine behind
-    /// [`SnnNetwork::forward`] / [`SnnNetwork::forward_tampered`].
+    /// A serial, untampered [`Stepper`] over this network's packed weights
+    /// — the engine of every single-chunk eval entry point.
+    pub(crate) fn stepper(&self, batch: usize, t_steps: usize) -> Stepper<'_> {
+        Stepper::new(self, batch, t_steps, packing::packed_for(self), None)
+    }
+
+    /// One eval time step over the reusable workspace — the only eval step
+    /// loop, driven through [`Stepper`].
     ///
-    /// Semantically identical to [`SnnNetwork::step`] with `masks == None`
-    /// and `aux_out == None`, and bit-identical in output; it differs only
+    /// Computes the same per-element expressions as the BPTT
+    /// [`SnnNetwork::step`] and matches its output bit for bit (the tape
+    /// oracle in `crates/snn/tests/sparse.rs` asserts it); it differs only
     /// operationally: every buffer is refilled in place (zero steady-state
     /// allocations), and each conv/linear node consults its
-    /// [`RouteState`] to run either the dense im2col+GEMM kernel or the
-    /// event-driven kernel on a [`SpikeBatch`] extracted from its input.
-    /// Dispatch decisions are published as `snn.dispatch.{sparse,dense}`
-    /// obs counters (not `SpikeStats`: per-chunk decisions may differ
-    /// across thread counts while results stay bit-identical).
+    /// [`RouteState`] to run either the dense kernel (packed when `pack`
+    /// holds the layer) or the event-driven kernel on a [`SpikeBatch`]
+    /// extracted from its input. Dispatch decisions are published as
+    /// `snn.dispatch.{sparse,dense}` obs counters (not `SpikeStats`:
+    /// per-chunk decisions may differ across thread counts while results
+    /// stay bit-identical).
     fn step_ws(
         &self,
         x: &Tensor,
@@ -831,6 +904,11 @@ impl SnnNetwork {
     /// over the steps actually run are returned together with that step
     /// count.
     ///
+    /// Runs the same allocation-free [`Stepper`] as [`SnnNetwork::forward`],
+    /// so each step costs what a `forward` step costs and the logits of a
+    /// full run equal `forward(x, t_max)` bit for bit. The mean handed to
+    /// the callback is one buffer refilled in place each step.
+    ///
     /// Serial by design: stopping is a whole-batch decision and the
     /// callback observes logits in batch order. Per-sample early decisions
     /// are layered on top by `ull-robust`, which freezes decided rows
@@ -846,27 +924,18 @@ impl SnnNetwork {
         mut keep_going: impl FnMut(usize, &Tensor) -> bool,
     ) -> (SnnOutput, usize) {
         assert!(t_max > 0, "need at least one time step");
-        let batch = x.shape()[0];
-        let mut stats = SpikeStats::new(self.nodes.len(), batch, t_max);
-        let mut membranes: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        let mut sum: Option<Tensor> = None;
+        let mut run = self.stepper(x.shape()[0], t_max);
+        let mut mean = Tensor::default();
         let mut steps = 0;
-        for t in 1..=t_max {
-            let acts = self.step(x, &mut membranes, None, None, &mut stats, None);
-            match &mut sum {
-                Some(l) => l.add_assign(&acts[self.output]),
-                None => sum = Some(acts[self.output].clone()),
-            }
-            steps = t;
-            let mut mean = sum.as_ref().expect("just set").clone();
-            mean.scale_in_place(1.0 / t as f32);
-            if !keep_going(t, &mean) {
+        while steps < t_max {
+            run.step(x);
+            steps += 1;
+            run.mean_logits_into(&mut mean);
+            if !keep_going(steps, &mean) {
                 break;
             }
         }
-        let mut logits = sum.expect("at least one step ran");
-        logits.scale_in_place(1.0 / steps as f32);
-        (SnnOutput { logits, stats }, steps)
+        (run.finish(), steps)
     }
 
     /// Like [`SnnNetwork::forward`] but also returns, for each spike node,
@@ -879,92 +948,52 @@ impl SnnNetwork {
         t_steps: usize,
     ) -> (SnnOutput, Vec<(NodeId, Tensor, Tensor)>) {
         assert!(t_steps > 0, "need at least one time step");
-        let batch = x.shape()[0];
-        let mut stats = SpikeStats::new(self.nodes.len(), batch, t_steps);
-        let mut membranes: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        let mut logits: Option<Tensor> = None;
+        let mut run = self.stepper(x.shape()[0], t_steps);
         let spike_ids = self.spike_nodes();
-        let mut current_sums: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        let mut output_sums: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
+        let mut sums: Vec<(Option<Tensor>, Option<Tensor>)> = vec![(None, None); spike_ids.len()];
         for _ in 0..t_steps {
-            let acts = self.step(x, &mut membranes, None, None, &mut stats, None);
-            for &id in &spike_ids {
-                let input_act = &acts_input(self, &acts, id);
-                accumulate_opt(&mut current_sums[id], input_act);
-                accumulate_opt(&mut output_sums[id], &acts[id]);
-            }
-            match &mut logits {
-                Some(l) => l.add_assign(&acts[self.output]),
-                None => logits = Some(acts[self.output].clone()),
+            let acts = run.step(x);
+            for (&id, (current, output)) in spike_ids.iter().zip(&mut sums) {
+                accumulate_opt(current, &acts[self.nodes[id].inputs[0]]);
+                accumulate_opt(output, &acts[id]);
             }
         }
-        let mut logits = logits.expect("at least one step ran");
-        logits.scale_in_place(1.0 / t_steps as f32);
         let inv = 1.0 / t_steps as f32;
         let rates = spike_ids
             .into_iter()
-            .map(|id| {
-                let mut cur = current_sums[id].take().expect("recorded above");
+            .zip(sums)
+            .map(|(id, (current, output))| {
+                let mut cur = current.expect("recorded above");
                 cur.scale_in_place(inv);
-                let mut out = output_sums[id].take().expect("recorded above");
+                let mut out = output.expect("recorded above");
                 out.scale_in_place(inv);
                 (id, cur, out)
             })
             .collect();
-        (SnnOutput { logits, stats }, rates)
+        (run.finish(), rates)
     }
 
     /// Training-mode unrolled forward pass: records the full BPTT tape.
-    /// Dropout masks are sampled once and shared across time steps.
+    /// Dropout masks are sampled the first time step 0 reaches each
+    /// dropout node (in node order) and shared across time steps.
     pub fn forward_train(&self, x: &Tensor, t_steps: usize, rng: &mut StdRng) -> SnnTape {
         assert!(t_steps > 0, "need at least one time step");
         let _span = ull_obs::span("snn.forward_train");
         let batch = x.shape()[0];
-        // Pre-sample dropout masks (shapes discovered via a dry step).
         let mut stats = SpikeStats::new(self.nodes.len(), batch, t_steps);
         let mut membranes: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        let probe = self.step(x, &mut membranes, None, None, &mut stats, None);
         let mut masks: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        for (i, node) in self.nodes.iter().enumerate() {
-            if let SnnOp::Dropout { p } = node.op {
-                if p > 0.0 {
-                    let keep = 1.0 - p;
-                    let scale = 1.0 / keep;
-                    let mut mask = Tensor::zeros(probe[i].shape());
-                    for m in mask.data_mut() {
-                        *m = if rng.gen::<f32>() < keep { scale } else { 0.0 };
-                    }
-                    masks[i] = Some(mask);
-                }
-            }
-        }
-        // Real unrolled pass with fresh state.
-        let mut stats = SpikeStats::new(self.nodes.len(), batch, t_steps);
-        let mut membranes: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
         let mut acts_all = Vec::with_capacity(t_steps);
         let mut aux_all = Vec::with_capacity(t_steps);
         let mut logits: Option<Tensor> = None;
         for _ in 0..t_steps {
-            let mut aux: Vec<StepAux> = Vec::with_capacity(self.nodes.len());
-            let acts = self.step(
-                x,
-                &mut membranes,
-                Some(&masks),
-                Some(&mut aux),
-                &mut stats,
-                None,
-            );
-            match &mut logits {
-                Some(l) => l.add_assign(&acts[self.output]),
-                None => logits = Some(acts[self.output].clone()),
-            }
+            let (acts, aux) = self.step(x, &mut membranes, &mut masks, rng, &mut stats);
+            accumulate_opt(&mut logits, &acts[self.output]);
             acts_all.push(acts);
             aux_all.push(aux);
         }
         let mut logits = logits.expect("at least one step ran");
         logits.scale_in_place(1.0 / t_steps as f32);
-        // Publish only the real unrolled pass — the dropout-shape probe
-        // step above used throwaway stats and must not be counted.
         ull_obs::counter_add("snn.forward.images", batch as u64);
         stats.publish_to_obs();
         SnnTape {
@@ -985,50 +1014,33 @@ impl SnnNetwork {
     /// Panics if `t_steps == 0`.
     pub fn forward_trace(&self, x: &Tensor, t_steps: usize) -> Vec<Vec<u64>> {
         assert!(t_steps > 0, "need at least one time step");
-        let batch = x.shape()[0];
-        let mut stats = SpikeStats::new(self.nodes.len(), batch, t_steps);
-        let mut membranes: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        let mut trace = Vec::with_capacity(t_steps);
+        let mut run = self.stepper(x.shape()[0], t_steps);
         let mut prev = vec![0u64; self.nodes.len()];
-        for _ in 0..t_steps {
-            let _ = self.step(x, &mut membranes, None, None, &mut stats, None);
-            let now = stats.spikes_per_node();
-            trace.push(
-                now.iter()
-                    .zip(&prev)
-                    .map(|(&a, &b)| a - b)
-                    .collect::<Vec<u64>>(),
-            );
-            prev = now.to_vec();
-        }
-        trace
+        (0..t_steps)
+            .map(|_| {
+                run.step(x);
+                let now = run.stats().spikes_per_node();
+                let delta = now.iter().zip(&prev).map(|(&a, &b)| a - b).collect();
+                prev.copy_from_slice(now);
+                delta
+            })
+            .collect()
     }
 
-    /// Crate-internal single-step entry point for alternative input
-    /// encodings (see [`crate::encoding`]).
-    pub(crate) fn step_public(
-        &self,
-        x: &Tensor,
-        membranes: &mut [Option<Tensor>],
-        stats: &mut SpikeStats,
-    ) -> Vec<Tensor> {
-        self.step(x, membranes, None, None, stats, None)
-    }
-
-    /// One simulated time step. `aux_out`, when provided, records the BPTT
-    /// auxiliaries; `masks` supplies shared dropout masks (None ⇒ eval);
-    /// `tamper` is the fault-injection hook plus the current step index and
-    /// the chunk's global batch offset (None ⇒ clean simulation).
+    /// One BPTT time step of [`SnnNetwork::forward_train`]: returns every
+    /// node's output plus the auxiliaries the backward pass reads. A
+    /// dropout node without a mask in `masks` samples one from `rng` (so
+    /// step 0 fills them, in node order); later steps reuse it.
     fn step(
         &self,
         x: &Tensor,
         membranes: &mut [Option<Tensor>],
-        masks: Option<&[Option<Tensor>]>,
-        mut aux_out: Option<&mut Vec<StepAux>>,
+        masks: &mut [Option<Tensor>],
+        rng: &mut StdRng,
         stats: &mut SpikeStats,
-        tamper: Option<(&dyn StepTamper, usize, usize)>,
-    ) -> Vec<Tensor> {
+    ) -> (Vec<Tensor>, Vec<StepAux>) {
         let mut acts: Vec<Tensor> = Vec::with_capacity(self.nodes.len());
+        let mut auxes: Vec<StepAux> = Vec::with_capacity(self.nodes.len());
         for (i, node) in self.nodes.iter().enumerate() {
             let a = |j: usize| &acts[node.inputs[j]];
             let mut aux = StepAux::None;
@@ -1061,75 +1073,51 @@ impl SnnNetwork {
                     };
                     let mut out = Tensor::zeros(input.shape());
                     let mut spike_count = 0u64;
-                    if aux_out.is_some() {
-                        // The BPTT tape needs both U(t−1) and the
-                        // pre-reset U_temp, so this branch pays for the
-                        // copies.
-                        // Eq. 2: U_temp = λ·U(t−1) + I(t)
-                        let mut u_temp = u_prev.scale(leak);
-                        u_temp.add_assign(input);
-                        // Hardening: corrupted weights can push membranes
-                        // to NaN/±∞, which would propagate silently. Only
-                        // non-finite or absurd values are rewritten, so
-                        // clean runs stay bit-identical.
-                        sanitize_membrane(&mut u_temp);
-                        // Eq. 3/8: spike and scaled output.
-                        let mut u_next = u_temp.clone();
-                        {
-                            let od = out.data_mut();
-                            let un = u_next.data_mut();
-                            for (j, &u) in u_temp.data().iter().enumerate() {
-                                if u > v_th {
-                                    od[j] = amp;
-                                    un[j] = u - v_th; // Eq. 4 soft reset by V^th
-                                    spike_count += 1;
-                                }
+                    // Eq. 2: U_temp = λ·U(t−1) + I(t)
+                    let mut u_temp = u_prev.scale(leak);
+                    u_temp.add_assign(input);
+                    // Hardening: corrupted weights can push membranes to
+                    // NaN/±∞, which would propagate silently. Only
+                    // non-finite or absurd values are rewritten, so clean
+                    // runs stay bit-identical.
+                    sanitize_membrane(&mut u_temp);
+                    // Eq. 3/8: spike and scaled output.
+                    let mut u_next = u_temp.clone();
+                    {
+                        let od = out.data_mut();
+                        let un = u_next.data_mut();
+                        for (j, &u) in u_temp.data().iter().enumerate() {
+                            if u > v_th {
+                                od[j] = amp;
+                                un[j] = u - v_th; // Eq. 4 soft reset by V^th
+                                spike_count += 1;
                             }
                         }
-                        membranes[i] = Some(u_next);
-                        aux = StepAux::Spike { u_temp, u_prev };
-                    } else {
-                        // Eval never reads the tape: apply Eq. 2–4 to the
-                        // membrane in place, skipping both clones. Same
-                        // per-element expressions, so bit-identical.
-                        let mut u = u_prev;
-                        u.scale_in_place(leak);
-                        u.add_assign(input);
-                        sanitize_membrane(&mut u);
-                        {
-                            let od = out.data_mut();
-                            for (o, uv) in od.iter_mut().zip(u.data_mut()) {
-                                if *uv > v_th {
-                                    *o = amp;
-                                    *uv -= v_th; // Eq. 4 soft reset by V^th
-                                    spike_count += 1;
-                                }
-                            }
-                        }
-                        membranes[i] = Some(u);
                     }
-                    if let Some((hook, t, batch_offset)) = tamper {
-                        hook.tamper_spikes(t, i, batch_offset, amp, &mut out);
-                        // Recount so SpikeStats reflects the spikes that
-                        // were actually transmitted — this is how the
-                        // watchdog sees the fault.
-                        spike_count = out.data().iter().filter(|v| **v != 0.0).count() as u64;
-                    }
+                    membranes[i] = Some(u_next);
+                    aux = StepAux::Spike { u_temp, u_prev };
                     stats.record(i, spike_count, input.len());
                     out
                 }
                 SnnOp::MaxPool2d { k } => {
                     let p = maxpool2d(a(0), *k);
-                    if aux_out.is_some() {
-                        aux = StepAux::MaxPool { argmax: p.argmax };
-                    }
+                    aux = StepAux::MaxPool { argmax: p.argmax };
                     p.output
                 }
                 SnnOp::AvgPool2d { k } => avgpool2d(a(0), *k),
-                SnnOp::Dropout { .. } => match masks.and_then(|m| m[i].as_ref()) {
-                    Some(mask) => a(0).mul(mask),
-                    None => a(0).clone(),
-                },
+                SnnOp::Dropout { p } if *p > 0.0 => {
+                    let mask = masks[i].get_or_insert_with(|| {
+                        let keep = 1.0 - p;
+                        let scale = 1.0 / keep;
+                        let mut mask = Tensor::zeros(a(0).shape());
+                        for m in mask.data_mut() {
+                            *m = if rng.gen::<f32>() < keep { scale } else { 0.0 };
+                        }
+                        mask
+                    });
+                    a(0).mul(mask)
+                }
+                SnnOp::Dropout { .. } => a(0).clone(),
                 SnnOp::Flatten => {
                     let t = a(0);
                     let n = t.shape()[0];
@@ -1138,12 +1126,10 @@ impl SnnNetwork {
                 }
                 SnnOp::Add => a(0).add(a(1)),
             };
-            if let Some(ref mut v) = aux_out {
-                v.push(aux);
-            }
+            auxes.push(aux);
             acts.push(value);
         }
-        acts
+        (acts, auxes)
     }
 
     /// Folds each spike layer's output amplitude into the next weighted
@@ -1269,10 +1255,6 @@ fn record_dispatch(node: usize, sparse: bool) {
         "snn.dispatch.dense.node"
     };
     ull_obs::counter_add_indexed(key, node, 1);
-}
-
-fn acts_input(net: &SnnNetwork, acts: &[Tensor], id: NodeId) -> Tensor {
-    acts[net.nodes[id].inputs[0]].clone()
 }
 
 fn accumulate_opt(slot: &mut Option<Tensor>, value: &Tensor) {
@@ -1570,37 +1552,6 @@ mod tests {
             trace_s.iter().map(|s| s[node]).collect::<Vec<_>>(),
             vec![0, 1, 0]
         );
-    }
-
-    #[test]
-    fn obs_counters_agree_with_spike_stats() {
-        let _guard = parallel::override_lock();
-        let _obs = ull_obs::test_lock();
-        ull_obs::reset();
-        ull_obs::set_enabled(true);
-        parallel::set_threads(1);
-        let snn = tiny_snn(60);
-        let x = normal(&[3, 2, 4, 4], 0.5, 1.0, &mut seeded_rng(61));
-        let out = snn.forward(&x, 4);
-        parallel::set_threads(0);
-        ull_obs::set_enabled(false);
-        let snap = ull_obs::snapshot();
-        // Per-node counters mirror SpikeStats exactly; the prefix sum is
-        // the whole-network total the energy audit reasons about.
-        for (id, &s) in out.stats.spikes_per_node().iter().enumerate() {
-            let key = format!("snn.spikes.node.{id}");
-            assert_eq!(snap.counters.get(&key).copied().unwrap_or(0), s, "{key}");
-        }
-        assert_eq!(
-            snap.counter_prefix_sum("snn.spikes.node."),
-            out.stats.spikes_per_node().iter().sum::<u64>()
-        );
-        assert_eq!(
-            snap.counters.get("snn.forward.images").copied(),
-            Some(3),
-            "one forward over a batch of 3"
-        );
-        assert_eq!(snap.spans["snn.forward"].count, 1);
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Proves the steady-state step loop of the event-driven forward pass is
-//! allocation-free: once the `StepWorkspace` buffers have grown to their
-//! working sizes (and every layer's dispatch route has been exercised),
-//! additional time steps must not touch the allocator.
+//! Proves the steady-state step loop of the event-driven forward pass —
+//! shared by `forward` and the probes — is allocation-free: once the
+//! `StepWorkspace` buffers have grown to their working sizes (and every
+//! layer's dispatch route has been exercised), additional time steps must
+//! not touch the allocator.
 //!
 //! The check compares total allocator hits for a short run against a
 //! longer run of the same network and input: per-step routing decisions
@@ -100,6 +101,49 @@ fn steady_state_step_loop_does_not_allocate() {
         assert!(
             long <= short,
             "steady-state steps allocated: T=2 cost {short} hits, T=8 cost {long} (cutoff {cutoff})"
+        );
+    }
+
+    set_sparse_cutoff(None);
+    parallel::set_threads(0);
+}
+
+/// The probes run the same step engine as `forward`: `forward_until`
+/// refills one mean buffer in place and `forward_rates` sums into
+/// per-node buffers, so their steady-state steps allocate nothing either.
+#[test]
+fn probe_steady_state_steps_do_not_allocate() {
+    let snn = test_net(43);
+    let x = normal(&[3, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(98));
+    let _threads = parallel::override_lock();
+    let _cutoff = dispatch::cutoff_lock();
+    parallel::set_threads(1);
+
+    for cutoff in [2.0f32, -1.0] {
+        set_sparse_cutoff(Some(cutoff));
+        snn.forward_until(&x, 1, |_, _| true);
+        snn.forward_rates(&x, 1);
+
+        let short = allocs_during(|| {
+            snn.forward_until(&x, 2, |_, _| true);
+        });
+        let long = allocs_during(|| {
+            snn.forward_until(&x, 8, |_, _| true);
+        });
+        assert!(
+            long <= short,
+            "forward_until steady-state steps allocated: T=2 cost {short} hits, T=8 cost {long} (cutoff {cutoff})"
+        );
+
+        let short = allocs_during(|| {
+            snn.forward_rates(&x, 2);
+        });
+        let long = allocs_during(|| {
+            snn.forward_rates(&x, 8);
+        });
+        assert!(
+            long <= short,
+            "forward_rates steady-state steps allocated: T=2 cost {short} hits, T=8 cost {long} (cutoff {cutoff})"
         );
     }
 
