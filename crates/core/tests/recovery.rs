@@ -3,7 +3,7 @@
 //! contract.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use ull_core::{
     resume_pipeline, run_or_resume_pipeline, run_pipeline, run_pipeline_recoverable,
@@ -16,13 +16,30 @@ use ull_snn::SnnNetwork;
 use ull_tensor::init::seeded_rng;
 use ull_tensor::parallel;
 
-fn test_dir(name: &str) -> PathBuf {
+/// A fresh per-process checkpoint directory under the system temp dir,
+/// removed again when the guard drops — also when the test panics, so
+/// runs leave no checkpoints behind.
+struct TestDir(PathBuf);
+
+impl TestDir {
+    fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
+}
+
+fn test_dir(name: &str) -> TestDir {
     let dir = std::env::temp_dir()
         .join("ull_core_recovery_tests")
         .join(format!("{name}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
-    dir
+    TestDir(dir)
 }
 
 fn fixture() -> (Dataset, Dataset, Network, PipelineConfig) {
@@ -56,7 +73,8 @@ fn healthy_recoverable_run_matches_run_pipeline_bit_for_bit() {
         run_pipeline(&mut dnn_plain, &train, &test, &pcfg, &mut rng).unwrap();
 
     let mut dnn_rec = dnn0.clone();
-    let rcfg = RecoveryConfig::new(test_dir("healthy"));
+    let dir = test_dir("healthy");
+    let rcfg = RecoveryConfig::new(dir.path());
     let mut rng = seeded_rng(12);
     let (rep_rec, snn_rec) =
         run_pipeline_recoverable(&mut dnn_rec, &train, &test, &pcfg, &rcfg, &mut rng).unwrap();
@@ -84,14 +102,16 @@ fn interrupted_and_resumed_run_is_bit_identical() {
 
     // Reference: uninterrupted recoverable run.
     let mut dnn_ref = dnn0.clone();
-    let rcfg_ref = RecoveryConfig::new(test_dir("uninterrupted"));
+    let dir_ref = test_dir("uninterrupted");
+    let rcfg_ref = RecoveryConfig::new(dir_ref.path());
     let mut rng = seeded_rng(12);
     let (rep_ref, snn_ref) =
         run_pipeline_recoverable(&mut dnn_ref, &train, &test, &pcfg, &rcfg_ref, &mut rng).unwrap();
 
     // Interrupted run: crash mid-DNN-training, resume, crash mid-SGL,
     // resume again to completion.
-    let rcfg = RecoveryConfig::new(test_dir("interrupted"));
+    let dir = test_dir("interrupted");
+    let rcfg = RecoveryConfig::new(dir.path());
     let mut dnn = dnn0.clone();
     let mut rng = seeded_rng(12);
     let mut plan = FaultPlan::none().with(PipelinePhase::DnnTrain, 2, FaultKind::CrashBeforeCommit);
@@ -148,7 +168,8 @@ fn nan_gradient_triggers_rollback_and_still_converges() {
     let (train, test, dnn0, mut pcfg) = fixture();
     pcfg.dnn_epochs = 6;
 
-    let rcfg = RecoveryConfig::new(test_dir("nan_rollback"));
+    let dir = test_dir("nan_rollback");
+    let rcfg = RecoveryConfig::new(dir.path());
     let mut dnn = dnn0.clone();
     let mut rng = seeded_rng(12);
     // Poison one gradient in DNN epoch 1 and one in SGL epoch 1; both must
@@ -188,13 +209,15 @@ fn corrupted_newest_checkpoint_is_skipped_on_resume() {
 
     // Reference: uninterrupted run.
     let mut dnn_ref = dnn0.clone();
-    let rcfg_ref = RecoveryConfig::new(test_dir("corrupt_ref"));
+    let dir_ref = test_dir("corrupt_ref");
+    let rcfg_ref = RecoveryConfig::new(dir_ref.path());
     let mut rng = seeded_rng(12);
     let (_, snn_ref) =
         run_pipeline_recoverable(&mut dnn_ref, &train, &test, &pcfg, &rcfg_ref, &mut rng).unwrap();
 
     // Crash that corrupts the newest checkpoint after committing it.
-    let rcfg = RecoveryConfig::new(test_dir("corrupt"));
+    let dir = test_dir("corrupt");
+    let rcfg = RecoveryConfig::new(dir.path());
     let mut dnn = dnn0.clone();
     let mut rng = seeded_rng(12);
     let mut plan = FaultPlan::none().with(PipelinePhase::DnnTrain, 2, FaultKind::CorruptCheckpoint);
@@ -217,7 +240,8 @@ fn corrupted_newest_checkpoint_is_skipped_on_resume() {
 fn retry_budget_exhaustion_surfaces_diverged() {
     let (train, test, dnn0, pcfg) = fixture();
 
-    let mut rcfg = RecoveryConfig::new(test_dir("diverged"));
+    let dir = test_dir("diverged");
+    let mut rcfg = RecoveryConfig::new(dir.path());
     rcfg.max_retries = 2;
     let mut dnn = dnn0.clone();
     let mut rng = seeded_rng(12);
@@ -267,27 +291,27 @@ fn keep_last_prunes_checkpoint_directory() {
 
     // keep_last = 2: only the two newest checkpoints survive a full run.
     let dir = test_dir("keep_last_2");
-    let mut rcfg = RecoveryConfig::new(&dir);
+    let mut rcfg = RecoveryConfig::new(dir.path());
     rcfg.keep_last = 2;
     let mut dnn = dnn0.clone();
     let mut rng = seeded_rng(12);
     run_pipeline_recoverable(&mut dnn, &train, &test, &pcfg, &rcfg, &mut rng).unwrap();
-    let files = checkpoint_files(&dir);
+    let files = checkpoint_files(dir.path());
     assert_eq!(files.len(), 2, "{files:?}");
     // The newest survivor must still load as a valid pipeline checkpoint.
-    let (_, meta, path) = ull_nn::load_latest::<PipelineCheckpoint>(&dir).unwrap();
+    let (_, meta, path) = ull_nn::load_latest::<PipelineCheckpoint>(dir.path()).unwrap();
     assert_eq!(Some(path.as_path()), files.last().map(|p| p.as_path()));
     assert_eq!(meta.phase, "sgl", "newest checkpoint is from the SGL phase");
 
     // keep_last = 0 is clamped: at least one checkpoint is always kept,
     // otherwise a crash right after pruning would lose the whole run.
     let dir0 = test_dir("keep_last_0");
-    let mut rcfg0 = RecoveryConfig::new(&dir0);
+    let mut rcfg0 = RecoveryConfig::new(dir0.path());
     rcfg0.keep_last = 0;
     let mut dnn = dnn0.clone();
     let mut rng = seeded_rng(12);
     run_pipeline_recoverable(&mut dnn, &train, &test, &pcfg, &rcfg0, &mut rng).unwrap();
-    assert_eq!(checkpoint_files(&dir0).len(), 1);
+    assert_eq!(checkpoint_files(dir0.path()).len(), 1);
 }
 
 #[test]
@@ -298,7 +322,8 @@ fn faulted_recovery_is_thread_invariant() {
     let _guard = parallel::override_lock();
     let run = |threads: usize, name: &str| {
         parallel::set_threads(threads);
-        let rcfg = RecoveryConfig::new(test_dir(name));
+        let dir = test_dir(name);
+        let rcfg = RecoveryConfig::new(dir.path());
         let mut dnn = dnn0.clone();
         let mut rng = seeded_rng(12);
         let mut plan = FaultPlan::none()
@@ -337,7 +362,8 @@ fn recurring_fault_schedule_exhausts_retries_to_diverged() {
     // selected epoch, so the retry budget must drain to Diverged — the
     // flaky-hardware scenario one-shot points cannot express.
     let (train, test, dnn0, pcfg) = fixture();
-    let mut rcfg = RecoveryConfig::new(test_dir("recurring_diverged"));
+    let dir = test_dir("recurring_diverged");
+    let mut rcfg = RecoveryConfig::new(dir.path());
     rcfg.max_retries = 1;
     let mut dnn = dnn0.clone();
     let mut rng = seeded_rng(12);
@@ -397,7 +423,7 @@ fn resume_rejects_nan_poisoned_checkpoint() {
         epoch: 1,
         rng_state: [1, 2, 3, 4],
     };
-    ull_nn::save_with_meta(&ckpt, &meta, dir.join("ckpt-0-00001.json")).unwrap();
+    ull_nn::save_with_meta(&ckpt, &meta, dir.path().join("ckpt-0-00001.json")).unwrap();
     let mut dnn = dnn0.clone();
     let mut rng = seeded_rng(5);
     let err = resume_pipeline(
@@ -405,7 +431,7 @@ fn resume_rejects_nan_poisoned_checkpoint() {
         &train,
         &test,
         &pcfg,
-        &RecoveryConfig::new(&dir),
+        &RecoveryConfig::new(dir.path()),
         &mut rng,
     )
     .unwrap_err();
@@ -422,7 +448,8 @@ fn resume_rejects_nan_poisoned_checkpoint() {
 fn run_or_resume_starts_fresh_then_resumes() {
     let (train, test, dnn0, pcfg) = fixture();
 
-    let rcfg = RecoveryConfig::new(test_dir("run_or_resume"));
+    let dir = test_dir("run_or_resume");
+    let rcfg = RecoveryConfig::new(dir.path());
     // Empty directory: starts fresh (and would error if it tried to resume).
     let mut dnn = dnn0.clone();
     let mut rng = seeded_rng(12);
@@ -442,7 +469,8 @@ fn run_or_resume_starts_fresh_then_resumes() {
 
     // Same as an uninterrupted reference run.
     let mut dnn_ref = dnn0.clone();
-    let rcfg_ref = RecoveryConfig::new(test_dir("run_or_resume_ref"));
+    let dir_ref = test_dir("run_or_resume_ref");
+    let rcfg_ref = RecoveryConfig::new(dir_ref.path());
     let mut rng = seeded_rng(12);
     let (rep_ref, _) =
         run_pipeline_recoverable(&mut dnn_ref, &train, &test, &pcfg, &rcfg_ref, &mut rng).unwrap();

@@ -114,13 +114,16 @@ impl CircuitBreaker {
     }
 
     /// Reports the watchdog verdict of a batch served by this replica.
-    pub fn record(&mut self, healthy: bool, now_ms: u64) {
+    /// Returns whether this verdict tripped the breaker, so the caller
+    /// that caused a trip — and only that caller — can react to it.
+    pub fn record(&mut self, healthy: bool, now_ms: u64) -> bool {
         match (self.state, healthy) {
             (BreakerState::Closed, true) => self.consecutive = 0,
             (BreakerState::Closed, false) => {
                 self.consecutive += 1;
                 if self.consecutive >= self.threshold {
                     self.trip(now_ms);
+                    return true;
                 }
             }
             (BreakerState::HalfOpen, true) => {
@@ -128,12 +131,16 @@ impl CircuitBreaker {
                 self.consecutive = 0;
                 self.open_streak = 0;
             }
-            (BreakerState::HalfOpen, false) => self.trip(now_ms),
+            (BreakerState::HalfOpen, false) => {
+                self.trip(now_ms);
+                return true;
+            }
             // A verdict for an Open replica can only come from a
             // last-resort batch (every breaker open); it carries no new
             // routing information, so the quarantine clock is left alone.
             (BreakerState::Open, _) => {}
         }
+        false
     }
 
     fn trip(&mut self, now_ms: u64) {
@@ -189,17 +196,30 @@ mod tests {
     #[test]
     fn trips_only_after_k_consecutive_excursions() {
         let mut b = breaker();
-        b.record(false, 0);
-        b.record(false, 1);
+        assert!(!b.record(false, 0));
+        assert!(!b.record(false, 1));
         assert_eq!(b.state(), BreakerState::Closed);
         // A healthy batch resets the streak.
-        b.record(true, 2);
+        assert!(!b.record(true, 2));
         b.record(false, 3);
         b.record(false, 4);
         assert_eq!(b.state(), BreakerState::Closed);
-        b.record(false, 5);
+        assert!(b.record(false, 5), "the k-th excursion reports the trip");
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(b.trips(), 1);
+    }
+
+    #[test]
+    fn record_reports_exactly_the_verdicts_that_trip() {
+        let mut b = CircuitBreaker::new(1, 100, 10_000, 3);
+        assert!(b.record(false, 0));
+        // Late verdicts for an Open replica change nothing.
+        assert!(!b.record(false, 1));
+        assert!(b.allow(10_000));
+        assert!(b.record(false, 10_000), "a failed probe re-trips");
+        assert!(b.allow(30_000));
+        assert!(!b.record(true, 30_000), "a healthy probe closes");
+        assert_eq!(b.trips(), 2);
     }
 
     #[test]

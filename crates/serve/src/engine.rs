@@ -400,11 +400,12 @@ impl Engine {
             ));
         }
 
-        let trips_before = self.breaker_trips();
         let now = self.now_ms();
         let primary = self.route(now);
         let (logits, steps, version, healthy) = self.run_on(primary, x, rung);
-        lock_breaker(&self.breakers[primary]).record(healthy, self.now_ms());
+        // Only the batch whose own verdict trips a breaker dumps: lifetime
+        // trip counts also move on a concurrent worker's trip.
+        let mut tripped = lock_breaker(&self.breakers[primary]).record(healthy, self.now_ms());
 
         let mut result = BatchResult {
             logits,
@@ -419,7 +420,7 @@ impl Engine {
             if let Some(fb) = self.fallback_after(primary) {
                 ull_obs::counter_add("serve.retried", 1);
                 let (logits, steps, fb_version, fb_healthy) = self.run_on(fb, x, rung);
-                lock_breaker(&self.breakers[fb]).record(fb_healthy, self.now_ms());
+                tripped |= lock_breaker(&self.breakers[fb]).record(fb_healthy, self.now_ms());
                 result = BatchResult {
                     logits,
                     steps,
@@ -451,7 +452,7 @@ impl Engine {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push(event);
-        if self.breaker_trips() > trips_before {
+        if tripped {
             self.flight_dump("breaker_trip");
         }
 

@@ -229,8 +229,7 @@ impl ControlReply {
 
 /// Serializes a control reply and writes it as one frame.
 pub fn write_control_reply(writer: &mut impl Write, reply: &ControlReply) -> std::io::Result<()> {
-    let json = serde_json::to_string(reply).map_err(|e| std::io::Error::other(e.to_string()))?;
-    write_frame(writer, json.as_bytes())
+    write_json_frame(writer, reply)
 }
 
 /// Why a frame could not be read.
@@ -283,19 +282,43 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Vec<u8>, FrameError> {
     Ok(payload)
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame with a single `write_all` of
+/// prefix ‖ payload.
+///
+/// Splitting the frame into two writes would stall every round trip on
+/// TCP: Nagle's algorithm holds the second segment until the first is
+/// acknowledged, and the peer delays that ACK by about 40 ms.
 pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large"))?;
-    writer.write_all(&len.to_be_bytes())?;
-    writer.write_all(payload)?;
-    writer.flush()
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&frame_len(payload.len())?.to_be_bytes());
+    frame.extend_from_slice(payload);
+    send_frame(writer, &frame)
 }
 
 /// Serializes a reply and writes it as one frame.
 pub fn write_reply(writer: &mut impl Write, reply: &Reply) -> std::io::Result<()> {
-    let json = serde_json::to_string(reply).map_err(|e| std::io::Error::other(e.to_string()))?;
-    write_frame(writer, json.as_bytes())
+    write_json_frame(writer, reply)
+}
+
+/// Serializes `value` straight into a frame buffer behind 4 reserved
+/// prefix bytes, patches the length in, and writes the frame once — the
+/// payload is never copied into a second buffer.
+fn write_json_frame(writer: &mut impl Write, value: &impl Serialize) -> std::io::Result<()> {
+    let mut frame = vec![0u8; 4];
+    serde_json::to_writer(&mut frame, value).map_err(|e| std::io::Error::other(e.to_string()))?;
+    let len = frame_len(frame.len() - 4)?;
+    frame[..4].copy_from_slice(&len.to_be_bytes());
+    send_frame(writer, &frame)
+}
+
+fn frame_len(payload_len: usize) -> std::io::Result<u32> {
+    u32::try_from(payload_len)
+        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large"))
+}
+
+fn send_frame(writer: &mut impl Write, frame: &[u8]) -> std::io::Result<()> {
+    writer.write_all(frame)?;
+    writer.flush()
 }
 
 #[cfg(test)]

@@ -102,13 +102,22 @@ pub fn retry_with_backoff<T, E>(
 /// [`TcpStream::connect`] with bounded, deterministically-jittered
 /// retries — the startup-race-tolerant way to dial a serve listener.
 ///
+/// The returned stream has `TCP_NODELAY` set, like every connection the
+/// server accepts: a frame larger than one segment must not have its
+/// tail held back for the peer's delayed ACK. An attempt whose
+/// `set_nodelay` fails counts as a failed connect.
+///
 /// # Errors
 ///
 /// The error of the final connect attempt once the budget is exhausted.
 pub fn connect_with_retry(addr: SocketAddr, policy: &RetryPolicy) -> io::Result<TcpStream> {
     retry_with_backoff(
         policy,
-        |_| TcpStream::connect(addr),
+        |_| {
+            let stream = TcpStream::connect(addr)?;
+            stream.set_nodelay(true)?;
+            Ok(stream)
+        },
         |ms| std::thread::sleep(Duration::from_millis(ms)),
     )
 }

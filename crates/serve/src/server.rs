@@ -593,7 +593,14 @@ fn batch_tensor(cfg: &ServeConfig, batch: &[Pending]) -> Result<Tensor, String> 
 /// out, strictly in order. Framing errors that cannot be resynced
 /// (oversized prefix, I/O) close the connection after a best-effort
 /// typed reply.
+///
+/// The stream gets `TCP_NODELAY` first: a reply larger than one segment
+/// must not have its last partial segment held for the client's
+/// delayed ACK. A socket that refuses the option is dropped.
 fn serve_connection(mut stream: TcpStream, client: &Client) {
+    if stream.set_nodelay(true).is_err() {
+        return;
+    }
     loop {
         match read_frame(&mut stream) {
             Ok(payload) => {
@@ -646,5 +653,45 @@ fn serve_connection(mut stream: TcpStream, client: &Client) {
             }
             Err(FrameError::Io(_)) => return,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::ReplicaSpec;
+    use ull_nn::NetworkBuilder;
+    use ull_snn::{SnnNetwork, SpikeSpec};
+
+    #[test]
+    fn accepted_connections_have_nodelay_set() {
+        let mut b = NetworkBuilder::new(3, 8, 5);
+        b.conv2d(4, 3, 1, 1);
+        b.threshold_relu(0.5);
+        b.flatten();
+        b.linear(3);
+        let net = SnnNetwork::from_network(&b.build(), &[SpikeSpec::identity(0.5)]).unwrap();
+        let replica = ReplicaSpec {
+            name: "primary".to_string(),
+            net,
+            envelope_full: None,
+            envelope_reduced: None,
+        };
+        let server = Server::start(Engine::new(ServeConfig::default(), vec![replica], None));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        // The clone shares the accepted socket, so it reads the option
+        // `serve_connection` set on it.
+        let probe = accepted.try_clone().unwrap();
+        assert!(!probe.nodelay().unwrap(), "sockets start with Nagle on");
+        let client = server.client();
+        let conn = std::thread::spawn(move || serve_connection(accepted, &client));
+        // Hanging up ends the connection loop without sending a frame,
+        // so the test touches no serving counters.
+        drop(peer);
+        conn.join().unwrap();
+        assert!(probe.nodelay().unwrap());
+        server.shutdown();
     }
 }

@@ -355,8 +355,8 @@ fn in_band_scrape_serves_live_state_and_reconciles_with_shutdown() {
 fn breaker_trip_and_drain_write_parseable_dumps() {
     let dir = blackbox_dir("trip");
     let data = test_data();
+    // Two workers (base config): one trip must still write one dump.
     let cfg = ServeConfig {
-        workers: 1,
         breaker_threshold: 3,
         blackbox: BlackboxConfig {
             dir: Some(dir.to_string_lossy().into_owned()),
@@ -374,10 +374,18 @@ fn breaker_trip_and_drain_write_parseable_dumps() {
     );
     let server = Server::start(engine);
     let client = server.client();
-    for req in requests(&data, 10) {
-        assert!(client.call(req).is_prediction());
+    // Waves of two full batches, so the two workers run side by side and
+    // the batch that trips the primary's breaker overlaps the other
+    // worker's batch — the overlap that used to dump one trip twice.
+    let reqs = requests(&data, 2 * cfg.max_batch);
+    for _ in 0..4 {
+        let pending: Vec<_> = reqs.iter().map(|r| client.submit(r.clone())).collect();
+        for rx in pending {
+            assert!(rx.recv().unwrap().is_prediction());
+        }
     }
-    assert!(server.engine().breaker_trips() >= 1);
+    let trips = server.engine().breaker_trips();
+    assert!(trips >= 1);
     assert!(server.engine().flight_dumps() >= 1);
     server.shutdown();
 
@@ -400,7 +408,8 @@ fn breaker_trip_and_drain_write_parseable_dumps() {
         }
         reasons.push(dump.reason);
     }
-    assert!(reasons.iter().any(|r| r == "breaker_trip"), "{reasons:?}");
+    let trip_dumps = reasons.iter().filter(|r| *r == "breaker_trip").count() as u64;
+    assert_eq!(trip_dumps, trips, "one dump per breaker trip: {reasons:?}");
     assert!(reasons.iter().any(|r| r == "drain"), "{reasons:?}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -13,6 +13,12 @@ cd "$(dirname "$0")/.."
 # not hang it.
 SMOKE_TIMEOUT="${SMOKE_TIMEOUT:-900}"
 
+# The wire tests (one write per frame, TCP_NODELAY, the TCP/in-process
+# latency ratio gate) run on their own first, so a framing stall is
+# reported separately from any other serve test failure.
+echo "== wire framing and socket tests =="
+timeout "$SMOKE_TIMEOUT" cargo test -p ull-serve --test wire -q
+
 echo "== serve unit + integration tests =="
 timeout "$SMOKE_TIMEOUT" cargo test -p ull-serve -q
 
