@@ -165,21 +165,5 @@ fn main() -> ExitCode {
             println!("  {key:<28} {v}");
         }
     }
-
-    let prefix_sum = |prefix: &str| -> u64 {
-        counters
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(_, &v)| v)
-            .sum()
-    };
-    let sparse_steps = prefix_sum("snn.dispatch.sparse.node");
-    let dense_steps = prefix_sum("snn.dispatch.dense.node");
-    if sparse_steps + dense_steps > 0 {
-        println!(
-            "  {:<28} {} sparse / {} dense node-steps",
-            "snn.dispatch", sparse_steps, dense_steps
-        );
-    }
     ExitCode::SUCCESS
 }

@@ -40,7 +40,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dispatch;
 pub mod encoding;
 mod network;
 pub mod packing;
@@ -48,7 +47,6 @@ pub mod profile;
 mod stats;
 mod train;
 
-pub use dispatch::{set_sparse_cutoff, sparse_cutoff, DEFAULT_SPARSE_CUTOFF};
 pub use encoding::InputEncoding;
 pub use network::{
     SnnError, SnnNetwork, SnnNode, SnnOp, SnnOutput, SnnTape, SpikeLayer, SpikeSpec, StepTamper,

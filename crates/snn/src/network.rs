@@ -9,16 +9,12 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use ull_nn::{Network, NodeId, NodeOp, Param};
-use ull_tensor::conv::{conv2d, conv2d_into, conv2d_packed_into, ConvGeometry, ConvScratch};
+use ull_tensor::conv::{conv2d, conv2d_packed_into, ConvGeometry, ConvScratch};
 use ull_tensor::parallel;
 use ull_tensor::pool::{avgpool2d, avgpool2d_into, maxpool2d, maxpool2d_into};
-use ull_tensor::{
-    conv2d_events, matmul_tb_events, matmul_tb_packed_into, matmul_transpose_b,
-    matmul_transpose_b_into, scan_uniform_density, SpikeBatch, Tensor,
-};
+use ull_tensor::{matmul_tb_packed_into, matmul_transpose_b, Tensor};
 
-use crate::dispatch::{self, RouteState};
-use crate::packing::{self, PackedNet};
+use crate::packing::PackedNet;
 use crate::stats::SpikeStats;
 
 /// Error type for SNN construction and transformation.
@@ -266,21 +262,16 @@ pub(crate) enum StepAux {
 
 /// Reusable per-batch-chunk simulation state for the eval forward path.
 ///
-/// Every buffer a time step needs — membranes, per-node activations, the
-/// event extraction, conv scratch — lives here and is refilled in place,
-/// so after the first step the steady-state loop performs **zero heap
-/// allocations** (asserted by `crates/snn/tests/alloc_free.rs`). One
-/// workspace exists per batch chunk, giving the batch-parallel path
-/// workers fully independent state.
+/// Every buffer a time step needs — membranes, per-node activations, conv
+/// scratch — lives here and is refilled in place, so after the first step
+/// the steady-state loop performs **zero heap allocations** (asserted by
+/// `crates/snn/tests/alloc_free.rs`). One workspace exists per batch
+/// chunk, giving the batch-parallel path workers fully independent state.
 struct StepWorkspace {
     membranes: Vec<Option<Tensor>>,
     /// Per-node output of the current step, reused across steps.
     acts: Vec<Tensor>,
-    /// Per-weighted-node event extraction of its input.
-    events: Vec<SpikeBatch>,
-    /// Per-weighted-node sparse-vs-dense routing state.
-    routes: Vec<RouteState>,
-    /// Per-conv-node im2col/GEMM scratch for the dense path.
+    /// Per-conv-node im2col/GEMM scratch.
     conv_scratch: Vec<ConvScratch>,
 }
 
@@ -289,8 +280,6 @@ impl StepWorkspace {
         StepWorkspace {
             membranes: vec![None; n_nodes],
             acts: vec![Tensor::default(); n_nodes],
-            events: vec![SpikeBatch::new(); n_nodes],
-            routes: vec![RouteState::default(); n_nodes],
             conv_scratch: vec![ConvScratch::default(); n_nodes],
         }
     }
@@ -305,7 +294,7 @@ pub(crate) struct Stepper<'a> {
     net: &'a SnnNetwork,
     ws: StepWorkspace,
     stats: SpikeStats,
-    pack: Option<Arc<PackedNet>>,
+    pack: Arc<PackedNet>,
     /// Fault hook plus this chunk's global batch offset.
     tamper: Option<(&'a dyn StepTamper, usize)>,
     logit_sum: Option<Tensor>,
@@ -319,7 +308,7 @@ impl<'a> Stepper<'a> {
         net: &'a SnnNetwork,
         batch: usize,
         t_steps: usize,
-        pack: Option<Arc<PackedNet>>,
+        pack: Arc<PackedNet>,
         tamper: Option<(&'a dyn StepTamper, usize)>,
     ) -> Self {
         Stepper {
@@ -338,13 +327,8 @@ impl<'a> Stepper<'a> {
     /// by the next step.
     pub(crate) fn step(&mut self, input: &Tensor) -> &[Tensor] {
         let tamper = self.tamper.map(|(hook, off)| (hook, self.steps, off));
-        self.net.step_ws(
-            input,
-            &mut self.ws,
-            &mut self.stats,
-            tamper,
-            self.pack.as_deref(),
-        );
+        self.net
+            .step_ws(input, &mut self.ws, &mut self.stats, tamper, &self.pack);
         self.steps += 1;
         accumulate_opt(&mut self.logit_sum, &self.ws.acts[self.net.output]);
         &self.ws.acts
@@ -685,7 +669,7 @@ impl SnnNetwork {
         // Resolve the packed weights once per forward call — one
         // fingerprint scan and one cache lookup, outside the worker pool —
         // and share the pack across every batch chunk and time step.
-        let pack = packing::packed_for(self);
+        let pack = self.prepack();
         if threads <= 1 || batch < 2 {
             self.forward_chunk(x, t_steps, tamper.map(|t| (t, 0)), pack)
         } else {
@@ -724,7 +708,7 @@ impl SnnNetwork {
         x: &Tensor,
         t_steps: usize,
         tamper: Option<(&dyn StepTamper, usize)>,
-        pack: Option<Arc<PackedNet>>,
+        pack: Arc<PackedNet>,
     ) -> SnnOutput {
         let mut run = Stepper::new(self, x.shape()[0], t_steps, pack, tamper);
         for _ in 0..t_steps {
@@ -736,37 +720,32 @@ impl SnnNetwork {
     /// A serial, untampered [`Stepper`] over this network's packed weights
     /// — the engine of every single-chunk eval entry point.
     pub(crate) fn stepper(&self, batch: usize, t_steps: usize) -> Stepper<'_> {
-        Stepper::new(self, batch, t_steps, packing::packed_for(self), None)
+        Stepper::new(self, batch, t_steps, self.prepack(), None)
     }
 
     /// One eval time step over the reusable workspace — the only eval step
     /// loop, driven through [`Stepper`].
     ///
     /// Computes the same per-element expressions as the BPTT
-    /// [`SnnNetwork::step`] and matches its output bit for bit (the tape
-    /// oracle in `crates/snn/tests/sparse.rs` asserts it); it differs only
+    /// [`SnnNetwork::step`] and matches its output bit for bit (asserted
+    /// by `crates/snn/tests/tape_oracle.rs`); it differs only
     /// operationally: every buffer is refilled in place (zero steady-state
-    /// allocations), and each conv/linear node consults its
-    /// [`RouteState`] to run either the dense kernel (packed when `pack`
-    /// holds the layer) or the event-driven kernel on a [`SpikeBatch`]
-    /// extracted from its input. Dispatch decisions are published as
-    /// `snn.dispatch.{sparse,dense}` obs counters (not `SpikeStats`:
-    /// per-chunk decisions may differ across thread counts while results
-    /// stay bit-identical).
+    /// allocations), and each conv/linear node runs its packed
+    /// weight-stationary kernel from `pack`. The zero-skipping packed
+    /// kernels already count one executed accumulate per non-zero input
+    /// term (`tensor.acs`), so the paper's AC-per-spike accounting needs no
+    /// separate event-driven route.
     fn step_ws(
         &self,
         x: &Tensor,
         ws: &mut StepWorkspace,
         stats: &mut SpikeStats,
         tamper: Option<(&dyn StepTamper, usize, usize)>,
-        pack: Option<&PackedNet>,
+        pack: &PackedNet,
     ) {
-        let cutoff = dispatch::sparse_cutoff();
         let StepWorkspace {
             membranes,
             acts,
-            events,
-            routes,
             conv_scratch,
         } = ws;
         for (i, node) in self.nodes.iter().enumerate() {
@@ -777,50 +756,15 @@ impl SnnNetwork {
             let out = &mut rest[0];
             match &node.op {
                 SnnOp::Input => out.copy_from(x),
-                SnnOp::Conv2d { weight, bias, geo } => {
-                    let inp = &prev[node.inputs[0]];
+                SnnOp::Conv2d { bias, geo, .. } => {
+                    let pw = pack.node(i).expect("every weighted node is packed");
                     let bias_t = bias.as_ref().map(|b| &b.value);
-                    let use_sparse =
-                        routes[i].wants_sparse(cutoff) && events[i].refill_from_dense(inp);
-                    if use_sparse {
-                        routes[i].observe(true, events[i].density());
-                        conv2d_events(&events[i], &weight.value, bias_t, *geo, out);
-                    } else {
-                        let (uniform, density) = scan_uniform_density(inp);
-                        routes[i].observe(uniform, density);
-                        // Bit-identical either way; the pack only changes
-                        // the weight memory layout.
-                        match pack.and_then(|p| p.node(i)) {
-                            Some(pw) => {
-                                conv2d_packed_into(inp, pw, bias_t, *geo, &mut conv_scratch[i], out)
-                            }
-                            None => conv2d_into(
-                                inp,
-                                &weight.value,
-                                bias_t,
-                                *geo,
-                                &mut conv_scratch[i],
-                                out,
-                            ),
-                        }
-                    }
-                    record_dispatch(i, use_sparse);
+                    let inp = &prev[node.inputs[0]];
+                    conv2d_packed_into(inp, pw, bias_t, *geo, &mut conv_scratch[i], out);
                 }
                 SnnOp::Linear { weight, bias } => {
-                    let inp = &prev[node.inputs[0]];
-                    let use_sparse =
-                        routes[i].wants_sparse(cutoff) && events[i].refill_from_dense(inp);
-                    if use_sparse {
-                        routes[i].observe(true, events[i].density());
-                        matmul_tb_events(&events[i], &weight.value, out);
-                    } else {
-                        let (uniform, density) = scan_uniform_density(inp);
-                        routes[i].observe(uniform, density);
-                        match pack.and_then(|p| p.node(i)) {
-                            Some(pw) => matmul_tb_packed_into(inp, pw, out),
-                            None => matmul_transpose_b_into(inp, &weight.value, out),
-                        }
-                    }
+                    let pw = pack.node(i).expect("every weighted node is packed");
+                    matmul_tb_packed_into(&prev[node.inputs[0]], pw, out);
                     if let Some(b) = bias {
                         let width = weight.value.shape()[0];
                         let bd = b.value.data();
@@ -830,7 +774,6 @@ impl SnnNetwork {
                             }
                         }
                     }
-                    record_dispatch(i, use_sparse);
                 }
                 SnnOp::Spike(layer) => {
                     let inp = &prev[node.inputs[0]];
@@ -1241,20 +1184,6 @@ fn sanitize_membrane(u: &mut Tensor) {
             *v = v.signum() * MEMBRANE_CLAMP;
         }
     }
-}
-
-/// Publishes one per-node kernel-dispatch decision as obs counters
-/// (`snn.dispatch.sparse.node.<id>` / `snn.dispatch.dense.node.<id>`).
-/// Deliberately *not* part of [`SpikeStats`]: per-batch-chunk decisions
-/// may differ across `ULL_THREADS` settings while results stay
-/// bit-identical, and stats must compare equal across thread counts.
-fn record_dispatch(node: usize, sparse: bool) {
-    let key = if sparse {
-        "snn.dispatch.sparse.node"
-    } else {
-        "snn.dispatch.dense.node"
-    };
-    ull_obs::counter_add_indexed(key, node, 1);
 }
 
 fn accumulate_opt(slot: &mut Option<Tensor>, value: &Tensor) {

@@ -25,7 +25,7 @@
 use std::sync::{Arc, Mutex};
 
 use ull_nn::NodeId;
-use ull_tensor::{packed_enabled, tensor_fingerprint, PackedWeights};
+use ull_tensor::{tensor_fingerprint, PackedWeights};
 
 use crate::network::{SnnNetwork, SnnOp};
 
@@ -103,34 +103,11 @@ pub fn net_fingerprint(net: &SnnNetwork) -> u64 {
 
 static CACHE: Mutex<Vec<(u64, Arc<PackedNet>)>> = Mutex::new(Vec::new());
 
-/// Resolves the packed weights for `net`: `None` when packing is disabled
-/// ([`ull_tensor::set_packed`] / `ULL_PACKED`), otherwise a shared
-/// [`PackedNet`] from the process-wide cache, built on first sight of this
-/// network's fingerprint.
-///
-/// Called once per forward pass — the fingerprint scan reads every weight
-/// but allocates nothing, and cache hits cost one short critical section.
+/// The packed weights for `net`, as [`SnnNetwork::prepack`] resolves
+/// them. Packing is the only eval kernel route, so this always returns
+/// `Some`; the `Option` is kept so existing callers compile unchanged.
 pub fn packed_for(net: &SnnNetwork) -> Option<Arc<PackedNet>> {
-    if !packed_enabled() {
-        return None;
-    }
-    let fp = net_fingerprint(net);
-    let mut cache = lock_cache();
-    if let Some(pos) = cache.iter().position(|(k, _)| *k == fp) {
-        // Move-to-front MRU; within capacity this never allocates.
-        let entry = cache.remove(pos);
-        let pack = Arc::clone(&entry.1);
-        cache.insert(0, entry);
-        ull_obs::counter_add("snn.pack.hits", 1);
-        return Some(pack);
-    }
-    // Build inside the lock so concurrent forwards over the same network
-    // (serving replicas at startup) pack once, not once per caller.
-    let pack = Arc::new(PackedNet::build(net, fp));
-    ull_obs::counter_add("snn.pack.builds", 1);
-    cache.insert(0, (fp, Arc::clone(&pack)));
-    cache.truncate(CACHE_CAP);
-    Some(pack)
+    Some(net.prepack())
 }
 
 /// Empties the process-wide pack cache. Only needed by tests that count
@@ -148,13 +125,33 @@ fn lock_cache() -> std::sync::MutexGuard<'static, Vec<(u64, Arc<PackedNet>)>> {
 }
 
 impl SnnNetwork {
-    /// Builds (or re-resolves) this network's packed weights eagerly,
-    /// warming the process-wide pack cache so the first inference call does
-    /// not pay the packing cost. Serving calls this at replica build and
-    /// after every weight swap; returns the pack for inspection, or `None`
-    /// when packing is disabled.
-    pub fn prepack(&self) -> Option<Arc<PackedNet>> {
-        packed_for(self)
+    /// Resolves this network's packed weights: a shared [`PackedNet`] from
+    /// the process-wide cache, built on first sight of this network's
+    /// fingerprint. Every eval forward calls this once; serving also calls
+    /// it at replica build and after every weight swap, so the first
+    /// inference call does not pay the packing cost.
+    ///
+    /// The fingerprint scan reads every weight but allocates nothing, and
+    /// cache hits cost one short critical section.
+    pub fn prepack(&self) -> Arc<PackedNet> {
+        let fp = net_fingerprint(self);
+        let mut cache = lock_cache();
+        if let Some(pos) = cache.iter().position(|(k, _)| *k == fp) {
+            // Move-to-front MRU; within capacity this never allocates.
+            let entry = cache.remove(pos);
+            let pack = Arc::clone(&entry.1);
+            cache.insert(0, entry);
+            ull_obs::counter_add("snn.pack.hits", 1);
+            return pack;
+        }
+        // Build inside the lock so concurrent forwards over the same
+        // network (serving replicas at startup) pack once, not once per
+        // caller.
+        let pack = Arc::new(PackedNet::build(self, fp));
+        ull_obs::counter_add("snn.pack.builds", 1);
+        cache.insert(0, (fp, Arc::clone(&pack)));
+        cache.truncate(CACHE_CAP);
+        pack
     }
 }
 
@@ -163,7 +160,6 @@ mod tests {
     use super::*;
     use crate::SpikeSpec;
     use ull_nn::NetworkBuilder;
-    use ull_tensor::set_packed;
 
     fn test_net(seed: u64) -> SnnNetwork {
         let mut b = NetworkBuilder::new(2, 8, seed);
@@ -192,12 +188,12 @@ mod tests {
 
     #[test]
     fn cache_shares_packs_and_rebuilds_on_mutation() {
-        let _guard = ull_tensor::packed::packed_lock();
-        set_packed(Some(true));
+        // Any test-wide lock serialises the two tests that clear the cache.
+        let _guard = ull_tensor::parallel::override_lock();
         clear_pack_cache();
         let net = test_net(2);
-        let a = packed_for(&net).expect("enabled");
-        let b = packed_for(&net.clone()).expect("enabled");
+        let a = net.prepack();
+        let b = packed_for(&net.clone()).expect("always packed");
         assert!(Arc::ptr_eq(&a, &b), "same weights resolve to one pack");
         assert_eq!(a.layer_count(), 2);
         assert!(a.packed_bytes() > 0);
@@ -208,35 +204,23 @@ mod tests {
                 weight.value.data_mut()[0] += 0.5;
             }
         }
-        let c = packed_for(&mutated).expect("enabled");
+        let c = mutated.prepack();
         assert!(!Arc::ptr_eq(&a, &c), "mutated weights force a re-pack");
         assert_ne!(a.fingerprint(), c.fingerprint());
-        set_packed(None);
         clear_pack_cache();
-    }
-
-    #[test]
-    fn disabled_packing_resolves_to_none() {
-        let _guard = ull_tensor::packed::packed_lock();
-        set_packed(Some(false));
-        assert!(packed_for(&test_net(3)).is_none());
-        assert!(test_net(3).prepack().is_none());
-        set_packed(None);
     }
 
     #[test]
     fn cache_evicts_least_recently_used() {
-        let _guard = ull_tensor::packed::packed_lock();
-        set_packed(Some(true));
+        let _guard = ull_tensor::parallel::override_lock();
         clear_pack_cache();
         let nets: Vec<SnnNetwork> = (0..CACHE_CAP as u64 + 2).map(test_net).collect();
         for net in &nets {
-            packed_for(net);
+            net.prepack();
         }
         // The two oldest fell out; re-resolving them rebuilds.
-        let oldest = packed_for(&nets[0]).expect("enabled");
+        let oldest = nets[0].prepack();
         assert_eq!(oldest.fingerprint(), net_fingerprint(&nets[0]));
-        set_packed(None);
         clear_pack_cache();
     }
 }

@@ -1,46 +1,60 @@
-//! Proves the steady-state step loop of the event-driven forward pass —
-//! shared by `forward` and the probes — is allocation-free: once the
-//! `StepWorkspace` buffers have grown to their working sizes (and every
-//! layer's dispatch route has been exercised), additional time steps must
-//! not touch the allocator.
+//! Proves the steady-state step loop of the eval forward pass — shared by
+//! `forward` and the probes — is allocation-free: once the
+//! `StepWorkspace` buffers have grown to their working sizes, additional
+//! time steps must not touch the allocator.
 //!
 //! The check compares total allocator hits for a short run against a
-//! longer run of the same network and input: per-step routing decisions
-//! are deterministic per step index, so every allocation the long run
-//! performs beyond the short run would have to come from the extra steady
-//! steps — the assertion is that there are none.
+//! longer run of the same network and input: every allocation the long
+//! run performs beyond the short run would have to come from the extra
+//! steady steps — the assertion is that there are none.
+//!
+//! Hits are counted per thread. The tests run the forward on one kernel
+//! thread, so every allocation it makes lands on the test's own thread,
+//! while the test harness and other test threads allocating at the same
+//! moment cannot inflate the count.
 //!
 //! This lives in an integration test because the library crates
 //! `forbid(unsafe_code)` and a counting `#[global_allocator]` needs an
 //! `unsafe impl`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use ull_nn::NetworkBuilder;
 use ull_snn::packing::clear_pack_cache;
-use ull_snn::{dispatch, set_sparse_cutoff, SnnNetwork, SnnOp, SpikeSpec, StepTamper};
+use ull_snn::{SnnNetwork, SnnOp, SpikeSpec, StepTamper};
 use ull_tensor::init::{normal, seeded_rng};
-use ull_tensor::{parallel, set_packed, Tensor};
+use ull_tensor::{parallel, Tensor};
 
-static ALLOC_HITS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so the allocator can
+    // touch it at any point of a thread's life without allocating.
+    static ALLOC_HITS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_hit() {
+    // `try_with` never panics inside the allocator, even while the
+    // thread's locals are being torn down.
+    let _ = ALLOC_HITS.try_with(|hits| hits.set(hits.get() + 1));
+}
 
 struct CountingAlloc;
 
-// SAFETY: defers entirely to `System`; the counter is a relaxed atomic.
+// SAFETY: defers entirely to `System`; the counter is a thread-local cell
+// that needs no allocation.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_HITS.fetch_add(1, Ordering::Relaxed);
+        count_hit();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_HITS.fetch_add(1, Ordering::Relaxed);
+        count_hit();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_HITS.fetch_add(1, Ordering::Relaxed);
+        count_hit();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -65,46 +79,38 @@ fn test_net(seed: u64) -> SnnNetwork {
     SnnNetwork::from_network(&dnn, &[SpikeSpec::identity(0.7), SpikeSpec::identity(0.9)]).unwrap()
 }
 
+/// Allocator hits on the calling thread while `f` runs.
 fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOC_HITS.load(Ordering::Relaxed);
+    let before = ALLOC_HITS.with(Cell::get);
     f();
-    ALLOC_HITS.load(Ordering::Relaxed) - before
+    ALLOC_HITS.with(Cell::get) - before
 }
 
 #[test]
 fn steady_state_step_loop_does_not_allocate() {
     let snn = test_net(42);
     let x = normal(&[3, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(99));
-    // Single thread (inline execution, no pool hand-off buffers) and a
-    // fixed sparse-everywhere cutoff so both kernel families are hit.
+    // Single thread: inline execution, no pool hand-off buffers.
     let _threads = parallel::override_lock();
-    let _cutoff = dispatch::cutoff_lock();
     parallel::set_threads(1);
 
-    for cutoff in [2.0f32, -1.0] {
-        set_sparse_cutoff(Some(cutoff));
-        // Warm up lazily initialised process state (thread-count cache,
-        // cutoff cell, allocator internals).
-        snn.forward(&x, 1);
+    // Warm up lazily initialised process state (thread-count cache, pack
+    // cache, allocator internals).
+    snn.forward(&x, 1);
 
-        // By the end of step 2 every buffer has reached its working size:
-        // step 1 routes dense everywhere (first-step rule) and grows the
-        // dense scratch; step 2 flips the uniform low-activity layers to
-        // the event path and grows the event buffers. Steps 3+ must be
-        // allocation-free, so T=8 may not out-allocate T=2.
-        let short = allocs_during(|| {
-            snn.forward(&x, 2);
-        });
-        let long = allocs_during(|| {
-            snn.forward(&x, 8);
-        });
-        assert!(
-            long <= short,
-            "steady-state steps allocated: T=2 cost {short} hits, T=8 cost {long} (cutoff {cutoff})"
-        );
-    }
+    // Step 1 grows every workspace buffer to its working size, so steps
+    // 2+ must be allocation-free and T=8 may not out-allocate T=2.
+    let short = allocs_during(|| {
+        snn.forward(&x, 2);
+    });
+    let long = allocs_during(|| {
+        snn.forward(&x, 8);
+    });
+    assert!(
+        long <= short,
+        "steady-state steps allocated: T=2 cost {short} hits, T=8 cost {long}"
+    );
 
-    set_sparse_cutoff(None);
     parallel::set_threads(0);
 }
 
@@ -116,38 +122,33 @@ fn probe_steady_state_steps_do_not_allocate() {
     let snn = test_net(43);
     let x = normal(&[3, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(98));
     let _threads = parallel::override_lock();
-    let _cutoff = dispatch::cutoff_lock();
     parallel::set_threads(1);
 
-    for cutoff in [2.0f32, -1.0] {
-        set_sparse_cutoff(Some(cutoff));
-        snn.forward_until(&x, 1, |_, _| true);
-        snn.forward_rates(&x, 1);
+    snn.forward_until(&x, 1, |_, _| true);
+    snn.forward_rates(&x, 1);
 
-        let short = allocs_during(|| {
-            snn.forward_until(&x, 2, |_, _| true);
-        });
-        let long = allocs_during(|| {
-            snn.forward_until(&x, 8, |_, _| true);
-        });
-        assert!(
-            long <= short,
-            "forward_until steady-state steps allocated: T=2 cost {short} hits, T=8 cost {long} (cutoff {cutoff})"
-        );
+    let short = allocs_during(|| {
+        snn.forward_until(&x, 2, |_, _| true);
+    });
+    let long = allocs_during(|| {
+        snn.forward_until(&x, 8, |_, _| true);
+    });
+    assert!(
+        long <= short,
+        "forward_until steady-state steps allocated: T=2 cost {short} hits, T=8 cost {long}"
+    );
 
-        let short = allocs_during(|| {
-            snn.forward_rates(&x, 2);
-        });
-        let long = allocs_during(|| {
-            snn.forward_rates(&x, 8);
-        });
-        assert!(
-            long <= short,
-            "forward_rates steady-state steps allocated: T=2 cost {short} hits, T=8 cost {long} (cutoff {cutoff})"
-        );
-    }
+    let short = allocs_during(|| {
+        snn.forward_rates(&x, 2);
+    });
+    let long = allocs_during(|| {
+        snn.forward_rates(&x, 8);
+    });
+    assert!(
+        long <= short,
+        "forward_rates steady-state steps allocated: T=2 cost {short} hits, T=8 cost {long}"
+    );
 
-    set_sparse_cutoff(None);
     parallel::set_threads(0);
 }
 
@@ -162,14 +163,8 @@ fn packed_weights_build_once_and_steady_state_stays_alloc_free() {
     // override_lock also serializes against the other alloc tests here,
     // which must not see the pack cache cleared mid-measurement.
     let _threads = parallel::override_lock();
-    let _cutoff = dispatch::cutoff_lock();
-    let _packed = ull_tensor::packed::packed_lock();
     let _obs = ull_obs::test_lock();
     parallel::set_threads(1);
-    // Force the dense route everywhere so every step exercises the packed
-    // kernels.
-    set_sparse_cutoff(Some(-1.0));
-    set_packed(Some(true));
     clear_pack_cache();
 
     ull_obs::reset();
@@ -204,8 +199,6 @@ fn packed_weights_build_once_and_steady_state_stays_alloc_free() {
     );
 
     ull_obs::reset();
-    set_packed(None);
-    set_sparse_cutoff(None);
     parallel::set_threads(0);
     clear_pack_cache();
 }
@@ -218,18 +211,15 @@ impl StepTamper for NoopTamper {
 
 /// Stale-pack guard: weights mutated between (tampered) forwards change
 /// the network fingerprint, so the next forward re-packs instead of using
-/// the stale layout — and stays bit-identical to the unpacked path.
+/// the stale layout — and stays bit-identical to the `forward_train` tape,
+/// which runs the unpacked kernels on the mutated weights.
 #[test]
 fn tampered_weight_mutation_triggers_repack() {
     let mut snn = test_net(11);
     let x = normal(&[2, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(23));
     let _threads = parallel::override_lock();
-    let _cutoff = dispatch::cutoff_lock();
-    let _packed = ull_tensor::packed::packed_lock();
     let _obs = ull_obs::test_lock();
     parallel::set_threads(1);
-    set_sparse_cutoff(Some(-1.0));
-    set_packed(Some(true));
     clear_pack_cache();
 
     ull_obs::reset();
@@ -250,23 +240,15 @@ fn tampered_weight_mutation_triggers_repack() {
         "mutated weights must miss the pack cache and re-pack"
     );
 
-    // The re-packed result must match the unpacked path on the mutated
+    // The re-packed result must match the unpacked tape on the mutated
     // weights bit for bit — a stale pack would reproduce the old weights.
-    set_packed(Some(false));
-    let unpacked_out = snn.forward_tampered(&x, 3, &NoopTamper);
-    assert_eq!(packed_out.logits.shape(), unpacked_out.logits.shape());
-    for (p, u) in packed_out
-        .logits
-        .data()
-        .iter()
-        .zip(unpacked_out.logits.data())
-    {
+    let tape = snn.forward_train(&x, 3, &mut seeded_rng(0));
+    assert_eq!(packed_out.logits.shape(), tape.logits.shape());
+    for (p, u) in packed_out.logits.data().iter().zip(tape.logits.data()) {
         assert_eq!(p.to_bits(), u.to_bits(), "{p} vs {u}");
     }
 
     ull_obs::reset();
-    set_packed(None);
-    set_sparse_cutoff(None);
     parallel::set_threads(0);
     clear_pack_cache();
 }

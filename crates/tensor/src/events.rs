@@ -9,6 +9,11 @@
 //! `βV_th` every spike carries — and run in time proportional to
 //! *activity*.
 //!
+//! They are not on the SNN eval forward: packed dense is faster at the
+//! paper's densities, and its zero-skip already counts the same executed
+//! accumulates (`tensor.acs`). They stay as the per-layer reference the
+//! benchmark replays against the packed kernels.
+//!
 //! # Bit-identity contract
 //!
 //! Both kernels accumulate each output element's active contributions in
@@ -20,7 +25,8 @@
 //! and `acc + ±0.0 == acc` for every representable `acc` that can appear
 //! mid-sum), and `SnnNetwork::validate` guarantees finite weights, so the
 //! event-driven result is **bit-identical** to the dense result — the
-//! property tests in `crates/snn/tests/sparse.rs` assert exact equality.
+//! property tests in `crates/tensor/tests/proptests.rs` assert exact
+//! equality.
 
 use crate::conv::ConvGeometry;
 use crate::{parallel, Tensor};
@@ -33,8 +39,7 @@ use crate::{parallel, Tensor};
 /// (Eq. 8 soft reset), so one `f32` plus an index list per sample loses
 /// nothing. Inputs that violate that invariant — analog encodings, average
 /// pools, residual sums of different amplitudes — make
-/// [`SpikeBatch::refill_from_dense`] return `false` and the caller falls
-/// back to the dense kernel.
+/// [`SpikeBatch::from_dense`] return `None`.
 #[derive(Debug, Clone, Default)]
 pub struct SpikeBatch {
     shape: Vec<usize>,
@@ -47,24 +52,15 @@ pub struct SpikeBatch {
 }
 
 impl SpikeBatch {
-    /// An empty batch; fill it with [`SpikeBatch::refill_from_dense`].
-    pub fn new() -> Self {
-        SpikeBatch::default()
-    }
-
-    /// Extracts the event representation of `t`, reusing this batch's
-    /// buffers (steady-state refills allocate nothing: the index buffer is
-    /// reserved to `t.len()` up front rather than grown per push).
-    ///
-    /// Returns `false` — leaving the contents unspecified — when `t` is not
-    /// a uniform-amplitude spike tensor, i.e. when two non-zero elements
+    /// Extracts the event representation of `t`; `None` when `t` is not a
+    /// uniform-amplitude spike tensor, i.e. when two non-zero elements
     /// differ. `-0.0` counts as zero, matching the dense kernels' skip.
     ///
     /// # Panics
     ///
     /// Panics if `t` has no axes, a zero-sized batch axis, or more than
     /// `u32::MAX` elements per sample.
-    pub fn refill_from_dense(&mut self, t: &Tensor) -> bool {
+    pub fn from_dense(t: &Tensor) -> Option<Self> {
         assert!(t.rank() >= 1, "SpikeBatch needs a batch axis");
         let batch = t.shape()[0];
         assert!(batch > 0, "SpikeBatch needs a non-empty batch");
@@ -73,14 +69,9 @@ impl SpikeBatch {
             u32::try_from(feature).is_ok(),
             "SpikeBatch: sample too large for u32 indices"
         );
-        self.shape.clear();
-        self.shape.extend_from_slice(t.shape());
-        self.feature_len = feature;
-        self.offsets.clear();
-        self.offsets.reserve(batch + 1);
-        self.offsets.push(0);
-        self.indices.clear();
-        self.indices.reserve(t.len());
+        let mut offsets = Vec::with_capacity(batch + 1);
+        offsets.push(0);
+        let mut indices = Vec::new();
         let mut amp = 0.0f32;
         for sample in t.data().chunks(feature.max(1)) {
             for (j, &v) in sample.iter().enumerate() {
@@ -90,21 +81,19 @@ impl SpikeBatch {
                 if amp == 0.0 {
                     amp = v;
                 } else if v != amp {
-                    return false;
+                    return None;
                 }
-                self.indices.push(j as u32);
+                indices.push(j as u32);
             }
-            self.offsets.push(self.indices.len());
+            offsets.push(indices.len());
         }
-        self.amp = amp;
-        true
-    }
-
-    /// [`SpikeBatch::refill_from_dense`] into a fresh batch; `None` when
-    /// `t` is not a uniform-amplitude spike tensor.
-    pub fn from_dense(t: &Tensor) -> Option<Self> {
-        let mut b = SpikeBatch::new();
-        b.refill_from_dense(t).then_some(b)
+        Some(SpikeBatch {
+            shape: t.shape().to_vec(),
+            feature_len: feature,
+            amp,
+            offsets,
+            indices,
+        })
     }
 
     /// Shape of the dense tensor this batch represents.
@@ -158,33 +147,6 @@ impl SpikeBatch {
         }
         out
     }
-}
-
-/// One pass over `t` measuring what [`SpikeBatch::refill_from_dense`]
-/// would conclude, without building the index list: whether the non-zeros
-/// share one amplitude, and the non-zero fraction. The dense dispatch path
-/// uses this to keep each layer's route decision fresh every step.
-pub fn scan_uniform_density(t: &Tensor) -> (bool, f32) {
-    let mut amp = 0.0f32;
-    let mut uniform = true;
-    let mut nnz = 0usize;
-    for &v in t.data() {
-        if v == 0.0 {
-            continue;
-        }
-        nnz += 1;
-        if amp == 0.0 {
-            amp = v;
-        } else if v != amp {
-            uniform = false;
-        }
-    }
-    let density = if t.is_empty() {
-        0.0
-    } else {
-        nnz as f32 / t.len() as f32
-    };
-    (uniform, density)
 }
 
 /// Event-driven 2-d convolution: `events [N,C,H,W] * weight [F,C,KH,KW]
@@ -394,8 +356,6 @@ mod tests {
         t.data_mut()[0] = 0.5;
         t.data_mut()[3] = 1.0;
         assert!(SpikeBatch::from_dense(&t).is_none());
-        let (uniform, _) = scan_uniform_density(&t);
-        assert!(!uniform);
     }
 
     #[test]
@@ -413,18 +373,6 @@ mod tests {
         assert_eq!(ev.nnz(), 0);
         assert_eq!(ev.density(), 0.0);
         assert_bits_eq(&ev.to_dense(), &t);
-    }
-
-    #[test]
-    fn refill_reuses_buffers() {
-        let a = spike_tensor(&[2, 3, 4, 4], 0.5, 3, 1);
-        let b = spike_tensor(&[2, 3, 4, 4], 0.5, 5, 2);
-        let mut ev = SpikeBatch::new();
-        assert!(ev.refill_from_dense(&a));
-        let cap = ev.indices.capacity();
-        assert!(ev.refill_from_dense(&b));
-        assert_eq!(ev.indices.capacity(), cap);
-        assert_bits_eq(&ev.to_dense(), &b);
     }
 
     #[test]
@@ -467,24 +415,5 @@ mod tests {
         let mut sparse = Tensor::default();
         matmul_tb_events(&ev, &b, &mut sparse);
         assert_bits_eq(&sparse, &dense);
-    }
-
-    #[test]
-    fn event_kernels_report_executed_acs() {
-        let _obs = ull_obs::test_lock();
-        let _guard = parallel::override_lock();
-        parallel::set_threads(1);
-        ull_obs::reset();
-        ull_obs::set_enabled(true);
-        let a = spike_tensor(&[3, 10], 1.0, 2, 0);
-        let b = rand_tensor(&[4, 10], 70);
-        let ev = SpikeBatch::from_dense(&a).unwrap();
-        let mut out = Tensor::default();
-        matmul_tb_events(&ev, &b, &mut out);
-        ull_obs::set_enabled(false);
-        let snap = ull_obs::snapshot();
-        assert_eq!(snap.counters["tensor.macs"], 3 * 10 * 4);
-        assert_eq!(snap.counters["tensor.acs"], (ev.nnz() * 4) as u64);
-        parallel::set_threads(0);
     }
 }

@@ -8,10 +8,11 @@
 //! * elementwise arithmetic and mapping ([`Tensor::add`], [`Tensor::map`], …)
 //! * matrix multiplication ([`matmul`])
 //! * 2-d convolution via im2col with full backward passes ([`conv`])
-//! * event-driven sparse kernels over compact spike batches ([`events`]),
-//!   bit-identical to the dense path but scaling with activity
 //! * weight-stationary packed dense kernels ([`packed`]) — weights laid out
-//!   once per network, bit-identical to the unpacked kernels
+//!   once per network, bit-identical to the unpacked kernels; the SNN eval
+//!   forward runs only these
+//! * event-driven sparse kernels over compact spike batches ([`events`]),
+//!   bit-identical to the dense path, kept as a per-layer reference
 
 //! * max / average pooling with backward passes ([`pool`])
 //! * reductions, softmax, and clipping (the threshold-ReLU of Eq. 1)
@@ -56,11 +57,11 @@ pub mod pool;
 pub mod stats;
 
 pub use error::TensorError;
-pub use events::{conv2d_events, matmul_tb_events, scan_uniform_density, SpikeBatch};
+pub use events::{conv2d_events, matmul_tb_events, SpikeBatch};
 pub use matmul::{matmul, matmul_transpose_a, matmul_transpose_b, matmul_transpose_b_into};
 pub use packed::{
-    matmul_packed, matmul_tb_packed, matmul_tb_packed_into, packed_enabled, set_packed,
-    tensor_fingerprint, PackLayout, PackedWeights,
+    matmul_packed, matmul_tb_packed, matmul_tb_packed_into, tensor_fingerprint, PackLayout,
+    PackedWeights,
 };
 pub use tensor::Tensor;
 

@@ -351,29 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn executed_acs_counter_reflects_sparsity() {
-        let _obs = ull_obs::test_lock();
-        let _guard = parallel::override_lock();
-        parallel::set_threads(1);
-        ull_obs::reset();
-        ull_obs::set_enabled(true);
-        let mut a = rand_tensor(&[4, 10], 30);
-        for (i, v) in a.data_mut().iter_mut().enumerate() {
-            *v = if i % 2 == 0 { 1.0 } else { 0.0 }; // exactly half the lhs is zero
-        }
-        let b = rand_tensor(&[10, 6], 31);
-        let bt = rand_tensor(&[6, 10], 32);
-        let _ = matmul(&a, &b);
-        let _ = matmul_transpose_b(&a, &bt);
-        ull_obs::set_enabled(false);
-        let snap = ull_obs::snapshot();
-        // Nominal: 2 · (4·10·6); executed: half of that in each kernel.
-        assert_eq!(snap.counters["tensor.macs"], 2 * 4 * 10 * 6);
-        assert_eq!(snap.counters["tensor.acs"], 4 * 10 * 6);
-        parallel::set_threads(0);
-    }
-
-    #[test]
     #[should_panic(expected = "inner dims disagree")]
     fn mismatched_inner_dims_panic() {
         let a = Tensor::zeros(&[2, 3]);

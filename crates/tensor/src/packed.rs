@@ -1,9 +1,8 @@
 //! Weight-stationary packed dense kernels.
 //!
-//! At the paper's ultra-low latencies (T ≤ 5) the dense path dominates
-//! per-step cost: the first simulated step always routes dense, and any
-//! layer above the sparsity cutoff pays a full GEMM with the weight matrix
-//! streamed from its canonical layout on every call. But the weights of a
+//! At the paper's ultra-low latencies (T ≤ 5) every SNN eval step pays one
+//! GEMM per conv/linear layer, and the unpacked kernels stream the weight
+//! matrix from its canonical layout on every call. But the weights of a
 //! converted SNN are *fixed at conversion time* — so their memory layout
 //! can be prepared once and reused for every timestep, batch and serving
 //! replica.
@@ -15,7 +14,8 @@
 //! [`PANEL_WIDTH`]-wide output columns and 4-high output rows. The packed
 //! kernels [`matmul_packed`] / [`matmul_tb_packed`] (and
 //! [`crate::conv::conv2d_packed_into`], which reuses the same core after
-//! im2col) replace the unpacked kernels on the SNN dense path.
+//! im2col) are the only kernels of the SNN eval forward; the unpacked
+//! kernels remain as their differential oracle and as the training path.
 //!
 //! # Bit-identity contract
 //!
@@ -27,17 +27,6 @@
 //! packed results are **bit-identical** to the unpacked kernels for every
 //! shape, sparsity and `ULL_THREADS` (asserted exhaustively by
 //! `crates/tensor/tests/packed_diff.rs`).
-//!
-//! # Enabling / disabling
-//!
-//! Packing is on by default. [`set_packed`] overrides process-wide; the
-//! `ULL_PACKED` environment variable (`0/1/on/off/true/false`, read once,
-//! malformed values warn once and are ignored) configures deployments.
-//! Because both paths are bit-identical, the toggle is purely operational —
-//! it exists so the differential harness and benches can compare them.
-
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use crate::parallel;
 use crate::Tensor;
@@ -371,82 +360,6 @@ fn dims2(t: &Tensor, what: &str) -> (usize, usize) {
     (t.shape()[0], t.shape()[1])
 }
 
-// ---------------------------------------------------------------------------
-// Process-wide enable/disable toggle
-// ---------------------------------------------------------------------------
-
-const TOGGLE_UNSET: u8 = 0;
-const TOGGLE_ON: u8 = 1;
-const TOGGLE_OFF: u8 = 2;
-
-static PACKED_OVERRIDE: AtomicU8 = AtomicU8::new(TOGGLE_UNSET);
-
-/// `ULL_PACKED` is read once; use [`set_packed`] to retune at runtime.
-static ENV_PACKED: OnceLock<Option<bool>> = OnceLock::new();
-
-/// Parses one `ULL_PACKED` value.
-fn parse_packed(raw: &str) -> Result<bool, String> {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" | "yes" => Ok(true),
-        "0" | "false" | "off" | "no" => Ok(false),
-        _ => Err(format!("`{raw}` is not a boolean (use 0/1/on/off)")),
-    }
-}
-
-/// Resolves an environment-supplied toggle: well-formed values are used,
-/// malformed values warn once on stderr and fall back to the default.
-fn resolve_env_packed(raw: Option<&str>) -> Option<bool> {
-    match raw {
-        None => None,
-        Some(s) => match parse_packed(s) {
-            Ok(v) => Some(v),
-            Err(why) => {
-                eprintln!("warning: ignoring malformed ULL_PACKED ({why}); packing stays enabled");
-                None
-            }
-        },
-    }
-}
-
-fn env_packed() -> Option<bool> {
-    *ENV_PACKED.get_or_init(|| resolve_env_packed(std::env::var("ULL_PACKED").ok().as_deref()))
-}
-
-/// Whether callers should route dense GEMMs through packed weights.
-///
-/// Resolution order: [`set_packed`] override → `ULL_PACKED` environment
-/// variable → enabled. Purely operational: both paths are bit-identical.
-pub fn packed_enabled() -> bool {
-    match PACKED_OVERRIDE.load(Ordering::Relaxed) {
-        TOGGLE_ON => true,
-        TOGGLE_OFF => false,
-        _ => env_packed().unwrap_or(true),
-    }
-}
-
-/// Overrides the packing toggle process-wide; `None` restores the
-/// environment/default resolution. Mainly for the differential harness and
-/// benches that compare packed and unpacked runs within one process.
-pub fn set_packed(on: Option<bool>) {
-    let v = match on {
-        Some(true) => TOGGLE_ON,
-        Some(false) => TOGGLE_OFF,
-        None => TOGGLE_UNSET,
-    };
-    PACKED_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// Serializes tests that mutate the global packing override so they do not
-/// race each other (test binaries run tests concurrently).
-#[doc(hidden)]
-pub fn packed_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    match LOCK.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,53 +445,6 @@ mod tests {
         // Same bits, different shape — must not collide.
         let reshaped = a.reshape(&[6, 4]).unwrap();
         assert_ne!(tensor_fingerprint(&a), tensor_fingerprint(&reshaped));
-    }
-
-    #[test]
-    fn executed_acs_counter_matches_the_unpacked_kernel() {
-        let _obs = ull_obs::test_lock();
-        let _guard = parallel::override_lock();
-        parallel::set_threads(1);
-        let mut a = rand_tensor(&[4, 10], 30);
-        for (i, v) in a.data_mut().iter_mut().enumerate() {
-            *v = if i % 2 == 0 { 1.0 } else { 0.0 };
-        }
-        let b = rand_tensor(&[6, 10], 31);
-        let packed = PackedWeights::pack_rhs_t(&b);
-        ull_obs::reset();
-        ull_obs::set_enabled(true);
-        let _ = matmul_tb_packed(&a, &packed);
-        ull_obs::set_enabled(false);
-        let snap = ull_obs::snapshot();
-        assert_eq!(snap.counters["tensor.macs"], 4 * 10 * 6);
-        assert_eq!(snap.counters["tensor.acs"], 2 * 10 * 6);
-        parallel::set_threads(0);
-        ull_obs::reset();
-    }
-
-    #[test]
-    fn toggle_parses_and_rejects() {
-        assert_eq!(parse_packed("1"), Ok(true));
-        assert_eq!(parse_packed(" off "), Ok(false));
-        assert_eq!(parse_packed("TRUE"), Ok(true));
-        assert!(parse_packed("maybe").is_err());
-        assert!(parse_packed("").is_err());
-        for bad in ["maybe", "", "2"] {
-            assert_eq!(resolve_env_packed(Some(bad)), None, "input {bad:?}");
-        }
-        assert_eq!(resolve_env_packed(Some("on")), Some(true));
-        assert_eq!(resolve_env_packed(None), None);
-    }
-
-    #[test]
-    fn override_controls_packed_enabled() {
-        let _guard = packed_lock();
-        set_packed(Some(false));
-        assert!(!packed_enabled());
-        set_packed(Some(true));
-        assert!(packed_enabled());
-        set_packed(None);
-        assert!(packed_enabled(), "default is enabled");
     }
 
     #[test]

@@ -82,7 +82,7 @@ fn parse_threads(raw: &str) -> Result<usize, String> {
 /// Resolves an environment-supplied thread count: well-formed values are
 /// used, malformed values (`abc`, `0`, whitespace) warn once on stderr and
 /// fall back to the default resolution (`None`) instead of being silently
-/// dropped — mirroring the `ULL_SPARSE_CUTOFF` handling in `ull-snn`.
+/// dropped.
 fn resolve_env_threads(raw: Option<&str>) -> Option<usize> {
     match raw {
         None => None,

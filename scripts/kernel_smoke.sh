@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # Packed-kernel smoke test: the weight-stationary packed kernels must be
 # bit-identical to the unpacked dense kernels for every shape, sparsity
-# and thread count (the packed_diff differential harness), packs must be
-# built once per network and survive weight mutation via re-pack (the
-# alloc_free reuse/staleness gates), and the kernel_bench acceptance gate
-# must show zero counted-work deltas with the BENCH_kernels.json artifact
-# present and well-formed. Wall-clock is never gated — this runs on a
-# 1-CPU container where only counted work and bit-identity are reliable.
+# and thread count (the packed_diff differential harness), packing must
+# move no counted work (the acs_counters binary), and packs must be built
+# once per network and survive weight mutation via re-pack (the
+# alloc_free reuse/staleness gates). Wall-clock is never gated — only
+# counted work and bit-identity are reliable on a small shared machine.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,22 +13,12 @@ echo "== packed-kernel differential harness (tensor) =="
 ULL_THREADS=1 cargo test -p ull-tensor --test packed_diff -q
 ULL_THREADS=4 cargo test -p ull-tensor --test packed_diff -q
 
+echo "== counted work: executed ACs and packing deltas (tensor) =="
+ULL_THREADS=1 cargo test -p ull-tensor --test acs_counters -q
+ULL_THREADS=4 cargo test -p ull-tensor --test acs_counters -q
+
 echo "== pack reuse, staleness and allocation gates (snn) =="
 ULL_THREADS=1 cargo test -p ull-snn --test alloc_free -q
 ULL_THREADS=1 cargo test -p ull-snn packing -q
-
-echo "== packed toggle is inert (disabled run matches default) =="
-ULL_PACKED=0 cargo test -p ull-tensor --test packed_diff -q
-
-echo "== kernel acceptance gate =="
-cargo build --release -p ull-bench --bin kernel_bench
-./target/release/kernel_bench --gate
-
-echo "== artifact check =="
-test -s BENCH_kernels.json
-grep -q '"pack_builds": 1' BENCH_kernels.json
-grep -q '"macs_delta": 0' BENCH_kernels.json
-grep -q '"acs_delta": 0' BENCH_kernels.json
-grep -q '"logits_bit_identical": true' BENCH_kernels.json
 
 echo "kernel smoke test passed"
