@@ -5,12 +5,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::io;
 use std::path::PathBuf;
 
 use rand::rngs::StdRng;
 use serde::Serialize;
 use ull_data::{generate, Dataset, SynthCifarConfig};
-use ull_nn::{evaluate, train_epoch, LrSchedule, Network, Sgd, SgdConfig, TrainConfig};
+use ull_nn::{
+    evaluate, train_epoch, CheckpointError, LrSchedule, Network, Sgd, SgdConfig, TrainConfig,
+};
 use ull_obs::TraceEvent;
 
 /// One line of a JSONL trace, classified for forward compatibility.
@@ -230,14 +233,20 @@ pub fn train_or_load_dnn(
     let dir = report_dir().join("models");
     std::fs::create_dir_all(&dir).expect("create model cache dir");
     let path = dir.join(format!("{}_{}_{}.json", tag, classes, scale.name()));
-    if let Ok(net) = ull_nn::load::<Network>(&path) {
-        let acc = evaluate(&net, test, scale.batch());
-        println!(
-            "loaded cached DNN from {} (test {:.1} %)",
-            path.display(),
-            acc * 100.0
-        );
-        return (net, acc);
+    match ull_nn::load::<Network>(&path) {
+        Ok(net) => {
+            let acc = evaluate(&net, test, scale.batch());
+            println!(
+                "loaded cached DNN from {} (test {:.1} %)",
+                path.display(),
+                acc * 100.0
+            );
+            return (net, acc);
+        }
+        Err(CheckpointError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {
+            eprintln!("no cached DNN at {}; training", path.display());
+        }
+        Err(e) => eprintln!("rejected cached DNN at {}: {e}; retraining", path.display()),
     }
     let image = scale.data(classes).image_size;
     let mut net = arch.build(classes, image, scale.width(), 7);

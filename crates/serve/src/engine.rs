@@ -212,8 +212,9 @@ impl Engine {
             .into_iter()
             .map(|r| {
                 // Pack each replica's weights at build time so the first
-                // request does not pay the packing cost; replicas holding
-                // identical weights share one cached pack.
+                // request does not pay the packing cost. The pack lives in
+                // the replica's own network; replicas cloned from one net
+                // before its first prepack each build their own.
                 r.net.prepack();
                 ReplicaSlot {
                     name: r.name,
@@ -347,9 +348,10 @@ impl Engine {
     /// finish on whichever network they read first; later batches see
     /// the replacement.
     pub fn chaos_swap_net(&self, replica: usize, net: SnnNetwork) {
-        // Re-pack eagerly: the swapped weights have a new fingerprint, so
-        // without this the first post-swap batch would pay the packing
-        // cost inside the request path.
+        // Pack eagerly: a swapped-in network built or mutated since its
+        // last prepack carries no pack, so without this the first
+        // post-swap batch would pay the packing cost inside the request
+        // path.
         net.prepack();
         self.replicas[replica]
             .model

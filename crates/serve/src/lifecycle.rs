@@ -179,6 +179,8 @@ impl LifecycleManager {
         let mut st = self.lock();
         match st.candidate.as_mut().and_then(|c| c.model.as_mut()) {
             Some(model) => {
+                // Warm the replacement's own pack outside the canary's
+                // request path.
                 net.prepack();
                 model.net = net;
                 true

@@ -3,11 +3,11 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use ull_nn::{Network, NodeId, NodeOp, Param};
 use ull_tensor::conv::{conv2d, conv2d_packed_into, ConvGeometry, ConvScratch};
 use ull_tensor::parallel;
@@ -286,7 +286,7 @@ impl StepWorkspace {
 }
 
 /// One serial eval run: the [`StepWorkspace`], the [`SpikeStats`], the
-/// resolved weight pack and the optional tamper hook, plus the running sum
+/// network's weight pack and the optional tamper hook, plus the running sum
 /// of the output node. Every eval entry point — [`SnnNetwork::forward`]'s
 /// batch chunks, the probes and the input encodings — is a short loop over
 /// [`Stepper::step`], so they all share [`SnnNetwork::step_ws`].
@@ -308,14 +308,13 @@ impl<'a> Stepper<'a> {
         net: &'a SnnNetwork,
         batch: usize,
         t_steps: usize,
-        pack: Arc<PackedNet>,
         tamper: Option<(&'a dyn StepTamper, usize)>,
     ) -> Self {
         Stepper {
             net,
             ws: StepWorkspace::new(net.nodes.len()),
             stats: SpikeStats::new(net.nodes.len(), batch, t_steps),
-            pack,
+            pack: net.prepack(),
             tamper,
             logit_sum: None,
             steps: 0,
@@ -411,10 +410,50 @@ impl SnnTape {
 
 /// A spiking neural network sharing the topology of its source DNN
 /// (node ids are identical, which the analysis tooling relies on).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The network owns its packed weights ([`SnnNetwork::prepack`]): built on
+/// first use, shared by clones taken after that, and dropped by every
+/// `&mut self` method that can reach the weights. The pack is runtime
+/// state only: serde and `==` see just the nodes and the output, and
+/// `Debug` shows only the pack's size.
+#[derive(Debug, Clone)]
 pub struct SnnNetwork {
     nodes: Vec<SnnNode>,
     output: NodeId,
+    pub(crate) pack: OnceLock<Arc<PackedNet>>,
+}
+
+impl PartialEq for SnnNetwork {
+    fn eq(&self, other: &Self) -> bool {
+        self.nodes == other.nodes && self.output == other.output
+    }
+}
+
+// Hand-written so the document stays exactly `{"nodes", "output"}`: the
+// pack is rebuilt from the weights, never stored.
+impl Serialize for SnnNetwork {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("nodes".to_string(), self.nodes.to_value()),
+            ("output".to_string(), self.output.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for SnnNetwork {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let m = v
+            .as_map()
+            .ok_or_else(|| serde::Error::custom("struct SnnNetwork: expected map"))?;
+        let field = |name: &str| {
+            serde::map_get(m, name)
+                .ok_or_else(|| serde::Error::custom(format!("SnnNetwork: missing field `{name}`")))
+        };
+        Ok(SnnNetwork::new(
+            Deserialize::from_value(field("nodes")?)?,
+            Deserialize::from_value(field("output")?)?,
+        ))
+    }
 }
 
 impl SnnNetwork {
@@ -472,10 +511,15 @@ impl SnnNetwork {
                 inputs: node.inputs.clone(),
             });
         }
-        Ok(SnnNetwork {
+        Ok(SnnNetwork::new(nodes, dnn.output()))
+    }
+
+    fn new(nodes: Vec<SnnNode>, output: NodeId) -> Self {
+        SnnNetwork {
             nodes,
-            output: dnn.output(),
-        })
+            output,
+            pack: OnceLock::new(),
+        }
     }
 
     /// The nodes in topological order.
@@ -483,8 +527,10 @@ impl SnnNetwork {
         &self.nodes
     }
 
-    /// Mutable node access (used by converters).
+    /// Mutable node access (used by converters). Drops the pack, so the
+    /// next forward re-packs whatever the caller wrote.
     pub fn nodes_mut(&mut self) -> &mut [SnnNode] {
+        self.pack.take();
         &mut self.nodes
     }
 
@@ -503,9 +549,10 @@ impl SnnNetwork {
             .collect()
     }
 
-    /// Applies `f` to every trainable parameter (weights, V^th, λ).
+    /// Applies `f` to every trainable parameter (weights, V^th, λ). Drops
+    /// the pack, like [`SnnNetwork::nodes_mut`].
     pub fn visit_params_mut(&mut self, mut f: impl FnMut(&mut Param)) {
-        for node in &mut self.nodes {
+        for node in self.nodes_mut() {
             match &mut node.op {
                 SnnOp::Conv2d { weight, bias, .. } => {
                     f(weight);
@@ -666,24 +713,15 @@ impl SnnNetwork {
     ) -> SnnOutput {
         let batch = x.shape()[0];
         let threads = parallel::num_threads();
-        // Resolve the packed weights once per forward call — one
-        // fingerprint scan and one cache lookup, outside the worker pool —
-        // and share the pack across every batch chunk and time step.
-        let pack = self.prepack();
         if threads <= 1 || batch < 2 {
-            self.forward_chunk(x, t_steps, tamper.map(|t| (t, 0)), pack)
+            self.forward_chunk(x, t_steps, tamper.map(|t| (t, 0)))
         } else {
             let chunk = batch.div_ceil(threads);
             let n_chunks = batch.div_ceil(chunk);
             let parts = parallel::par_map(n_chunks, |ci| {
                 let lo = ci * chunk;
                 let hi = ((ci + 1) * chunk).min(batch);
-                self.forward_chunk(
-                    &x.slice_batch(lo, hi),
-                    t_steps,
-                    tamper.map(|t| (t, lo)),
-                    pack.clone(),
-                )
+                self.forward_chunk(&x.slice_batch(lo, hi), t_steps, tamper.map(|t| (t, lo)))
             });
             // Merge in chunk (= batch) order: logit rows concatenate back
             // into batch order and the integer spike counters sum exactly.
@@ -708,9 +746,8 @@ impl SnnNetwork {
         x: &Tensor,
         t_steps: usize,
         tamper: Option<(&dyn StepTamper, usize)>,
-        pack: Arc<PackedNet>,
     ) -> SnnOutput {
-        let mut run = Stepper::new(self, x.shape()[0], t_steps, pack, tamper);
+        let mut run = Stepper::new(self, x.shape()[0], t_steps, tamper);
         for _ in 0..t_steps {
             run.step(x);
         }
@@ -720,7 +757,7 @@ impl SnnNetwork {
     /// A serial, untampered [`Stepper`] over this network's packed weights
     /// — the engine of every single-chunk eval entry point.
     pub(crate) fn stepper(&self, batch: usize, t_steps: usize) -> Stepper<'_> {
-        Stepper::new(self, batch, t_steps, self.prepack(), None)
+        Stepper::new(self, batch, t_steps, None)
     }
 
     /// One eval time step over the reusable workspace — the only eval step
@@ -1078,7 +1115,7 @@ impl SnnNetwork {
     /// Folds each spike layer's output amplitude into the next weighted
     /// layer(s), making spikes binary — the paper's "absorb the scaling
     /// factor into the weight values" trick that keeps hidden layers
-    /// multiplication-free.
+    /// multiplication-free. Drops the pack, like [`SnnNetwork::nodes_mut`].
     ///
     /// # Errors
     ///
@@ -1087,6 +1124,7 @@ impl SnnNetwork {
     /// weighted layer (the scale would be ambiguous), or if the amplitude
     /// is not positive (max pooling would not commute).
     pub fn fold_amplitudes(&mut self) -> Result<(), SnnError> {
+        self.pack.take();
         // consumers[i] = nodes that read node i.
         let mut consumers: Vec<Vec<NodeId>> = vec![Vec::new(); self.nodes.len()];
         for (i, node) in self.nodes.iter().enumerate() {

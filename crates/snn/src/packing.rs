@@ -1,49 +1,43 @@
 //! Network-level weight packing: build each layer's
-//! [`ull_tensor::PackedWeights`] once and reuse it across timesteps,
-//! batches, forward calls and serving replicas.
+//! [`ull_tensor::PackedWeights`] once per weight version and reuse it
+//! across timesteps, batches, forward calls and threads.
 //!
-//! The weights of a converted SNN are fixed at conversion time, so their
-//! packed layout ([`ull_tensor::packed`]) can be prepared once per network.
-//! A [`PackedNet`] holds one pack per conv/linear node; the forward path
-//! resolves it through a small process-wide cache keyed by a fingerprint of
-//! the network's weights ([`net_fingerprint`]), so repeated forwards,
-//! batch-parallel chunks and serving replicas holding clones of the same
-//! network all share one pack.
+//! A [`PackedNet`] holds one pack per conv/linear node. The network owns
+//! it: [`SnnNetwork::prepack`] fills the network's `OnceLock` on first use
+//! and every later forward reads it back with no hash and no lock. A clone
+//! taken after the first `prepack` shares the `Arc`; a net cloned *before*
+//! its first `prepack` builds its own pack. Serving replicas therefore
+//! each pack their own copy when they are built.
 //!
 //! # Staleness
 //!
-//! The fingerprint covers every weight's bits and shape. Mutating any
-//! weight (fault injection, a chaos swap, a training step) changes the
-//! fingerprint, so the next forward misses the cache and re-packs — a stale
-//! pack can never be used. The cache keeps the most recently used
-//! [`CACHE_CAP`] networks and evicts least-recently-used beyond that.
+//! `SnnNetwork`'s fields are private, so only its `&mut self` methods can
+//! change weights: [`SnnNetwork::nodes_mut`],
+//! [`SnnNetwork::visit_params_mut`] and [`SnnNetwork::fold_amplitudes`].
+//! Each drops the pack before handing out `&mut` access, so the next
+//! forward re-packs the new weights (fault injection, a chaos swap, a
+//! training step) — a stale pack can never be used.
 //!
-//! Cache traffic is observable via the `snn.pack.builds` and
-//! `snn.pack.hits` counters; steady-state hits allocate nothing (asserted
-//! by `crates/snn/tests/alloc_free.rs`).
+//! Builds are observable via the `snn.pack.builds` counter; forwards over a
+//! packed network allocate nothing for the pack (asserted by
+//! `crates/snn/tests/alloc_free.rs`).
 
-use std::sync::{Arc, Mutex};
+use std::fmt;
+use std::sync::Arc;
 
 use ull_nn::NodeId;
 use ull_tensor::{tensor_fingerprint, PackedWeights};
 
 use crate::network::{SnnNetwork, SnnOp};
 
-/// Networks retained by the process-wide pack cache (most recently used
-/// first). Serving keeps a handful of replicas; 8 covers every deployment
-/// in this workspace with room for swaps.
-pub const CACHE_CAP: usize = 8;
-
 /// Per-network packed weights: one [`PackedWeights`] per conv/linear node,
 /// indexed by node id.
-#[derive(Debug)]
 pub struct PackedNet {
-    fingerprint: u64,
     packs: Vec<Option<PackedWeights>>,
 }
 
 impl PackedNet {
-    fn build(net: &SnnNetwork, fingerprint: u64) -> Self {
+    fn build(net: &SnnNetwork) -> Self {
         let _span = ull_obs::span("snn.pack.build");
         let packs = net
             .nodes()
@@ -54,17 +48,12 @@ impl PackedNet {
                 _ => None,
             })
             .collect();
-        PackedNet { fingerprint, packs }
+        PackedNet { packs }
     }
 
     /// The pack for node `id`, if that node carries weights.
     pub fn node(&self, id: NodeId) -> Option<&PackedWeights> {
         self.packs.get(id).and_then(|p| p.as_ref())
-    }
-
-    /// Fingerprint of the network this pack was built from.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 
     /// Number of weighted (packed) layers.
@@ -82,10 +71,22 @@ impl PackedNet {
     }
 }
 
-/// FNV-1a fingerprint of a network's weighted layers: folds each weighted
+/// A summary only: the panels are large and carry no information beyond
+/// the network's own weights.
+impl fmt::Debug for PackedNet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PackedNet")
+            .field("layers", &self.layer_count())
+            .field("bytes", &self.packed_bytes())
+            .finish()
+    }
+}
+
+/// FNV-1a content hash of a network's weighted layers: folds each weighted
 /// node's id and its weight tensor's shape + bit patterns. Any weight
 /// mutation — or moving the same weights to a different node — changes the
-/// value.
+/// value. It reads every weight, so it stays off the forward path; it is a
+/// reproducibility check for tools, not a pack key.
 pub fn net_fingerprint(net: &SnnNetwork) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for (i, node) in net.nodes().iter().enumerate() {
@@ -101,8 +102,6 @@ pub fn net_fingerprint(net: &SnnNetwork) -> u64 {
     h
 }
 
-static CACHE: Mutex<Vec<(u64, Arc<PackedNet>)>> = Mutex::new(Vec::new());
-
 /// The packed weights for `net`, as [`SnnNetwork::prepack`] resolves
 /// them. Packing is the only eval kernel route, so this always returns
 /// `Some`; the `Option` is kept so existing callers compile unchanged.
@@ -110,48 +109,21 @@ pub fn packed_for(net: &SnnNetwork) -> Option<Arc<PackedNet>> {
     Some(net.prepack())
 }
 
-/// Empties the process-wide pack cache. Only needed by tests that count
-/// pack builds; production code lets LRU eviction manage the cache.
-#[doc(hidden)]
-pub fn clear_pack_cache() {
-    lock_cache().clear();
-}
-
-fn lock_cache() -> std::sync::MutexGuard<'static, Vec<(u64, Arc<PackedNet>)>> {
-    match CACHE.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 impl SnnNetwork {
-    /// Resolves this network's packed weights: a shared [`PackedNet`] from
-    /// the process-wide cache, built on first sight of this network's
-    /// fingerprint. Every eval forward calls this once; serving also calls
-    /// it at replica build and after every weight swap, so the first
-    /// inference call does not pay the packing cost.
+    /// This network's packed weights, built on the first call after
+    /// construction or after any `&mut` access to the nodes, and read back
+    /// with no hash and no lock afterwards. Every eval run calls this once
+    /// per batch chunk; serving also calls it at replica build and after
+    /// every weight swap, so the first inference call does not pay the
+    /// packing cost.
     ///
-    /// The fingerprint scan reads every weight but allocates nothing, and
-    /// cache hits cost one short critical section.
+    /// Concurrent first calls build once: the others wait for the winner's
+    /// pack.
     pub fn prepack(&self) -> Arc<PackedNet> {
-        let fp = net_fingerprint(self);
-        let mut cache = lock_cache();
-        if let Some(pos) = cache.iter().position(|(k, _)| *k == fp) {
-            // Move-to-front MRU; within capacity this never allocates.
-            let entry = cache.remove(pos);
-            let pack = Arc::clone(&entry.1);
-            cache.insert(0, entry);
-            ull_obs::counter_add("snn.pack.hits", 1);
-            return pack;
-        }
-        // Build inside the lock so concurrent forwards over the same
-        // network (serving replicas at startup) pack once, not once per
-        // caller.
-        let pack = Arc::new(PackedNet::build(self, fp));
-        ull_obs::counter_add("snn.pack.builds", 1);
-        cache.insert(0, (fp, Arc::clone(&pack)));
-        cache.truncate(CACHE_CAP);
-        pack
+        Arc::clone(self.pack.get_or_init(|| {
+            ull_obs::counter_add("snn.pack.builds", 1);
+            Arc::new(PackedNet::build(self))
+        }))
     }
 }
 
@@ -160,6 +132,8 @@ mod tests {
     use super::*;
     use crate::SpikeSpec;
     use ull_nn::NetworkBuilder;
+    use ull_tensor::init::{normal, seeded_rng};
+    use ull_tensor::{parallel, Tensor};
 
     fn test_net(seed: u64) -> SnnNetwork {
         let mut b = NetworkBuilder::new(2, 8, seed);
@@ -168,7 +142,27 @@ mod tests {
         b.flatten();
         b.linear(5);
         let dnn = b.build();
-        SnnNetwork::from_network(&dnn, &[SpikeSpec::identity(0.7)]).unwrap()
+        SnnNetwork::from_network(&dnn, &[SpikeSpec::scaled(0.7, 0.8, 1.2)]).unwrap()
+    }
+
+    fn input(batch: usize, seed: u64) -> Tensor {
+        normal(&[batch, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(seed))
+    }
+
+    fn is_packed(net: &SnnNetwork) -> bool {
+        net.pack.get().is_some()
+    }
+
+    /// The packed forward must equal the `forward_train` tape, which runs
+    /// the unpacked kernels on the live weights: a stale pack would
+    /// reproduce the old weights.
+    fn assert_matches_tape(net: &SnnNetwork, x: &Tensor) {
+        let out = net.forward(x, 3);
+        let tape = net.forward_train(x, 3, &mut seeded_rng(0));
+        assert_eq!(
+            out.logits, tape.logits,
+            "packed forward diverged from the tape"
+        );
     }
 
     #[test]
@@ -176,7 +170,7 @@ mod tests {
         let net = test_net(1);
         let fp = net_fingerprint(&net);
         assert_eq!(fp, net_fingerprint(&net));
-        assert_eq!(fp, net_fingerprint(&net.clone()), "clones share packs");
+        assert_eq!(fp, net_fingerprint(&net.clone()));
         let mut mutated = net.clone();
         for node in mutated.nodes_mut() {
             if let SnnOp::Linear { weight, .. } = &mut node.op {
@@ -187,40 +181,139 @@ mod tests {
     }
 
     #[test]
-    fn cache_shares_packs_and_rebuilds_on_mutation() {
-        // Any test-wide lock serialises the two tests that clear the cache.
-        let _guard = ull_tensor::parallel::override_lock();
-        clear_pack_cache();
+    fn packing_is_reused_across_timesteps_batches_and_threads() {
         let net = test_net(2);
-        let a = net.prepack();
-        let b = packed_for(&net.clone()).expect("always packed");
-        assert!(Arc::ptr_eq(&a, &b), "same weights resolve to one pack");
-        assert_eq!(a.layer_count(), 2);
-        assert!(a.packed_bytes() > 0);
-
-        let mut mutated = net.clone();
-        for node in mutated.nodes_mut() {
-            if let SnnOp::Conv2d { weight, .. } = &mut node.op {
-                weight.value.data_mut()[0] += 0.5;
+        assert!(!is_packed(&net), "a fresh network starts unpacked");
+        let _threads = parallel::override_lock();
+        parallel::set_threads(1);
+        net.forward(&input(3, 20), 1);
+        let pack = net.prepack();
+        assert_eq!(pack.layer_count(), 2);
+        assert!(pack.packed_bytes() > 0);
+        for threads in [1, 4] {
+            parallel::set_threads(threads);
+            for (batch, t_steps) in [(3, 5), (1, 2), (5, 3)] {
+                net.forward(&input(batch, 21), t_steps);
+                net.forward_until(&input(batch, 22), t_steps, |_, _| true);
+                assert!(
+                    Arc::ptr_eq(&pack, &net.prepack()),
+                    "threads {threads}, batch {batch}, T {t_steps} re-packed"
+                );
             }
         }
-        let c = mutated.prepack();
-        assert!(!Arc::ptr_eq(&a, &c), "mutated weights force a re-pack");
-        assert_ne!(a.fingerprint(), c.fingerprint());
-        clear_pack_cache();
+        assert!(Arc::ptr_eq(
+            &pack,
+            &packed_for(&net).expect("always packed")
+        ));
+        parallel::set_threads(0);
     }
 
     #[test]
-    fn cache_evicts_least_recently_used() {
-        let _guard = ull_tensor::parallel::override_lock();
-        clear_pack_cache();
-        let nets: Vec<SnnNetwork> = (0..CACHE_CAP as u64 + 2).map(test_net).collect();
-        for net in &nets {
-            net.prepack();
+    fn packing_is_dropped_by_every_mut_accessor() {
+        let x = input(2, 30);
+        type Mutate = fn(&mut SnnNetwork);
+        let mutations: [(&str, Mutate); 3] = [
+            ("nodes_mut", |net| {
+                for node in net.nodes_mut() {
+                    if let SnnOp::Conv2d { weight, .. } = &mut node.op {
+                        weight.value.data_mut()[0] += 0.25;
+                    }
+                }
+            }),
+            ("visit_params_mut", |net| {
+                net.visit_params_mut(|p| {
+                    if p.value.rank() > 1 {
+                        p.value.scale_in_place(1.5);
+                    }
+                })
+            }),
+            ("fold_amplitudes", |net| net.fold_amplitudes().unwrap()),
+        ];
+        for (name, mutate) in mutations {
+            let original = test_net(3);
+            let before = original.prepack();
+            let mut net = original.clone();
+            mutate(&mut net);
+            assert!(!is_packed(&net), "{name} kept the pack");
+            let after = net.prepack();
+            assert!(!Arc::ptr_eq(&before, &after), "{name} reused the old pack");
+            assert!(
+                Arc::ptr_eq(&before, &original.prepack()),
+                "{name} on a clone touched the original's pack"
+            );
+            assert_matches_tape(&net, &x);
         }
-        // The two oldest fell out; re-resolving them rebuilds.
-        let oldest = nets[0].prepack();
-        assert_eq!(oldest.fingerprint(), net_fingerprint(&nets[0]));
-        clear_pack_cache();
+    }
+
+    #[test]
+    fn packing_is_shared_by_clones_taken_after_prepack() {
+        let net = test_net(4);
+        let early = net.clone();
+        let pack = net.prepack();
+        let late = net.clone();
+        assert!(
+            Arc::ptr_eq(&pack, &late.prepack()),
+            "a later clone shares the Arc"
+        );
+        assert!(
+            !is_packed(&early),
+            "a clone taken before prepack has no pack"
+        );
+        assert!(
+            !Arc::ptr_eq(&pack, &early.prepack()),
+            "a clone taken before prepack builds its own"
+        );
+    }
+
+    #[test]
+    fn packing_is_ignored_by_eq_and_serde() {
+        let net = test_net(5);
+        let unpacked = net.clone();
+        net.prepack();
+        assert_eq!(net, unpacked, "== ignores the pack");
+        let json = serde_json::to_string(&net).unwrap();
+        assert_eq!(json, serde_json::to_string(&unpacked).unwrap());
+        let back: SnnNetwork = serde_json::from_str(&json).unwrap();
+        assert!(!is_packed(&back), "a deserialized network starts unpacked");
+        assert_eq!(back, net);
+        // Debug summarises the pack and never prints its panels.
+        assert!(format!("{net:?}").contains("PackedNet { layers: 2, bytes: "));
+        assert!(!format!("{back:?}").contains("PackedNet"));
+    }
+
+    /// A checkpoint holds exactly `{"nodes", "output"}`, packed or not;
+    /// pinned byte for byte so checkpoints stay loadable across versions.
+    #[test]
+    fn serialized_network_is_pinned() {
+        let mut b = NetworkBuilder::new(1, 2, 3);
+        b.conv2d_opts(1, 1, 1, 0, true);
+        b.threshold_relu(0.5);
+        b.flatten();
+        b.linear(2);
+        let net =
+            SnnNetwork::from_network(&b.build(), &[SpikeSpec::scaled(0.5, 0.8, 1.2)]).unwrap();
+        net.prepack();
+        let want = concat!(
+            r#"{"nodes":[{"op":"Input","inputs":[]},"#,
+            r#"{"op":{"Conv2d":{"weight":{"value":{"shape":[1,1,1,1],"data":[-0.7721778750419617]},"#,
+            r#""grad":{"shape":[1,1,1,1],"data":[0.0]},"#,
+            r#""momentum":{"shape":[1,1,1,1],"data":[0.0]},"second_moment":null,"decay":true},"#,
+            r#""bias":{"value":{"shape":[1],"data":[0.0]},"#,
+            r#""grad":{"shape":[1],"data":[0.0]},"#,
+            r#""momentum":{"shape":[1],"data":[0.0]},"second_moment":null,"decay":false},"#,
+            r#""geo":{"kh":1,"kw":1,"stride":1,"padding":0}}},"inputs":[0]},"#,
+            r#"{"op":{"Spike":{"v_th":{"value":{"shape":[1],"data":[0.4000000059604645]},"#,
+            r#""grad":{"shape":[1],"data":[0.0]},"#,
+            r#""momentum":{"shape":[1],"data":[0.0]},"second_moment":null,"decay":false},"#,
+            r#""leak":{"value":{"shape":[1],"data":[1.0]},"#,
+            r#""grad":{"shape":[1],"data":[0.0]},"#,
+            r#""momentum":{"shape":[1],"data":[0.0]},"second_moment":null,"decay":false},"amp":0.48000001907348633,"u_init":0.0}},"inputs":[1]},"#,
+            r#"{"op":"Flatten","inputs":[2]},"#,
+            r#"{"op":{"Linear":{"weight":{"value":{"shape":[2,4],"data":[-1.205735206604004,-0.26126593351364136,-0.7470895648002625,0.5463288426399231,-0.26804518699645996,-1.219836711883545,0.08244244754314423,0.22946149110794067]},"#,
+            r#""grad":{"shape":[2,4],"data":[0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0]},"#,
+            r#""momentum":{"shape":[2,4],"data":[0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0]},"second_moment":null,"decay":true},"#,
+            r#""bias":null}},"inputs":[3]}],"output":4}"#,
+        );
+        assert_eq!(serde_json::to_string(&net).unwrap(), want);
     }
 }

@@ -17,11 +17,13 @@
 //! `forbid(unsafe_code)` and a counting `#[global_allocator]` needs an
 //! `unsafe impl`.
 
+mod common;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::{Arc, Barrier};
 
 use ull_nn::NetworkBuilder;
-use ull_snn::packing::clear_pack_cache;
 use ull_snn::{SnnNetwork, SnnOp, SpikeSpec, StepTamper};
 use ull_tensor::init::{normal, seeded_rng};
 use ull_tensor::{parallel, Tensor};
@@ -76,7 +78,9 @@ fn test_net(seed: u64) -> SnnNetwork {
     b.flatten();
     b.linear(5);
     let dnn = b.build();
-    SnnNetwork::from_network(&dnn, &[SpikeSpec::identity(0.7), SpikeSpec::identity(0.9)]).unwrap()
+    let snn = SnnNetwork::from_network(&dnn, &[SpikeSpec::identity(0.7), SpikeSpec::identity(0.9)])
+        .unwrap();
+    common::with_biases(snn, seed)
 }
 
 /// Allocator hits on the calling thread while `f` runs.
@@ -94,8 +98,8 @@ fn steady_state_step_loop_does_not_allocate() {
     let _threads = parallel::override_lock();
     parallel::set_threads(1);
 
-    // Warm up lazily initialised process state (thread-count cache, pack
-    // cache, allocator internals).
+    // Warm up lazily initialised state (thread-count cache, the network's
+    // pack, allocator internals).
     snn.forward(&x, 1);
 
     // Step 1 grows every workspace buffer to its working size, so steps
@@ -153,23 +157,23 @@ fn probe_steady_state_steps_do_not_allocate() {
 }
 
 /// Packed weights are built exactly once per network: after the first
-/// forward, extra timesteps, batches and whole forward calls hit the pack
-/// cache and allocate nothing new.
+/// forward, extra timesteps, batches and whole forward calls reuse the
+/// network's own pack and allocate nothing new.
 #[test]
-fn packed_weights_build_once_and_steady_state_stays_alloc_free() {
+fn packing_builds_once_and_steady_state_stays_alloc_free() {
     let snn = test_net(7);
     let x = normal(&[3, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(17));
     let x_small = normal(&[1, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(18));
-    // override_lock also serializes against the other alloc tests here,
-    // which must not see the pack cache cleared mid-measurement.
+    // override_lock also serializes against the other tests here, whose
+    // forwards would otherwise land in the build counter.
     let _threads = parallel::override_lock();
     let _obs = ull_obs::test_lock();
     parallel::set_threads(1);
-    clear_pack_cache();
 
     ull_obs::reset();
     ull_obs::set_enabled(true);
     snn.forward(&x, 1); // builds the pack, grows workspace buffers
+    let pack = snn.prepack();
     snn.forward(&x, 8); // extra timesteps: same pack
     snn.forward(&x_small, 2); // different batch shape: same pack
     ull_obs::set_enabled(false);
@@ -179,11 +183,7 @@ fn packed_weights_build_once_and_steady_state_stays_alloc_free() {
         Some(&1),
         "pack must be built exactly once across forwards, timesteps and batches"
     );
-    assert!(
-        snap.counters.get("snn.pack.hits").is_some_and(|&h| h >= 2),
-        "subsequent forwards must hit the cached pack: {:?}",
-        snap.counters.get("snn.pack.hits")
-    );
+    assert!(Arc::ptr_eq(&pack, &snn.prepack()));
 
     // With the pack warm (and obs off — its records allocate), extra
     // steady-state steps must not touch the allocator.
@@ -200,7 +200,38 @@ fn packed_weights_build_once_and_steady_state_stays_alloc_free() {
 
     ull_obs::reset();
     parallel::set_threads(0);
-    clear_pack_cache();
+}
+
+/// Two threads racing the first forward of one shared network build its
+/// pack exactly once; the loser waits for the winner's pack.
+#[test]
+fn packing_race_on_first_forward_builds_once() {
+    let snn = Arc::new(test_net(8));
+    let x = normal(&[2, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(19));
+    let _threads = parallel::override_lock();
+    let _obs = ull_obs::test_lock();
+    parallel::set_threads(1);
+    let start = Barrier::new(2);
+
+    ull_obs::reset();
+    ull_obs::set_enabled(true);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                start.wait();
+                snn.forward(&x, 2);
+            });
+        }
+    });
+    ull_obs::set_enabled(false);
+    assert_eq!(
+        ull_obs::snapshot().counters.get("snn.pack.builds"),
+        Some(&1),
+        "racing first forwards must share one build"
+    );
+
+    ull_obs::reset();
+    parallel::set_threads(0);
 }
 
 struct NoopTamper;
@@ -209,10 +240,11 @@ impl StepTamper for NoopTamper {
     fn tamper_spikes(&self, _: usize, _: ull_nn::NodeId, _: usize, _: f32, _: &mut Tensor) {}
 }
 
-/// Stale-pack guard: weights mutated between (tampered) forwards change
-/// the network fingerprint, so the next forward re-packs instead of using
-/// the stale layout — and stays bit-identical to the `forward_train` tape,
-/// which runs the unpacked kernels on the mutated weights.
+/// Stale-pack guard: writing weights through `nodes_mut` between
+/// (tampered) forwards drops the network's pack, so the next forward
+/// re-packs instead of using the stale layout — and stays bit-identical
+/// to the `forward_train` tape, which runs the unpacked kernels on the
+/// mutated weights.
 #[test]
 fn tampered_weight_mutation_triggers_repack() {
     let mut snn = test_net(11);
@@ -220,7 +252,6 @@ fn tampered_weight_mutation_triggers_repack() {
     let _threads = parallel::override_lock();
     let _obs = ull_obs::test_lock();
     parallel::set_threads(1);
-    clear_pack_cache();
 
     ull_obs::reset();
     ull_obs::set_enabled(true);
@@ -237,7 +268,7 @@ fn tampered_weight_mutation_triggers_repack() {
     assert_eq!(
         snap.counters.get("snn.pack.builds"),
         Some(&2),
-        "mutated weights must miss the pack cache and re-pack"
+        "mutated weights must re-pack"
     );
 
     // The re-packed result must match the unpacked tape on the mutated
@@ -250,5 +281,4 @@ fn tampered_weight_mutation_triggers_repack() {
 
     ull_obs::reset();
     parallel::set_threads(0);
-    clear_pack_cache();
 }

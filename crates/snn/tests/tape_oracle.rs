@@ -7,7 +7,13 @@
 //! any batch size and thread count. Fault injection via
 //! `forward_tampered` has no tape counterpart, so it is checked for
 //! thread-count invariance instead.
+//!
+//! The oracle nets carry non-zero biases on every conv/linear node, so a
+//! bias the eval engine dropped would show.
 
+mod common;
+
+use common::with_biases;
 use proptest::prelude::*;
 use ull_nn::{NetworkBuilder, NodeId};
 use ull_snn::{InputEncoding, SnnNetwork, SnnOp, SpikeSpec, StepTamper};
@@ -59,8 +65,8 @@ fn residual_net(seed: u64) -> SnnNetwork {
 
 fn nets(seed: u64) -> Vec<(&'static str, SnnNetwork)> {
     vec![
-        ("conv_chain", conv_chain(seed)),
-        ("residual", residual_net(seed)),
+        ("conv_chain", with_biases(conv_chain(seed), seed)),
+        ("residual", with_biases(residual_net(seed), seed)),
     ]
 }
 
@@ -121,8 +127,8 @@ proptest! {
         let x = normal(&[batch, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(seed ^ 0x7a9e));
         let _threads = parallel::override_lock();
         let oracle_nets = [
-            ("conv_chain", conv_chain_with_dropout(seed, 0.0)),
-            ("residual", residual_net(seed)),
+            ("conv_chain", with_biases(conv_chain_with_dropout(seed, 0.0), seed)),
+            ("residual", with_biases(residual_net(seed), seed)),
         ];
         for (name, snn) in oracle_nets {
             let tape = snn.forward_train(&x, t_steps, &mut seeded_rng(seed));

@@ -55,10 +55,6 @@ pub enum PackLayout {
 /// A weight matrix laid out once for the packed kernels: k-major panels of
 /// [`PANEL_WIDTH`] output features, so the inner reduction loop streams
 /// contiguous memory regardless of the source orientation.
-///
-/// The pack also records an FNV fingerprint of the source weights (bits
-/// and shape), which callers use to detect stale packs after weights
-/// mutate (chaos swaps, fault injection, training steps).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedWeights {
     layout: PackLayout,
@@ -70,7 +66,6 @@ pub struct PackedWeights {
     /// `q·PANEL_WIDTH ..` and stores, for each `p` in `0..k`, its features'
     /// weights contiguously.
     data: Vec<f32>,
-    fingerprint: u64,
     /// `[F, C, KH, KW]` of the source filter bank when this pack was built
     /// by [`PackedWeights::pack_conv`].
     conv_dims: Option<[usize; 4]>,
@@ -91,7 +86,6 @@ impl PackedWeights {
             n,
             k,
             data: pack_panels(n, k, |j, p| bd[j * k + p]),
-            fingerprint: tensor_fingerprint(b),
             conv_dims: None,
         }
     }
@@ -109,7 +103,6 @@ impl PackedWeights {
             n,
             k,
             data: pack_panels(n, k, |j, p| bd[p * n + j]),
-            fingerprint: tensor_fingerprint(b),
             conv_dims: None,
         }
     }
@@ -141,7 +134,6 @@ impl PackedWeights {
             n: f,
             k,
             data: pack_panels(f, k, |j, p| wd[j * k + p]),
-            fingerprint: tensor_fingerprint(weight),
             conv_dims: Some([f, c, kh, kw]),
         }
     }
@@ -159,13 +151,6 @@ impl PackedWeights {
     /// Reduction length (GEMM `k`; conv `C·KH·KW`).
     pub fn reduction_len(&self) -> usize {
         self.k
-    }
-
-    /// FNV fingerprint of the source weights (bits and shape) at pack
-    /// time. Compare against [`tensor_fingerprint`] of the live weights to
-    /// detect a stale pack.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 
     /// `[F, C, KH, KW]` of the source filter bank, when packed by
@@ -200,23 +185,16 @@ fn pack_panels(n: usize, k: usize, get: impl Fn(usize, usize) -> f32) -> Vec<f32
     data
 }
 
-/// FNV-1a over a tensor's shape and raw `f32` bit patterns — the cheap
-/// content identity the pack caches key on. Folds whole `u32` words (not
-/// bytes) so a multi-million-parameter network fingerprints in one fast
-/// pass; the shape prefix distinguishes equal-data different-shape
-/// tensors.
+/// FNV-1a over a tensor's shape and raw `f32` bit patterns — a cheap
+/// content hash. Folds whole `u32` words (not bytes) so a
+/// multi-million-parameter network hashes in one fast pass; the shape
+/// prefix distinguishes equal-data different-shape tensors.
 pub fn tensor_fingerprint(t: &Tensor) -> u64 {
-    let mut h = fingerprint_words(0xcbf2_9ce4_8422_2325, t.shape().iter().map(|&d| d as u64));
-    h = fingerprint_words(h, t.data().iter().map(|v| u64::from(v.to_bits())));
-    h
-}
-
-fn fingerprint_words(mut h: u64, words: impl Iterator<Item = u64>) -> u64 {
-    for w in words {
-        h ^= w;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let shape = t.shape().iter().map(|&d| d as u64);
+    let bits = t.data().iter().map(|v| u64::from(v.to_bits()));
+    shape.chain(bits).fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// `C = A · B` over packed weights (`A: [m, k]`, pack source `B: [k, n]`).
@@ -435,13 +413,12 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_tracks_content_and_shape() {
+    fn tensor_fingerprint_tracks_content_and_shape() {
         let a = rand_tensor(&[4, 6], 11);
-        let packed = PackedWeights::pack_rhs_t(&a);
-        assert_eq!(packed.fingerprint(), tensor_fingerprint(&a));
+        assert_eq!(tensor_fingerprint(&a), tensor_fingerprint(&a.clone()));
         let mut mutated = a.clone();
         mutated.data_mut()[3] += 1.0;
-        assert_ne!(packed.fingerprint(), tensor_fingerprint(&mutated));
+        assert_ne!(tensor_fingerprint(&a), tensor_fingerprint(&mutated));
         // Same bits, different shape — must not collide.
         let reshaped = a.reshape(&[6, 4]).unwrap();
         assert_ne!(tensor_fingerprint(&a), tensor_fingerprint(&reshaped));
