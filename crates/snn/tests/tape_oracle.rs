@@ -15,7 +15,7 @@ mod common;
 
 use common::with_biases;
 use proptest::prelude::*;
-use ull_nn::{NetworkBuilder, NodeId};
+use ull_nn::{cross_entropy_grad, NetworkBuilder, NodeId};
 use ull_snn::{InputEncoding, SnnNetwork, SnnOp, SpikeSpec, StepTamper};
 use ull_tensor::init::{mix64, normal, seeded_rng};
 use ull_tensor::{parallel, Tensor};
@@ -250,4 +250,81 @@ fn forward_train_tape_and_dropout_mask_are_pinned() {
         .iter()
         .all(|&m| m == 0.0 || m.to_bits() == 0x3fd55555));
     assert!(tape.mask(0).is_none());
+}
+
+/// FNV-1a over a tensor's shape and bit patterns: one word that changes
+/// if any element of the tensor changes by a single bit.
+fn bits_hash(t: &Tensor) -> u64 {
+    let words = t
+        .shape()
+        .iter()
+        .map(|&d| d as u64)
+        .chain(t.data().iter().map(|v| u64::from(v.to_bits())));
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        h ^= w;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Pins, bit for bit, every parameter gradient `backward` accumulates
+/// (weights, biases, `V^th` and leak, in `visit_params` order) and the
+/// tape's memory footprint, on both oracle nets at T=3. The public tape
+/// API does not expose the membranes (`U(t−1)`, `U_temp`) or the maxpool
+/// argmax the backward pass reads, so this is their only check.
+#[test]
+fn backward_gradients_and_tape_memory_are_pinned() {
+    let pinned: [(&str, usize, [u64; 10]); 2] = [
+        (
+            "conv_chain",
+            57072,
+            [
+                0xd3a8f90dadec8452,
+                0xb142eaff32f0f1aa,
+                0x1c999f5ccd997f2b,
+                0xd0e1d38cfef0313a,
+                0xd4e8ae4a9af58647,
+                0x4bed0788f8104ff6,
+                0x6fea745d5b2bd91a,
+                0xb9994c87be5ff3d5,
+                0x03e6ed8d18286a39,
+                0xb27922eb9d874399,
+            ],
+        ),
+        (
+            "residual",
+            92400,
+            [
+                0x6b33205cd6bd9bca,
+                0x79f3820592844136,
+                0x819b1d89123b09f8,
+                0x440b0d658f9f3d15,
+                0x2f167b37fb283ceb,
+                0x4f47c237c041ccf4,
+                0xce8f93847bfe6e7a,
+                0x214dc461ee979a0a,
+                0x827648dd9a1c16ea,
+                0xa3b0c3137926d452,
+            ],
+        ),
+    ];
+    let x = normal(&[3, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(41));
+    let labels = [1, 4, 2];
+    for ((name, mut snn), (want_name, want_bytes, want_grads)) in nets(40).into_iter().zip(pinned) {
+        assert_eq!(name, want_name);
+        let tape = snn.forward_train(&x, 3, &mut seeded_rng(42));
+        snn.zero_grad();
+        snn.backward(&tape, &cross_entropy_grad(&tape.logits, &labels));
+        let mut grads = Vec::new();
+        snn.visit_params(|p| {
+            assert!(
+                p.grad.data().iter().any(|g| *g != 0.0),
+                "{name}: a parameter received no gradient"
+            );
+            grads.push(bits_hash(&p.grad));
+        });
+        assert_eq!(tape.memory_bytes(), want_bytes, "{name} tape bytes");
+        assert_eq!(grads, want_grads, "{name} gradients");
+    }
 }
