@@ -9,10 +9,10 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize, Value};
 use ull_nn::{Network, NodeId, NodeOp, Param};
-use ull_tensor::conv::{conv2d, conv2d_packed_into, ConvGeometry, ConvScratch};
+use ull_tensor::conv::{conv2d_packed_into, ConvGeometry, ConvScratch};
 use ull_tensor::parallel;
-use ull_tensor::pool::{avgpool2d, avgpool2d_into, maxpool2d, maxpool2d_into};
-use ull_tensor::{matmul_tb_packed_into, matmul_transpose_b, Tensor};
+use ull_tensor::pool::{avgpool2d_into, maxpool2d_into};
+use ull_tensor::{matmul_tb_packed_into, Tensor};
 
 use crate::packing::PackedNet;
 use crate::stats::SpikeStats;
@@ -260,12 +260,21 @@ pub(crate) enum StepAux {
     Spike { u_temp: Tensor, u_prev: Tensor },
 }
 
-/// Reusable per-batch-chunk simulation state for the eval forward path.
+/// The BPTT extras of one training step, handed to
+/// [`SnnNetwork::step_ws`]: the dropout masks shared by every step, the
+/// RNG that samples them, and this step's per-node [`StepAux`].
+struct TapeStep<'a> {
+    masks: &'a mut [Option<Tensor>],
+    rng: &'a mut StdRng,
+    aux: Vec<StepAux>,
+}
+
+/// Reusable per-batch-chunk simulation state for the forward path.
 ///
 /// Every buffer a time step needs — membranes, per-node activations, conv
 /// scratch — lives here and is refilled in place, so after the first step
-/// the steady-state loop performs **zero heap allocations** (asserted by
-/// `crates/snn/tests/alloc_free.rs`). One workspace exists per batch
+/// the steady-state eval loop performs **zero heap allocations** (asserted
+/// by `crates/snn/tests/alloc_free.rs`). One workspace exists per batch
 /// chunk, giving the batch-parallel path workers fully independent state.
 struct StepWorkspace {
     membranes: Vec<Option<Tensor>>,
@@ -285,11 +294,12 @@ impl StepWorkspace {
     }
 }
 
-/// One serial eval run: the [`StepWorkspace`], the [`SpikeStats`], the
+/// One serial run: the [`StepWorkspace`], the [`SpikeStats`], the
 /// network's weight pack and the optional tamper hook, plus the running sum
-/// of the output node. Every eval entry point — [`SnnNetwork::forward`]'s
-/// batch chunks, the probes and the input encodings — is a short loop over
-/// [`Stepper::step`], so they all share [`SnnNetwork::step_ws`].
+/// of the output node. Every forward entry point — [`SnnNetwork::forward`]'s
+/// batch chunks, the probes, the input encodings and
+/// [`SnnNetwork::forward_train`] — is a short loop over [`Stepper::step`]
+/// or [`Stepper::record_step`], so they all share [`SnnNetwork::step_ws`].
 pub(crate) struct Stepper<'a> {
     net: &'a SnnNetwork,
     ws: StepWorkspace,
@@ -325,12 +335,44 @@ impl<'a> Stepper<'a> {
     /// output. The activations live in the workspace and are overwritten
     /// by the next step.
     pub(crate) fn step(&mut self, input: &Tensor) -> &[Tensor] {
+        self.step_with(input, None)
+    }
+
+    /// Simulates the next time step like [`Stepper::step`] while recording
+    /// the BPTT extras, then moves every node's output out of the
+    /// workspace (no copy): returns this step's tape entries.
+    fn record_step(
+        &mut self,
+        input: &Tensor,
+        masks: &mut [Option<Tensor>],
+        rng: &mut StdRng,
+    ) -> (Vec<Tensor>, Vec<StepAux>) {
+        let mut tape = TapeStep {
+            masks,
+            rng,
+            aux: vec![StepAux::None; self.net.nodes.len()],
+        };
+        let acts = self
+            .step_with(input, Some(&mut tape))
+            .iter_mut()
+            .map(std::mem::take)
+            .collect();
+        (acts, tape.aux)
+    }
+
+    fn step_with(&mut self, input: &Tensor, tape: Option<&mut TapeStep<'_>>) -> &mut [Tensor] {
         let tamper = self.tamper.map(|(hook, off)| (hook, self.steps, off));
-        self.net
-            .step_ws(input, &mut self.ws, &mut self.stats, tamper, &self.pack);
+        self.net.step_ws(
+            input,
+            &mut self.ws,
+            &mut self.stats,
+            tamper,
+            &self.pack,
+            tape,
+        );
         self.steps += 1;
         accumulate_opt(&mut self.logit_sum, &self.ws.acts[self.net.output]);
-        &self.ws.acts
+        &mut self.ws.acts
     }
 
     /// Spike counters accumulated so far.
@@ -760,18 +802,21 @@ impl SnnNetwork {
         Stepper::new(self, batch, t_steps, None)
     }
 
-    /// One eval time step over the reusable workspace — the only eval step
-    /// loop, driven through [`Stepper`].
+    /// One time step over the reusable workspace — the only step loop of
+    /// the crate, driven through [`Stepper`] by eval and training alike.
     ///
-    /// Computes the same per-element expressions as the BPTT
-    /// [`SnnNetwork::step`] and matches its output bit for bit (asserted
-    /// by `crates/snn/tests/tape_oracle.rs`); it differs only
-    /// operationally: every buffer is refilled in place (zero steady-state
-    /// allocations), and each conv/linear node runs its packed
-    /// weight-stationary kernel from `pack`. The zero-skipping packed
-    /// kernels already count one executed accumulate per non-zero input
-    /// term (`tensor.acs`), so the paper's AC-per-spike accounting needs no
-    /// separate event-driven route.
+    /// Every buffer is refilled in place, and each conv/linear node runs
+    /// its packed weight-stationary kernel from `pack`; the outputs match
+    /// the unpacked reference step of `crates/snn/tests/common` bit for bit
+    /// (asserted by `crates/snn/tests/tape_oracle.rs`). The zero-skipping
+    /// packed kernels already count one executed accumulate per non-zero
+    /// input term (`tensor.acs`), so the paper's AC-per-spike accounting
+    /// needs no separate event-driven route.
+    ///
+    /// With `tape` present (training) the step also records what BPTT
+    /// reads: each spike node's `U(t−1)` and pre-reset `U_temp`, each
+    /// maxpool's argmax, and dropout masks, which it samples and applies.
+    /// Eval passes `None` and stays allocation-free at steady state.
     fn step_ws(
         &self,
         x: &Tensor,
@@ -779,6 +824,7 @@ impl SnnNetwork {
         stats: &mut SpikeStats,
         tamper: Option<(&dyn StepTamper, usize, usize)>,
         pack: &PackedNet,
+        mut tape: Option<&mut TapeStep<'_>>,
     ) {
         let StepWorkspace {
             membranes,
@@ -819,16 +865,22 @@ impl SnnNetwork {
                     let amp = layer.amp;
                     let membrane =
                         membranes[i].get_or_insert_with(|| Tensor::full(inp.shape(), layer.u_init));
-                    // Eq. 2 in place: U_temp = λ·U(t−1) + I(t). Same
-                    // per-element expression as the tape path, so results
-                    // match bit for bit.
+                    let u_prev = tape.is_some().then(|| membrane.clone());
+                    // Eq. 2 in place: U_temp = λ·U(t−1) + I(t).
                     for (u, &iv) in membrane.data_mut().iter_mut().zip(inp.data()) {
                         *u = *u * leak + iv;
                     }
+                    // Hardening: corrupted weights can push membranes to
+                    // NaN/±∞; only such values are rewritten.
                     sanitize_membrane(membrane);
+                    if let (Some(tape), Some(u_prev)) = (tape.as_deref_mut(), u_prev) {
+                        tape.aux[i] = StepAux::Spike {
+                            u_temp: membrane.clone(),
+                            u_prev,
+                        };
+                    }
                     // Eq. 3/8: spike and scaled output; Eq. 4 soft reset
-                    // consumes U_temp into U(t) directly — eval never
-                    // needs the pre-reset copy the BPTT tape keeps.
+                    // consumes U_temp into U(t) in place.
                     out.reset_shaped(inp.shape());
                     let mut spike_count = 0u64;
                     for (o, u) in out.data_mut().iter_mut().zip(membrane.data_mut()) {
@@ -844,11 +896,45 @@ impl SnnNetwork {
                     }
                     stats.record(i, spike_count, inp.len());
                 }
-                SnnOp::MaxPool2d { k } => maxpool2d_into(&prev[node.inputs[0]], *k, out),
+                SnnOp::MaxPool2d { k } => {
+                    let mut argmax = tape.is_some().then(Vec::new);
+                    maxpool2d_into(&prev[node.inputs[0]], *k, out, argmax.as_mut());
+                    if let (Some(tape), Some(argmax)) = (tape.as_deref_mut(), argmax) {
+                        tape.aux[i] = StepAux::MaxPool { argmax };
+                    }
+                }
                 SnnOp::AvgPool2d { k } => avgpool2d_into(&prev[node.inputs[0]], *k, out),
-                // Eval dropout is the identity (masks only exist in
-                // forward_train, which uses the tape path).
-                SnnOp::Dropout { .. } => out.copy_from(&prev[node.inputs[0]]),
+                // Training samples the mask the first time step 0 reaches
+                // the node (so masks fill in node order) and applies it at
+                // every step; eval dropout is the identity.
+                SnnOp::Dropout { p } => {
+                    let inp = &prev[node.inputs[0]];
+                    match tape.as_deref_mut() {
+                        Some(tape) if *p > 0.0 => {
+                            let mask = tape.masks[i].get_or_insert_with(|| {
+                                let keep = 1.0 - p;
+                                let scale = 1.0 / keep;
+                                let mut mask = Tensor::zeros(inp.shape());
+                                for m in mask.data_mut() {
+                                    *m = if tape.rng.gen::<f32>() < keep {
+                                        scale
+                                    } else {
+                                        0.0
+                                    };
+                                }
+                                mask
+                            });
+                            assert_eq!(inp.shape(), mask.shape(), "dropout: mask shape mismatch");
+                            out.reset_shaped(inp.shape());
+                            for ((o, &v), &m) in
+                                out.data_mut().iter_mut().zip(inp.data()).zip(mask.data())
+                            {
+                                *o = v * m;
+                            }
+                        }
+                        _ => out.copy_from(inp),
+                    }
+                }
                 SnnOp::Flatten => {
                     let inp = &prev[node.inputs[0]];
                     let n = inp.shape()[0];
@@ -954,33 +1040,32 @@ impl SnnNetwork {
     }
 
     /// Training-mode unrolled forward pass: records the full BPTT tape.
-    /// Dropout masks are sampled the first time step 0 reaches each
-    /// dropout node (in node order) and shared across time steps.
+    /// Runs the same [`Stepper`] and packed kernels as the eval entry
+    /// points, serially over the whole batch; each step's activations move
+    /// into the tape. Dropout masks are sampled the first time step 0
+    /// reaches each dropout node (in node order) and shared across time
+    /// steps.
     pub fn forward_train(&self, x: &Tensor, t_steps: usize, rng: &mut StdRng) -> SnnTape {
         assert!(t_steps > 0, "need at least one time step");
         let _span = ull_obs::span("snn.forward_train");
         let batch = x.shape()[0];
-        let mut stats = SpikeStats::new(self.nodes.len(), batch, t_steps);
-        let mut membranes: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
+        let mut run = self.stepper(batch, t_steps);
         let mut masks: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        let mut acts_all = Vec::with_capacity(t_steps);
-        let mut aux_all = Vec::with_capacity(t_steps);
-        let mut logits: Option<Tensor> = None;
+        let mut acts = Vec::with_capacity(t_steps);
+        let mut aux = Vec::with_capacity(t_steps);
         for _ in 0..t_steps {
-            let (acts, aux) = self.step(x, &mut membranes, &mut masks, rng, &mut stats);
-            accumulate_opt(&mut logits, &acts[self.output]);
-            acts_all.push(acts);
-            aux_all.push(aux);
+            let (step_acts, step_aux) = run.record_step(x, &mut masks, rng);
+            acts.push(step_acts);
+            aux.push(step_aux);
         }
-        let mut logits = logits.expect("at least one step ran");
-        logits.scale_in_place(1.0 / t_steps as f32);
+        let SnnOutput { logits, stats } = run.finish();
         ull_obs::counter_add("snn.forward.images", batch as u64);
         stats.publish_to_obs();
         SnnTape {
             steps: t_steps,
             logits,
-            acts: acts_all,
-            aux: aux_all,
+            acts,
+            aux,
             masks,
         }
     }
@@ -1005,111 +1090,6 @@ impl SnnNetwork {
                 delta
             })
             .collect()
-    }
-
-    /// One BPTT time step of [`SnnNetwork::forward_train`]: returns every
-    /// node's output plus the auxiliaries the backward pass reads. A
-    /// dropout node without a mask in `masks` samples one from `rng` (so
-    /// step 0 fills them, in node order); later steps reuse it.
-    fn step(
-        &self,
-        x: &Tensor,
-        membranes: &mut [Option<Tensor>],
-        masks: &mut [Option<Tensor>],
-        rng: &mut StdRng,
-        stats: &mut SpikeStats,
-    ) -> (Vec<Tensor>, Vec<StepAux>) {
-        let mut acts: Vec<Tensor> = Vec::with_capacity(self.nodes.len());
-        let mut auxes: Vec<StepAux> = Vec::with_capacity(self.nodes.len());
-        for (i, node) in self.nodes.iter().enumerate() {
-            let a = |j: usize| &acts[node.inputs[j]];
-            let mut aux = StepAux::None;
-            let value = match &node.op {
-                SnnOp::Input => x.clone(),
-                SnnOp::Conv2d { weight, bias, geo } => {
-                    conv2d(a(0), &weight.value, bias.as_ref().map(|b| &b.value), *geo)
-                }
-                SnnOp::Linear { weight, bias } => {
-                    let mut y = matmul_transpose_b(a(0), &weight.value);
-                    if let Some(b) = bias {
-                        let out = weight.value.shape()[0];
-                        let bd = b.value.data();
-                        for row in y.data_mut().chunks_mut(out) {
-                            for (v, &bb) in row.iter_mut().zip(bd) {
-                                *v += bb;
-                            }
-                        }
-                    }
-                    y
-                }
-                SnnOp::Spike(layer) => {
-                    let input = a(0);
-                    let v_th = layer.v_th.scalar_value();
-                    let leak = layer.leak.scalar_value();
-                    let amp = layer.amp;
-                    let u_prev = match membranes[i].take() {
-                        Some(u) => u,
-                        None => Tensor::full(input.shape(), layer.u_init),
-                    };
-                    let mut out = Tensor::zeros(input.shape());
-                    let mut spike_count = 0u64;
-                    // Eq. 2: U_temp = λ·U(t−1) + I(t)
-                    let mut u_temp = u_prev.scale(leak);
-                    u_temp.add_assign(input);
-                    // Hardening: corrupted weights can push membranes to
-                    // NaN/±∞, which would propagate silently. Only
-                    // non-finite or absurd values are rewritten, so clean
-                    // runs stay bit-identical.
-                    sanitize_membrane(&mut u_temp);
-                    // Eq. 3/8: spike and scaled output.
-                    let mut u_next = u_temp.clone();
-                    {
-                        let od = out.data_mut();
-                        let un = u_next.data_mut();
-                        for (j, &u) in u_temp.data().iter().enumerate() {
-                            if u > v_th {
-                                od[j] = amp;
-                                un[j] = u - v_th; // Eq. 4 soft reset by V^th
-                                spike_count += 1;
-                            }
-                        }
-                    }
-                    membranes[i] = Some(u_next);
-                    aux = StepAux::Spike { u_temp, u_prev };
-                    stats.record(i, spike_count, input.len());
-                    out
-                }
-                SnnOp::MaxPool2d { k } => {
-                    let p = maxpool2d(a(0), *k);
-                    aux = StepAux::MaxPool { argmax: p.argmax };
-                    p.output
-                }
-                SnnOp::AvgPool2d { k } => avgpool2d(a(0), *k),
-                SnnOp::Dropout { p } if *p > 0.0 => {
-                    let mask = masks[i].get_or_insert_with(|| {
-                        let keep = 1.0 - p;
-                        let scale = 1.0 / keep;
-                        let mut mask = Tensor::zeros(a(0).shape());
-                        for m in mask.data_mut() {
-                            *m = if rng.gen::<f32>() < keep { scale } else { 0.0 };
-                        }
-                        mask
-                    });
-                    a(0).mul(mask)
-                }
-                SnnOp::Dropout { .. } => a(0).clone(),
-                SnnOp::Flatten => {
-                    let t = a(0);
-                    let n = t.shape()[0];
-                    let rest: usize = t.shape()[1..].iter().product();
-                    t.reshape(&[n, rest]).expect("flatten preserves length")
-                }
-                SnnOp::Add => a(0).add(a(1)),
-            };
-            auxes.push(aux);
-            acts.push(value);
-        }
-        (acts, auxes)
     }
 
     /// Folds each spike layer's output amplitude into the next weighted

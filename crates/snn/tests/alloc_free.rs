@@ -1,7 +1,9 @@
 //! Proves the steady-state step loop of the eval forward pass — shared by
 //! `forward` and the probes — is allocation-free: once the
 //! `StepWorkspace` buffers have grown to their working sizes, additional
-//! time steps must not touch the allocator.
+//! time steps must not touch the allocator. The training forward runs the
+//! same loop, so its extra steps allocate exactly the buffers its BPTT
+//! tape keeps, and nothing else.
 //!
 //! The check compares total allocator hits for a short run against a
 //! longer run of the same network and input: every allocation the long
@@ -30,14 +32,23 @@ use ull_tensor::{parallel, Tensor};
 
 thread_local! {
     // Const-initialised and without a destructor, so the allocator can
-    // touch it at any point of a thread's life without allocating.
+    // touch them at any point of a thread's life without allocating.
     static ALLOC_HITS: Cell<u64> = const { Cell::new(0) };
+    static BUFFER_HITS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_hit() {
+/// A tensor's shape vector (at most 4 dims of `usize`) fits in this many
+/// bytes; every data buffer, argmax map and per-step vector in these tests
+/// is larger. Hits above it count as buffers.
+const SHAPE_BYTES: usize = 4 * std::mem::size_of::<usize>();
+
+fn count_hit(size: usize) {
     // `try_with` never panics inside the allocator, even while the
     // thread's locals are being torn down.
     let _ = ALLOC_HITS.try_with(|hits| hits.set(hits.get() + 1));
+    if size > SHAPE_BYTES {
+        let _ = BUFFER_HITS.try_with(|hits| hits.set(hits.get() + 1));
+    }
 }
 
 struct CountingAlloc;
@@ -46,17 +57,17 @@ struct CountingAlloc;
 // that needs no allocation.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_hit();
+        count_hit(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_hit();
+        count_hit(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_hit();
+        count_hit(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -75,6 +86,7 @@ fn test_net(seed: u64) -> SnnNetwork {
     b.conv2d(5, 3, 1, 1);
     b.threshold_relu(0.9);
     b.maxpool(2);
+    b.dropout(0.3);
     b.flatten();
     b.linear(5);
     let dnn = b.build();
@@ -151,6 +163,48 @@ fn probe_steady_state_steps_do_not_allocate() {
     assert!(
         long <= short,
         "forward_rates steady-state steps allocated: T=2 cost {short} hits, T=8 cost {long}"
+    );
+
+    parallel::set_threads(0);
+}
+
+/// Allocator hits above [`SHAPE_BYTES`] on the calling thread while `f`
+/// runs: the data buffers, leaving out tensors' shape vectors.
+fn buffers_during(f: impl FnOnce()) -> u64 {
+    let before = BUFFER_HITS.with(Cell::get);
+    f();
+    BUFFER_HITS.with(Cell::get) - before
+}
+
+/// `forward_train` runs the eval step loop and moves each step's
+/// activations into the tape, so every extra step allocates exactly the
+/// buffers the tape stores for it: one activation per node, `U(t−1)` and
+/// `U_temp` per spike node, one argmax per maxpool, plus the step's two
+/// per-node vectors. The conv im2col and GEMM scratch live in the
+/// workspace, and the dropout mask is sampled once, so neither shows up.
+#[test]
+fn training_steps_allocate_only_what_the_tape_keeps() {
+    let snn = test_net(44);
+    let x = normal(&[3, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(97));
+    let _threads = parallel::override_lock();
+    parallel::set_threads(1);
+
+    snn.forward_train(&x, 1, &mut seeded_rng(0));
+
+    let short = buffers_during(|| {
+        snn.forward_train(&x, 2, &mut seeded_rng(0));
+    });
+    let long = buffers_during(|| {
+        snn.forward_train(&x, 4, &mut seeded_rng(0));
+    });
+    let count = |f: fn(&SnnOp) -> bool| snn.nodes().iter().filter(|n| f(&n.op)).count() as u64;
+    let spikes = count(|op| matches!(op, SnnOp::Spike(_)));
+    let maxpools = count(|op| matches!(op, SnnOp::MaxPool2d { .. }));
+    let per_step = snn.nodes().len() as u64 + 2 * spikes + maxpools + 2;
+    assert_eq!(
+        long - short,
+        2 * per_step,
+        "T=2 cost {short} buffers, T=4 cost {long}; each step should add {per_step}"
     );
 
     parallel::set_threads(0);
@@ -243,8 +297,7 @@ impl StepTamper for NoopTamper {
 /// Stale-pack guard: writing weights through `nodes_mut` between
 /// (tampered) forwards drops the network's pack, so the next forward
 /// re-packs instead of using the stale layout — and stays bit-identical
-/// to the `forward_train` tape, which runs the unpacked kernels on the
-/// mutated weights.
+/// to the unpacked reference step on the mutated weights.
 #[test]
 fn tampered_weight_mutation_triggers_repack() {
     let mut snn = test_net(11);
@@ -271,11 +324,12 @@ fn tampered_weight_mutation_triggers_repack() {
         "mutated weights must re-pack"
     );
 
-    // The re-packed result must match the unpacked tape on the mutated
-    // weights bit for bit — a stale pack would reproduce the old weights.
-    let tape = snn.forward_train(&x, 3, &mut seeded_rng(0));
-    assert_eq!(packed_out.logits.shape(), tape.logits.shape());
-    for (p, u) in packed_out.logits.data().iter().zip(tape.logits.data()) {
+    // The re-packed result must match the unpacked reference on the
+    // mutated weights bit for bit — a stale pack would reproduce the old
+    // weights.
+    let reference = common::reference::reference_run(&snn, &x, 3, None);
+    assert_eq!(packed_out.logits.shape(), reference.logits.shape());
+    for (p, u) in packed_out.logits.data().iter().zip(reference.logits.data()) {
         assert_eq!(p.to_bits(), u.to_bits(), "{p} vs {u}");
     }
 

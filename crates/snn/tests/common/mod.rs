@@ -1,4 +1,8 @@
-//! Helpers shared by the `ull-snn` integration tests.
+//! Helpers shared by the `ull-snn` integration tests. Each test binary
+//! compiles its own copy and uses a subset of it.
+#![allow(dead_code)]
+
+pub mod reference;
 
 use ull_nn::Param;
 use ull_snn::{SnnNetwork, SnnOp};

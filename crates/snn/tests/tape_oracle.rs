@@ -1,18 +1,20 @@
-//! Equivalence suite for the eval step engine. Every eval entry point
-//! (`forward`, `forward_until`, `forward_rates`, `forward_trace`,
-//! `forward_with_encoding`) runs the packed kernels through one step
-//! loop, so the independent reference is the BPTT tape of
-//! `forward_train`, which runs its own step on the unpacked kernels: on
-//! dropout-free nets every entry point must reproduce it bit for bit, at
-//! any batch size and thread count. Fault injection via
-//! `forward_tampered` has no tape counterpart, so it is checked for
-//! thread-count invariance instead.
+//! Equivalence suite for the step engine. Every forward entry point —
+//! `forward`, `forward_until`, `forward_rates`, `forward_trace`,
+//! `forward_with_encoding` and the BPTT tape of `forward_train` — runs
+//! the packed kernels through one step loop. The independent reference is
+//! the unpacked step of `tests/common/reference.rs`: every eval entry
+//! point must reproduce its eval run, and `forward_train` its training
+//! run (activations, dropout masks and logits), bit for bit at any batch
+//! size and thread count. Fault injection via `forward_tampered` has no
+//! reference counterpart, so it is checked for thread-count invariance
+//! instead.
 //!
 //! The oracle nets carry non-zero biases on every conv/linear node, so a
-//! bias the eval engine dropped would show.
+//! bias the engine dropped would show.
 
 mod common;
 
+use common::reference::{nonzero, reference_run};
 use common::with_biases;
 use proptest::prelude::*;
 use ull_nn::{cross_entropy_grad, NetworkBuilder, NodeId};
@@ -21,20 +23,16 @@ use ull_tensor::init::{mix64, normal, seeded_rng};
 use ull_tensor::{parallel, Tensor};
 
 /// Conv → spike → strided+padded biased conv → spike → maxpool →
-/// dropout → flatten → linear. Covers both weighted kernels on both
-/// analog-fed and spike-fed inputs.
+/// dropout(0.4) → flatten → linear. Covers both weighted kernels on both
+/// analog-fed and spike-fed inputs, and a sampled dropout mask.
 fn conv_chain(seed: u64) -> SnnNetwork {
-    conv_chain_with_dropout(seed, 0.4)
-}
-
-fn conv_chain_with_dropout(seed: u64, p: f32) -> SnnNetwork {
     let mut b = NetworkBuilder::new(2, 8, seed);
     b.conv2d(4, 3, 1, 1);
     b.threshold_relu(0.7);
     b.conv2d_opts(5, 3, 2, 1, true);
     b.threshold_relu(0.9);
     b.maxpool(2);
-    b.dropout(p);
+    b.dropout(0.4);
     b.flatten();
     b.linear(5);
     let dnn = b.build();
@@ -119,50 +117,38 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn eval_entry_points_match_the_tape_oracle(
+    fn eval_entry_points_match_the_reference(
         seed in 0u64..1000,
         batch in 1usize..6,
         t_steps in 1usize..5,
     ) {
         let x = normal(&[batch, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(seed ^ 0x7a9e));
         let _threads = parallel::override_lock();
-        let oracle_nets = [
-            ("conv_chain", with_biases(conv_chain_with_dropout(seed, 0.0), seed)),
-            ("residual", with_biases(residual_net(seed), seed)),
-        ];
-        for (name, snn) in oracle_nets {
-            let tape = snn.forward_train(&x, t_steps, &mut seeded_rng(seed));
-            let acts = tape.acts();
+        for (name, snn) in nets(seed) {
+            // Eval run: dropout is the identity.
+            let reference = reference_run(&snn, &x, t_steps, None);
+            let acts = &reference.acts;
+            let spikes = reference.spikes_per_node(&snn);
             let spike_ids = snn.spike_nodes();
-            // Spikes per node over the whole run, read off the tape.
-            let tape_spikes: Vec<u64> = (0..snn.nodes().len())
-                .map(|node| match snn.nodes()[node].op {
-                    SnnOp::Spike(_) => acts
-                        .iter()
-                        .map(|step| step[node].data().iter().filter(|v| **v != 0.0).count() as u64)
-                        .sum(),
-                    _ => 0,
-                })
-                .collect();
             for threads in [1usize, 4] {
                 parallel::set_threads(threads);
                 let ctx = format!("{name}: threads {threads}");
 
                 let out = snn.forward(&x, t_steps);
-                prop_assert_eq!(&out.logits, &tape.logits, "forward {}", ctx);
-                prop_assert_eq!(out.stats.spikes_per_node(), &tape_spikes[..], "forward {}", ctx);
+                prop_assert_eq!(&out.logits, &reference.logits, "forward {}", ctx);
+                prop_assert_eq!(out.stats.spikes_per_node(), &spikes[..], "forward {}", ctx);
 
                 let (until, steps) = snn.forward_until(&x, t_steps, |_, _| true);
                 prop_assert_eq!(steps, t_steps, "{}", ctx);
-                prop_assert_eq!(&until.logits, &tape.logits, "forward_until {}", ctx);
+                prop_assert_eq!(&until.logits, &reference.logits, "forward_until {}", ctx);
 
                 let direct = snn.forward_with_encoding(
                     &x, t_steps, InputEncoding::Direct, &mut seeded_rng(0),
                 );
-                prop_assert_eq!(&direct.logits, &tape.logits, "Direct encoding {}", ctx);
+                prop_assert_eq!(&direct.logits, &reference.logits, "Direct encoding {}", ctx);
 
                 let (rated, rates) = snn.forward_rates(&x, t_steps);
-                prop_assert_eq!(&rated.logits, &tape.logits, "forward_rates {}", ctx);
+                prop_assert_eq!(&rated.logits, &reference.logits, "forward_rates {}", ctx);
                 prop_assert_eq!(rates.len(), spike_ids.len());
                 for (id, current, output) in &rates {
                     let input = snn.nodes()[*id].inputs[0];
@@ -177,12 +163,40 @@ proptest! {
                 for (t, (counts, step)) in trace.iter().zip(acts).enumerate() {
                     for (node, (&count, act)) in counts.iter().zip(step).enumerate() {
                         let want = if matches!(snn.nodes()[node].op, SnnOp::Spike(_)) {
-                            act.data().iter().filter(|v| **v != 0.0).count() as u64
+                            nonzero(act)
                         } else {
                             0
                         };
                         prop_assert_eq!(count, want, "trace step {} node {} {}", t, node, ctx);
                     }
+                }
+            }
+        }
+        parallel::set_threads(0);
+    }
+
+    /// `forward_train` records every activation, samples the dropout masks
+    /// from its RNG in the reference's order, and averages the same logits
+    /// — bit for bit, at any thread count.
+    #[test]
+    fn forward_train_tape_matches_the_reference(
+        seed in 0u64..1000,
+        batch in 1usize..6,
+        t_steps in 1usize..5,
+    ) {
+        let x = normal(&[batch, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(seed ^ 0x51a7));
+        let _threads = parallel::override_lock();
+        for (name, snn) in nets(seed) {
+            let reference = reference_run(&snn, &x, t_steps, Some(&mut seeded_rng(seed)));
+            for threads in [1usize, 4] {
+                parallel::set_threads(threads);
+                let ctx = format!("{name}: threads {threads}");
+                let tape = snn.forward_train(&x, t_steps, &mut seeded_rng(seed));
+                prop_assert_eq!(tape.steps, t_steps, "{}", ctx);
+                prop_assert_eq!(&tape.logits, &reference.logits, "logits {}", ctx);
+                prop_assert_eq!(tape.acts(), &reference.acts[..], "activations {}", ctx);
+                for (node, mask) in reference.masks.iter().enumerate() {
+                    prop_assert_eq!(tape.mask(node), mask.as_ref(), "mask {} {}", node, ctx);
                 }
             }
         }

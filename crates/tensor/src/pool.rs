@@ -21,12 +21,33 @@ pub struct MaxPoolOutput {
 /// Max pooling over `k × k` windows with stride `k` (the paper's usage).
 ///
 /// Returns the pooled tensor and the winning input index per output cell.
+/// A thin wrapper over [`maxpool2d_into`].
 ///
 /// # Panics
 ///
 /// Panics if `input` is not rank 4, `k` is 0, or the spatial dims are not
 /// divisible by `k`.
 pub fn maxpool2d(input: &Tensor, k: usize) -> MaxPoolOutput {
+    let mut output = Tensor::default();
+    let mut argmax = Vec::new();
+    maxpool2d_into(input, k, &mut output, Some(&mut argmax));
+    MaxPoolOutput { output, argmax }
+}
+
+/// [`maxpool2d`] writing into a caller-owned output tensor (resized in
+/// place, allocation-free at steady state). The argmax map is written to
+/// `argmax` (resized in place) when one is given; the SNN eval loop passes
+/// `None`, the BPTT tape a fresh vector per step.
+///
+/// # Panics
+///
+/// Same conditions as [`maxpool2d`].
+pub fn maxpool2d_into(
+    input: &Tensor,
+    k: usize,
+    out: &mut Tensor,
+    mut argmax: Option<&mut Vec<usize>>,
+) {
     let [n, c, h, w] = dims4(input);
     assert!(k > 0, "pooling window must be positive");
     assert!(
@@ -34,8 +55,12 @@ pub fn maxpool2d(input: &Tensor, k: usize) -> MaxPoolOutput {
         "maxpool2d: input {h}x{w} not divisible by window {k}"
     );
     let (oh, ow) = (h / k, w / k);
-    let mut out = vec![0.0f32; n * c * oh * ow];
-    let mut arg = vec![0usize; n * c * oh * ow];
+    out.reset_shaped(&[n, c, oh, ow]);
+    if let Some(arg) = argmax.as_deref_mut() {
+        arg.clear();
+        arg.resize(out.len(), 0);
+    }
+    let od = out.data_mut();
     let data = input.data();
     for b in 0..n {
         for ch in 0..c {
@@ -55,54 +80,10 @@ pub fn maxpool2d(input: &Tensor, k: usize) -> MaxPoolOutput {
                             }
                         }
                     }
-                    out[oplane + oy * ow + ox] = best;
-                    arg[oplane + oy * ow + ox] = best_idx;
-                }
-            }
-        }
-    }
-    MaxPoolOutput {
-        output: Tensor::from_vec(out, &[n, c, oh, ow]).expect("maxpool output length"),
-        argmax: arg,
-    }
-}
-
-/// Eval-only [`maxpool2d`] writing into a caller-owned output tensor
-/// (resized in place) and skipping the argmax map — the SNN inference loop
-/// never needs it, and dropping it makes the step workspace allocation-free.
-/// Output values are bit-identical to [`maxpool2d`].
-///
-/// # Panics
-///
-/// Same conditions as [`maxpool2d`].
-pub fn maxpool2d_into(input: &Tensor, k: usize, out: &mut Tensor) {
-    let [n, c, h, w] = dims4(input);
-    assert!(k > 0, "pooling window must be positive");
-    assert!(
-        h % k == 0 && w % k == 0,
-        "maxpool2d: input {h}x{w} not divisible by window {k}"
-    );
-    let (oh, ow) = (h / k, w / k);
-    out.reset_shaped(&[n, c, oh, ow]);
-    let od = out.data_mut();
-    let data = input.data();
-    for b in 0..n {
-        for ch in 0..c {
-            let plane = (b * c + ch) * h * w;
-            let oplane = (b * c + ch) * oh * ow;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    for ky in 0..k {
-                        let row = plane + (oy * k + ky) * w + ox * k;
-                        for kx in 0..k {
-                            let v = data[row + kx];
-                            if v > best {
-                                best = v;
-                            }
-                        }
-                    }
                     od[oplane + oy * ow + ox] = best;
+                    if let Some(arg) = argmax.as_deref_mut() {
+                        arg[oplane + oy * ow + ox] = best_idx;
+                    }
                 }
             }
         }
@@ -129,46 +110,21 @@ pub fn maxpool2d_backward(grad_out: &Tensor, argmax: &[usize], input_shape: &[us
     dx
 }
 
-/// Average pooling over `k × k` windows with stride `k`.
+/// Average pooling over `k × k` windows with stride `k`. A thin wrapper
+/// over [`avgpool2d_into`].
 ///
 /// # Panics
 ///
 /// Panics if `input` is not rank 4, `k` is 0, or the spatial dims are not
 /// divisible by `k`.
 pub fn avgpool2d(input: &Tensor, k: usize) -> Tensor {
-    let [n, c, h, w] = dims4(input);
-    assert!(k > 0, "pooling window must be positive");
-    assert!(
-        h % k == 0 && w % k == 0,
-        "avgpool2d: input {h}x{w} not divisible by window {k}"
-    );
-    let (oh, ow) = (h / k, w / k);
-    let inv = 1.0 / (k * k) as f32;
-    let mut out = vec![0.0f32; n * c * oh * ow];
-    let data = input.data();
-    for b in 0..n {
-        for ch in 0..c {
-            let plane = (b * c + ch) * h * w;
-            let oplane = (b * c + ch) * oh * ow;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = 0.0;
-                    for ky in 0..k {
-                        let row = plane + (oy * k + ky) * w + ox * k;
-                        for kx in 0..k {
-                            acc += data[row + kx];
-                        }
-                    }
-                    out[oplane + oy * ow + ox] = acc * inv;
-                }
-            }
-        }
-    }
-    Tensor::from_vec(out, &[n, c, oh, ow]).expect("avgpool output length")
+    let mut out = Tensor::default();
+    avgpool2d_into(input, k, &mut out);
+    out
 }
 
 /// [`avgpool2d`] writing into a caller-owned output tensor (resized in
-/// place, allocation-free at steady state). Bit-identical to [`avgpool2d`].
+/// place, allocation-free at steady state).
 ///
 /// # Panics
 ///
@@ -362,9 +318,15 @@ mod tests {
             &[2, 2, 4, 4],
         )
         .unwrap();
-        let mut out = Tensor::zeros(&[5]);
-        maxpool2d_into(&x, 2, &mut out);
-        assert_eq!(out, maxpool2d(&x, 2).output);
+        // Reused buffers of the wrong size are reshaped and overwritten.
+        let want = maxpool2d(&x, 2);
+        let mut out = Tensor::full(&[5], 9.0);
+        let mut argmax = vec![7; 3];
+        maxpool2d_into(&x, 2, &mut out, Some(&mut argmax));
+        assert_eq!(out, want.output);
+        assert_eq!(argmax, want.argmax);
+        maxpool2d_into(&x, 2, &mut out, None);
+        assert_eq!(out, want.output);
         avgpool2d_into(&x, 2, &mut out);
         assert_eq!(out, avgpool2d(&x, 2));
     }
