@@ -1,4 +1,4 @@
-//! Shared harness for the experiment binaries and Criterion benches that
+//! Shared harness for the experiment binaries that
 //! regenerate every table and figure of the paper (see DESIGN.md §4 for
 //! the experiment index and EXPERIMENTS.md for recorded results).
 

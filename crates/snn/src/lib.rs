@@ -17,10 +17,13 @@
 //!   `0 ≤ u ≤ 2V^th` and detached reset, jointly training weights,
 //!   thresholds and leaks as in [7] (Rathi et al., DIET-SNN).
 //!
-//! The tape recorded by [`SnnNetwork::forward_train`] exposes its exact
-//! memory footprint, which is what Fig. 3 of the paper measures: BPTT
-//! memory and time scale linearly with T, which is why 2–3 step SNNs are so
-//! much cheaper to train than 5-step ones.
+//! Inference and training share one step loop over the packed kernels:
+//! [`SnnNetwork::forward_train`] runs the same step as
+//! [`SnnNetwork::forward`] and additionally records the BPTT tape (every
+//! activation, the membranes, maxpool argmax and dropout masks). The tape
+//! exposes its exact memory footprint, which is what Fig. 3 of the paper
+//! measures: BPTT memory and time scale linearly with T, which is why 2–3
+//! step SNNs are so much cheaper to train than 5-step ones.
 //!
 //! # Example
 //!

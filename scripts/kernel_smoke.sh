@@ -7,7 +7,9 @@
 # dropped by every `&mut` accessor and rebuilt once when racing threads
 # run the first forward (the `packing` ownership tests, at 1 and 4
 # threads), and steady-state forwards allocate nothing (alloc_free).
-# Wall-clock is never gated — only counted work and bit-identity are
+# Eval and training share the packed kernels, so every forward entry
+# point and the forward_train tape must match the unpacked reference step
+# bit for bit (tape_oracle, at 1 and 4 threads). Wall-clock is never gated — only counted work and bit-identity are
 # reliable on a small shared machine.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -24,5 +26,9 @@ echo "== pack ownership, staleness and allocation gates (snn) =="
 ULL_THREADS=1 cargo test -p ull-snn --test alloc_free -q
 ULL_THREADS=1 cargo test -p ull-snn packing -q
 ULL_THREADS=4 cargo test -p ull-snn packing -q
+
+echo "== step engine vs unpacked reference: eval and training tape (snn) =="
+ULL_THREADS=1 cargo test -p ull-snn --test tape_oracle -q
+ULL_THREADS=4 cargo test -p ull-snn --test tape_oracle -q
 
 echo "kernel smoke test passed"
