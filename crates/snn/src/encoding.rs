@@ -89,7 +89,7 @@ impl SnnNetwork {
         let batch = x.shape()[0];
         let mut run = self.stepper(batch, t_steps);
         for _ in 0..t_steps {
-            run.step(&encoding.encode_step(x, rng));
+            run.step(&encoding.encode_step(x, rng), None);
         }
         let out = run.finish();
         ull_obs::counter_add("snn.forward.images", batch as u64);

@@ -263,7 +263,7 @@ pub(crate) enum StepAux {
 /// The BPTT extras of one training step, handed to
 /// [`SnnNetwork::step_ws`]: the dropout masks shared by every step, the
 /// RNG that samples them, and this step's per-node [`StepAux`].
-struct TapeStep<'a> {
+pub(crate) struct TapeStep<'a> {
     masks: &'a mut [Option<Tensor>],
     rng: &'a mut StdRng,
     aux: Vec<StepAux>,
@@ -298,8 +298,8 @@ impl StepWorkspace {
 /// network's weight pack and the optional tamper hook, plus the running sum
 /// of the output node. Every forward entry point — [`SnnNetwork::forward`]'s
 /// batch chunks, the probes, the input encodings and
-/// [`SnnNetwork::forward_train`] — is a short loop over [`Stepper::step`]
-/// or [`Stepper::record_step`], so they all share [`SnnNetwork::step_ws`].
+/// [`SnnNetwork::forward_train`] — is a short loop over [`Stepper::step`],
+/// so they all share [`SnnNetwork::step_ws`].
 pub(crate) struct Stepper<'a> {
     net: &'a SnnNetwork,
     ws: StepWorkspace,
@@ -331,36 +331,15 @@ impl<'a> Stepper<'a> {
         }
     }
 
-    /// Simulates the next time step on `input` and returns every node's
-    /// output. The activations live in the workspace and are overwritten
-    /// by the next step.
-    pub(crate) fn step(&mut self, input: &Tensor) -> &[Tensor] {
-        self.step_with(input, None)
-    }
-
-    /// Simulates the next time step like [`Stepper::step`] while recording
-    /// the BPTT extras, then moves every node's output out of the
-    /// workspace (no copy): returns this step's tape entries.
-    fn record_step(
+    /// Simulates the next time step on `input` (recording the BPTT extras
+    /// into `tape` when given) and returns every node's output. The
+    /// activations live in the workspace and are overwritten by the next
+    /// step unless the caller moves them out.
+    pub(crate) fn step(
         &mut self,
         input: &Tensor,
-        masks: &mut [Option<Tensor>],
-        rng: &mut StdRng,
-    ) -> (Vec<Tensor>, Vec<StepAux>) {
-        let mut tape = TapeStep {
-            masks,
-            rng,
-            aux: vec![StepAux::None; self.net.nodes.len()],
-        };
-        let acts = self
-            .step_with(input, Some(&mut tape))
-            .iter_mut()
-            .map(std::mem::take)
-            .collect();
-        (acts, tape.aux)
-    }
-
-    fn step_with(&mut self, input: &Tensor, tape: Option<&mut TapeStep<'_>>) -> &mut [Tensor] {
+        tape: Option<&mut TapeStep<'_>>,
+    ) -> &mut [Tensor] {
         let tamper = self.tamper.map(|(hook, off)| (hook, self.steps, off));
         self.net.step_ws(
             input,
@@ -596,13 +575,7 @@ impl SnnNetwork {
     pub fn visit_params_mut(&mut self, mut f: impl FnMut(&mut Param)) {
         for node in self.nodes_mut() {
             match &mut node.op {
-                SnnOp::Conv2d { weight, bias, .. } => {
-                    f(weight);
-                    if let Some(b) = bias {
-                        f(b);
-                    }
-                }
-                SnnOp::Linear { weight, bias } => {
+                SnnOp::Conv2d { weight, bias, .. } | SnnOp::Linear { weight, bias } => {
                     f(weight);
                     if let Some(b) = bias {
                         f(b);
@@ -621,13 +594,7 @@ impl SnnNetwork {
     pub fn visit_params(&self, mut f: impl FnMut(&Param)) {
         for node in &self.nodes {
             match &node.op {
-                SnnOp::Conv2d { weight, bias, .. } => {
-                    f(weight);
-                    if let Some(b) = bias {
-                        f(b);
-                    }
-                }
-                SnnOp::Linear { weight, bias } => {
+                SnnOp::Conv2d { weight, bias, .. } | SnnOp::Linear { weight, bias } => {
                     f(weight);
                     if let Some(b) = bias {
                         f(b);
@@ -791,7 +758,7 @@ impl SnnNetwork {
     ) -> SnnOutput {
         let mut run = Stepper::new(self, x.shape()[0], t_steps, tamper);
         for _ in 0..t_steps {
-            run.step(x);
+            run.step(x, None);
         }
         run.finish()
     }
@@ -994,7 +961,7 @@ impl SnnNetwork {
         let mut mean = Tensor::default();
         let mut steps = 0;
         while steps < t_max {
-            run.step(x);
+            run.step(x, None);
             steps += 1;
             run.mean_logits_into(&mut mean);
             if !keep_going(steps, &mean) {
@@ -1018,7 +985,7 @@ impl SnnNetwork {
         let spike_ids = self.spike_nodes();
         let mut sums: Vec<(Option<Tensor>, Option<Tensor>)> = vec![(None, None); spike_ids.len()];
         for _ in 0..t_steps {
-            let acts = run.step(x);
+            let acts = run.step(x, None);
             for (&id, (current, output)) in spike_ids.iter().zip(&mut sums) {
                 accumulate_opt(current, &acts[self.nodes[id].inputs[0]]);
                 accumulate_opt(output, &acts[id]);
@@ -1054,9 +1021,14 @@ impl SnnNetwork {
         let mut acts = Vec::with_capacity(t_steps);
         let mut aux = Vec::with_capacity(t_steps);
         for _ in 0..t_steps {
-            let (step_acts, step_aux) = run.record_step(x, &mut masks, rng);
-            acts.push(step_acts);
-            aux.push(step_aux);
+            let mut tape = TapeStep {
+                masks: &mut masks,
+                rng: &mut *rng,
+                aux: vec![StepAux::None; self.nodes.len()],
+            };
+            let step = run.step(x, Some(&mut tape));
+            acts.push(step.iter_mut().map(std::mem::take).collect());
+            aux.push(tape.aux);
         }
         let SnnOutput { logits, stats } = run.finish();
         ull_obs::counter_add("snn.forward.images", batch as u64);
@@ -1083,7 +1055,7 @@ impl SnnNetwork {
         let mut prev = vec![0u64; self.nodes.len()];
         (0..t_steps)
             .map(|_| {
-                run.step(x);
+                run.step(x, None);
                 let now = run.stats().spikes_per_node();
                 let delta = now.iter().zip(&prev).map(|(&a, &b)| a - b).collect();
                 prev.copy_from_slice(now);
