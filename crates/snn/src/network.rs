@@ -280,8 +280,9 @@ struct StepWorkspace {
     membranes: Vec<Option<Tensor>>,
     /// Per-node output of the current step, reused across steps.
     acts: Vec<Tensor>,
-    /// Per-conv-node im2col/GEMM scratch.
-    conv_scratch: Vec<ConvScratch>,
+    /// im2col/GEMM scratch shared by the conv nodes, which run one at a
+    /// time; it grows to the largest layer's size in the first step.
+    conv_scratch: ConvScratch,
 }
 
 impl StepWorkspace {
@@ -289,7 +290,7 @@ impl StepWorkspace {
         StepWorkspace {
             membranes: vec![None; n_nodes],
             acts: vec![Tensor::default(); n_nodes],
-            conv_scratch: vec![ConvScratch::default(); n_nodes],
+            conv_scratch: ConvScratch::default(),
         }
     }
 }
@@ -810,7 +811,7 @@ impl SnnNetwork {
                     let pw = pack.node(i).expect("every weighted node is packed");
                     let bias_t = bias.as_ref().map(|b| &b.value);
                     let inp = &prev[node.inputs[0]];
-                    conv2d_packed_into(inp, pw, bias_t, *geo, &mut conv_scratch[i], out);
+                    conv2d_packed_into(inp, pw, bias_t, *geo, conv_scratch, out);
                 }
                 SnnOp::Linear { weight, bias } => {
                     let pw = pack.node(i).expect("every weighted node is packed");

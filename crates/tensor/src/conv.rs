@@ -205,8 +205,10 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, geo: ConvG
 }
 
 /// Reusable intermediate buffers for [`conv2d_into`]: the im2col column
-/// matrix and the `[N·OH·OW, F]` GEMM product. Keeping one per conv node in
-/// the SNN step workspace removes the two largest per-step allocations.
+/// matrix and the `[N·OH·OW, F]` GEMM product. The SNN step workspace keeps
+/// one, shared by its conv nodes, which removes the two largest per-step
+/// allocations. Every call refills the buffers completely, so one scratch
+/// serves layers of any geometry.
 #[derive(Debug, Default, Clone)]
 pub struct ConvScratch {
     cols: Vec<f32>,
