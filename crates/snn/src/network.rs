@@ -878,17 +878,13 @@ impl SnnNetwork {
                 SnnOp::Dropout { p } => {
                     let inp = &prev[node.inputs[0]];
                     match tape.as_deref_mut() {
-                        Some(tape) if *p > 0.0 => {
-                            let mask = tape.masks[i].get_or_insert_with(|| {
+                        Some(TapeStep { masks, rng, .. }) if *p > 0.0 => {
+                            let mask = masks[i].get_or_insert_with(|| {
                                 let keep = 1.0 - p;
                                 let scale = 1.0 / keep;
                                 let mut mask = Tensor::zeros(inp.shape());
                                 for m in mask.data_mut() {
-                                    *m = if tape.rng.gen::<f32>() < keep {
-                                        scale
-                                    } else {
-                                        0.0
-                                    };
+                                    *m = if rng.gen::<f32>() < keep { scale } else { 0.0 };
                                 }
                                 mask
                             });
