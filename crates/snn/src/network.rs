@@ -765,7 +765,7 @@ impl SnnNetwork {
     }
 
     /// A serial, untampered [`Stepper`] over this network's packed weights
-    /// — the engine of every single-chunk eval entry point.
+    /// — the engine of every single-chunk entry point, eval or training.
     pub(crate) fn stepper(&self, batch: usize, t_steps: usize) -> Stepper<'_> {
         Stepper::new(self, batch, t_steps, None)
     }
@@ -838,8 +838,6 @@ impl SnnNetwork {
                     for (u, &iv) in membrane.data_mut().iter_mut().zip(inp.data()) {
                         *u = *u * leak + iv;
                     }
-                    // Hardening: corrupted weights can push membranes to
-                    // NaN/±∞; only such values are rewritten.
                     sanitize_membrane(membrane);
                     if let (Some(tape), Some(u_prev)) = (tape.as_deref_mut(), u_prev) {
                         tape.aux[i] = StepAux::Spike {
