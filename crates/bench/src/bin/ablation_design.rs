@@ -17,10 +17,9 @@
 use serde::Serialize;
 use ull_bench::{load_data, train_or_load_dnn, write_report, Arch, Scale};
 use ull_core::{convert, ConversionMethod};
-use ull_nn::{LrSchedule, SgdConfig};
+use ull_nn::{LrSchedule, Sgd, SgdConfig};
 use ull_snn::{
-    evaluate_snn, train_snn_epoch, InputEncoding, SnnNetwork, SnnOp, SnnSgd, SnnTrainConfig,
-    SpikeSpec,
+    evaluate_snn, train_snn_epoch, InputEncoding, SnnNetwork, SnnOp, SnnTrainConfig, SpikeSpec,
 };
 use ull_tensor::init::seeded_rng;
 
@@ -46,7 +45,7 @@ fn sgl(
     batch: usize,
     train_leak: bool,
 ) -> f32 {
-    let sgd = SnnSgd::new(SgdConfig {
+    let sgd = Sgd::new(SgdConfig {
         lr: 0.005,
         momentum: 0.9,
         weight_decay: 0.0,

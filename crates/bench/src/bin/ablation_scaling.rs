@@ -19,8 +19,8 @@ use ull_bench::{load_data, train_or_load_dnn, write_report, Arch, Scale};
 use ull_core::{
     collect_preactivations, compute_loss, convert, find_scaling_factors, ConversionMethod,
 };
-use ull_nn::{LrSchedule, SgdConfig};
-use ull_snn::{evaluate_snn, train_snn_epoch, SnnSgd, SnnTrainConfig};
+use ull_nn::{LrSchedule, Sgd, SgdConfig};
+use ull_snn::{evaluate_snn, train_snn_epoch, SnnTrainConfig};
 use ull_tensor::init::seeded_rng;
 use ull_tensor::stats::percentile_table;
 
@@ -45,7 +45,7 @@ fn sgl_finetune(
     epochs: usize,
     batch: usize,
 ) -> f32 {
-    let sgd = SnnSgd::new(SgdConfig {
+    let sgd = Sgd::new(SgdConfig {
         lr: 0.005,
         momentum: 0.9,
         weight_decay: 0.0,

@@ -4,8 +4,8 @@
 
 use ull_bench::{load_data, train_or_load_dnn, Arch, Scale};
 use ull_core::{convert, ConversionMethod};
-use ull_nn::{LrSchedule, SgdConfig};
-use ull_snn::{evaluate_snn, train_snn_epoch, SnnSgd, SnnTrainConfig};
+use ull_nn::{LrSchedule, Sgd, SgdConfig};
+use ull_snn::{evaluate_snn, train_snn_epoch, SnnTrainConfig};
 use ull_tensor::init::seeded_rng;
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
         println!("\nT={t}: converted {:.1} %", conv_acc * 100.0);
         for lr in [0.02f32, 0.005, 0.001] {
             let mut snn = snn0.clone();
-            let sgd = SnnSgd::new(SgdConfig {
+            let sgd = Sgd::new(SgdConfig {
                 lr,
                 momentum: 0.9,
                 weight_decay: 0.0,

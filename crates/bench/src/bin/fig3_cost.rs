@@ -13,8 +13,8 @@
 use serde::Serialize;
 use ull_bench::{load_data, train_or_load_dnn, write_report, Arch, Scale};
 use ull_core::{convert, ConversionMethod};
-use ull_nn::{LrSchedule, SgdConfig};
-use ull_snn::{evaluate_snn, train_snn_epoch, SnnSgd, SnnTrainConfig};
+use ull_nn::{LrSchedule, Sgd, SgdConfig};
+use ull_snn::{evaluate_snn, train_snn_epoch, SnnTrainConfig};
 use ull_tensor::init::seeded_rng;
 
 #[derive(Serialize)]
@@ -56,7 +56,7 @@ fn main() {
     );
     for t in [2usize, 3, 5] {
         let (mut snn, _) = convert(&dnn, &train, ConversionMethod::AlphaBeta, t).expect("convert");
-        let sgd = SnnSgd::new(SgdConfig {
+        let sgd = Sgd::new(SgdConfig {
             lr: 0.005,
             momentum: 0.9,
             weight_decay: 0.0,

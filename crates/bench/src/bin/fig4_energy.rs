@@ -17,8 +17,8 @@ use serde::Serialize;
 use ull_bench::{load_data, train_or_load_dnn, write_report, Arch, Scale};
 use ull_core::{convert, ConversionMethod};
 use ull_energy::{audit_dnn, audit_snn, ComparisonRow, NeuromorphicModel};
-use ull_nn::{LrSchedule, SgdConfig};
-use ull_snn::{evaluate_snn, train_snn_epoch, SnnNetwork, SnnSgd, SnnTrainConfig};
+use ull_nn::{LrSchedule, Sgd, SgdConfig};
+use ull_snn::{evaluate_snn, train_snn_epoch, SnnNetwork, SnnTrainConfig};
 use ull_tensor::init::seeded_rng;
 
 #[derive(Serialize)]
@@ -52,7 +52,7 @@ fn finetune(
     epochs: usize,
     batch: usize,
 ) {
-    let sgd = SnnSgd::new(SgdConfig {
+    let sgd = Sgd::new(SgdConfig {
         lr: 0.005,
         momentum: 0.9,
         weight_decay: 0.0,

@@ -19,8 +19,8 @@
 use serde::Serialize;
 use ull_bench::{load_data, train_or_load_dnn, write_report, Arch, Scale};
 use ull_core::{convert, run_pipeline, ConversionMethod, PipelineConfig};
-use ull_nn::SgdConfig;
-use ull_snn::{evaluate_snn, train_snn_epoch, SnnSgd, SnnTrainConfig};
+use ull_nn::{Sgd, SgdConfig};
+use ull_snn::{evaluate_snn, train_snn_epoch, SnnTrainConfig};
 use ull_tensor::init::seeded_rng;
 
 #[derive(Serialize)]
@@ -73,7 +73,7 @@ fn main() {
         let hybrid = |label: &str, t: usize, epochs: usize, rows: &mut Vec<Row>| {
             let (mut snn, _) =
                 convert(&dnn, &train, ConversionMethod::ThresholdBalance, t).expect("convert");
-            let sgd = SnnSgd::new(SgdConfig {
+            let sgd = Sgd::new(SgdConfig {
                 lr: 0.005,
                 momentum: 0.9,
                 weight_decay: 0.0,

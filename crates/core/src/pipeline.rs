@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use ull_data::Dataset;
 use ull_nn::{evaluate, train_epoch, LrSchedule, Network, Sgd, SgdConfig, TrainConfig};
-use ull_snn::{evaluate_snn, train_snn_epoch, SnnNetwork, SnnSgd, SnnTrainConfig};
+use ull_snn::{evaluate_snn, train_snn_epoch, SnnNetwork, SnnTrainConfig};
 
 use crate::convert::{convert, ConversionMethod, ConvertError};
 use crate::LayerScaling;
@@ -63,6 +63,30 @@ impl PipelineConfig {
             augment_flip: false,
         }
     }
+
+    /// Phase (a)'s optimizer, LR schedule and batch settings. Warmup and
+    /// gradient clipping stabilise batch-norm-free deep nets.
+    pub(crate) fn dnn_recipe(&self) -> (Sgd, LrSchedule, TrainConfig) {
+        let schedule = LrSchedule::paper(self.dnn_epochs).with_warmup(self.dnn_epochs / 10);
+        let tcfg = TrainConfig {
+            batch_size: self.batch_size,
+            augment_pad: self.augment_pad,
+            augment_flip: self.augment_flip,
+        };
+        (Sgd::new(self.dnn_sgd).with_clip(5.0), schedule, tcfg)
+    }
+
+    /// Phase (c)'s optimizer, LR schedule and batch settings.
+    pub(crate) fn snn_recipe(&self) -> (Sgd, LrSchedule, SnnTrainConfig) {
+        let stcfg = SnnTrainConfig {
+            batch_size: self.batch_size,
+            time_steps: self.time_steps,
+            augment_pad: self.augment_pad,
+            augment_flip: self.augment_flip,
+        };
+        let schedule = LrSchedule::paper(self.snn_epochs);
+        (Sgd::new(self.snn_sgd).with_clip(5.0), schedule, stcfg)
+    }
 }
 
 /// Result of one pipeline run — one row group of Table I.
@@ -111,14 +135,7 @@ pub fn run_pipeline(
     // Phase (a): DNN training with the paper's step-decay schedule.
     let phase_span = ull_obs::span("pipeline.train_dnn");
     let dnn_start = std::time::Instant::now();
-    // Warmup + gradient clipping stabilise batch-norm-free deep nets.
-    let sgd = Sgd::new(cfg.dnn_sgd).with_clip(5.0);
-    let tcfg = TrainConfig {
-        batch_size: cfg.batch_size,
-        augment_pad: cfg.augment_pad,
-        augment_flip: cfg.augment_flip,
-    };
-    let schedule = LrSchedule::paper(cfg.dnn_epochs).with_warmup(cfg.dnn_epochs / 10);
+    let (sgd, schedule, tcfg) = cfg.dnn_recipe();
     for e in 0..cfg.dnn_epochs {
         train_epoch(dnn, train_data, &sgd, schedule.factor(e), &tcfg, rng);
     }
@@ -135,14 +152,7 @@ pub fn run_pipeline(
     // Phase (c): SGL fine-tuning of weights, thresholds and leaks.
     let phase_span = ull_obs::span("pipeline.finetune_snn");
     let snn_start = std::time::Instant::now();
-    let snn_sgd = SnnSgd::new(cfg.snn_sgd).with_clip(5.0);
-    let stcfg = SnnTrainConfig {
-        batch_size: cfg.batch_size,
-        time_steps: cfg.time_steps,
-        augment_pad: cfg.augment_pad,
-        augment_flip: cfg.augment_flip,
-    };
-    let snn_schedule = LrSchedule::paper(cfg.snn_epochs);
+    let (snn_sgd, snn_schedule, stcfg) = cfg.snn_recipe();
     let mut best_acc = converted_accuracy;
     let mut best_snn = snn.clone();
     for e in 0..cfg.snn_epochs {

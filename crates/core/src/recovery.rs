@@ -29,14 +29,10 @@ use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use ull_data::Dataset;
 use ull_nn::{
-    evaluate, load_latest, save_with_meta, train_epoch_checked, train_epoch_with_hook,
-    CheckpointError, CheckpointMeta, LrSchedule, Network, Sgd, TrainConfig, TrainError,
-    CHECKPOINT_EXT,
+    evaluate, load_latest, save_with_meta, train_epoch_with_hook, CheckpointError, CheckpointMeta,
+    LrSchedule, Network, TrainError, Trainable, CHECKPOINT_EXT,
 };
-use ull_snn::{
-    evaluate_snn, train_snn_epoch_checked, train_snn_epoch_with_hook, SnnNetwork, SnnSgd,
-    SnnTrainConfig,
-};
+use ull_snn::{evaluate_snn, train_snn_epoch_with_hook, SnnNetwork};
 
 use crate::convert::{convert, ConvertError};
 use crate::faults::FaultPlan;
@@ -385,15 +381,11 @@ fn rollback(
     Ok(())
 }
 
-/// A parameter visitor callback, as accepted by `visit_params_mut` on
-/// both network types.
-type ParamVisitor<'a> = &'a mut dyn FnMut(&mut ull_nn::Param);
-
 /// Poisons the first gradient element of the first parameter with NaN —
 /// the payload of [`FaultKind::NanGradient`](crate::FaultKind::NanGradient).
-fn poison_first_grad(params: &mut dyn FnMut(ParamVisitor<'_>)) {
+fn poison_first_grad<N: Trainable>(net: &mut N) {
     let mut first = true;
-    params(&mut |p| {
+    net.visit_params_mut(|p| {
         if first && !p.grad.data().is_empty() {
             p.grad.data_mut()[0] = f32::NAN;
             first = false;
@@ -557,8 +549,6 @@ fn drive(
     plan: &mut FaultPlan,
     mut state: RunState,
 ) -> Result<(PipelineReport, SnnNetwork), PipelineError> {
-    let every_n = rcfg.every_n_epochs.max(1);
-
     // ---- Phase (a): DNN training -------------------------------------
     if state.phase == PipelinePhase::DnnTrain {
         let phase_span = ull_obs::span("pipeline.train_dnn");
@@ -566,76 +556,23 @@ fn drive(
         if state.epoch == 0 {
             commit(&state, rcfg, rng)?;
         }
-        let tcfg = TrainConfig {
-            batch_size: cfg.batch_size,
-            augment_pad: cfg.augment_pad,
-            augment_flip: cfg.augment_flip,
+        let (sgd, schedule, tcfg) = cfg.dnn_recipe();
+        let phase = Phase {
+            epochs: cfg.dnn_epochs,
+            schedule,
+            net: |ckpt: &PipelineCheckpoint| ckpt.dnn.clone(),
+            train: |net: &mut Network, lr, rng: &mut StdRng, hook: Hook<'_, Network>| {
+                let stats = train_epoch_with_hook(net, train_data, &sgd, lr, &tcfg, rng, hook)?;
+                Ok((stats.loss, stats.seconds))
+            },
+            // Keep the DNN inside `state` in sync with the caller's network.
+            keep: |ckpt: &mut PipelineCheckpoint, dnn: &mut Network, net: Network, seconds| {
+                ckpt.dnn = net.clone();
+                *dnn = net;
+                ckpt.dnn_seconds += seconds;
+            },
         };
-        let schedule = LrSchedule::paper(cfg.dnn_epochs).with_warmup(cfg.dnn_epochs / 10);
-        while state.epoch < cfg.dnn_epochs {
-            let e = state.epoch;
-            let sgd = Sgd::new(cfg.dnn_sgd).with_clip(5.0);
-            let lr = schedule.factor(e) * state.ckpt.lr_backoff;
-            let nan_batch = plan.take_nan(PipelinePhase::DnnTrain, e);
-            // Keep the DNN inside `state` in sync: train the state copy,
-            // then mirror into the caller's network on success.
-            let mut net = state.ckpt.dnn.clone();
-            let result = match nan_batch {
-                Some(batch) => train_epoch_with_hook(
-                    &mut net,
-                    train_data,
-                    &sgd,
-                    lr,
-                    &tcfg,
-                    rng,
-                    &mut |n, b| {
-                        if b == batch {
-                            poison_first_grad(&mut |f| n.visit_params_mut(f));
-                        }
-                    },
-                ),
-                None => train_epoch_checked(&mut net, train_data, &sgd, lr, &tcfg, rng),
-            };
-            match result {
-                Ok(stats)
-                    if state.ckpt.last_loss > 0.0
-                        && stats.loss > rcfg.explosion_factor * state.ckpt.last_loss =>
-                {
-                    let reason = format!(
-                        "dnn-train epoch {e}: loss exploded ({} > {} x {})",
-                        stats.loss, rcfg.explosion_factor, state.ckpt.last_loss
-                    );
-                    rollback(&mut state, dnn, rcfg, rng, reason)?;
-                }
-                Ok(stats) => {
-                    state.ckpt.dnn = net.clone();
-                    *dnn = net;
-                    state.ckpt.last_loss = stats.loss;
-                    state.ckpt.dnn_seconds += stats.seconds;
-                    state.epoch = e + 1;
-                    if state.epoch.is_multiple_of(every_n) || state.epoch == cfg.dnn_epochs {
-                        if plan.take_crash(PipelinePhase::DnnTrain, e) {
-                            return Err(PipelineError::SimulatedCrash {
-                                phase: PipelinePhase::DnnTrain,
-                                epoch: e,
-                            });
-                        }
-                        let path = commit(&state, rcfg, rng)?;
-                        if plan.take_corrupt(PipelinePhase::DnnTrain, e) {
-                            corrupt_file(&path).map_err(CheckpointError::Io)?;
-                            return Err(PipelineError::SimulatedCrash {
-                                phase: PipelinePhase::DnnTrain,
-                                epoch: e,
-                            });
-                        }
-                    }
-                }
-                Err(err) => {
-                    rollback(&mut state, dnn, rcfg, rng, format!("dnn-train: {err}"))?;
-                }
-            }
-        }
-
+        train_phase(&mut state, dnn, rcfg, rng, plan, phase)?;
         drop(phase_span);
 
         // ---- Phase (b): conversion (deterministic, no RNG) -----------
@@ -659,83 +596,31 @@ fn drive(
 
     // ---- Phase (c): SGL fine-tuning ----------------------------------
     let phase_span = ull_obs::span("pipeline.finetune_snn");
-    let stcfg = SnnTrainConfig {
-        batch_size: cfg.batch_size,
-        time_steps: cfg.time_steps,
-        augment_pad: cfg.augment_pad,
-        augment_flip: cfg.augment_flip,
+    let (sgd, schedule, stcfg) = cfg.snn_recipe();
+    let phase = Phase {
+        epochs: cfg.snn_epochs,
+        schedule,
+        net: |ckpt: &PipelineCheckpoint| {
+            ckpt.snn
+                .clone()
+                .expect("SGL phase always has an SNN (checked on restore)")
+        },
+        train: |net: &mut SnnNetwork, lr, rng: &mut StdRng, hook: Hook<'_, SnnNetwork>| {
+            let stats = train_snn_epoch_with_hook(net, train_data, &sgd, lr, &stcfg, rng, hook)?;
+            Ok((stats.loss, stats.seconds))
+        },
+        // Evaluate each epoch's SNN and keep the best.
+        keep: |ckpt: &mut PipelineCheckpoint, _: &mut Network, net: SnnNetwork, seconds| {
+            let (acc, _) = evaluate_snn(&net, test_data, cfg.time_steps, cfg.batch_size);
+            if acc > ckpt.best_acc {
+                ckpt.best_acc = acc;
+                ckpt.best_snn = Some(net.clone());
+            }
+            ckpt.snn = Some(net);
+            ckpt.snn_seconds += seconds;
+        },
     };
-    let snn_schedule = LrSchedule::paper(cfg.snn_epochs);
-    while state.epoch < cfg.snn_epochs {
-        let e = state.epoch;
-        let snn_sgd = SnnSgd::new(cfg.snn_sgd).with_clip(5.0);
-        let lr = snn_schedule.factor(e) * state.ckpt.lr_backoff;
-        let nan_batch = plan.take_nan(PipelinePhase::Sgl, e);
-        let mut net = state
-            .ckpt
-            .snn
-            .clone()
-            .expect("SGL phase always has an SNN (checked on restore)");
-        let result = match nan_batch {
-            Some(batch) => train_snn_epoch_with_hook(
-                &mut net,
-                train_data,
-                &snn_sgd,
-                lr,
-                &stcfg,
-                rng,
-                &mut |n, b| {
-                    if b == batch {
-                        poison_first_grad(&mut |f| n.visit_params_mut(f));
-                    }
-                },
-            ),
-            None => train_snn_epoch_checked(&mut net, train_data, &snn_sgd, lr, &stcfg, rng),
-        };
-        match result {
-            Ok(stats)
-                if state.ckpt.last_loss > 0.0
-                    && stats.loss > rcfg.explosion_factor * state.ckpt.last_loss =>
-            {
-                let reason = format!(
-                    "sgl epoch {e}: loss exploded ({} > {} x {})",
-                    stats.loss, rcfg.explosion_factor, state.ckpt.last_loss
-                );
-                rollback(&mut state, dnn, rcfg, rng, reason)?;
-            }
-            Ok(stats) => {
-                let (acc, _) = evaluate_snn(&net, test_data, cfg.time_steps, cfg.batch_size);
-                if acc > state.ckpt.best_acc {
-                    state.ckpt.best_acc = acc;
-                    state.ckpt.best_snn = Some(net.clone());
-                }
-                state.ckpt.snn = Some(net);
-                state.ckpt.last_loss = stats.loss;
-                state.ckpt.snn_seconds += stats.seconds;
-                state.epoch = e + 1;
-                if state.epoch.is_multiple_of(every_n) || state.epoch == cfg.snn_epochs {
-                    if plan.take_crash(PipelinePhase::Sgl, e) {
-                        return Err(PipelineError::SimulatedCrash {
-                            phase: PipelinePhase::Sgl,
-                            epoch: e,
-                        });
-                    }
-                    let path = commit(&state, rcfg, rng)?;
-                    if plan.take_corrupt(PipelinePhase::Sgl, e) {
-                        corrupt_file(&path).map_err(CheckpointError::Io)?;
-                        return Err(PipelineError::SimulatedCrash {
-                            phase: PipelinePhase::Sgl,
-                            epoch: e,
-                        });
-                    }
-                }
-            }
-            Err(err) => {
-                rollback(&mut state, dnn, rcfg, rng, format!("sgl: {err}"))?;
-            }
-        }
-    }
-
+    train_phase(&mut state, dnn, rcfg, rng, plan, phase)?;
     drop(phase_span);
 
     *dnn = state.ckpt.dnn.clone();
@@ -758,4 +643,89 @@ fn drive(
         },
         best_snn,
     ))
+}
+
+/// A per-batch fault hook, as the `_with_hook` training epochs take it.
+type Hook<'a, N> = &'a mut dyn FnMut(&mut N, usize);
+
+/// What distinguishes one trained phase from the other for
+/// [`train_phase`].
+struct Phase<Net, Train, Keep> {
+    /// Epochs in the phase.
+    epochs: usize,
+    /// LR schedule (before the rollback backoff).
+    schedule: LrSchedule,
+    /// A copy of the phase's network from the checkpoint payload.
+    net: Net,
+    /// One checked epoch at an LR factor; returns `(loss, seconds)`.
+    train: Train,
+    /// Stores a healthy epoch's network and wall-clock seconds.
+    keep: Keep,
+}
+
+/// The epoch-with-rollback loop of one trained phase: each epoch trains a
+/// copy of the phase's network. A numeric failure or a loss explosion
+/// rolls the run back to the last checkpoint; a healthy epoch is kept and
+/// committed every `every_n_epochs` epochs and at the phase end, where the
+/// plan's crash and corrupt faults fire.
+fn train_phase<N, Net, Train, Keep>(
+    state: &mut RunState,
+    dnn: &mut Network,
+    rcfg: &RecoveryConfig,
+    rng: &mut StdRng,
+    plan: &mut FaultPlan,
+    mut phase: Phase<Net, Train, Keep>,
+) -> Result<(), PipelineError>
+where
+    N: Trainable,
+    Net: Fn(&PipelineCheckpoint) -> N,
+    Train: FnMut(&mut N, f32, &mut StdRng, Hook<'_, N>) -> Result<(f32, f64), TrainError>,
+    Keep: FnMut(&mut PipelineCheckpoint, &mut Network, N, f64),
+{
+    let every_n = rcfg.every_n_epochs.max(1);
+    let label = state.phase;
+    while state.epoch < phase.epochs {
+        let e = state.epoch;
+        let lr = phase.schedule.factor(e) * state.ckpt.lr_backoff;
+        let nan_batch = plan.take_nan(label, e);
+        let mut net = (phase.net)(&state.ckpt);
+        let mut hook = |n: &mut N, b: usize| {
+            if Some(b) == nan_batch {
+                poison_first_grad(n);
+            }
+        };
+        match (phase.train)(&mut net, lr, rng, &mut hook) {
+            Ok((loss, _))
+                if state.ckpt.last_loss > 0.0
+                    && loss > rcfg.explosion_factor * state.ckpt.last_loss =>
+            {
+                let reason = format!(
+                    "{label} epoch {e}: loss exploded ({loss} > {} x {})",
+                    rcfg.explosion_factor, state.ckpt.last_loss
+                );
+                rollback(state, dnn, rcfg, rng, reason)?;
+            }
+            Ok((loss, seconds)) => {
+                (phase.keep)(&mut state.ckpt, dnn, net, seconds);
+                state.ckpt.last_loss = loss;
+                state.epoch = e + 1;
+                if state.epoch.is_multiple_of(every_n) || state.epoch == phase.epochs {
+                    let crash = PipelineError::SimulatedCrash {
+                        phase: label,
+                        epoch: e,
+                    };
+                    if plan.take_crash(label, e) {
+                        return Err(crash);
+                    }
+                    let path = commit(state, rcfg, rng)?;
+                    if plan.take_corrupt(label, e) {
+                        corrupt_file(&path).map_err(CheckpointError::Io)?;
+                        return Err(crash);
+                    }
+                }
+            }
+            Err(err) => rollback(state, dnn, rcfg, rng, format!("{label}: {err}"))?,
+        }
+    }
+    Ok(())
 }

@@ -9,7 +9,7 @@
 use serde::{Deserialize, Serialize};
 use ull_tensor::Tensor;
 
-use crate::{clip_network_grads, Network, Param};
+use crate::{clip_grads, Param, Trainable};
 
 /// Hyper-parameters of [`Adam`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -74,11 +74,11 @@ impl Adam {
     }
 
     /// One Adam step over every parameter of `net` at learning-rate factor
-    /// `lr_factor`. Gradients are left in place (call
-    /// [`Network::zero_grad`] afterwards).
-    pub fn step(&mut self, net: &mut Network, lr_factor: f32) {
+    /// `lr_factor`, then the parameter clamp
+    /// ([`Trainable::clamp_params`]). Gradients are left in place.
+    pub fn step<N: Trainable>(&mut self, net: &mut N, lr_factor: f32) {
         if let Some(max) = self.max_grad_norm {
-            clip_network_grads(net, max);
+            clip_grads(net, max);
         }
         self.step_count += 1;
         let t = self.step_count as f32;
@@ -86,53 +86,33 @@ impl Adam {
         let lr = cfg.lr * lr_factor;
         let bc1 = 1.0 - cfg.beta1.powf(t);
         let bc2 = 1.0 - cfg.beta2.powf(t);
-        net.visit_params_mut(|p| adam_update(p, lr, cfg, bc1, bc2));
-        net.clamp_thresholds(crate::optim::MU_FLOOR);
-    }
-}
-
-fn adam_update(p: &mut Param, lr: f32, cfg: AdamConfig, bc1: f32, bc2: f32) {
-    if p.second_moment.is_none() {
-        p.second_moment = Some(Tensor::zeros(p.value.shape()));
-    }
-    let n = p.value.len();
-    let grads = p.grad.data().to_vec();
-    {
-        let m = p.momentum.data_mut();
-        for i in 0..n {
-            m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * grads[i];
-        }
-    }
-    {
-        let v = p
-            .second_moment
-            .as_mut()
-            .expect("second moment initialised above")
-            .data_mut();
-        for i in 0..n {
-            v[i] = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * grads[i] * grads[i];
-        }
-    }
-    let m = p.momentum.data().to_vec();
-    let v = p
-        .second_moment
-        .as_ref()
-        .expect("second moment initialised above")
-        .data()
-        .to_vec();
-    let wd = if p.decay { cfg.weight_decay } else { 0.0 };
-    let vals = p.value.data_mut();
-    for i in 0..n {
-        let m_hat = m[i] / bc1;
-        let v_hat = v[i] / bc2;
-        vals[i] -= lr * (m_hat / (v_hat.sqrt() + cfg.eps) + wd * vals[i]);
+        net.visit_params_mut(|p| {
+            let Param {
+                value,
+                grad,
+                momentum,
+                second_moment,
+                decay,
+            } = p;
+            let wd = if *decay { cfg.weight_decay } else { 0.0 };
+            let v = second_moment.get_or_insert_with(|| Tensor::zeros(value.shape()));
+            let moments = momentum.data_mut().iter_mut().zip(v.data_mut());
+            for ((w, &g), (m, v)) in value.data_mut().iter_mut().zip(grad.data()).zip(moments) {
+                *m = cfg.beta1 * *m + (1.0 - cfg.beta1) * g;
+                *v = cfg.beta2 * *v + (1.0 - cfg.beta2) * g * g;
+                let m_hat = *m / bc1;
+                let v_hat = *v / bc2;
+                *w -= lr * (m_hat / (v_hat.sqrt() + cfg.eps) + wd * *w);
+            }
+        });
+        net.clamp_params();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NetworkBuilder;
+    use crate::{Network, NetworkBuilder};
 
     fn one_linear_net() -> Network {
         let mut b = NetworkBuilder::new(1, 1, 0);

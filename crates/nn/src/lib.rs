@@ -51,9 +51,9 @@ pub use checkpoint::{
 pub use loss::{cross_entropy_grad, cross_entropy_loss};
 pub use metrics::{top_k_accuracy, ConfusionMatrix};
 pub use network::{Network, NetworkBuilder, NodeId, NodeOp, TapeEntry};
-pub use optim::{clip_network_grads, LrSchedule, Sgd, SgdConfig};
+pub use optim::{clip_grads, LrSchedule, Sgd, SgdConfig};
 pub use param::Param;
 pub use trainer::{
-    evaluate, train, train_epoch, train_epoch_checked, train_epoch_with_hook, EpochStats,
-    TrainConfig, TrainError,
+    evaluate, finite_check, run_epoch, train_epoch, train_epoch_with_hook, EpochStats, TrainConfig,
+    TrainError, Trainable,
 };

@@ -138,13 +138,7 @@ impl Network {
     pub fn visit_params(&self, mut f: impl FnMut(&Param)) {
         for node in &self.nodes {
             match &node.op {
-                NodeOp::Conv2d { weight, bias, .. } => {
-                    f(weight);
-                    if let Some(b) = bias {
-                        f(b);
-                    }
-                }
-                NodeOp::Linear { weight, bias } => {
+                NodeOp::Conv2d { weight, bias, .. } | NodeOp::Linear { weight, bias } => {
                     f(weight);
                     if let Some(b) = bias {
                         f(b);
@@ -160,13 +154,7 @@ impl Network {
     pub fn visit_params_mut(&mut self, mut f: impl FnMut(&mut Param)) {
         for node in &mut self.nodes {
             match &mut node.op {
-                NodeOp::Conv2d { weight, bias, .. } => {
-                    f(weight);
-                    if let Some(b) = bias {
-                        f(b);
-                    }
-                }
-                NodeOp::Linear { weight, bias } => {
+                NodeOp::Conv2d { weight, bias, .. } | NodeOp::Linear { weight, bias } => {
                     f(weight);
                     if let Some(b) = bias {
                         f(b);
@@ -192,25 +180,6 @@ impl Network {
             .filter(|(_, n)| matches!(n.op, NodeOp::ThresholdRelu { .. }))
             .map(|(i, _)| i)
             .collect()
-    }
-
-    /// Clamps every trainable threshold μ to at least `floor`.
-    ///
-    /// The threshold ReLU `clip(x, 0, μ)` is only well-defined for μ ≥ 0
-    /// (and the paper's μ is positive by construction), but the optimizers
-    /// update μ like any other scalar and a large gradient step can drive
-    /// it negative — after which the forward pass panics on an inverted
-    /// clamp range. Both [`crate::Sgd`] and [`crate::Adam`] call this after
-    /// every step, mirroring the v_th/leak clamps on the SNN side.
-    pub fn clamp_thresholds(&mut self, floor: f32) {
-        for node in &mut self.nodes {
-            if let NodeOp::ThresholdRelu { mu } = &mut node.op {
-                let v = mu.value.data_mut();
-                for x in v.iter_mut() {
-                    *x = x.max(floor);
-                }
-            }
-        }
     }
 
     /// The μ value of a threshold node.

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Network, Param};
+use crate::{Param, Trainable};
 
 /// Hyper-parameters of [`Sgd`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -82,13 +82,15 @@ impl LrSchedule {
 /// would otherwise drive μ negative.
 pub const MU_FLOOR: f32 = 0.01;
 
-/// Plain SGD with momentum; operates on any [`Network`]'s parameters.
+/// Plain SGD with momentum; trains any [`Trainable`] network, the DNN and
+/// the converted SNN alike.
 #[derive(Debug, Clone, Copy)]
 pub struct Sgd {
     /// The optimizer configuration.
     pub config: SgdConfig,
     /// Optional global gradient-norm clip applied before each step —
-    /// the second standard stabiliser for deep batch-norm-free training.
+    /// the second standard stabiliser for deep batch-norm-free training,
+    /// and for BPTT through many spike layers.
     pub max_grad_norm: Option<f32>,
 }
 
@@ -108,21 +110,37 @@ impl Sgd {
     }
 
     /// Applies one update step to every parameter of `net` using the
-    /// currently accumulated gradients, with learning rate `lr_factor·lr`.
-    /// Gradients are *not* cleared; call [`Network::zero_grad`] after.
-    pub fn step(&self, net: &mut Network, lr_factor: f32) {
+    /// currently accumulated gradients, with learning rate `lr_factor·lr`,
+    /// then clamps the parameters ([`Trainable::clamp_params`]).
+    /// Gradients are *not* cleared.
+    pub fn step<N: Trainable>(&self, net: &mut N, lr_factor: f32) {
         let lr = self.config.lr * lr_factor;
         let cfg = self.config;
         if let Some(max) = self.max_grad_norm {
-            clip_network_grads(net, max);
+            clip_grads(net, max);
         }
-        net.visit_params_mut(|p| update_param(p, lr, cfg));
-        net.clamp_thresholds(MU_FLOOR);
+        net.visit_params_mut(|p| {
+            let Param {
+                value,
+                grad,
+                momentum,
+                decay,
+                ..
+            } = p;
+            let wd = if *decay { cfg.weight_decay } else { 0.0 };
+            // v <- m·v + (g + wd·w); w <- w − lr·v
+            let moments = momentum.data_mut().iter_mut().zip(grad.data());
+            for (w, (v, &g)) in value.data_mut().iter_mut().zip(moments) {
+                *v = cfg.momentum * *v + g + wd * *w;
+                *w -= lr * *v;
+            }
+        });
+        net.clamp_params();
     }
 }
 
 /// Scales every gradient of `net` so the global L2 norm is at most `max`.
-pub fn clip_network_grads(net: &mut Network, max: f32) {
+pub fn clip_grads<N: Trainable>(net: &mut N, max: f32) {
     let mut total = 0.0f32;
     net.visit_params(|p| total += p.grad.norm_sq());
     let norm = total.sqrt();
@@ -132,29 +150,10 @@ pub fn clip_network_grads(net: &mut Network, max: f32) {
     }
 }
 
-fn update_param(p: &mut Param, lr: f32, cfg: SgdConfig) {
-    let wd = if p.decay { cfg.weight_decay } else { 0.0 };
-    let n = p.value.len();
-    let (vals, grads, mom) = (
-        p.value.data().to_vec(),
-        p.grad.data().to_vec(),
-        p.momentum.data_mut(),
-    );
-    // v <- m·v + (g + wd·w); w <- w − lr·v
-    for i in 0..n {
-        mom[i] = cfg.momentum * mom[i] + grads[i] + wd * vals[i];
-    }
-    let mom_copy = mom.to_vec();
-    let vd = p.value.data_mut();
-    for i in 0..n {
-        vd[i] -= lr * mom_copy[i];
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NetworkBuilder;
+    use crate::{Network, NetworkBuilder};
     use ull_tensor::Tensor;
 
     fn one_linear_net() -> Network {
@@ -255,13 +254,13 @@ mod tests {
     fn clipping_bounds_global_norm() {
         let mut net = one_linear_net();
         net.visit_params_mut(|p| p.grad.fill(100.0));
-        clip_network_grads(&mut net, 1.0);
+        clip_grads(&mut net, 1.0);
         let mut total = 0.0f32;
         net.visit_params(|p| total += p.grad.norm_sq());
         assert!((total.sqrt() - 1.0).abs() < 1e-4);
         // Below the bound, gradients are untouched.
         net.visit_params_mut(|p| p.grad.fill(0.1));
-        clip_network_grads(&mut net, 10.0);
+        clip_grads(&mut net, 10.0);
         net.visit_params(|p| assert_eq!(p.grad.data()[0], 0.1));
     }
 

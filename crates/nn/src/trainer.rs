@@ -5,8 +5,10 @@ use std::fmt;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use ull_data::{Augment, Dataset};
+use ull_tensor::Tensor;
 
-use crate::{cross_entropy_grad, cross_entropy_loss, LrSchedule, Network, Sgd};
+use crate::optim::MU_FLOOR;
+use crate::{cross_entropy_grad, cross_entropy_loss, Network, NodeOp, Param, Sgd, TapeEntry};
 
 /// Typed numeric-failure errors raised by the checked training loops.
 ///
@@ -107,91 +109,94 @@ pub struct EpochStats {
     pub seconds: f64,
 }
 
-/// Runs one training epoch of `net` on `train`, updating parameters with
-/// `sgd` at learning-rate factor `lr_factor` (see [`LrSchedule::factor`]).
-pub fn train_epoch(
-    net: &mut Network,
-    train: &Dataset,
-    sgd: &Sgd,
-    lr_factor: f32,
-    cfg: &TrainConfig,
-    rng: &mut StdRng,
-) -> EpochStats {
-    let _span = ull_obs::span("nn.train_epoch");
-    let start = std::time::Instant::now();
-    let augment = Augment {
-        pad: cfg.augment_pad,
-        flip: cfg.augment_flip,
-    };
-    let mut total_loss = 0.0f64;
-    let mut correct = 0usize;
-    let mut seen = 0usize;
-    for mut batch in train.epoch_batches(cfg.batch_size, rng) {
-        ull_obs::counter_add("nn.train.batches", 1);
-        augment.apply(&mut batch.images, rng);
-        let tape = net.forward_train(&batch.images, rng);
-        let logits = &tape[net.output()].activation;
-        let loss = cross_entropy_loss(logits, &batch.labels);
-        let grad = cross_entropy_grad(logits, &batch.labels);
-        for (pred, &label) in logits.argmax_rows().iter().zip(&batch.labels) {
-            if *pred == label {
-                correct += 1;
+/// A network the shared optimizers ([`Sgd`], [`Adam`](crate::Adam)) and
+/// the shared epoch loop ([`run_epoch`]) can train: the DNN and the
+/// converted SNN.
+pub trait Trainable {
+    /// What a train-mode forward records for [`Trainable::backward`].
+    type Tape;
+    /// Span label of one training epoch.
+    const EPOCH_SPAN: &'static str;
+    /// Counter bumped once per training batch.
+    const BATCH_COUNTER: &'static str;
+
+    /// Applies `f` to every parameter.
+    fn visit_params(&self, f: impl FnMut(&Param));
+
+    /// Applies `f` to every parameter, mutably.
+    fn visit_params_mut(&mut self, f: impl FnMut(&mut Param));
+
+    /// Pulls every parameter back into its valid range after an
+    /// optimizer step.
+    fn clamp_params(&mut self);
+
+    /// The mean logits `tape` recorded, `[N, classes]`.
+    fn logits<'t>(&self, tape: &'t Self::Tape) -> &'t Tensor;
+
+    /// Accumulates into every parameter the gradients of the loss whose
+    /// logit gradient is `grad_logits`.
+    fn backward(&mut self, tape: &Self::Tape, grad_logits: &Tensor);
+}
+
+impl Trainable for Network {
+    type Tape = Vec<TapeEntry>;
+    const EPOCH_SPAN: &'static str = "nn.train_epoch";
+    const BATCH_COUNTER: &'static str = "nn.train.batches";
+
+    fn visit_params(&self, f: impl FnMut(&Param)) {
+        Network::visit_params(self, f);
+    }
+
+    fn visit_params_mut(&mut self, f: impl FnMut(&mut Param)) {
+        Network::visit_params_mut(self, f);
+    }
+
+    /// Keeps every threshold μ at or above [`MU_FLOOR`]: the threshold
+    /// ReLU `clip(x, 0, μ)` needs μ ≥ 0, but the optimizers update μ like
+    /// any other scalar, and a large step could drive it negative.
+    fn clamp_params(&mut self) {
+        for node in self.nodes_mut() {
+            if let NodeOp::ThresholdRelu { mu } = &mut node.op {
+                for x in mu.value.data_mut() {
+                    *x = x.max(MU_FLOOR);
+                }
             }
         }
-        total_loss += loss as f64 * batch.labels.len() as f64;
-        seen += batch.labels.len();
-        net.zero_grad();
-        net.backward(&tape, &grad);
-        sgd.step(net, lr_factor);
     }
-    EpochStats {
-        loss: (total_loss / seen.max(1) as f64) as f32,
-        accuracy: correct as f32 / seen.max(1) as f32,
-        seconds: start.elapsed().as_secs_f64(),
+
+    fn logits<'t>(&self, tape: &'t Self::Tape) -> &'t Tensor {
+        &tape[self.output()].activation
+    }
+
+    fn backward(&mut self, tape: &Self::Tape, grad_logits: &Tensor) {
+        Network::backward(self, tape, grad_logits);
     }
 }
 
-/// Like [`train_epoch`], but validates the loss and every gradient before
-/// each optimizer step and aborts the epoch with a typed [`TrainError`] on
-/// the first NaN/Inf, leaving parameter *values* untouched by the bad
-/// step. Consumes the RNG identically to [`train_epoch`] on the healthy
-/// path, so the two are interchangeable in deterministic pipelines.
+/// One training epoch of any [`Trainable`] network: the single loop under
+/// [`train_epoch`], [`train_epoch_with_hook`] and the SNN's epochs.
+///
+/// Each batch is augmented, run through `forward` (the network's
+/// train-mode forward), scored, and backpropagated; `check(net, batch,
+/// loss)` then runs before the optimizer step, and an `Err` from it ends
+/// the epoch with parameter values untouched by that batch. The loop
+/// consumes `rng` the same way whatever `check` does.
 ///
 /// # Errors
 ///
-/// [`TrainError::NonFiniteLoss`] or [`TrainError::NonFiniteGrad`] at the
-/// first numerically broken batch.
-pub fn train_epoch_checked(
-    net: &mut Network,
+/// Whatever `check` returns.
+#[allow(clippy::too_many_arguments)]
+pub fn run_epoch<N: Trainable>(
+    net: &mut N,
     train: &Dataset,
     sgd: &Sgd,
     lr_factor: f32,
     cfg: &TrainConfig,
     rng: &mut StdRng,
+    mut forward: impl FnMut(&N, &Tensor, &mut StdRng) -> N::Tape,
+    mut check: impl FnMut(&mut N, usize, f32) -> Result<(), TrainError>,
 ) -> Result<EpochStats, TrainError> {
-    train_epoch_with_hook(net, train, sgd, lr_factor, cfg, rng, &mut |_, _| {})
-}
-
-/// [`train_epoch_checked`] with a per-batch instrumentation hook, called
-/// after the backward pass and *before* the finite checks and the
-/// optimizer step with `(net, batch_index)`. This is the seam the
-/// deterministic fault-injection harness (`ull-core`'s `FaultPlan`) uses
-/// to poison a gradient tensor at an exact, reproducible point; production
-/// callers want [`train_epoch_checked`].
-///
-/// # Errors
-///
-/// Same as [`train_epoch_checked`].
-pub fn train_epoch_with_hook(
-    net: &mut Network,
-    train: &Dataset,
-    sgd: &Sgd,
-    lr_factor: f32,
-    cfg: &TrainConfig,
-    rng: &mut StdRng,
-    hook: &mut dyn FnMut(&mut Network, usize),
-) -> Result<EpochStats, TrainError> {
-    let _span = ull_obs::span("nn.train_epoch");
+    let _span = ull_obs::span(N::EPOCH_SPAN);
     let start = std::time::Instant::now();
     let augment = Augment {
         pad: cfg.augment_pad,
@@ -201,14 +206,11 @@ pub fn train_epoch_with_hook(
     let mut correct = 0usize;
     let mut seen = 0usize;
     for (b, mut batch) in train.epoch_batches(cfg.batch_size, rng).enumerate() {
-        ull_obs::counter_add("nn.train.batches", 1);
+        ull_obs::counter_add(N::BATCH_COUNTER, 1);
         augment.apply(&mut batch.images, rng);
-        let tape = net.forward_train(&batch.images, rng);
-        let logits = &tape[net.output()].activation;
+        let tape = forward(net, &batch.images, rng);
+        let logits = net.logits(&tape);
         let loss = cross_entropy_loss(logits, &batch.labels);
-        if !loss.is_finite() {
-            return Err(TrainError::NonFiniteLoss { batch: b, loss });
-        }
         let grad = cross_entropy_grad(logits, &batch.labels);
         for (pred, &label) in logits.argmax_rows().iter().zip(&batch.labels) {
             if *pred == label {
@@ -217,10 +219,9 @@ pub fn train_epoch_with_hook(
         }
         total_loss += loss as f64 * batch.labels.len() as f64;
         seen += batch.labels.len();
-        net.zero_grad();
+        net.visit_params_mut(Param::zero_grad);
         net.backward(&tape, &grad);
-        hook(net, b);
-        check_grads_finite(net, b)?;
+        check(net, b, loss)?;
         sgd.step(net, lr_factor);
     }
     Ok(EpochStats {
@@ -230,23 +231,92 @@ pub fn train_epoch_with_hook(
     })
 }
 
-fn check_grads_finite(net: &Network, batch: usize) -> Result<(), TrainError> {
-    let mut bad: Option<(usize, usize)> = None;
-    let mut idx = 0usize;
-    net.visit_params(|p| {
-        if bad.is_none() && !p.grad.all_finite() {
-            bad = Some((idx, p.grad.count_nonfinite()));
+/// The check of the `_with_hook` epochs: a non-finite loss fails with
+/// [`TrainError::NonFiniteLoss`]; otherwise `hook(net, batch)` runs, then
+/// a non-finite gradient fails with [`TrainError::NonFiniteGrad`].
+pub fn finite_check<N: Trainable>(
+    hook: &mut dyn FnMut(&mut N, usize),
+) -> impl FnMut(&mut N, usize, f32) -> Result<(), TrainError> + '_ {
+    move |net, batch, loss| {
+        if !loss.is_finite() {
+            return Err(TrainError::NonFiniteLoss { batch, loss });
         }
-        idx += 1;
-    });
-    match bad {
-        Some((param, bad_elems)) => Err(TrainError::NonFiniteGrad {
-            batch,
-            param,
-            bad_elems,
-        }),
-        None => Ok(()),
+        hook(net, batch);
+        let (mut param, mut bad) = (0usize, None);
+        net.visit_params(|p| {
+            if bad.is_none() && !p.grad.all_finite() {
+                let bad_elems = p.grad.count_nonfinite();
+                bad = Some(TrainError::NonFiniteGrad {
+                    batch,
+                    param,
+                    bad_elems,
+                });
+            }
+            param += 1;
+        });
+        bad.map_or(Ok(()), Err)
     }
+}
+
+/// Runs one training epoch of `net` on `train`, updating parameters with
+/// `sgd` at learning-rate factor `lr_factor` (see [`LrSchedule::factor`]).
+/// Never aborts: a non-finite loss or gradient trains on.
+///
+/// [`LrSchedule::factor`]: crate::LrSchedule::factor
+pub fn train_epoch(
+    net: &mut Network,
+    train: &Dataset,
+    sgd: &Sgd,
+    lr_factor: f32,
+    cfg: &TrainConfig,
+    rng: &mut StdRng,
+) -> EpochStats {
+    run_epoch(
+        net,
+        train,
+        sgd,
+        lr_factor,
+        cfg,
+        rng,
+        Network::forward_train,
+        |_, _, _| Ok(()),
+    )
+    .expect("a check that always passes never aborts")
+}
+
+/// [`train_epoch`] that validates the loss and every gradient before each
+/// optimizer step and aborts the epoch with a typed [`TrainError`] on the
+/// first NaN/Inf, leaving parameter *values* untouched by the bad step.
+/// `hook(net, batch_index)` runs after the backward pass and before the
+/// gradient check: the seam the deterministic fault-injection harness
+/// (`ull-core`'s `FaultPlan`) uses to poison a gradient at an exact,
+/// reproducible point. Callers without one pass `&mut |_, _| {}`.
+/// Consumes the RNG identically to [`train_epoch`] on the healthy path,
+/// so the two are interchangeable in deterministic pipelines.
+///
+/// # Errors
+///
+/// [`TrainError::NonFiniteLoss`] or [`TrainError::NonFiniteGrad`] at the
+/// first numerically broken batch.
+pub fn train_epoch_with_hook(
+    net: &mut Network,
+    train: &Dataset,
+    sgd: &Sgd,
+    lr_factor: f32,
+    cfg: &TrainConfig,
+    rng: &mut StdRng,
+    hook: &mut dyn FnMut(&mut Network, usize),
+) -> Result<EpochStats, TrainError> {
+    run_epoch(
+        net,
+        train,
+        sgd,
+        lr_factor,
+        cfg,
+        rng,
+        Network::forward_train,
+        finite_check(hook),
+    )
 }
 
 /// Top-1 accuracy of `net` on `data` (evaluation mode, no augmentation).
@@ -266,26 +336,10 @@ pub fn evaluate(net: &Network, data: &Dataset, batch_size: usize) -> f32 {
     correct as f32 / seen.max(1) as f32
 }
 
-/// Trains `net` for `epochs` epochs with the paper's LR schedule, returning
-/// per-epoch statistics. Convenience wrapper over [`train_epoch`].
-pub fn train(
-    net: &mut Network,
-    train_data: &Dataset,
-    epochs: usize,
-    sgd: &Sgd,
-    cfg: &TrainConfig,
-    rng: &mut StdRng,
-) -> Vec<EpochStats> {
-    let schedule = LrSchedule::paper(epochs);
-    (0..epochs)
-        .map(|e| train_epoch(net, train_data, sgd, schedule.factor(e), cfg, rng))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{NetworkBuilder, SgdConfig};
+    use crate::{LrSchedule, NetworkBuilder, SgdConfig};
     use ull_data::{generate, SynthCifarConfig};
     use ull_tensor::init::seeded_rng;
 
@@ -318,7 +372,19 @@ mod tests {
             augment_flip: false,
         };
         let mut rng = seeded_rng(5);
-        let stats = train(&mut net, &train_data, 8, &sgd, &tcfg, &mut rng);
+        let schedule = LrSchedule::paper(8);
+        let stats: Vec<EpochStats> = (0..8)
+            .map(|e| {
+                train_epoch(
+                    &mut net,
+                    &train_data,
+                    &sgd,
+                    schedule.factor(e),
+                    &tcfg,
+                    &mut rng,
+                )
+            })
+            .collect();
         assert!(
             stats.last().unwrap().loss < stats.first().unwrap().loss,
             "loss did not decrease: {:?}",
@@ -347,7 +413,16 @@ mod tests {
         let mut rng_a = seeded_rng(31);
         let mut rng_b = seeded_rng(31);
         let sa = train_epoch(&mut a, &train_data, &sgd, 1.0, &tcfg, &mut rng_a);
-        let sb = train_epoch_checked(&mut b, &train_data, &sgd, 1.0, &tcfg, &mut rng_b).unwrap();
+        let sb = train_epoch_with_hook(
+            &mut b,
+            &train_data,
+            &sgd,
+            1.0,
+            &tcfg,
+            &mut rng_b,
+            &mut |_, _| {},
+        )
+        .unwrap();
         assert_eq!(sa.loss.to_bits(), sb.loss.to_bits());
         assert_eq!(sa.accuracy, sb.accuracy);
         let mut va = Vec::new();
@@ -407,13 +482,14 @@ mod tests {
         });
         let sgd = Sgd::new(SgdConfig::default());
         let mut rng = seeded_rng(33);
-        let r = train_epoch_checked(
+        let r = train_epoch_with_hook(
             &mut net,
             &train_data,
             &sgd,
             1.0,
             &TrainConfig::default(),
             &mut rng,
+            &mut |_, _| {},
         );
         assert!(
             matches!(r, Err(TrainError::NonFiniteLoss { batch: 0, .. })),

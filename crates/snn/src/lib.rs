@@ -59,6 +59,5 @@ pub use packing::{net_fingerprint, packed_for, PackedNet};
 pub use profile::{memory_profile, MemoryProfile};
 pub use stats::{ActivityReport, SpikeStats};
 pub use train::{
-    clip_snn_grads, evaluate_snn, train_snn_epoch, train_snn_epoch_checked,
-    train_snn_epoch_with_hook, SnnEpochStats, SnnSgd, SnnTrainConfig,
+    evaluate_snn, train_snn_epoch, train_snn_epoch_with_hook, SnnEpochStats, SnnSgd, SnnTrainConfig,
 };

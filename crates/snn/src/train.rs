@@ -6,11 +6,17 @@
 //! (`∂s/∂u ≈ 1/(2V^th)` for membrane potentials in `[0, 2V^th]`, matching
 //! the paper's `∂s'/∂s ≈ 1 on [0, 2αμ]`), with the membrane reset treated
 //! as detached (standard in DIET-SNN-style training).
+//!
+//! Everything above the backward pass is the DNN's training stack from
+//! `ull-nn`: [`SnnNetwork`] implements [`Trainable`] (its parameter
+//! clamp keeps `V^th ≥ 0.01` and `λ ∈ [0, 1]`), so the same [`Sgd`] steps
+//! it and the same [`run_epoch`] loop drives its epochs, here with a
+//! `time_steps`-step BPTT tape as the train-mode forward.
 
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
-use ull_data::{Augment, Dataset};
-use ull_nn::{cross_entropy_grad, cross_entropy_loss, Param, SgdConfig, TrainError};
+use ull_data::Dataset;
+use ull_nn::{finite_check, run_epoch, Param, Sgd, TrainConfig, TrainError, Trainable};
 use ull_tensor::conv::conv2d_backward;
 use ull_tensor::pool::{avgpool2d_backward, maxpool2d_backward};
 use ull_tensor::{matmul, matmul_transpose_a, Tensor};
@@ -185,43 +191,26 @@ fn accumulate(slot: &mut Option<Tensor>, g: Tensor) {
     }
 }
 
-/// SGD with momentum for SNNs, with stability clamps on the neuron
-/// parameters after each step (`V^th ≥ 0.01`, `λ ∈ [0, 1]`).
-#[derive(Debug, Clone, Copy)]
-pub struct SnnSgd {
-    /// Optimizer hyper-parameters (shared struct with the DNN trainer).
-    pub config: SgdConfig,
-    /// Optional global gradient-norm clip — BPTT through many spike layers
-    /// benefits from the same stabiliser as deep batch-norm-free DNNs.
-    pub max_grad_norm: Option<f32>,
-}
+/// The SNN's optimizer is the DNN's [`Sgd`]; this name remains for
+/// callers written before the two were merged.
+pub type SnnSgd = Sgd;
 
-impl SnnSgd {
-    /// Creates an optimizer with the given configuration (no clipping).
-    pub fn new(config: SgdConfig) -> Self {
-        SnnSgd {
-            config,
-            max_grad_norm: None,
-        }
+impl Trainable for SnnNetwork {
+    type Tape = SnnTape;
+    const EPOCH_SPAN: &'static str = "snn.train_epoch";
+    const BATCH_COUNTER: &'static str = "snn.train.batches";
+
+    fn visit_params(&self, f: impl FnMut(&Param)) {
+        SnnNetwork::visit_params(self, f);
     }
 
-    /// Enables global gradient-norm clipping at `max_norm`.
-    pub fn with_clip(mut self, max_norm: f32) -> Self {
-        self.max_grad_norm = Some(max_norm);
-        self
+    fn visit_params_mut(&mut self, f: impl FnMut(&mut Param)) {
+        SnnNetwork::visit_params_mut(self, f);
     }
 
-    /// One update step at learning-rate factor `lr_factor`; gradients are
-    /// left in place (call [`SnnNetwork::zero_grad`] afterwards).
-    pub fn step(&self, net: &mut SnnNetwork, lr_factor: f32) {
-        let lr = self.config.lr * lr_factor;
-        let cfg = self.config;
-        if let Some(max) = self.max_grad_norm {
-            clip_snn_grads(net, max);
-        }
-        net.visit_params_mut(|p| update_param(p, lr, cfg));
-        // Clamp neuron parameters to their physical ranges.
-        for node in net.nodes_mut() {
+    /// Keeps the neuron parameters physical: `V^th ≥ 0.01`, `λ ∈ [0, 1]`.
+    fn clamp_params(&mut self) {
+        for node in self.nodes_mut() {
             if let SnnOp::Spike(layer) = &mut node.op {
                 let v = layer.v_th.value.data_mut();
                 v[0] = v[0].max(0.01);
@@ -230,32 +219,13 @@ impl SnnSgd {
             }
         }
     }
-}
 
-/// Scales every gradient of `net` so the global L2 norm is at most `max`.
-pub fn clip_snn_grads(net: &mut SnnNetwork, max: f32) {
-    let mut total = 0.0f32;
-    net.visit_params(|p| total += p.grad.norm_sq());
-    let norm = total.sqrt();
-    if norm > max && norm > 0.0 {
-        let scale = max / norm;
-        net.visit_params_mut(|p| p.grad.scale_in_place(scale));
+    fn logits<'t>(&self, tape: &'t SnnTape) -> &'t Tensor {
+        &tape.logits
     }
-}
 
-fn update_param(p: &mut Param, lr: f32, cfg: SgdConfig) {
-    let wd = if p.decay { cfg.weight_decay } else { 0.0 };
-    let n = p.value.len();
-    let vals = p.value.data().to_vec();
-    let grads = p.grad.data().to_vec();
-    let mom = p.momentum.data_mut();
-    for i in 0..n {
-        mom[i] = cfg.momentum * mom[i] + grads[i] + wd * vals[i];
-    }
-    let mom_copy = mom.to_vec();
-    let vd = p.value.data_mut();
-    for i in 0..n {
-        vd[i] -= lr * mom_copy[i];
+    fn backward(&mut self, tape: &SnnTape, grad_logits: &Tensor) {
+        SnnNetwork::backward(self, tape, grad_logits);
     }
 }
 
@@ -297,152 +267,75 @@ pub struct SnnEpochStats {
 }
 
 /// One epoch of surrogate-gradient fine-tuning (paper §III-B: joint
-/// training of weights, thresholds and leak after conversion).
+/// training of weights, thresholds and leak after conversion). Never
+/// aborts: a non-finite loss or gradient trains on.
 pub fn train_snn_epoch(
     net: &mut SnnNetwork,
     train: &Dataset,
-    sgd: &SnnSgd,
+    sgd: &Sgd,
     lr_factor: f32,
     cfg: &SnnTrainConfig,
     rng: &mut StdRng,
 ) -> SnnEpochStats {
-    let _span = ull_obs::span("snn.train_epoch");
-    let start = std::time::Instant::now();
-    let augment = Augment {
-        pad: cfg.augment_pad,
-        flip: cfg.augment_flip,
-    };
-    let mut total_loss = 0.0f64;
-    let mut correct = 0usize;
-    let mut seen = 0usize;
-    let mut tape_bytes = 0usize;
-    for mut batch in train.epoch_batches(cfg.batch_size, rng) {
-        ull_obs::counter_add("snn.train.batches", 1);
-        augment.apply(&mut batch.images, rng);
-        let tape = net.forward_train(&batch.images, cfg.time_steps, rng);
-        tape_bytes = tape_bytes.max(tape.memory_bytes());
-        let loss = cross_entropy_loss(&tape.logits, &batch.labels);
-        let grad = cross_entropy_grad(&tape.logits, &batch.labels);
-        for (pred, &label) in tape.logits.argmax_rows().iter().zip(&batch.labels) {
-            if *pred == label {
-                correct += 1;
-            }
-        }
-        total_loss += loss as f64 * batch.labels.len() as f64;
-        seen += batch.labels.len();
-        net.zero_grad();
-        net.backward(&tape, &grad);
-        sgd.step(net, lr_factor);
-    }
-    SnnEpochStats {
-        loss: (total_loss / seen.max(1) as f64) as f32,
-        accuracy: correct as f32 / seen.max(1) as f32,
-        seconds: start.elapsed().as_secs_f64(),
-        tape_bytes,
-    }
+    train_snn_epoch_with_check(net, train, sgd, lr_factor, cfg, rng, |_, _, _| Ok(()))
+        .expect("a check that always passes never aborts")
 }
 
-/// Like [`train_snn_epoch`], but validates the loss and every gradient
-/// before each optimizer step and aborts the epoch with a typed
-/// [`TrainError`](ull_nn::TrainError) on the first NaN/Inf, leaving
-/// parameter *values* untouched by the bad step. Consumes the RNG
-/// identically to [`train_snn_epoch`] on the healthy path, so the two are
-/// interchangeable in deterministic pipelines.
+/// [`train_snn_epoch`] that validates the loss and every gradient before
+/// each optimizer step and aborts the epoch with a typed [`TrainError`]
+/// on the first NaN/Inf, leaving parameter *values* untouched by the bad
+/// step. `hook(net, batch_index)` runs after the BPTT backward pass and
+/// before the gradient check: the seam the deterministic fault-injection
+/// harness (`ull-core`'s `FaultPlan`) uses to poison a gradient at an
+/// exact, reproducible point. Callers without one pass `&mut |_, _| {}`.
+/// Consumes the RNG identically to [`train_snn_epoch`] on the healthy
+/// path, so the two are interchangeable in deterministic pipelines.
 ///
 /// # Errors
 ///
-/// [`TrainError::NonFiniteLoss`](ull_nn::TrainError::NonFiniteLoss) or
-/// [`TrainError::NonFiniteGrad`](ull_nn::TrainError::NonFiniteGrad) at the
+/// [`TrainError::NonFiniteLoss`] or [`TrainError::NonFiniteGrad`] at the
 /// first numerically broken batch.
-pub fn train_snn_epoch_checked(
-    net: &mut SnnNetwork,
-    train: &Dataset,
-    sgd: &SnnSgd,
-    lr_factor: f32,
-    cfg: &SnnTrainConfig,
-    rng: &mut StdRng,
-) -> Result<SnnEpochStats, TrainError> {
-    train_snn_epoch_with_hook(net, train, sgd, lr_factor, cfg, rng, &mut |_, _| {})
-}
-
-/// [`train_snn_epoch_checked`] with a per-batch instrumentation hook,
-/// called after the BPTT backward pass and *before* the finite checks and
-/// the optimizer step with `(net, batch_index)`. This is the seam the
-/// deterministic fault-injection harness (`ull-core`'s `FaultPlan`) uses
-/// to poison a gradient tensor at an exact, reproducible point; production
-/// callers want [`train_snn_epoch_checked`].
-///
-/// # Errors
-///
-/// Same as [`train_snn_epoch_checked`].
-#[allow(clippy::too_many_arguments)]
 pub fn train_snn_epoch_with_hook(
     net: &mut SnnNetwork,
     train: &Dataset,
-    sgd: &SnnSgd,
+    sgd: &Sgd,
     lr_factor: f32,
     cfg: &SnnTrainConfig,
     rng: &mut StdRng,
     hook: &mut dyn FnMut(&mut SnnNetwork, usize),
 ) -> Result<SnnEpochStats, TrainError> {
-    let _span = ull_obs::span("snn.train_epoch");
-    let start = std::time::Instant::now();
-    let augment = Augment {
-        pad: cfg.augment_pad,
-        flip: cfg.augment_flip,
-    };
-    let mut total_loss = 0.0f64;
-    let mut correct = 0usize;
-    let mut seen = 0usize;
-    let mut tape_bytes = 0usize;
-    for (b, mut batch) in train.epoch_batches(cfg.batch_size, rng).enumerate() {
-        ull_obs::counter_add("snn.train.batches", 1);
-        augment.apply(&mut batch.images, rng);
-        let tape = net.forward_train(&batch.images, cfg.time_steps, rng);
-        tape_bytes = tape_bytes.max(tape.memory_bytes());
-        let loss = cross_entropy_loss(&tape.logits, &batch.labels);
-        if !loss.is_finite() {
-            return Err(TrainError::NonFiniteLoss { batch: b, loss });
-        }
-        let grad = cross_entropy_grad(&tape.logits, &batch.labels);
-        for (pred, &label) in tape.logits.argmax_rows().iter().zip(&batch.labels) {
-            if *pred == label {
-                correct += 1;
-            }
-        }
-        total_loss += loss as f64 * batch.labels.len() as f64;
-        seen += batch.labels.len();
-        net.zero_grad();
-        net.backward(&tape, &grad);
-        hook(net, b);
-        check_snn_grads_finite(net, b)?;
-        sgd.step(net, lr_factor);
-    }
-    Ok(SnnEpochStats {
-        loss: (total_loss / seen.max(1) as f64) as f32,
-        accuracy: correct as f32 / seen.max(1) as f32,
-        seconds: start.elapsed().as_secs_f64(),
-        tape_bytes,
-    })
+    train_snn_epoch_with_check(net, train, sgd, lr_factor, cfg, rng, finite_check(hook))
 }
 
-fn check_snn_grads_finite(net: &SnnNetwork, batch: usize) -> Result<(), TrainError> {
-    let mut bad: Option<(usize, usize)> = None;
-    let mut idx = 0usize;
-    net.visit_params(|p| {
-        if bad.is_none() && !p.grad.all_finite() {
-            bad = Some((idx, p.grad.count_nonfinite()));
-        }
-        idx += 1;
-    });
-    match bad {
-        Some((param, bad_elems)) => Err(TrainError::NonFiniteGrad {
-            batch,
-            param,
-            bad_elems,
-        }),
-        None => Ok(()),
-    }
+/// [`run_epoch`] over `cfg.time_steps`-step BPTT tapes, recording the
+/// peak tape size.
+fn train_snn_epoch_with_check(
+    net: &mut SnnNetwork,
+    train: &Dataset,
+    sgd: &Sgd,
+    lr_factor: f32,
+    cfg: &SnnTrainConfig,
+    rng: &mut StdRng,
+    check: impl FnMut(&mut SnnNetwork, usize, f32) -> Result<(), TrainError>,
+) -> Result<SnnEpochStats, TrainError> {
+    let tcfg = TrainConfig {
+        batch_size: cfg.batch_size,
+        augment_pad: cfg.augment_pad,
+        augment_flip: cfg.augment_flip,
+    };
+    let mut tape_bytes = 0usize;
+    let forward = |n: &SnnNetwork, x: &Tensor, rng: &mut StdRng| {
+        let tape = n.forward_train(x, cfg.time_steps, rng);
+        tape_bytes = tape_bytes.max(tape.memory_bytes());
+        tape
+    };
+    let s = run_epoch(net, train, sgd, lr_factor, &tcfg, rng, forward, check)?;
+    Ok(SnnEpochStats {
+        loss: s.loss,
+        accuracy: s.accuracy,
+        seconds: s.seconds,
+        tape_bytes,
+    })
 }
 
 /// Top-1 accuracy (and merged spike statistics) of `net` on `data` with `t`
@@ -479,6 +372,7 @@ mod tests {
     use super::*;
     use crate::network::SpikeSpec;
     use ull_data::{generate, SynthCifarConfig};
+    use ull_nn::{clip_grads, cross_entropy_grad, cross_entropy_loss, SgdConfig};
     use ull_nn::{models, NetworkBuilder};
     use ull_tensor::init::{normal, seeded_rng};
 
@@ -564,7 +458,7 @@ mod tests {
         let dnn = models::vgg_micro(3, cfg.image_size, 0.5, 7);
         let specs = vec![SpikeSpec::identity(2.0); dnn.threshold_nodes().len()];
         let mut snn = SnnNetwork::from_network(&dnn, &specs).unwrap();
-        let sgd = SnnSgd::new(SgdConfig {
+        let sgd = Sgd::new(SgdConfig {
             lr: 0.02,
             momentum: 0.9,
             weight_decay: 0.0,
@@ -599,7 +493,7 @@ mod tests {
                 layer.leak.grad.data_mut()[0] = -1000.0;
             }
         }
-        let sgd = SnnSgd::new(SgdConfig {
+        let sgd = Sgd::new(SgdConfig {
             lr: 1.0,
             momentum: 0.0,
             weight_decay: 0.0,
@@ -617,7 +511,7 @@ mod tests {
     fn clip_snn_grads_bounds_global_norm() {
         let mut snn = make_snn(20);
         snn.visit_params_mut(|p| p.grad.fill(10.0));
-        clip_snn_grads(&mut snn, 2.0);
+        clip_grads(&mut snn, 2.0);
         let mut total = 0.0f32;
         snn.visit_params(|p| total += p.grad.norm_sq());
         assert!((total.sqrt() - 2.0).abs() < 1e-3, "norm {}", total.sqrt());
@@ -627,7 +521,7 @@ mod tests {
     fn sgd_with_clip_is_stable_under_huge_grads() {
         let mut snn = make_snn(21);
         snn.visit_params_mut(|p| p.grad.fill(1e6));
-        let sgd = SnnSgd::new(SgdConfig {
+        let sgd = Sgd::new(SgdConfig {
             lr: 0.1,
             momentum: 0.0,
             weight_decay: 0.0,
@@ -661,7 +555,7 @@ mod tests {
         let dnn = models::vgg_micro(3, cfg.image_size, 0.5, 7);
         let specs = vec![SpikeSpec::identity(2.0); dnn.threshold_nodes().len()];
         let snn0 = SnnNetwork::from_network(&dnn, &specs).unwrap();
-        let sgd = SnnSgd::new(SgdConfig::default());
+        let sgd = Sgd::new(SgdConfig::default());
         let tcfg = SnnTrainConfig {
             batch_size: 16,
             time_steps: 2,
@@ -675,8 +569,16 @@ mod tests {
 
         let mut b = snn0.clone();
         let mut rng_b = seeded_rng(40);
-        let sb = train_snn_epoch_checked(&mut b, &train_data, &sgd, 1.0, &tcfg, &mut rng_b)
-            .expect("healthy epoch must not error");
+        let sb = train_snn_epoch_with_hook(
+            &mut b,
+            &train_data,
+            &sgd,
+            1.0,
+            &tcfg,
+            &mut rng_b,
+            &mut |_, _| {},
+        )
+        .expect("healthy epoch must not error");
 
         assert_eq!(sa.loss.to_bits(), sb.loss.to_bits());
         assert_eq!(sa.accuracy.to_bits(), sb.accuracy.to_bits());
@@ -700,7 +602,7 @@ mod tests {
             snn.visit_params(|p| v.extend(p.value.data().iter().map(|x| x.to_bits())));
             v
         };
-        let sgd = SnnSgd::new(SgdConfig::default());
+        let sgd = Sgd::new(SgdConfig::default());
         let tcfg = SnnTrainConfig::default();
         let mut rng = seeded_rng(41);
         let err = train_snn_epoch_with_hook(
