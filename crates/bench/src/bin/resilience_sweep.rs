@@ -30,8 +30,9 @@ use ull_bench::{load_data, train_or_load_dnn, write_report, Arch, Scale};
 use ull_core::{convert, ConversionMethod};
 use ull_energy::{audit_dnn, audit_snn};
 use ull_robust::{
-    anytime_forward, calibrate_margin, evaluate_faulted, profile_envelope, resilience_sweep,
-    AnytimeConfig, FaultConfig, FaultedNetwork, InferenceFault, SweepConfig, SweepReport,
+    anytime_forward_scheduled, calibrate_margin, evaluate_faulted, profile_envelope,
+    resilience_sweep, AnytimeSchedule, FaultConfig, FaultedNetwork, InferenceFault, SweepConfig,
+    SweepReport,
 };
 use ull_snn::{evaluate_snn, SnnNetwork};
 use ull_tensor::init::seeded_rng;
@@ -146,12 +147,12 @@ fn anytime_stats(
     // samples for the agreement target to be meaningful at tiny scale.
     let margin = calibrate_margin(snn, calib, t, batch, 0.98);
     let (full_accuracy, _) = evaluate_snn(snn, data, t, batch);
-    let cfg = AnytimeConfig::new(t, margin);
+    let schedule = AnytimeSchedule::uniform(t, margin);
     let mut correct = 0usize;
     let mut seen = 0usize;
     let mut steps = 0usize;
     for b in data.eval_batches(batch) {
-        let out = anytime_forward(snn, &b.images, &cfg);
+        let out = anytime_forward_scheduled(snn, &b.images, &schedule);
         for (pred, &label) in out.predictions.iter().zip(&b.labels) {
             if *pred == label {
                 correct += 1;

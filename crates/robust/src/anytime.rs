@@ -3,46 +3,23 @@
 //! A T-step SNN normally commits to its prediction only after all T steps.
 //! Under a latency deadline that is wasteful: for most inputs the
 //! running-mean logits already separate after one or two steps, and extra
-//! steps only confirm the decision. [`anytime_forward`] emits each
+//! steps only confirm the decision. [`anytime_forward_scheduled`] emits each
 //! sample's prediction at the first step `t ≤ T` where the logit margin
-//! (top-1 minus top-2 of the running mean) clears a gate, falling back to
+//! (top-1 minus top-2 of the running mean) clears that step's gate, falling back to
 //! the full-T prediction for samples that never clear it — graceful
 //! degradation instead of a missed deadline.
 //!
-//! The gate is data-calibrated: [`calibrate_margin`] picks the smallest
-//! margin whose early decisions agree with the full-T argmax on at least a
-//! target fraction of calibration samples, so the accuracy cost of early
-//! exit is bounded by construction.
+//! The gates are data-calibrated: [`calibrate_margin`] picks the smallest
+//! single margin whose early decisions agree with the full-T argmax on at
+//! least a target fraction of calibration samples (use it with
+//! [`AnytimeSchedule::uniform`]), and [`calibrate_margin_schedule`] picks
+//! one gate per step, so the accuracy cost of early exit is bounded by
+//! construction.
 
 use serde::{Deserialize, Serialize};
 use ull_data::Dataset;
 use ull_snn::SnnNetwork;
 use ull_tensor::Tensor;
-
-/// Configuration for deadline-aware inference.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AnytimeConfig {
-    /// Deadline: maximum time steps to simulate.
-    pub t_max: usize,
-    /// Logit-margin gate: a sample commits once `top1 − top2` of its
-    /// running-mean logits reaches this value. Calibrate with
-    /// [`calibrate_margin`].
-    pub margin: f32,
-    /// Minimum steps before any sample may commit (≥ 1).
-    pub min_steps: usize,
-}
-
-impl AnytimeConfig {
-    /// A gate at `margin` with deadline `t_max` and no minimum beyond the
-    /// first step.
-    pub fn new(t_max: usize, margin: f32) -> Self {
-        AnytimeConfig {
-            t_max,
-            margin,
-            min_steps: 1,
-        }
-    }
-}
 
 /// Result of a deadline-aware run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -101,21 +78,6 @@ fn row_margins(logits: &Tensor) -> Vec<(usize, f32)> {
         .collect()
 }
 
-/// Runs deadline-aware inference on one batch.
-///
-/// Simulation stops as soon as every sample has committed, so a batch
-/// whose samples all clear the gate early also *costs* fewer steps.
-/// Decisions freeze: a sample's prediction is whatever the running mean
-/// said at its decision step, even if later steps (simulated for the
-/// benefit of still-undecided samples) would have changed it.
-///
-/// # Panics
-///
-/// Panics if `cfg.t_max == 0`.
-pub fn anytime_forward(snn: &SnnNetwork, x: &Tensor, cfg: &AnytimeConfig) -> AnytimeOutput {
-    anytime_forward_gated(snn, x, cfg.t_max, cfg.min_steps, |_| cfg.margin)
-}
-
 /// A per-timestep margin schedule: `margins[t - 1]` is the gate a sample's
 /// running-mean margin must clear to commit at step `t`.
 ///
@@ -144,7 +106,7 @@ impl AnytimeSchedule {
         self.margins.len()
     }
 
-    /// A uniform schedule equivalent to [`AnytimeConfig`] with `margin`.
+    /// One gate, `margin`, at every step up to the deadline `t_max`.
     pub fn uniform(t_max: usize, margin: f32) -> Self {
         AnytimeSchedule {
             margins: vec![margin; t_max],
@@ -153,7 +115,16 @@ impl AnytimeSchedule {
     }
 }
 
-/// Runs deadline-aware inference with a per-step margin schedule.
+/// Runs deadline-aware inference on one batch: a sample commits at the
+/// first step `t ≥ schedule.min_steps` whose running-mean margin reaches
+/// `schedule.margins[t - 1]`. A uniform gate is
+/// [`AnytimeSchedule::uniform`].
+///
+/// Simulation stops as soon as every sample has committed, so a batch
+/// whose samples all clear the gate early also *costs* fewer steps.
+/// Decisions freeze: a sample's prediction is whatever the running mean
+/// said at its decision step, even if later steps (simulated for the
+/// benefit of still-undecided samples) would have changed it.
 ///
 /// # Panics
 ///
@@ -163,30 +134,17 @@ pub fn anytime_forward_scheduled(
     x: &Tensor,
     schedule: &AnytimeSchedule,
 ) -> AnytimeOutput {
-    anytime_forward_gated(snn, x, schedule.t_max(), schedule.min_steps, |t| {
-        schedule.margins[t - 1]
-    })
-}
-
-/// Shared body of [`anytime_forward`] and [`anytime_forward_scheduled`]:
-/// `gate_at(t)` supplies the margin a sample must clear at step `t`.
-fn anytime_forward_gated(
-    snn: &SnnNetwork,
-    x: &Tensor,
-    t_max: usize,
-    min_steps: usize,
-    gate_at: impl Fn(usize) -> f32,
-) -> AnytimeOutput {
     let _span = ull_obs::span("robust.anytime.forward");
+    let t_max = schedule.t_max();
     assert!(t_max > 0, "need at least one time step");
     let batch = x.shape()[0];
     let mut predictions = vec![0usize; batch];
     let mut steps_used = vec![t_max; batch];
     let mut decided = vec![false; batch];
-    let min_steps = min_steps.max(1);
+    let min_steps = schedule.min_steps.max(1);
     let mut logits: Option<Tensor> = None;
     let (_, steps_simulated) = snn.forward_until(x, t_max, |t, mean| {
-        let gate = gate_at(t);
+        let gate = schedule.margins[t - 1];
         let frozen = logits.get_or_insert_with(|| mean.clone());
         let classes = mean.len() / batch.max(1);
         let mut undecided = 0;
@@ -393,8 +351,8 @@ mod tests {
     fn infinite_margin_reproduces_full_deadline_predictions() {
         let (snn, data) = setup();
         let batch = data.eval_batches(16).next().unwrap();
-        let cfg = AnytimeConfig::new(4, f32::INFINITY);
-        let out = anytime_forward(&snn, &batch.images, &cfg);
+        let cfg = AnytimeSchedule::uniform(4, f32::INFINITY);
+        let out = anytime_forward_scheduled(&snn, &batch.images, &cfg);
         let full = snn.forward(&batch.images, 4);
         assert_eq!(out.predictions, full.logits.argmax_rows());
         assert!(out.steps_used.iter().all(|&s| s == 4));
@@ -405,8 +363,8 @@ mod tests {
     fn zero_margin_decides_every_sample_at_the_first_step() {
         let (snn, data) = setup();
         let batch = data.eval_batches(16).next().unwrap();
-        let cfg = AnytimeConfig::new(4, 0.0);
-        let out = anytime_forward(&snn, &batch.images, &cfg);
+        let cfg = AnytimeSchedule::uniform(4, 0.0);
+        let out = anytime_forward_scheduled(&snn, &batch.images, &cfg);
         assert!(out.steps_used.iter().all(|&s| s == 1));
         assert_eq!(out.steps_simulated, 1, "all decided — simulation must stop");
         let one_step = snn.forward(&batch.images, 1);
@@ -417,12 +375,11 @@ mod tests {
     fn min_steps_defers_decisions() {
         let (snn, data) = setup();
         let batch = data.eval_batches(8).next().unwrap();
-        let cfg = AnytimeConfig {
-            t_max: 4,
-            margin: 0.0,
+        let cfg = AnytimeSchedule {
+            margins: vec![0.0; 4],
             min_steps: 3,
         };
-        let out = anytime_forward(&snn, &batch.images, &cfg);
+        let out = anytime_forward_scheduled(&snn, &batch.images, &cfg);
         assert!(out.steps_used.iter().all(|&s| s == 3));
     }
 
@@ -433,14 +390,14 @@ mod tests {
         let target = 0.98;
         let margin = calibrate_margin(&snn, &data, t_max, 16, target);
         assert!(margin.is_finite());
-        let cfg = AnytimeConfig::new(t_max, margin);
+        let cfg = AnytimeSchedule::uniform(t_max, margin);
 
         let (full_acc, _) = evaluate_snn(&snn, &data, t_max, 16);
         let mut correct = 0usize;
         let mut seen = 0usize;
         let mut total_steps = 0usize;
         for batch in data.eval_batches(16) {
-            let out = anytime_forward(&snn, &batch.images, &cfg);
+            let out = anytime_forward_scheduled(&snn, &batch.images, &cfg);
             for (pred, &label) in out.predictions.iter().zip(&batch.labels) {
                 if *pred == label {
                     correct += 1;
@@ -458,18 +415,6 @@ mod tests {
         assert!(
             (full_acc - anytime_acc).abs() <= 0.01 + f32::EPSILON,
             "anytime accuracy {anytime_acc:.4} drifted more than 1 pt from full-T {full_acc:.4}"
-        );
-    }
-
-    #[test]
-    fn uniform_schedule_matches_global_margin() {
-        let (snn, data) = setup();
-        let batch = data.eval_batches(16).next().unwrap();
-        let cfg = AnytimeConfig::new(4, 0.05);
-        let schedule = AnytimeSchedule::uniform(4, 0.05);
-        assert_eq!(
-            anytime_forward(&snn, &batch.images, &cfg),
-            anytime_forward_scheduled(&snn, &batch.images, &schedule),
         );
     }
 
@@ -569,9 +514,9 @@ mod tests {
     fn anytime_is_deterministic() {
         let (snn, data) = setup();
         let batch = data.eval_batches(8).next().unwrap();
-        let cfg = AnytimeConfig::new(3, 0.05);
-        let a = anytime_forward(&snn, &batch.images, &cfg);
-        let b = anytime_forward(&snn, &batch.images, &cfg);
+        let cfg = AnytimeSchedule::uniform(3, 0.05);
+        let a = anytime_forward_scheduled(&snn, &batch.images, &cfg);
+        let b = anytime_forward_scheduled(&snn, &batch.images, &cfg);
         assert_eq!(a, b);
     }
 }

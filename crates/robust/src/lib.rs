@@ -58,8 +58,8 @@ pub mod sweep;
 pub mod watchdog;
 
 pub use anytime::{
-    anytime_forward, anytime_forward_scheduled, calibrate_margin, calibrate_margin_schedule,
-    AnytimeConfig, AnytimeOutput, AnytimeSchedule,
+    anytime_forward_scheduled, calibrate_margin, calibrate_margin_schedule, AnytimeOutput,
+    AnytimeSchedule,
 };
 pub use faults::{
     evaluate_faulted, flip_dnn_weight_bits, FaultConfig, FaultedNetwork, InferenceFault,

@@ -8,7 +8,7 @@
 use ull_data::{generate, Dataset, SynthCifarConfig};
 use ull_nn::{models, Network};
 use ull_robust::{
-    anytime_forward, evaluate_faulted, resilience_sweep, AnytimeConfig, FaultConfig,
+    anytime_forward_scheduled, evaluate_faulted, resilience_sweep, AnytimeSchedule, FaultConfig,
     FaultedNetwork, InferenceFault, SweepConfig,
 };
 use ull_snn::{SnnNetwork, SpikeSpec};
@@ -73,7 +73,7 @@ fn sweep_report_is_thread_invariant() {
 fn anytime_inference_is_thread_invariant() {
     let (_, snn, data) = setup();
     let batch = data.eval_batches(16).next().unwrap();
-    let cfg = AnytimeConfig::new(4, 0.02);
-    let (a, b) = at_threads(|| anytime_forward(&snn, &batch.images, &cfg));
+    let cfg = AnytimeSchedule::uniform(4, 0.02);
+    let (a, b) = at_threads(|| anytime_forward_scheduled(&snn, &batch.images, &cfg));
     assert_eq!(a, b, "anytime decisions differ by thread count");
 }

@@ -6,7 +6,9 @@
 
 use ull_data::{generate, SynthCifarConfig};
 use ull_nn::models;
-use ull_robust::{anytime_forward, AnytimeConfig, FaultConfig, FaultedNetwork, InferenceFault};
+use ull_robust::{
+    anytime_forward_scheduled, AnytimeSchedule, FaultConfig, FaultedNetwork, InferenceFault,
+};
 use ull_snn::{SnnNetwork, SpikeSpec};
 use ull_tensor::{parallel, Tensor};
 
@@ -58,8 +60,8 @@ fn frozen_rows_never_unfreeze_on_faulted_replicas() {
     let x = test_images(16);
     for seed in [2u64, 11] {
         let net = faulted_replica(seed, 1e-3);
-        let cfg = AnytimeConfig::new(5, 0.02);
-        let out = anytime_forward(&net, &x, &cfg);
+        let cfg = AnytimeSchedule::uniform(5, 0.02);
+        let out = anytime_forward_scheduled(&net, &x, &cfg);
 
         // Reconstruct the per-step running argmaxes and check each row's
         // reported prediction equals the argmax at its freeze step — not
@@ -85,15 +87,15 @@ fn forward_until_and_anytime_are_thread_invariant_on_faulted_replicas() {
     let _guard = parallel::override_lock();
     let x = test_images(16);
     let net = faulted_replica(7, 1e-3);
-    let cfg = AnytimeConfig::new(4, 0.05);
+    let cfg = AnytimeSchedule::uniform(4, 0.05);
 
     parallel::set_threads(1);
     let (serial_out, serial_steps) = net.forward_until(&x, 4, |_, _| true);
-    let serial_any = anytime_forward(&net, &x, &cfg);
+    let serial_any = anytime_forward_scheduled(&net, &x, &cfg);
 
     parallel::set_threads(4);
     let (par_out, par_steps) = net.forward_until(&x, 4, |_, _| true);
-    let par_any = anytime_forward(&net, &x, &cfg);
+    let par_any = anytime_forward_scheduled(&net, &x, &cfg);
     parallel::set_threads(0);
 
     assert_eq!(serial_steps, par_steps);

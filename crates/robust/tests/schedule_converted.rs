@@ -7,8 +7,7 @@ use ull_core::{convert, ConversionMethod};
 use ull_data::{generate, Dataset, SynthCifarConfig};
 use ull_nn::models;
 use ull_robust::{
-    anytime_forward, anytime_forward_scheduled, calibrate_margin, calibrate_margin_schedule,
-    AnytimeConfig,
+    anytime_forward_scheduled, calibrate_margin, calibrate_margin_schedule, AnytimeSchedule,
 };
 use ull_snn::{evaluate_snn, SnnNetwork};
 
@@ -51,8 +50,9 @@ fn schedule_fires_early_exits_on_converted_nets() {
     let schedule = calibrate_margin_schedule(&snn, &train, t_max, 16, target);
 
     let (full_acc, _) = evaluate_snn(&snn, &test, t_max, 16);
-    let cfg = AnytimeConfig::new(t_max, global);
-    let (_, global_steps) = accuracy_and_mean_steps(&test, |x| anytime_forward(&snn, x, &cfg));
+    let cfg = AnytimeSchedule::uniform(t_max, global);
+    let (_, global_steps) =
+        accuracy_and_mean_steps(&test, |x| anytime_forward_scheduled(&snn, x, &cfg));
     let (sched_acc, sched_steps) =
         accuracy_and_mean_steps(&test, |x| anytime_forward_scheduled(&snn, x, &schedule));
 

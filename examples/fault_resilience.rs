@@ -71,12 +71,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Deadline-aware inference: commit early once the logit margin
     //    clears a gate calibrated on training data.
     let margin = calibrate_margin(&snn, &train, t, 32, 0.98);
-    let any_cfg = AnytimeConfig::new(t, margin);
+    let schedule = AnytimeSchedule::uniform(t, margin);
     let mut steps = 0usize;
     let mut correct = 0usize;
     let mut seen = 0usize;
     for batch in test.eval_batches(32) {
-        let out = anytime_forward(&snn, &batch.images, &any_cfg);
+        let out = anytime_forward_scheduled(&snn, &batch.images, &schedule);
         steps += out.steps_used.iter().sum::<usize>();
         for (p, &l) in out.predictions.iter().zip(&batch.labels) {
             if *p == l {

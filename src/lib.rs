@@ -50,12 +50,13 @@ pub mod prelude {
     };
     pub use ull_obs::MetricsSnapshot;
     pub use ull_robust::{
-        anytime_forward, calibrate_margin, evaluate_faulted, profile_envelope, resilience_sweep,
-        AnytimeConfig, FaultConfig, FaultedNetwork, InferenceFault, RateEnvelope, SweepConfig,
+        anytime_forward_scheduled, calibrate_margin, evaluate_faulted, profile_envelope,
+        resilience_sweep, AnytimeSchedule, FaultConfig, FaultedNetwork, InferenceFault,
+        RateEnvelope, SweepConfig,
     };
     pub use ull_snn::{
-        evaluate_snn, train_snn_epoch, ActivityReport, InputEncoding, SnnNetwork, SnnSgd,
-        SnnTrainConfig, SpikeSpec, SpikeStats,
+        evaluate_snn, train_snn_epoch, ActivityReport, InputEncoding, SnnNetwork, SnnTrainConfig,
+        SpikeSpec, SpikeStats,
     };
     pub use ull_tensor::init::seeded_rng;
     pub use ull_tensor::Tensor;
