@@ -9,7 +9,7 @@
 use serde::{Deserialize, Serialize};
 use ull_tensor::Tensor;
 
-use crate::{clip_grads, Param, Trainable};
+use crate::{clip_grads, Trainable};
 
 /// Hyper-parameters of [`Adam`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -87,17 +87,13 @@ impl Adam {
         let bc1 = 1.0 - cfg.beta1.powf(t);
         let bc2 = 1.0 - cfg.beta2.powf(t);
         net.visit_params_mut(|p| {
-            let Param {
-                value,
-                grad,
-                momentum,
-                second_moment,
-                decay,
-            } = p;
-            let wd = if *decay { cfg.weight_decay } else { 0.0 };
-            let v = second_moment.get_or_insert_with(|| Tensor::zeros(value.shape()));
-            let moments = momentum.data_mut().iter_mut().zip(v.data_mut());
-            for ((w, &g), (m, v)) in value.data_mut().iter_mut().zip(grad.data()).zip(moments) {
+            let wd = if p.decay { cfg.weight_decay } else { 0.0 };
+            let v = p
+                .second_moment
+                .get_or_insert_with(|| Tensor::zeros(p.value.shape()));
+            let moments = p.momentum.data_mut().iter_mut().zip(v.data_mut());
+            let weights = p.value.data_mut().iter_mut().zip(p.grad.data());
+            for ((w, &g), (m, v)) in weights.zip(moments) {
                 *m = cfg.beta1 * *m + (1.0 - cfg.beta1) * g;
                 *v = cfg.beta2 * *v + (1.0 - cfg.beta2) * g * g;
                 let m_hat = *m / bc1;
@@ -112,7 +108,7 @@ impl Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Network, NetworkBuilder};
+    use crate::{Network, NetworkBuilder, Param};
 
     fn one_linear_net() -> Network {
         let mut b = NetworkBuilder::new(1, 1, 0);

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Param, Trainable};
+use crate::Trainable;
 
 /// Hyper-parameters of [`Sgd`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -120,17 +120,10 @@ impl Sgd {
             clip_grads(net, max);
         }
         net.visit_params_mut(|p| {
-            let Param {
-                value,
-                grad,
-                momentum,
-                decay,
-                ..
-            } = p;
-            let wd = if *decay { cfg.weight_decay } else { 0.0 };
+            let wd = if p.decay { cfg.weight_decay } else { 0.0 };
             // v <- m·v + (g + wd·w); w <- w − lr·v
-            let moments = momentum.data_mut().iter_mut().zip(grad.data());
-            for (w, (v, &g)) in value.data_mut().iter_mut().zip(moments) {
+            let moments = p.momentum.data_mut().iter_mut().zip(p.grad.data());
+            for (w, (v, &g)) in p.value.data_mut().iter_mut().zip(moments) {
                 *v = cfg.momentum * *v + g + wd * *w;
                 *w -= lr * *v;
             }
