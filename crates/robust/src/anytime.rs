@@ -3,11 +3,11 @@
 //! A T-step SNN normally commits to its prediction only after all T steps.
 //! Under a latency deadline that is wasteful: for most inputs the
 //! running-mean logits already separate after one or two steps, and extra
-//! steps only confirm the decision. [`anytime_forward_scheduled`] emits each
-//! sample's prediction at the first step `t ≤ T` where the logit margin
-//! (top-1 minus top-2 of the running mean) clears that step's gate, falling back to
-//! the full-T prediction for samples that never clear it — graceful
-//! degradation instead of a missed deadline.
+//! steps only confirm the decision. [`anytime_forward_scheduled`] emits
+//! each sample's prediction at the first step `t ≤ T` where the logit
+//! margin (top-1 minus top-2 of the running mean) clears that step's gate,
+//! falling back to the full-T prediction for samples that never clear it —
+//! graceful degradation instead of a missed deadline.
 //!
 //! The gates are data-calibrated: [`calibrate_margin`] picks the smallest
 //! single margin whose early decisions agree with the full-T argmax on at

@@ -191,8 +191,7 @@ fn accumulate(slot: &mut Option<Tensor>, g: Tensor) {
     }
 }
 
-/// The SNN's optimizer is the DNN's [`Sgd`]; this name remains for
-/// callers written before the two were merged.
+/// The SNN's optimizer: the same [`Sgd`] that trains the DNN.
 pub type SnnSgd = Sgd;
 
 impl Trainable for SnnNetwork {
