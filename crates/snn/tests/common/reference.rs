@@ -1,9 +1,11 @@
 //! The unpacked reference step: an allocating, deliberately plain
-//! re-statement of the SNN time step (Eq. 2–4 and Eq. 8) over the unpacked
-//! kernels — `conv2d`, `matmul_transpose_b`, `maxpool2d` and `avgpool2d`.
-//! It shares no code with the crate's packed step engine, which makes it
-//! the independent oracle for every forward entry point and for the
-//! `forward_train` tape.
+//! re-statement of the SNN time step (Eq. 2–4 and Eq. 8) over the
+//! plain-weight kernels — `conv2d`, `matmul_transpose_b` (which pack their
+//! weight per call), `maxpool2d` and `avgpool2d`. It shares no code with
+//! the crate's step engine (workspace, `Stepper`, network-owned pack),
+//! which makes it the independent oracle for every forward entry point and
+//! for the `forward_train` tape. The GEMM core both run is checked on its
+//! own against a scalar reference by `ull-tensor`'s `packed_diff`.
 
 use rand::rngs::StdRng;
 use rand::Rng;

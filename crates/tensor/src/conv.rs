@@ -6,10 +6,12 @@
 //! * convolution weights: `[F, C, KH, KW]` (filters first)
 //!
 //! The forward pass lowers the input to a `[N·OH·OW, C·KH·KW]` column matrix
-//! ([`im2col`]) and reduces the convolution to one matrix multiplication.
-//! The backward pass reuses the same lowering: the weight gradient is a
-//! `colsᵀ · grad` product and the input gradient is scattered back with
-//! [`col2im`].
+//! ([`im2col`]) and reduces the convolution to one `cols · Wᵀ` product on
+//! the packed panel core ([`conv2d_packed_into`]); [`conv2d`] packs its
+//! filter bank per call, while the SNN packs once per weight version and
+//! reuses one [`ConvScratch`] across its conv nodes. The backward pass
+//! reuses the same lowering: the weight gradient is a `colsᵀ · grad`
+//! product and the input gradient is scattered back with [`col2im`].
 
 use serde::{Deserialize, Serialize};
 
@@ -191,6 +193,8 @@ pub fn col2im(cols: &Tensor, n: usize, c: usize, h: usize, w: usize, geo: ConvGe
 }
 
 /// Forward 2-d convolution: `input [N,C,H,W] * weight [F,C,KH,KW] (+ bias [F])`.
+/// Packs `weight` with [`PackedWeights::pack_conv`] and runs
+/// [`conv2d_packed_into`] on fresh buffers.
 ///
 /// Returns `[N, F, OH, OW]`.
 ///
@@ -198,83 +202,38 @@ pub fn col2im(cols: &Tensor, n: usize, c: usize, h: usize, w: usize, geo: ConvGe
 ///
 /// Panics on rank or channel mismatches.
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, geo: ConvGeometry) -> Tensor {
-    let mut scratch = ConvScratch::default();
     let mut out = Tensor::default();
-    conv2d_into(input, weight, bias, geo, &mut scratch, &mut out);
+    conv2d_packed_into(
+        input,
+        &PackedWeights::pack_conv(weight),
+        bias,
+        geo,
+        &mut ConvScratch::default(),
+        &mut out,
+    );
     out
 }
 
-/// Reusable intermediate buffers for [`conv2d_into`]: the im2col column
-/// matrix and the `[N·OH·OW, F]` GEMM product. The SNN step workspace keeps
-/// one, shared by its conv nodes, which removes the two largest per-step
-/// allocations. Every call refills the buffers completely, so one scratch
-/// serves layers of any geometry.
+/// Reusable intermediate buffers for [`conv2d_packed_into`]: the im2col
+/// column matrix and the `[N·OH·OW, F]` GEMM product. The SNN step
+/// workspace keeps one, shared by its conv nodes, which removes the two
+/// largest per-step allocations. Every call refills the buffers completely,
+/// so one scratch serves layers of any geometry.
 #[derive(Debug, Default, Clone)]
 pub struct ConvScratch {
     cols: Vec<f32>,
     prod: Vec<f32>,
 }
 
-/// [`conv2d`] writing into caller-owned scratch and output buffers (resized
-/// in place). Steady-state callers allocate nothing; results are
-/// bit-identical to [`conv2d`], which is this function with fresh buffers.
-///
-/// # Panics
-///
-/// Panics on rank or channel mismatches.
-pub fn conv2d_into(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    geo: ConvGeometry,
-    scratch: &mut ConvScratch,
-    out: &mut Tensor,
-) {
-    let [n, c, h, w] = dims4(input, "conv2d input");
-    let [f, wc, kh, kw] = dims4(weight, "conv2d weight");
-    assert_eq!(
-        c, wc,
-        "conv2d: input has {c} channels but weight expects {wc}"
-    );
-    assert_eq!(
-        (kh, kw),
-        (geo.kh, geo.kw),
-        "conv2d: weight kernel disagrees with geometry"
-    );
-    let _span = ull_obs::span("tensor.conv2d");
-    let (oh, ow) = geo.output_hw(h, w);
-    let (rows, ckk) = im2col_into(input, geo, &mut scratch.cols);
-    scratch.prod.clear();
-    scratch.prod.resize(rows * f, 0.0);
-    // Weights are `[F, C, KH, KW]` row-major, which *is* the `[F, CKK]`
-    // matrix the GEMM wants — no reshape copy needed.
-    // [N·OH·OW, CKK] x [F, CKK]ᵀ -> [N·OH·OW, F]
-    crate::matmul::matmul_tb_raw(
-        &scratch.cols,
-        rows,
-        ckk,
-        weight.data(),
-        f,
-        &mut scratch.prod,
-    );
-    if let Some(b) = bias {
-        assert_eq!(b.shape(), &[f], "conv2d: bias must have shape [F]");
-        let bd = b.data();
-        for row in scratch.prod.chunks_mut(f) {
-            for (x, &bv) in row.iter_mut().zip(bd) {
-                *x += bv;
-            }
-        }
-    }
-    rows_to_nchw_into(&scratch.prod, n, f, oh, ow, out);
-}
-
-/// [`conv2d_into`] over a weight bank packed once by
-/// [`PackedWeights::pack_conv`]. The im2col lowering and bias/NCHW epilogue
-/// are identical; only the GEMM reads the weight panels from the packed
-/// layout. Results are bit-identical to [`conv2d_into`] for every input,
-/// sparsity and thread count (each output element accumulates the same
-/// terms in the same ascending-k order — see [`crate::packed`]).
+/// Forward 2-d convolution over a filter bank packed by
+/// [`PackedWeights::pack_conv`], writing into caller-owned scratch and
+/// output buffers (resized in place, so steady-state callers allocate
+/// nothing). The input is lowered by im2col, multiplied against the packed
+/// panels by the register-blocked core of [`crate::packed`], then the bias
+/// is added per row and the rows are permuted back to NCHW. Results are
+/// bit-identical for every input, sparsity and thread count (each output
+/// element accumulates its terms in ascending-k order — see
+/// [`crate::packed`]).
 ///
 /// # Panics
 ///
@@ -438,6 +397,7 @@ fn dims4(t: &Tensor, what: &str) -> [usize; 4] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
 
     fn seq_tensor(shape: &[usize]) -> Tensor {
         let n: usize = shape.iter().product();
@@ -616,7 +576,7 @@ mod tests {
         let w = seq_tensor(&[5, 3, 3, 3]);
         let b = Tensor::from_slice(&[0.5, -0.25, 1.0, 0.0, -1.5]);
         for geo in [ConvGeometry::square(3, 1, 1), ConvGeometry::square(3, 2, 0)] {
-            let want = conv2d(&x, &w, Some(&b), geo);
+            let want = reference::conv2d(&x, &w, Some(&b), geo);
             let packed = PackedWeights::pack_conv(&w);
             let mut scratch = ConvScratch::default();
             let mut got = Tensor::default();

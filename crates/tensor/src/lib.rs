@@ -9,8 +9,8 @@
 //! * matrix multiplication ([`matmul`])
 //! * 2-d convolution via im2col with full backward passes ([`conv`])
 //! * weight-stationary packed dense kernels ([`packed`]) — weights laid out
-//!   once per network, bit-identical to the unpacked kernels; the SNN eval
-//!   forward runs only these
+//!   once per network into panels for the register-blocked core, the one
+//!   `A · Bᵀ` kernel behind every conv and linear forward, DNN and SNN
 //! * event-driven sparse kernels over compact spike batches ([`events`]),
 //!   bit-identical to the dense path, kept as a per-layer reference
 
@@ -56,9 +56,17 @@ pub mod parallel;
 pub mod pool;
 pub mod stats;
 
+// The unit tests share the integration tests' scalar reference kernels,
+// which name this crate by its external name.
+#[cfg(test)]
+extern crate self as ull_tensor;
+#[cfg(test)]
+#[path = "../tests/common/reference.rs"]
+mod reference;
+
 pub use error::TensorError;
 pub use events::{conv2d_events, matmul_tb_events, SpikeBatch};
-pub use matmul::{matmul, matmul_transpose_a, matmul_transpose_b, matmul_transpose_b_into};
+pub use matmul::{matmul, matmul_transpose_a, matmul_transpose_b};
 pub use packed::{
     matmul_packed, matmul_tb_packed, matmul_tb_packed_into, tensor_fingerprint, PackLayout,
     PackedWeights,

@@ -3,13 +3,15 @@
 //! Three variants cover the needs of forward and backward passes without
 //! materialising transposes:
 //!
-//! * [`matmul`] — `C = A · B`
+//! * [`matmul`] — `C = A · B` (input gradients)
 //! * [`matmul_transpose_a`] — `C = Aᵀ · B` (weight gradients)
-//! * [`matmul_transpose_b`] — `C = A · Bᵀ` (input gradients)
+//! * [`matmul_transpose_b`] — `C = A · Bᵀ` (the layer forward)
 //!
-//! All kernels use the cache-friendly `i-k-j` loop order over contiguous
-//! rows, which is the fastest portable ordering for row-major data without
-//! explicit blocking or SIMD intrinsics.
+//! The two backward GEMMs use the cache-friendly `i-k-j` loop order over
+//! contiguous rows. [`matmul_transpose_b`] packs its rhs per call and runs
+//! the register-blocked panel core of [`crate::packed`], the crate's one
+//! `A · Bᵀ` kernel; callers that reuse a weight pack it once and call
+//! [`crate::matmul_tb_packed`] instead.
 //!
 //! Output rows are independent, so each kernel distributes contiguous
 //! row blocks over [`crate::parallel`]. Every output element is
@@ -24,8 +26,7 @@
 //! `ull-energy` AC model predicts from spike rates). With observability
 //! disabled each kernel costs one atomic load per call.
 
-use crate::parallel;
-use crate::Tensor;
+use crate::{matmul_tb_packed, parallel, PackedWeights, Tensor};
 
 /// Rows per parallel work item: ~4 blocks per worker balances load without
 /// making the chunk queue hot. Block size never affects results — each
@@ -127,74 +128,21 @@ pub fn matmul_transpose_a(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(out, &[m, n]).expect("matmul_transpose_a output length is m*n")
 }
 
-/// `C = A · Bᵀ` for `A: [m, k]`, `B: [n, k]` giving `C: [m, n]`.
+/// `C = A · Bᵀ` for `A: [m, k]`, `B: [n, k]` giving `C: [m, n]`: packs `b`
+/// with [`PackedWeights::pack_rhs_t`] and runs [`matmul_tb_packed`], so the
+/// pack is counted in `tensor.pack.bytes` on every call.
 ///
 /// # Panics
 ///
 /// Panics if either operand is not rank 2 or the trailing dimensions disagree.
 pub fn matmul_transpose_b(a: &Tensor, b: &Tensor) -> Tensor {
-    let mut out = Tensor::default();
-    matmul_transpose_b_into(a, b, &mut out);
-    out
-}
-
-/// [`matmul_transpose_b`] writing into a caller-owned output tensor, which
-/// is resized in place — steady-state callers (the SNN step workspace)
-/// therefore allocate nothing.
-///
-/// # Panics
-///
-/// Panics if either operand is not rank 2 or the trailing dimensions disagree.
-pub fn matmul_transpose_b_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
-    let (m, k) = dims2(a, "matmul_transpose_b lhs");
-    let (n, k2) = dims2(b, "matmul_transpose_b rhs");
+    let (_, k) = dims2(a, "matmul_transpose_b lhs");
+    let (_, k2) = dims2(b, "matmul_transpose_b rhs");
     assert_eq!(
         k, k2,
         "matmul_transpose_b: trailing dims disagree ({k} vs {k2})"
     );
-    out.reset_shaped(&[m, n]);
-    matmul_tb_raw(a.data(), m, k, b.data(), n, out.data_mut());
-}
-
-/// Row-major `C = A · Bᵀ` over raw slices: `ad: [m, k]`, `bd: [n, k]`,
-/// `out: [m, n]`. The shared core of [`matmul_transpose_b_into`] and
-/// [`crate::conv::conv2d_into`] (whose scratch buffers are plain `Vec`s).
-///
-/// Zero lhs entries are skipped; each output element still accumulates its
-/// non-zero terms in ascending `k` order, so results are bit-identical to
-/// the skip-free loop whenever the rhs is finite (`0·finite == ±0.0`, and
-/// `acc + ±0.0` leaves `acc` unchanged for every `acc` the loop can hold).
-pub(crate) fn matmul_tb_raw(ad: &[f32], m: usize, k: usize, bd: &[f32], n: usize, out: &mut [f32]) {
-    assert_eq!(ad.len(), m * k, "matmul_tb_raw: lhs length");
-    assert_eq!(bd.len(), n * k, "matmul_tb_raw: rhs length");
-    assert_eq!(out.len(), m * n, "matmul_tb_raw: out length");
-    let _span = ull_obs::span("tensor.matmul_tb");
-    ull_obs::counter_add("tensor.macs", (m * k * n) as u64);
-    let block = row_block(m);
-    parallel::par_chunks_mut(out, block * n, |ci, chunk| {
-        let i0 = ci * block;
-        let mut executed = 0u64;
-        for (ri, orow) in chunk.chunks_mut(n).enumerate() {
-            let arow = &ad[(i0 + ri) * k..(i0 + ri + 1) * k];
-            let nz = arow.iter().filter(|&&av| av != 0.0).count() as u64;
-            executed += nz * n as u64;
-            for (j, o) in orow.iter_mut().enumerate() {
-                let brow = &bd[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&av, &bv) in arow.iter().zip(brow) {
-                    // Skip zero lhs terms by masking the product to +0.0
-                    // (so 0·∞ adds nothing) instead of branching: `acc`
-                    // starts at +0.0 and so is never −0.0, hence adding
-                    // +0.0 keeps its bits. A per-term branch here made the
-                    // loop's speed swing 2× with its link-time alignment.
-                    let keep = ((av != 0.0) as u32).wrapping_neg();
-                    acc += f32::from_bits((av * bv).to_bits() & keep);
-                }
-                *o = acc;
-            }
-        }
-        ull_obs::counter_add("tensor.acs", executed);
-    });
+    matmul_tb_packed(a, &PackedWeights::pack_rhs_t(b))
 }
 
 fn dims2(t: &Tensor, what: &str) -> (usize, usize) {
@@ -339,15 +287,6 @@ mod tests {
         for (x, y) in got.data().iter().zip(want.data()) {
             assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
         }
-    }
-
-    #[test]
-    fn transpose_b_into_reuses_buffer() {
-        let a = rand_tensor(&[3, 5], 20);
-        let b = rand_tensor(&[4, 5], 21);
-        let mut out = Tensor::zeros(&[100]);
-        matmul_transpose_b_into(&a, &b, &mut out);
-        assert_eq!(out, matmul_transpose_b(&a, &b));
     }
 
     #[test]

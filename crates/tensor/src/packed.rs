@@ -1,32 +1,34 @@
 //! Weight-stationary packed dense kernels.
 //!
 //! At the paper's ultra-low latencies (T ≤ 5) every SNN eval step pays one
-//! GEMM per conv/linear layer, and the unpacked kernels stream the weight
-//! matrix from its canonical layout on every call. But the weights of a
-//! converted SNN are *fixed at conversion time* — so their memory layout
-//! can be prepared once and reused for every timestep, batch and serving
-//! replica.
+//! GEMM per conv/linear layer. The weights of a converted SNN are *fixed at
+//! conversion time* — so their memory layout can be prepared once and
+//! reused for every timestep, batch and serving replica.
 //!
 //! [`PackedWeights`] lays a weight matrix out once into k-major panels of
 //! [`PANEL_WIDTH`] output features: within a panel, the [`PANEL_WIDTH`]
 //! weights an inner-product step needs are contiguous, so the packed GEMM
 //! streams the panel linearly while register-blocking over
-//! [`PANEL_WIDTH`]-wide output columns and 4-high output rows. The packed
-//! kernels [`matmul_packed`] / [`matmul_tb_packed`] (and
-//! [`crate::conv::conv2d_packed_into`], which reuses the same core after
-//! im2col) are the only kernels of the SNN eval forward; the unpacked
-//! kernels remain as their differential oracle and as the training path.
+//! [`PANEL_WIDTH`]-wide output columns and 4-high output rows. This core is
+//! the crate's one `A · Bᵀ` kernel: [`matmul_tb_packed`] and
+//! [`crate::conv::conv2d_packed_into`] (which reuses it after im2col) run
+//! it over a pack built once per weight version, as the SNN does, and
+//! [`crate::matmul_transpose_b`] and [`crate::conv::conv2d`] pack their
+//! weight per call, as the DNN forward does. The backward GEMMs
+//! ([`crate::matmul()`], [`crate::matmul_transpose_a`]) stay unpacked.
 //!
 //! # Bit-identity contract
 //!
 //! Register blocking changes *which* output elements are computed together,
 //! never *how* one element accumulates: every output element still sums its
 //! `a[i,p]·b[p,j]` terms in ascending `p` order into an accumulator that
-//! starts at `+0.0`, with exactly the `a == 0.0` terms the unpacked kernels
-//! also skip. Products have identical operands, sums identical order — so
-//! packed results are **bit-identical** to the unpacked kernels for every
-//! shape, sparsity and `ULL_THREADS` (asserted exhaustively by
-//! `crates/tensor/tests/packed_diff.rs`).
+//! starts at `+0.0`, skipping exactly the `a == 0.0` terms. Products have
+//! identical operands, sums identical order — so results are
+//! **bit-identical** to a scalar dot product per element (and
+//! [`matmul_packed`] to the `i-k-j` [`crate::matmul()`]) for every shape,
+//! sparsity and `ULL_THREADS`, asserted exhaustively against the scalar
+//! reference kernels of `crates/tensor/tests/common/reference.rs` by
+//! `crates/tensor/tests/packed_diff.rs`.
 
 use crate::parallel;
 use crate::Tensor;
@@ -216,8 +218,8 @@ pub fn matmul_packed(a: &Tensor, b: &PackedWeights) -> Tensor {
 }
 
 /// `C = A · Bᵀ` over packed weights (`A: [m, k]`, pack source `B: [n, k]`).
-/// Bit-identical to [`crate::matmul_transpose_b`] for every input and
-/// thread count.
+/// [`crate::matmul_transpose_b`] is this call on a pack made per call, so
+/// the two agree bit for bit for every input and thread count.
 ///
 /// # Panics
 ///
@@ -264,9 +266,9 @@ fn packed_gemm_into(a: &Tensor, b: &PackedWeights, out: &mut Tensor, span: &'sta
 /// Register-blocks over [`TILE_ROWS`] output rows × [`PANEL_WIDTH`] output
 /// columns with the reduction loop innermost. Each output element's
 /// accumulator receives its non-zero terms in ascending `p` order starting
-/// from `+0.0` — exactly the unpacked kernels' per-element order — so the
-/// result is bit-identical to [`crate::matmul::matmul_tb_raw`] (and to
-/// [`crate::matmul`] for the [`PackLayout::Rhs`] orientation).
+/// from `+0.0`, so the result is bit-identical to a scalar dot product per
+/// element (and to [`crate::matmul`] for the [`PackLayout::Rhs`]
+/// orientation).
 pub(crate) fn packed_gemm_raw(
     ad: &[f32],
     m: usize,
@@ -308,7 +310,7 @@ pub(crate) fn packed_gemm_raw(
                     for (arow, accr) in arows.iter().zip(acc.iter_mut()).take(mr) {
                         let av = arow[p];
                         if av == 0.0 {
-                            continue; // the same terms the unpacked kernels skip
+                            continue; // the zero-lhs terms a scalar dot product would mask out
                         }
                         for (o, &bv) in accr[..w].iter_mut().zip(brow) {
                             *o += av * bv;
@@ -341,7 +343,7 @@ fn dims2(t: &Tensor, what: &str) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{matmul, matmul_transpose_b};
+    use crate::{matmul, reference};
 
     fn rand_tensor(shape: &[usize], seed: u64) -> Tensor {
         let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -371,7 +373,10 @@ mod tests {
                 let a = rand_tensor(&[m, 6], (m * 31 + n) as u64);
                 let b = rand_tensor(&[n, 6], (m * 7 + n * 3) as u64);
                 let packed = PackedWeights::pack_rhs_t(&b);
-                assert_bits_eq(&matmul_tb_packed(&a, &packed), &matmul_transpose_b(&a, &b));
+                assert_bits_eq(
+                    &matmul_tb_packed(&a, &packed),
+                    &reference::matmul_tb(&a, &b),
+                );
             }
         }
     }
@@ -389,14 +394,17 @@ mod tests {
     #[test]
     fn sparse_lhs_is_bit_identical_too() {
         // The SNN hot path: a mostly-zero spike matrix against packed
-        // weights. Zero-skip must drop exactly the unpacked kernel's terms.
+        // weights. Zero-skip must drop exactly the reference's masked terms.
         let mut a = rand_tensor(&[9, 12], 5);
         for (i, v) in a.data_mut().iter_mut().enumerate() {
             *v = if (i * 2654435761) % 4 == 0 { 0.5 } else { 0.0 };
         }
         let b = rand_tensor(&[10, 12], 6);
         let packed = PackedWeights::pack_rhs_t(&b);
-        assert_bits_eq(&matmul_tb_packed(&a, &packed), &matmul_transpose_b(&a, &b));
+        assert_bits_eq(
+            &matmul_tb_packed(&a, &packed),
+            &reference::matmul_tb(&a, &b),
+        );
     }
 
     #[test]

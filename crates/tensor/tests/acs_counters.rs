@@ -122,8 +122,9 @@ fn counted_work(f: impl FnOnce()) -> [u64; 3] {
 
 /// Packing changes only the weight memory layout, so it must not move any
 /// counted work: a conv and a linear layer on spike input report the same
-/// nominal MACs, executed ACs and im2col bytes through the packed and the
-/// unpacked kernels, at any thread count.
+/// nominal MACs, executed ACs and im2col bytes on a pack built once as
+/// on one `conv2d`/`matmul_transpose_b` make per call, at any thread
+/// count.
 #[test]
 fn packing_moves_no_counted_work() {
     let _obs = ull_obs::test_lock();

@@ -1,16 +1,19 @@
 //! Differential harness for the packed weight-stationary kernels.
 //!
-//! Fuzzes shapes × sparsity × `ULL_THREADS` {1, 4} × packed/unpacked and
-//! asserts *byte* equality — the same correctness discipline the event
-//! kernels use. Deterministic cases pin the panel/tile boundary shapes
-//! (n ∈ {1, 7, 8, 9, 16, 17}, m across the 4-row tile) that fuzzing may
-//! skip over.
+//! Fuzzes shapes × sparsity × `ULL_THREADS` {1, 4} and asserts *byte*
+//! equality between the packed panel core and an independent oracle: the
+//! scalar dot-product kernels of `common/reference.rs` for `A · Bᵀ` and
+//! conv (the crate's own `matmul_transpose_b` and `conv2d` run the panel
+//! core themselves), and the `i-k-j` [`matmul`] for `A · B`. Deterministic
+//! cases pin the panel/tile boundary shapes (n ∈ {1, 7, 8, 9, 16, 17}, m
+//! across the 4-row tile) that fuzzing may skip over.
 
+mod common;
+
+use common::reference;
 use proptest::prelude::*;
-use ull_tensor::conv::{conv2d, conv2d_packed_into, ConvGeometry, ConvScratch};
-use ull_tensor::{
-    matmul, matmul_packed, matmul_tb_packed, matmul_transpose_b, parallel, PackedWeights, Tensor,
-};
+use ull_tensor::conv::{conv2d_packed_into, ConvGeometry, ConvScratch};
+use ull_tensor::{matmul, matmul_packed, matmul_tb_packed, parallel, PackedWeights, Tensor};
 
 fn assert_bits_eq(got: &Tensor, want: &Tensor, ctx: &str) {
     assert_eq!(got.shape(), want.shape(), "{ctx}: shape");
@@ -63,7 +66,7 @@ fn panel_and_tile_boundaries_bitwise_across_threads() {
                     sparsify(&mut a, 4, 0.75);
                 }
                 parallel::set_threads(1);
-                let want_tb = matmul_transpose_b(&a, &bt);
+                let want_tb = reference::matmul_tb(&a, &bt);
                 let want = matmul(&a, &b);
                 for threads in [1usize, 4] {
                     parallel::set_threads(threads);
@@ -89,7 +92,7 @@ fn packed_conv_boundaries_bitwise_across_threads() {
         let packed = PackedWeights::pack_conv(&w);
         for geo in [ConvGeometry::square(3, 1, 1), ConvGeometry::square(3, 2, 0)] {
             parallel::set_threads(1);
-            let want = conv2d(&x, &w, Some(&bias), geo);
+            let want = reference::conv2d(&x, &w, Some(&bias), geo);
             for threads in [1usize, 4] {
                 parallel::set_threads(threads);
                 conv2d_packed_into(&x, &packed, Some(&bias), geo, &mut scratch, &mut got);
@@ -103,7 +106,7 @@ fn packed_conv_boundaries_bitwise_across_threads() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random shapes × random data: `A · Bᵀ` packed == unpacked, bitwise,
+    /// Random shapes × random data: `A · Bᵀ` packed == reference, bitwise,
     /// at `ULL_THREADS` 1 and 4.
     #[test]
     fn fuzz_matmul_tb_packed_bitwise(
@@ -118,7 +121,7 @@ proptest! {
         let _guard = parallel::override_lock();
         for threads in [1usize, 4] {
             parallel::set_threads(threads);
-            let want = matmul_transpose_b(&a, &bt);
+            let want = reference::matmul_tb(&a, &bt);
             let got = matmul_tb_packed(&a, &packed);
             prop_assert_eq!(got.shape(), want.shape());
             for (g, w) in got.data().iter().zip(want.data()) {
@@ -128,8 +131,8 @@ proptest! {
         parallel::set_threads(0);
     }
 
-    /// Spike-sparse lhs (uniform amplitude, ~1-in-5 active): the zero-skip
-    /// paths of both kernels must drop exactly the same terms.
+    /// Spike-sparse lhs (uniform amplitude, ~1-in-5 active): the panel
+    /// core's zero-skip must drop exactly the terms the reference masks.
     #[test]
     fn fuzz_sparse_lhs_packed_bitwise(
         mask in proptest::collection::vec(0u8..10, 30),
@@ -144,7 +147,7 @@ proptest! {
         let _guard = parallel::override_lock();
         for threads in [1usize, 4] {
             parallel::set_threads(threads);
-            let want = matmul_transpose_b(&a, &bt);
+            let want = reference::matmul_tb(&a, &bt);
             let got = matmul_tb_packed(&a, &packed);
             for (g, wv) in got.data().iter().zip(want.data()) {
                 prop_assert_eq!(g.to_bits(), wv.to_bits(), "threads {}", threads);
@@ -153,7 +156,7 @@ proptest! {
         parallel::set_threads(0);
     }
 
-    /// Random conv shapes: packed conv == unpacked conv, bitwise, with and
+    /// Random conv shapes: packed conv == reference conv, bitwise, with and
     /// without bias, across thread counts.
     #[test]
     fn fuzz_conv_packed_bitwise(
@@ -175,7 +178,7 @@ proptest! {
         let _guard = parallel::override_lock();
         for threads in [1usize, 4] {
             parallel::set_threads(threads);
-            let want = conv2d(&x, &w, b, geo);
+            let want = reference::conv2d(&x, &w, b, geo);
             conv2d_packed_into(&x, &packed, b, geo, &mut scratch, &mut got);
             prop_assert_eq!(got.shape(), want.shape());
             for (g, e) in got.data().iter().zip(want.data()) {
@@ -185,7 +188,7 @@ proptest! {
         parallel::set_threads(0);
     }
 
-    /// `C = A · B` orientation: packed == unpacked, bitwise.
+    /// `C = A · B` orientation: packed == `i-k-j` [`matmul`], bitwise.
     #[test]
     fn fuzz_matmul_packed_bitwise(
         data in proptest::collection::vec(-3.0f32..3.0, 60),
