@@ -15,12 +15,9 @@
 //! ```
 
 use serde::Serialize;
-use ull_bench::{load_data, train_or_load_dnn, write_report, Arch, Scale};
+use ull_bench::{load_data, sgl_finetune, train_or_load_dnn, write_report, Arch, Scale};
 use ull_core::{convert, ConversionMethod};
-use ull_nn::{LrSchedule, Sgd, SgdConfig};
-use ull_snn::{
-    evaluate_snn, train_snn_epoch, InputEncoding, SnnNetwork, SnnOp, SnnTrainConfig, SpikeSpec,
-};
+use ull_snn::{evaluate_snn, InputEncoding, SnnNetwork, SnnOp, SpikeSpec};
 use ull_tensor::init::seeded_rng;
 
 #[derive(Serialize)]
@@ -34,53 +31,6 @@ struct DesignAblationReport {
     alpha_beta_plus_bias_accuracy: f32,
     direct_encoding_accuracy: f32,
     rate_encoding_accuracy: f32,
-}
-
-fn sgl(
-    snn: &mut SnnNetwork,
-    train: &ull_data::Dataset,
-    test: &ull_data::Dataset,
-    t: usize,
-    epochs: usize,
-    batch: usize,
-    train_leak: bool,
-) -> f32 {
-    let sgd = Sgd::new(SgdConfig {
-        lr: 0.005,
-        momentum: 0.9,
-        weight_decay: 0.0,
-    })
-    .with_clip(5.0);
-    let cfg = SnnTrainConfig {
-        batch_size: batch,
-        time_steps: t,
-        augment_pad: 0,
-        augment_flip: false,
-    };
-    let mut rng = seeded_rng(31);
-    let mut best = 0.0f32;
-    for e in 0..epochs {
-        train_snn_epoch(
-            snn,
-            train,
-            &sgd,
-            LrSchedule::paper(epochs).factor(e),
-            &cfg,
-            &mut rng,
-        );
-        if !train_leak {
-            // IF ablation: pin the leak back to 1 after each step.
-            for node in snn.nodes_mut() {
-                if let SnnOp::Spike(layer) = &mut node.op {
-                    layer.leak.value.fill(1.0);
-                    layer.leak.momentum.fill(0.0);
-                }
-            }
-        }
-        let (acc, _) = evaluate_snn(snn, test, t, batch);
-        best = best.max(acc);
-    }
-    best
 }
 
 fn main() {
@@ -102,25 +52,39 @@ fn main() {
 
     // 1. IF (leak pinned to 1) vs LIF (leak trainable) during SGL.
     let (mut snn_if, _) = convert(&dnn, &train, ConversionMethod::AlphaBeta, t).expect("convert");
-    let acc_if = sgl(
+    // IF ablation: pin the leak back to 1 after each epoch.
+    let pin_leak = |snn: &mut SnnNetwork| {
+        for node in snn.nodes_mut() {
+            if let SnnOp::Spike(layer) = &mut node.op {
+                layer.leak.value.fill(1.0);
+                layer.leak.momentum.fill(0.0);
+            }
+        }
+    };
+    let epochs = scale.snn_epochs();
+    let acc_if = sgl_finetune(
         &mut snn_if,
         &train,
-        &test,
+        Some(&test),
         t,
-        scale.snn_epochs(),
+        epochs,
         scale.batch(),
-        false,
-    );
+        31,
+        pin_leak,
+    )
+    .expect("test set given");
     let (mut snn_lif, _) = convert(&dnn, &train, ConversionMethod::AlphaBeta, t).expect("convert");
-    let acc_lif = sgl(
+    let acc_lif = sgl_finetune(
         &mut snn_lif,
         &train,
-        &test,
+        Some(&test),
         t,
-        scale.snn_epochs(),
+        epochs,
         scale.batch(),
-        true,
-    );
+        31,
+        |_| {},
+    )
+    .expect("test set given");
     let final_leaks: Vec<f32> = snn_lif
         .nodes()
         .iter()

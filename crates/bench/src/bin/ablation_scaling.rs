@@ -15,12 +15,11 @@
 //! ```
 
 use serde::Serialize;
-use ull_bench::{load_data, train_or_load_dnn, write_report, Arch, Scale};
+use ull_bench::{load_data, sgl_finetune, train_or_load_dnn, write_report, Arch, Scale};
 use ull_core::{
     collect_preactivations, compute_loss, convert, find_scaling_factors, ConversionMethod,
 };
-use ull_nn::{LrSchedule, Sgd, SgdConfig};
-use ull_snn::{evaluate_snn, train_snn_epoch, SnnTrainConfig};
+use ull_snn::evaluate_snn;
 use ull_tensor::init::seeded_rng;
 use ull_tensor::stats::percentile_table;
 
@@ -35,43 +34,6 @@ struct AblationReport {
     conversion_only_deng: Vec<(usize, f32)>,
     percentile_search_loss: f32,
     linear_search_loss: f32,
-}
-
-fn sgl_finetune(
-    snn: &mut ull_snn::SnnNetwork,
-    train: &ull_data::Dataset,
-    test: &ull_data::Dataset,
-    t: usize,
-    epochs: usize,
-    batch: usize,
-) -> f32 {
-    let sgd = Sgd::new(SgdConfig {
-        lr: 0.005,
-        momentum: 0.9,
-        weight_decay: 0.0,
-    })
-    .with_clip(5.0);
-    let cfg = SnnTrainConfig {
-        batch_size: batch,
-        time_steps: t,
-        augment_pad: 0,
-        augment_flip: false,
-    };
-    let mut rng = seeded_rng(77);
-    let mut best = 0.0f32;
-    for e in 0..epochs {
-        train_snn_epoch(
-            snn,
-            train,
-            &sgd,
-            LrSchedule::paper(epochs).factor(e),
-            &cfg,
-            &mut rng,
-        );
-        let (acc, _) = evaluate_snn(snn, test, t, batch);
-        best = best.max(acc);
-    }
-    best
 }
 
 fn main() {
@@ -104,21 +66,27 @@ fn main() {
         let acc_h = sgl_finetune(
             &mut snn_h,
             &train,
-            &test,
+            Some(&test),
             t,
             scale.snn_epochs().min(4),
             scale.batch(),
-        );
+            77,
+            |_| {},
+        )
+        .expect("test set given");
         let (mut snn_ab, _) =
             convert(&dnn, &train, ConversionMethod::AlphaBeta, t).expect("convert ab");
         let acc_ab = sgl_finetune(
             &mut snn_ab,
             &train,
-            &test,
+            Some(&test),
             t,
             scale.snn_epochs().min(4),
             scale.batch(),
-        );
+            77,
+            |_| {},
+        )
+        .expect("test set given");
         println!(
             "SGL from heuristic [16,24] init: T={t} -> {:.2} %   |   from alpha/beta init: {:.2} %",
             acc_h * 100.0,

@@ -14,11 +14,10 @@
 //! ```
 
 use serde::Serialize;
-use ull_bench::{load_data, train_or_load_dnn, write_report, Arch, Scale};
+use ull_bench::{load_data, sgl_finetune, train_or_load_dnn, write_report, Arch, Scale};
 use ull_core::{convert, ConversionMethod};
 use ull_energy::{audit_dnn, audit_snn, ComparisonRow, NeuromorphicModel};
-use ull_nn::{LrSchedule, Sgd, SgdConfig};
-use ull_snn::{evaluate_snn, train_snn_epoch, SnnNetwork, SnnTrainConfig};
+use ull_snn::evaluate_snn;
 use ull_tensor::init::seeded_rng;
 
 #[derive(Serialize)]
@@ -43,38 +42,6 @@ struct Fig4Report {
     dnn_macs: u64,
     dnn_energy_pj: f64,
     models: Vec<ModelResult>,
-}
-
-fn finetune(
-    snn: &mut SnnNetwork,
-    train: &ull_data::Dataset,
-    t: usize,
-    epochs: usize,
-    batch: usize,
-) {
-    let sgd = Sgd::new(SgdConfig {
-        lr: 0.005,
-        momentum: 0.9,
-        weight_decay: 0.0,
-    })
-    .with_clip(5.0);
-    let cfg = SnnTrainConfig {
-        batch_size: batch,
-        time_steps: t,
-        augment_pad: 0,
-        augment_flip: false,
-    };
-    let mut rng = seeded_rng(9);
-    for e in 0..epochs {
-        train_snn_epoch(
-            snn,
-            train,
-            &sgd,
-            LrSchedule::paper(epochs).factor(e),
-            &cfg,
-            &mut rng,
-        );
-    }
 }
 
 fn main() {
@@ -131,13 +98,8 @@ fn main() {
         for (label, method, t, tune) in variants {
             let (mut snn, _) = convert(&dnn, &train, method, t).expect("convert");
             if tune {
-                finetune(
-                    &mut snn,
-                    &train,
-                    t,
-                    scale.snn_epochs().min(3),
-                    scale.batch(),
-                );
+                let epochs = scale.snn_epochs().min(3);
+                sgl_finetune(&mut snn, &train, None, t, epochs, scale.batch(), 9, |_| {});
             }
             let (acc, stats) = evaluate_snn(&snn, &test, t, scale.batch());
             let activity = stats.report();

@@ -42,7 +42,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use serde::Serialize;
-use ull_bench::{write_report, Scale};
+use ull_bench::{update_experiments_md, workspace_root, write_report, Scale};
 use ull_data::{generate, Dataset, SynthCifarConfig};
 use ull_nn::models;
 use ull_robust::{profile_envelope, FaultConfig, FaultedNetwork, InferenceFault};
@@ -64,13 +64,6 @@ const HIGH_BER: f64 = 2e-2;
 /// batches of slack on top (the watchdog verdict is per-batch).
 const EXCURSION_LIMIT: usize = 2;
 const ROLLBACK_BATCH_BOUND: usize = 12;
-
-fn workspace_root() -> PathBuf {
-    let mut dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    dir.pop();
-    dir.pop();
-    dir
-}
 
 fn clean_net(seed: u64) -> SnnNetwork {
     let dnn = models::vgg_micro(CLASSES, SIDE, 0.25, seed);
@@ -698,28 +691,11 @@ fn main() {
                 e.seq, e.at_ms, e.transition, e.version, e.detail
             ));
         }
-        update_experiments_md(&section);
+        update_experiments_md(
+            "lifecycle",
+            "serve_lifecycle",
+            "Serving — zero-downtime model lifecycle",
+            &section,
+        );
     }
-}
-
-/// Splices the generated markdown between the lifecycle markers of
-/// EXPERIMENTS.md (appending a fresh section if the markers are absent).
-fn update_experiments_md(section: &str) {
-    const BEGIN: &str = "<!-- lifecycle:begin (generated by serve_lifecycle) -->";
-    const END: &str = "<!-- lifecycle:end -->";
-    let path = workspace_root().join("EXPERIMENTS.md");
-    let current = std::fs::read_to_string(&path).unwrap_or_default();
-    let block = format!("{BEGIN}\n{section}{END}");
-    let updated = match (current.find(BEGIN), current.find(END)) {
-        (Some(b), Some(e)) if e >= b => {
-            format!("{}{}{}", &current[..b], block, &current[e + END.len()..])
-        }
-        _ => format!(
-            "{}\n## Serving — zero-downtime model lifecycle\n\n\
-             `cargo run --release -p ull-bench --bin serve_lifecycle`\n\n{block}\n",
-            current.trim_end()
-        ),
-    };
-    std::fs::write(&path, updated).expect("write EXPERIMENTS.md");
-    println!("updated {}", path.display());
 }

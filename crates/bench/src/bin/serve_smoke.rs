@@ -14,8 +14,8 @@
 
 use std::io::Write as _;
 use std::net::SocketAddr;
-use std::path::PathBuf;
 
+use ull_bench::workspace_root;
 use ull_data::{generate, SynthCifarConfig};
 use ull_nn::models;
 use ull_serve::{
@@ -35,13 +35,6 @@ const BAD_JSON: usize = 4;
 const OVERSIZED: usize = 1;
 const TOTAL: usize =
     VALID + EXPIRED + WRONG_SHAPE + WRONG_VOLUME + NON_FINITE + BAD_JSON + OVERSIZED;
-
-fn workspace_root() -> PathBuf {
-    let mut dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    dir.pop();
-    dir.pop();
-    dir
-}
 
 fn request_reply(addr: SocketAddr, payload: &[u8]) -> Reply {
     let mut conn = connect_with_retry(addr, &RetryPolicy::default()).expect("connect");

@@ -30,11 +30,12 @@
 //! Artifacts: `reports/serve_soak_{scale}.json`, `BENCH_serve.json`, and
 //! the failover timeline between the `serve` markers of EXPERIMENTS.md.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use serde::Serialize;
-use ull_bench::{load_data, train_or_load_dnn, write_report, Arch, Scale};
+use ull_bench::{
+    load_data, train_or_load_dnn, update_experiments_md, workspace_root, write_report, Arch, Scale,
+};
 use ull_core::{convert, ConversionMethod};
 use ull_data::Dataset;
 use ull_robust::{
@@ -82,13 +83,6 @@ struct SoakReport {
     thread_invariant: bool,
     timeline: Vec<BatchEvent>,
     counters: std::collections::BTreeMap<String, u64>,
-}
-
-fn workspace_root() -> PathBuf {
-    let mut dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    dir.pop();
-    dir.pop();
-    dir
 }
 
 /// Identity-spec SNN of the trained DNN — rich spiking dynamics at tiny
@@ -530,28 +524,11 @@ fn main() {
                 e.seq, e.at_ms
             ));
         }
-        update_experiments_md(&section);
+        update_experiments_md(
+            "serve",
+            "serve_soak",
+            "Serving — failover and degradation under chaos",
+            &section,
+        );
     }
-}
-
-/// Splices the generated markdown between the serve markers of
-/// EXPERIMENTS.md (appending a fresh section if the markers are absent).
-fn update_experiments_md(section: &str) {
-    const BEGIN: &str = "<!-- serve:begin (generated by serve_soak) -->";
-    const END: &str = "<!-- serve:end -->";
-    let path = workspace_root().join("EXPERIMENTS.md");
-    let current = std::fs::read_to_string(&path).unwrap_or_default();
-    let block = format!("{BEGIN}\n{section}{END}");
-    let updated = match (current.find(BEGIN), current.find(END)) {
-        (Some(b), Some(e)) if e >= b => {
-            format!("{}{}{}", &current[..b], block, &current[e + END.len()..])
-        }
-        _ => format!(
-            "{}\n## Serving — failover and degradation under chaos\n\n\
-             `cargo run --release -p ull-bench --bin serve_soak`\n\n{block}\n",
-            current.trim_end()
-        ),
-    };
-    std::fs::write(&path, updated).expect("write EXPERIMENTS.md");
-    println!("updated {}", path.display());
 }

@@ -34,7 +34,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use serde::Serialize;
-use ull_bench::{classify_trace_line, exact_percentile, Scale, TraceLine};
+use ull_bench::{
+    classify_trace_line, exact_percentile, update_experiments_md, workspace_root, Scale, TraceLine,
+};
 use ull_data::{generate, Dataset, SynthCifarConfig};
 use ull_nn::models;
 use ull_obs::{hist_bucket_index, HistogramSnapshot, TraceEvent};
@@ -76,13 +78,6 @@ struct TelemetryReport {
     blackbox_parsed: bool,
     determinism: bool,
     histograms: Vec<HistRow>,
-}
-
-fn workspace_root() -> PathBuf {
-    let mut dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    dir.pop();
-    dir.pop();
-    dir
 }
 
 fn clean_net(image: usize, seed: u64) -> SnnNetwork {
@@ -507,28 +502,11 @@ fn main() {
             report.reconciled,
             report.determinism
         ));
-        update_experiments_md(&section);
+        update_experiments_md(
+            "telemetry",
+            "telemetry_probe",
+            "Telemetry — live histograms, scrape and flight recorder",
+            &section,
+        );
     }
-}
-
-/// Splices the generated markdown between the telemetry markers of
-/// EXPERIMENTS.md (appending a fresh section if the markers are absent).
-fn update_experiments_md(section: &str) {
-    const BEGIN: &str = "<!-- telemetry:begin (generated by telemetry_probe) -->";
-    const END: &str = "<!-- telemetry:end -->";
-    let path = workspace_root().join("EXPERIMENTS.md");
-    let current = std::fs::read_to_string(&path).unwrap_or_default();
-    let block = format!("{BEGIN}\n{section}{END}");
-    let updated = match (current.find(BEGIN), current.find(END)) {
-        (Some(b), Some(e)) if e >= b => {
-            format!("{}{}{}", &current[..b], block, &current[e + END.len()..])
-        }
-        _ => format!(
-            "{}\n## Telemetry — live histograms, scrape and flight recorder\n\n\
-             `cargo run --release -p ull-bench --bin telemetry_probe`\n\n{block}\n",
-            current.trim_end()
-        ),
-    };
-    std::fs::write(&path, updated).expect("write EXPERIMENTS.md");
-    println!("updated {}", path.display());
 }

@@ -15,6 +15,7 @@ use ull_nn::{
     evaluate, train_epoch, CheckpointError, LrSchedule, Network, Sgd, SgdConfig, TrainConfig,
 };
 use ull_obs::TraceEvent;
+use ull_snn::{evaluate_snn, train_snn_epoch, SnnNetwork, SnnTrainConfig};
 
 /// One line of a JSONL trace, classified for forward compatibility.
 ///
@@ -217,6 +218,47 @@ pub fn train_dnn(
     evaluate(net, test, batch)
 }
 
+/// SGL-fine-tunes `snn` at `t` time steps for `epochs` epochs with the
+/// experiments' shared recipe (LR 0.005, momentum 0.9, gradient clip 5,
+/// step decay), drawing batches from an RNG seeded with `seed`.
+/// `after_epoch` runs after each epoch, before evaluation. With a test
+/// set, returns the best test accuracy over the epochs.
+#[allow(clippy::too_many_arguments)]
+pub fn sgl_finetune(
+    snn: &mut SnnNetwork,
+    train: &Dataset,
+    test: Option<&Dataset>,
+    t: usize,
+    epochs: usize,
+    batch: usize,
+    seed: u64,
+    mut after_epoch: impl FnMut(&mut SnnNetwork),
+) -> Option<f32> {
+    let sgd = Sgd::new(SgdConfig {
+        lr: 0.005,
+        momentum: 0.9,
+        weight_decay: 0.0,
+    })
+    .with_clip(5.0);
+    let cfg = SnnTrainConfig {
+        batch_size: batch,
+        time_steps: t,
+        augment_pad: 0,
+        augment_flip: false,
+    };
+    let schedule = LrSchedule::paper(epochs);
+    let mut rng = ull_tensor::init::seeded_rng(seed);
+    let mut best = 0.0f32;
+    for e in 0..epochs {
+        train_snn_epoch(snn, train, &sgd, schedule.factor(e), &cfg, &mut rng);
+        after_epoch(snn);
+        if let Some(test) = test {
+            best = best.max(evaluate_snn(snn, test, t, batch).0);
+        }
+    }
+    test.map(|_| best)
+}
+
 /// Trains the DNN like [`train_dnn`], but caches the result under
 /// `reports/models/{tag}_{scale}.json` so experiment binaries sharing the
 /// same source network (fig2/fig3/fig4/table2/ablation all train VGG-16)
@@ -230,7 +272,7 @@ pub fn train_or_load_dnn(
     test: &Dataset,
     rng: &mut StdRng,
 ) -> (Network, f32) {
-    let dir = report_dir().join("models");
+    let dir = workspace_root().join("reports/models");
     std::fs::create_dir_all(&dir).expect("create model cache dir");
     let path = dir.join(format!("{}_{}_{}.json", tag, classes, scale.name()));
     match ull_nn::load::<Network>(&path) {
@@ -270,7 +312,7 @@ pub fn train_or_load_dnn(
 /// Panics if the report directory cannot be created or the file cannot be
 /// written — experiment results must not be silently lost.
 pub fn write_report<T: Serialize>(name: &str, scale: Scale, payload: &T) -> PathBuf {
-    let dir = report_dir();
+    let dir = workspace_root().join("reports");
     std::fs::create_dir_all(&dir).expect("create reports directory");
     let path = dir.join(format!("{}_{}.json", name, scale.name()));
     let json = serde_json::to_string_pretty(payload).expect("serialise report");
@@ -278,12 +320,40 @@ pub fn write_report<T: Serialize>(name: &str, scale: Scale, payload: &T) -> Path
     path
 }
 
-fn report_dir() -> PathBuf {
-    // Walk up from the crate to the workspace root's reports/.
+/// The workspace root: `reports/`, `EXPERIMENTS.md` and the committed
+/// `BENCH_*.json` artifacts live here.
+pub fn workspace_root() -> PathBuf {
     let mut dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     dir.pop(); // crates/
     dir.pop(); // workspace root
-    dir.join("reports")
+    dir
+}
+
+/// Splices the generated markdown `section` between the `marker` markers
+/// of EXPERIMENTS.md, which name `bin` as their generator. When the
+/// markers are absent, appends a fresh section headed `title` with the
+/// command that regenerates it.
+///
+/// # Panics
+///
+/// Panics if EXPERIMENTS.md cannot be written.
+pub fn update_experiments_md(marker: &str, bin: &str, title: &str, section: &str) {
+    let begin = format!("<!-- {marker}:begin (generated by {bin}) -->");
+    let end = format!("<!-- {marker}:end -->");
+    let path = workspace_root().join("EXPERIMENTS.md");
+    let current = std::fs::read_to_string(&path).unwrap_or_default();
+    let block = format!("{begin}\n{section}{end}");
+    let updated = match (current.find(&begin), current.find(&end)) {
+        (Some(b), Some(e)) if e >= b => {
+            format!("{}{}{}", &current[..b], block, &current[e + end.len()..])
+        }
+        _ => format!(
+            "{}\n## {title}\n\n`cargo run --release -p ull-bench --bin {bin}`\n\n{block}\n",
+            current.trim_end()
+        ),
+    };
+    std::fs::write(&path, updated).expect("write EXPERIMENTS.md");
+    println!("updated {}", path.display());
 }
 
 #[cfg(test)]

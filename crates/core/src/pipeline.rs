@@ -3,15 +3,19 @@
 //!
 //! [`run_pipeline`] produces the three accuracy columns of Table I for one
 //! (architecture, dataset, T) cell: (a) source DNN accuracy, (b) accuracy
-//! right after conversion, and (c) accuracy after SGL fine-tuning.
+//! right after conversion, and (c) accuracy after SGL fine-tuning. It runs
+//! the one pipeline driver, the one in [`crate::recovery`], without a
+//! checkpoint directory; this module holds the run's configuration and
+//! report.
 
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use ull_data::Dataset;
-use ull_nn::{evaluate, train_epoch, LrSchedule, Network, Sgd, SgdConfig, TrainConfig};
-use ull_snn::{evaluate_snn, train_snn_epoch, SnnNetwork, SnnTrainConfig};
+use ull_nn::{LrSchedule, Network, Sgd, SgdConfig, TrainConfig};
+use ull_snn::{SnnNetwork, SnnTrainConfig};
 
-use crate::convert::{convert, ConversionMethod, ConvertError};
+use crate::convert::ConversionMethod;
+use crate::recovery::PipelineError;
 use crate::LayerScaling;
 
 /// Configuration of one end-to-end pipeline run.
@@ -107,7 +111,7 @@ pub struct PipelineReport {
     /// Time steps used.
     pub time_steps: usize,
     /// Recovery actions taken during the run (rollbacks, retries) — empty
-    /// for the plain [`run_pipeline`] and for healthy recoverable runs.
+    /// for healthy runs.
     /// Defaults to empty when reading reports written by older versions.
     #[serde(default)]
     pub recovery_events: Vec<String>,
@@ -122,71 +126,27 @@ pub struct PipelineReport {
 /// Table-I accuracies. The trained networks are returned for further
 /// analysis (energy audits, spike statistics).
 ///
+/// This is the pipeline driver of [`crate::recovery`] without a checkpoint
+/// directory: it commits the run state to memory every epoch, and a NaN/Inf
+/// or exploding loss rolls back to the last commit at half the learning
+/// rate (up to
+/// [`RecoveryConfig::new`](crate::RecoveryConfig::new)'s default retry
+/// budget), as logged
+/// in [`PipelineReport::recovery_events`]. A healthy run trains exactly
+/// as an unchecked loop would.
+///
 /// # Errors
 ///
-/// Propagates [`ConvertError`] from the conversion stage.
+/// [`PipelineError::Convert`] from the conversion stage;
+/// [`PipelineError::Train`] once the retry budget is spent.
 pub fn run_pipeline(
     dnn: &mut Network,
     train_data: &Dataset,
     test_data: &Dataset,
     cfg: &PipelineConfig,
     rng: &mut StdRng,
-) -> Result<(PipelineReport, SnnNetwork), ConvertError> {
-    // Phase (a): DNN training with the paper's step-decay schedule.
-    let phase_span = ull_obs::span("pipeline.train_dnn");
-    let dnn_start = std::time::Instant::now();
-    let (sgd, schedule, tcfg) = cfg.dnn_recipe();
-    for e in 0..cfg.dnn_epochs {
-        train_epoch(dnn, train_data, &sgd, schedule.factor(e), &tcfg, rng);
-    }
-    let dnn_seconds = dnn_start.elapsed().as_secs_f64();
-    let dnn_accuracy = evaluate(dnn, test_data, cfg.batch_size);
-    drop(phase_span);
-
-    // Phase (b): conversion.
-    let phase_span = ull_obs::span("pipeline.convert");
-    let (mut snn, scalings) = convert(dnn, train_data, cfg.method, cfg.time_steps)?;
-    let (converted_accuracy, _) = evaluate_snn(&snn, test_data, cfg.time_steps, cfg.batch_size);
-    drop(phase_span);
-
-    // Phase (c): SGL fine-tuning of weights, thresholds and leaks.
-    let phase_span = ull_obs::span("pipeline.finetune_snn");
-    let snn_start = std::time::Instant::now();
-    let (snn_sgd, snn_schedule, stcfg) = cfg.snn_recipe();
-    let mut best_acc = converted_accuracy;
-    let mut best_snn = snn.clone();
-    for e in 0..cfg.snn_epochs {
-        train_snn_epoch(
-            &mut snn,
-            train_data,
-            &snn_sgd,
-            snn_schedule.factor(e),
-            &stcfg,
-            rng,
-        );
-        let (acc, _) = evaluate_snn(&snn, test_data, cfg.time_steps, cfg.batch_size);
-        if acc > best_acc {
-            best_acc = acc;
-            best_snn = snn.clone();
-        }
-    }
-    let snn_seconds = snn_start.elapsed().as_secs_f64();
-    drop(phase_span);
-
-    Ok((
-        PipelineReport {
-            dnn_accuracy,
-            converted_accuracy,
-            snn_accuracy: best_acc,
-            scalings,
-            dnn_seconds,
-            snn_seconds,
-            time_steps: cfg.time_steps,
-            recovery_events: Vec::new(),
-            metrics: ull_obs::enabled().then(ull_obs::snapshot),
-        },
-        best_snn,
-    ))
+) -> Result<(PipelineReport, SnnNetwork), PipelineError> {
+    crate::recovery::run_in_memory(dnn, train_data, test_data, cfg, rng)
 }
 
 #[cfg(test)]

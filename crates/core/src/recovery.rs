@@ -1,18 +1,22 @@
-//! Crash-safe, resumable execution of the hybrid pipeline.
+//! The one driver of the hybrid pipeline, *train DNN → convert → SGL
+//! fine-tune*, and its crash-safe, resumable entry points.
 //!
-//! [`run_pipeline_recoverable`] runs the same *train DNN → convert → SGL
-//! fine-tune* pipeline as [`run_pipeline`](crate::run_pipeline), but commits
-//! an atomic, checksummed checkpoint (see [`ull_nn::save_with_meta`]) every
-//! `every_n_epochs` epochs, carrying the full run state: networks with
-//! momentum buffers, phase/epoch cursor, accuracy bookkeeping and the raw
-//! RNG state. Because every source of randomness is the persisted
-//! [`StdRng`] and every reduction order is fixed, a run that is killed and
-//! resumed with [`resume_pipeline`] produces **bit-identical** results to
-//! one that was never interrupted.
+//! Every run — [`run_pipeline`](crate::run_pipeline) as much as
+//! [`run_pipeline_recoverable`] — goes through the same phase-cursor loop.
+//! It *commits* the full run state every `every_n_epochs` epochs and at
+//! each phase boundary: networks with momentum buffers, phase/epoch
+//! cursor, accuracy bookkeeping and the RNG. Each commit is kept in
+//! memory; the recoverable entry points also write it to
+//! [`RecoveryConfig::checkpoint_dir`] as an atomic, checksummed checkpoint
+//! (see [`ull_nn::save_with_meta`]). The directory is read only to resume:
+//! because every source of randomness is the persisted [`StdRng`] and
+//! every reduction order is fixed, a run that is killed and resumed with
+//! [`resume_pipeline`] produces **bit-identical** results to one that was
+//! never interrupted.
 //!
 //! Numeric failures (NaN/Inf loss or gradients, loss explosions) are
 //! detected by the checked training loops *before* they can poison the
-//! parameters; the runner rolls back to the last good checkpoint, halves
+//! parameters; the driver rolls back to the last commit in memory, halves
 //! the learning rate, and retries — up to
 //! [`RecoveryConfig::max_retries`] times, after which it surfaces
 //! [`TrainError::Diverged`].
@@ -23,7 +27,7 @@
 use std::fmt;
 use std::fs;
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -130,7 +134,7 @@ pub enum PipelineError {
     /// DNN→SNN conversion failed.
     Convert(ConvertError),
     /// A checkpoint could not be written, or no valid checkpoint was found
-    /// when one was required (resume, rollback).
+    /// to resume from.
     Checkpoint(CheckpointError),
     /// Training failed numerically and the retry budget is exhausted
     /// ([`TrainError::Diverged`]).
@@ -247,6 +251,7 @@ impl ull_nn::ValidatePayload for PipelineCheckpoint {
 
 /// In-memory run cursor: the checkpoint payload plus the phase/epoch
 /// cursor that lives in the envelope metadata.
+#[derive(Clone)]
 struct RunState {
     phase: PipelinePhase,
     epoch: usize,
@@ -284,24 +289,73 @@ fn checkpoint_name(phase: PipelinePhase, epoch: usize) -> String {
     format!("ckpt-{}-{:05}.{}", phase.index(), epoch, CHECKPOINT_EXT)
 }
 
-fn commit(state: &RunState, rcfg: &RecoveryConfig, rng: &StdRng) -> Result<PathBuf, PipelineError> {
-    let meta = CheckpointMeta {
-        phase: state.phase.as_str().to_string(),
-        epoch: state.epoch,
-        rng_state: rng.state(),
-    };
-    let path = rcfg
-        .checkpoint_dir
-        .join(checkpoint_name(state.phase, state.epoch));
-    save_with_meta(&state.ckpt, &meta, &path)?;
-    prune(rcfg);
-    Ok(path)
+/// The driver's commits: the last committed run state and RNG, which
+/// [`Commits::rollback`] restores, and the checkpoint directory each
+/// commit is also written to when the run has one.
+struct Commits<'a> {
+    rcfg: &'a RecoveryConfig,
+    dir: Option<&'a Path>,
+    last: RunState,
+    last_rng: StdRng,
+}
+
+impl Commits<'_> {
+    /// Commits `state`: keeps a copy in memory and, with a directory,
+    /// writes it as an atomic checkpoint and prunes the oldest files.
+    /// Returns the written file's path.
+    fn commit(&mut self, state: &RunState, rng: &StdRng) -> Result<Option<PathBuf>, PipelineError> {
+        self.last = state.clone();
+        self.last_rng = rng.clone();
+        let Some(dir) = self.dir else {
+            return Ok(None);
+        };
+        let meta = CheckpointMeta {
+            phase: state.phase.as_str().to_string(),
+            epoch: state.epoch,
+            rng_state: rng.state(),
+        };
+        let path = dir.join(checkpoint_name(state.phase, state.epoch));
+        save_with_meta(&state.ckpt, &meta, &path)?;
+        prune(dir, self.rcfg.keep_last);
+        Ok(Some(path))
+    }
+
+    /// Rolls the run back to the last commit after a numeric failure,
+    /// halving the LR backoff and consuming one retry.
+    fn rollback(
+        &self,
+        state: &mut RunState,
+        rng: &mut StdRng,
+        reason: String,
+    ) -> Result<(), PipelineError> {
+        ull_obs::counter_add("recovery.rollbacks", 1);
+        let retries = state.ckpt.retries_used + 1;
+        if retries > self.rcfg.max_retries {
+            return Err(PipelineError::Train(TrainError::Diverged {
+                phase: state.phase.as_str().to_string(),
+                epoch: state.epoch,
+                retries: self.rcfg.max_retries,
+            }));
+        }
+        let backoff = state.ckpt.lr_backoff * 0.5;
+        let mut events = std::mem::take(&mut state.ckpt.events);
+        events.push(format!(
+            "rollback #{retries}: {reason}; restored the last commit (phase {}, epoch {}), lr backoff -> {backoff}",
+            self.last.phase, self.last.epoch,
+        ));
+        *state = self.last.clone();
+        *rng = self.last_rng.clone();
+        state.ckpt.retries_used = retries;
+        state.ckpt.lr_backoff = backoff;
+        state.ckpt.events = events;
+        Ok(())
+    }
 }
 
 /// Best-effort pruning of checkpoints beyond `keep_last` (a failed unlink
 /// must not kill a healthy training run).
-fn prune(rcfg: &RecoveryConfig) {
-    let Ok(entries) = fs::read_dir(&rcfg.checkpoint_dir) else {
+fn prune(dir: &Path, keep_last: usize) {
+    let Ok(entries) = fs::read_dir(dir) else {
         return;
     };
     let mut names: Vec<PathBuf> = entries
@@ -311,7 +365,7 @@ fn prune(rcfg: &RecoveryConfig) {
         .collect();
     names.sort();
     names.reverse(); // newest first
-    for old in names.iter().skip(rcfg.keep_last.max(1)) {
+    for old in names.iter().skip(keep_last.max(1)) {
         let _ = fs::remove_file(old);
     }
 }
@@ -320,7 +374,6 @@ fn prune(rcfg: &RecoveryConfig) {
 fn restore(
     ckpt: PipelineCheckpoint,
     meta: &CheckpointMeta,
-    dnn: &mut Network,
     rng: &mut StdRng,
 ) -> Result<RunState, PipelineError> {
     let phase = PipelinePhase::from_label(&meta.phase).ok_or_else(|| {
@@ -333,52 +386,17 @@ fn restore(
             reason: "checkpoint carries no RNG state (all zeros)".to_string(),
         }));
     }
-    if phase == PipelinePhase::Sgl && ckpt.snn.is_none() {
+    if phase == PipelinePhase::Sgl && (ckpt.snn.is_none() || ckpt.best_snn.is_none()) {
         return Err(PipelineError::Checkpoint(CheckpointError::BadPayload {
-            reason: "SGL-phase checkpoint is missing the SNN".to_string(),
+            reason: "SGL-phase checkpoint is missing an SNN".to_string(),
         }));
     }
-    *dnn = ckpt.dnn.clone();
     *rng = StdRng::from_state(meta.rng_state);
     Ok(RunState {
         phase,
         epoch: meta.epoch,
         ckpt,
     })
-}
-
-/// Rolls the run back to the last good checkpoint after a numeric failure,
-/// halving the LR backoff and consuming one retry.
-fn rollback(
-    state: &mut RunState,
-    dnn: &mut Network,
-    rcfg: &RecoveryConfig,
-    rng: &mut StdRng,
-    reason: String,
-) -> Result<(), PipelineError> {
-    ull_obs::counter_add("recovery.rollbacks", 1);
-    let retries = state.ckpt.retries_used + 1;
-    if retries > rcfg.max_retries {
-        return Err(PipelineError::Train(TrainError::Diverged {
-            phase: state.phase.as_str().to_string(),
-            epoch: state.epoch,
-            retries: rcfg.max_retries,
-        }));
-    }
-    let (ckpt, meta, path) = load_latest::<PipelineCheckpoint>(&rcfg.checkpoint_dir)?;
-    let backoff = state.ckpt.lr_backoff * 0.5;
-    let mut events = std::mem::take(&mut state.ckpt.events);
-    events.push(format!(
-        "rollback #{retries}: {reason}; restored {} (phase {}, epoch {}), lr backoff -> {backoff}",
-        path.display(),
-        meta.phase,
-        meta.epoch,
-    ));
-    *state = restore(ckpt, &meta, dnn, rng)?;
-    state.ckpt.retries_used = retries;
-    state.ckpt.lr_backoff = backoff;
-    state.ckpt.events = events;
-    Ok(())
 }
 
 /// Poisons the first gradient element of the first parameter with NaN —
@@ -396,7 +414,7 @@ fn poison_first_grad<N: Trainable>(net: &mut N) {
 /// Flips one byte in the middle of `path` in place (non-atomically, on
 /// purpose) — the payload of
 /// [`FaultKind::CorruptCheckpoint`](crate::FaultKind::CorruptCheckpoint).
-fn corrupt_file(path: &PathBuf) -> io::Result<()> {
+fn corrupt_file(path: &Path) -> io::Result<()> {
     let mut bytes = fs::read(path)?;
     if !bytes.is_empty() {
         let mid = bytes.len() / 2;
@@ -405,11 +423,11 @@ fn corrupt_file(path: &PathBuf) -> io::Result<()> {
     fs::write(path, bytes)
 }
 
-/// Runs the full pipeline crash-safely from scratch: like
-/// [`run_pipeline`](crate::run_pipeline), plus atomic checkpoints, numeric
-/// rollback-and-retry, and a recovery log in the report. On the healthy
-/// path the result is bit-identical to [`run_pipeline`](crate::run_pipeline)
-/// with the same seed.
+/// Runs the full pipeline crash-safely from scratch:
+/// [`run_pipeline`](crate::run_pipeline) under `rcfg`'s retry policy, with
+/// every commit also written to `rcfg.checkpoint_dir` as an atomic
+/// checkpoint. On the healthy path the result is bit-identical to
+/// [`run_pipeline`](crate::run_pipeline) with the same seed.
 ///
 /// # Errors
 ///
@@ -451,14 +469,32 @@ pub fn run_pipeline_recoverable_with_faults(
     plan: &mut FaultPlan,
 ) -> Result<(PipelineReport, SnnNetwork), PipelineError> {
     fs::create_dir_all(&rcfg.checkpoint_dir).map_err(CheckpointError::Io)?;
+    let dir = Some(rcfg.checkpoint_dir.as_path());
     let state = RunState::fresh(dnn);
-    drive(dnn, train_data, test_data, cfg, rcfg, rng, plan, state)
+    drive(dnn, train_data, test_data, cfg, rcfg, dir, rng, plan, state)
+}
+
+/// A fresh run that commits to memory only, under `RecoveryConfig`'s
+/// default retry policy: the body of [`run_pipeline`](crate::run_pipeline).
+pub(crate) fn run_in_memory(
+    dnn: &mut Network,
+    train_data: &Dataset,
+    test_data: &Dataset,
+    cfg: &PipelineConfig,
+    rng: &mut StdRng,
+) -> Result<(PipelineReport, SnnNetwork), PipelineError> {
+    let rcfg = RecoveryConfig::new(PathBuf::new());
+    let state = RunState::fresh(dnn);
+    let plan = &mut FaultPlan::none();
+    drive(
+        dnn, train_data, test_data, cfg, &rcfg, None, rng, plan, state,
+    )
 }
 
 /// Resumes an interrupted run from the newest valid checkpoint in
-/// `rcfg.checkpoint_dir`, overwriting `dnn` and `rng` with the persisted
-/// state. The completed run is bit-identical to one that was never
-/// interrupted.
+/// `rcfg.checkpoint_dir`. The run continues from the persisted networks
+/// and RNG state: `dnn` and `rng` are overwritten, never read. The
+/// completed run is bit-identical to one that was never interrupted.
 ///
 /// # Errors
 ///
@@ -499,9 +535,10 @@ pub fn resume_pipeline_with_faults(
     plan: &mut FaultPlan,
 ) -> Result<(PipelineReport, SnnNetwork), PipelineError> {
     let (ckpt, meta, _path) = load_latest::<PipelineCheckpoint>(&rcfg.checkpoint_dir)?;
-    let state = restore(ckpt, &meta, dnn, rng)?;
+    let state = restore(ckpt, &meta, rng)?;
     ull_obs::counter_add("recovery.resumes", 1);
-    drive(dnn, train_data, test_data, cfg, rcfg, rng, plan, state)
+    let dir = Some(rcfg.checkpoint_dir.as_path());
+    drive(dnn, train_data, test_data, cfg, rcfg, dir, rng, plan, state)
 }
 
 /// Resumes if `rcfg.checkpoint_dir` holds a valid checkpoint, otherwise
@@ -520,24 +557,19 @@ pub fn run_or_resume_pipeline(
 ) -> Result<(PipelineReport, SnnNetwork), PipelineError> {
     match load_latest::<PipelineCheckpoint>(&rcfg.checkpoint_dir) {
         Ok((ckpt, meta, _path)) => {
-            let state = restore(ckpt, &meta, dnn, rng)?;
+            let state = restore(ckpt, &meta, rng)?;
             ull_obs::counter_add("recovery.resumes", 1);
-            drive(
-                dnn,
-                train_data,
-                test_data,
-                cfg,
-                rcfg,
-                rng,
-                &mut FaultPlan::none(),
-                state,
-            )
+            let dir = Some(rcfg.checkpoint_dir.as_path());
+            let plan = &mut FaultPlan::none();
+            drive(dnn, train_data, test_data, cfg, rcfg, dir, rng, plan, state)
         }
         Err(_) => run_pipeline_recoverable(dnn, train_data, test_data, cfg, rcfg, rng),
     }
 }
 
-/// The phase-cursor drive loop shared by fresh and resumed runs.
+/// The phase-cursor drive loop shared by every run, fresh or resumed,
+/// with a checkpoint directory (`dir`) or without. `state` counts as
+/// committed: a resumed run starts from its checkpoint.
 #[allow(clippy::too_many_arguments)]
 fn drive(
     dnn: &mut Network,
@@ -545,34 +577,40 @@ fn drive(
     test_data: &Dataset,
     cfg: &PipelineConfig,
     rcfg: &RecoveryConfig,
+    dir: Option<&Path>,
     rng: &mut StdRng,
     plan: &mut FaultPlan,
     mut state: RunState,
 ) -> Result<(PipelineReport, SnnNetwork), PipelineError> {
+    let mut commits = Commits {
+        rcfg,
+        dir,
+        last: state.clone(),
+        last_rng: rng.clone(),
+    };
     // ---- Phase (a): DNN training -------------------------------------
     if state.phase == PipelinePhase::DnnTrain {
         let phase_span = ull_obs::span("pipeline.train_dnn");
-        // Base checkpoint so even an epoch-0 failure has a rollback target.
+        // Base checkpoint so a crash before the first epoch's commit
+        // still leaves a run to resume.
         if state.epoch == 0 {
-            commit(&state, rcfg, rng)?;
+            commits.commit(&state, rng)?;
         }
         let (sgd, schedule, tcfg) = cfg.dnn_recipe();
         let phase = Phase {
             epochs: cfg.dnn_epochs,
             schedule,
-            net: |ckpt: &PipelineCheckpoint| ckpt.dnn.clone(),
-            train: |net: &mut Network, lr, rng: &mut StdRng, hook: Hook<'_, Network>| {
+            train: |ckpt: &mut PipelineCheckpoint,
+                    lr,
+                    rng: &mut StdRng,
+                    hook: Hook<'_, Network>| {
+                let net = &mut ckpt.dnn;
                 let stats = train_epoch_with_hook(net, train_data, &sgd, lr, &tcfg, rng, hook)?;
-                Ok((stats.loss, stats.seconds))
-            },
-            // Keep the DNN inside `state` in sync with the caller's network.
-            keep: |ckpt: &mut PipelineCheckpoint, dnn: &mut Network, net: Network, seconds| {
-                ckpt.dnn = net.clone();
-                *dnn = net;
-                ckpt.dnn_seconds += seconds;
+                ckpt.dnn_seconds += stats.seconds;
+                Ok(stats.loss)
             },
         };
-        train_phase(&mut state, dnn, rcfg, rng, plan, phase)?;
+        train_phase(&mut state, &mut commits, rng, plan, phase)?;
         drop(phase_span);
 
         // ---- Phase (b): conversion (deterministic, no RNG) -----------
@@ -588,9 +626,9 @@ fn drive(
         state.ckpt.last_loss = -1.0;
         state.phase = PipelinePhase::Sgl;
         state.epoch = 0;
-        // Commit the phase transition so a crash during SGL never redoes
-        // DNN training or conversion.
-        commit(&state, rcfg, rng)?;
+        // Commit the phase transition so a crash or rollback during SGL
+        // never redoes DNN training or conversion.
+        commits.commit(&state, rng)?;
         drop(phase_span);
     }
 
@@ -600,113 +638,97 @@ fn drive(
     let phase = Phase {
         epochs: cfg.snn_epochs,
         schedule,
-        net: |ckpt: &PipelineCheckpoint| {
-            ckpt.snn
-                .clone()
-                .expect("SGL phase always has an SNN (checked on restore)")
-        },
-        train: |net: &mut SnnNetwork, lr, rng: &mut StdRng, hook: Hook<'_, SnnNetwork>| {
+        // Train, then evaluate the epoch's SNN and keep the best.
+        train: |ckpt: &mut PipelineCheckpoint, lr, rng: &mut StdRng, hook: Hook<'_, SnnNetwork>| {
+            let net = ckpt.snn.as_mut().expect(HAS_SNN);
             let stats = train_snn_epoch_with_hook(net, train_data, &sgd, lr, &stcfg, rng, hook)?;
-            Ok((stats.loss, stats.seconds))
-        },
-        // Evaluate each epoch's SNN and keep the best.
-        keep: |ckpt: &mut PipelineCheckpoint, _: &mut Network, net: SnnNetwork, seconds| {
-            let (acc, _) = evaluate_snn(&net, test_data, cfg.time_steps, cfg.batch_size);
+            let (acc, _) = evaluate_snn(net, test_data, cfg.time_steps, cfg.batch_size);
             if acc > ckpt.best_acc {
                 ckpt.best_acc = acc;
                 ckpt.best_snn = Some(net.clone());
             }
-            ckpt.snn = Some(net);
-            ckpt.snn_seconds += seconds;
+            ckpt.snn_seconds += stats.seconds;
+            Ok(stats.loss)
         },
     };
-    train_phase(&mut state, dnn, rcfg, rng, plan, phase)?;
+    train_phase(&mut state, &mut commits, rng, plan, phase)?;
     drop(phase_span);
 
-    *dnn = state.ckpt.dnn.clone();
-    let best_snn = state
-        .ckpt
-        .best_snn
-        .clone()
-        .expect("SGL phase always has a best SNN (checked on restore)");
+    let ckpt = state.ckpt;
+    *dnn = ckpt.dnn;
     Ok((
         PipelineReport {
-            dnn_accuracy: state.ckpt.dnn_accuracy,
-            converted_accuracy: state.ckpt.converted_accuracy,
-            snn_accuracy: state.ckpt.best_acc,
-            scalings: state.ckpt.scalings.clone(),
-            dnn_seconds: state.ckpt.dnn_seconds,
-            snn_seconds: state.ckpt.snn_seconds,
+            dnn_accuracy: ckpt.dnn_accuracy,
+            converted_accuracy: ckpt.converted_accuracy,
+            snn_accuracy: ckpt.best_acc,
+            scalings: ckpt.scalings,
+            dnn_seconds: ckpt.dnn_seconds,
+            snn_seconds: ckpt.snn_seconds,
             time_steps: cfg.time_steps,
-            recovery_events: state.ckpt.events.clone(),
+            recovery_events: ckpt.events,
             metrics: ull_obs::enabled().then(ull_obs::snapshot),
         },
-        best_snn,
+        ckpt.best_snn.expect(HAS_SNN),
     ))
 }
+
+/// The SGL phase always has an SNN and a best SNN: conversion sets both,
+/// and [`restore`] rejects an SGL checkpoint without them.
+const HAS_SNN: &str = "SGL phase always has an SNN (checked on restore)";
 
 /// A per-batch fault hook, as the `_with_hook` training epochs take it.
 type Hook<'a, N> = &'a mut dyn FnMut(&mut N, usize);
 
 /// What distinguishes one trained phase from the other for
 /// [`train_phase`].
-struct Phase<Net, Train, Keep> {
+struct Phase<Train> {
     /// Epochs in the phase.
     epochs: usize,
     /// LR schedule (before the rollback backoff).
     schedule: LrSchedule,
-    /// A copy of the phase's network from the checkpoint payload.
-    net: Net,
-    /// One checked epoch at an LR factor; returns `(loss, seconds)`.
+    /// One checked epoch at an LR factor on the phase's network in the
+    /// run state, plus its bookkeeping; returns the epoch's loss.
     train: Train,
-    /// Stores a healthy epoch's network and wall-clock seconds.
-    keep: Keep,
 }
 
-/// The epoch-with-rollback loop of one trained phase: each epoch trains a
-/// copy of the phase's network. A numeric failure or a loss explosion
-/// rolls the run back to the last checkpoint; a healthy epoch is kept and
+/// The epoch-with-rollback loop of one trained phase: each epoch trains
+/// the phase's network in the run state. A numeric failure or a loss
+/// explosion rolls the run back to the last commit; a healthy epoch is
 /// committed every `every_n_epochs` epochs and at the phase end, where the
 /// plan's crash and corrupt faults fire.
-fn train_phase<N, Net, Train, Keep>(
+fn train_phase<N, Train>(
     state: &mut RunState,
-    dnn: &mut Network,
-    rcfg: &RecoveryConfig,
+    commits: &mut Commits<'_>,
     rng: &mut StdRng,
     plan: &mut FaultPlan,
-    mut phase: Phase<Net, Train, Keep>,
+    mut phase: Phase<Train>,
 ) -> Result<(), PipelineError>
 where
     N: Trainable,
-    Net: Fn(&PipelineCheckpoint) -> N,
-    Train: FnMut(&mut N, f32, &mut StdRng, Hook<'_, N>) -> Result<(f32, f64), TrainError>,
-    Keep: FnMut(&mut PipelineCheckpoint, &mut Network, N, f64),
+    Train: FnMut(&mut PipelineCheckpoint, f32, &mut StdRng, Hook<'_, N>) -> Result<f32, TrainError>,
 {
+    let rcfg = commits.rcfg;
     let every_n = rcfg.every_n_epochs.max(1);
     let label = state.phase;
     while state.epoch < phase.epochs {
         let e = state.epoch;
         let lr = phase.schedule.factor(e) * state.ckpt.lr_backoff;
         let nan_batch = plan.take_nan(label, e);
-        let mut net = (phase.net)(&state.ckpt);
+        let last_loss = state.ckpt.last_loss;
         let mut hook = |n: &mut N, b: usize| {
             if Some(b) == nan_batch {
                 poison_first_grad(n);
             }
         };
-        match (phase.train)(&mut net, lr, rng, &mut hook) {
-            Ok((loss, _))
-                if state.ckpt.last_loss > 0.0
-                    && loss > rcfg.explosion_factor * state.ckpt.last_loss =>
-            {
+        match (phase.train)(&mut state.ckpt, lr, rng, &mut hook) {
+            Ok(loss) if last_loss > 0.0 && loss > rcfg.explosion_factor * last_loss => {
                 let reason = format!(
-                    "{label} epoch {e}: loss exploded ({loss} > {} x {})",
-                    rcfg.explosion_factor, state.ckpt.last_loss
+                    "{label} epoch {e}: loss exploded ({loss} > {} x {last_loss})",
+                    rcfg.explosion_factor
                 );
-                rollback(state, dnn, rcfg, rng, reason)?;
+                commits.rollback(state, rng, reason)?;
             }
-            Ok((loss, seconds)) => {
-                (phase.keep)(&mut state.ckpt, dnn, net, seconds);
+            Ok(loss) => {
                 state.ckpt.last_loss = loss;
                 state.epoch = e + 1;
                 if state.epoch.is_multiple_of(every_n) || state.epoch == phase.epochs {
@@ -717,15 +739,79 @@ where
                     if plan.take_crash(label, e) {
                         return Err(crash);
                     }
-                    let path = commit(state, rcfg, rng)?;
+                    let path = commits.commit(state, rng)?;
                     if plan.take_corrupt(label, e) {
-                        corrupt_file(&path).map_err(CheckpointError::Io)?;
+                        if let Some(path) = path {
+                            corrupt_file(&path).map_err(CheckpointError::Io)?;
+                        }
                         return Err(crash);
                     }
                 }
             }
-            Err(err) => rollback(state, dnn, rcfg, rng, format!("{label}: {err}"))?,
+            Err(err) => commits.rollback(state, rng, format!("{label}: {err}"))?,
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ull_data::{generate, SynthCifarConfig};
+    use ull_nn::models;
+    use ull_tensor::init::seeded_rng;
+
+    use crate::FaultKind;
+
+    /// Rollback restores the last commit from memory, so writing commits
+    /// to a directory changes nothing the run computes: under the same NaN
+    /// faults, both drivers end with the same bits and the same events.
+    #[test]
+    fn directory_backed_and_in_memory_drivers_agree_under_nan_faults() {
+        let data_cfg = SynthCifarConfig::tiny(4);
+        let (train, test) = generate(&data_cfg);
+        let dnn0 = models::vgg_micro(4, data_cfg.image_size, 0.5, 11);
+        let mut cfg = PipelineConfig::small(2);
+        cfg.dnn_epochs = 6;
+        cfg.snn_epochs = 3;
+        let dir = std::env::temp_dir()
+            .join("ull_core_recovery_unit")
+            .join(format!("drivers-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let rcfg = RecoveryConfig::new(&dir);
+        let run = |dir: Option<&Path>| {
+            let mut dnn = dnn0.clone();
+            let mut rng = seeded_rng(12);
+            let mut plan = FaultPlan::none()
+                .with(
+                    PipelinePhase::DnnTrain,
+                    1,
+                    FaultKind::NanGradient { batch: 0 },
+                )
+                .with(PipelinePhase::Sgl, 1, FaultKind::NanGradient { batch: 1 });
+            let state = RunState::fresh(&dnn);
+            let (rep, snn) = drive(
+                &mut dnn, &train, &test, &cfg, &rcfg, dir, &mut rng, &mut plan, state,
+            )
+            .expect("the driver must recover from injected NaNs");
+            assert_eq!(plan.pending(), 0, "both faults must have fired");
+            (
+                serde_json::to_string(&dnn).unwrap(),
+                serde_json::to_string(&snn).unwrap(),
+                [rep.dnn_accuracy, rep.converted_accuracy, rep.snn_accuracy].map(f32::to_bits),
+                rep.recovery_events,
+            )
+        };
+        let in_memory = run(None);
+        let on_disk = run(Some(&dir));
+        let written = fs::read_dir(&dir).unwrap().count();
+        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(in_memory.3.len(), 2, "{:?}", in_memory.3);
+        assert!(
+            written > 0,
+            "the directory-backed driver wrote no checkpoint"
+        );
+        assert_eq!(in_memory, on_disk);
+    }
 }

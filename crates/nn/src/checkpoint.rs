@@ -249,10 +249,24 @@ pub fn save_with_meta<T: Serialize>(
     let json = serde_json::to_string_pretty(&envelope).expect("serializing a Value cannot fail");
     ull_obs::counter_add("checkpoint.saves", 1);
     ull_obs::counter_add("checkpoint.bytes", json.len() as u64);
+    write_atomic(path, json.as_bytes())?;
+    Ok(())
+}
+
+/// Writes `bytes` to `path` atomically: to `<path>.tmp`, fsynced, then
+/// renamed over `path`, then the containing directory is fsynced. Readers
+/// and post-crash scans see the old file or the whole new one, never a
+/// torn one. The checkpoints, the serving layer's snapshots, manifests
+/// and flight-recorder dumps are all written this way.
+///
+/// # Errors
+///
+/// The I/O error of the create, write, fsync or rename that failed.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = tmp_path(path);
     {
         let mut f = fs::File::create(&tmp)?;
-        f.write_all(json.as_bytes())?;
+        f.write_all(bytes)?;
         f.sync_all()?;
     }
     fs::rename(&tmp, path)?;

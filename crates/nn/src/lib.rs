@@ -45,7 +45,7 @@ pub mod models;
 
 pub use adam::{Adam, AdamConfig};
 pub use checkpoint::{
-    fnv1a, load, load_latest, load_with_meta, save, save_with_meta, CheckpointError,
+    fnv1a, load, load_latest, load_with_meta, save, save_with_meta, write_atomic, CheckpointError,
     CheckpointMeta, ValidatePayload, CHECKPOINT_EXT, FORMAT_VERSION,
 };
 pub use loss::{cross_entropy_grad, cross_entropy_loss};

@@ -6,7 +6,7 @@
 //! transitions) under one short mutex hold per event — no allocation
 //! beyond the clone of the event, no I/O. A **dump** serializes the
 //! ring plus the trigger context to `<dir>/blackbox-<seq>-<reason>.json`
-//! using the write-tmp / fsync / rename / dir-fsync convention (PR 2),
+//! with [`ull_nn::write_atomic`] (write-tmp / fsync / rename / dir-fsync),
 //! so a crash mid-dump can never leave a truncated incident file.
 //!
 //! Dump triggers (wired in [`Engine`](crate::engine::Engine) and the
@@ -23,7 +23,6 @@
 
 use std::collections::VecDeque;
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -136,23 +135,16 @@ impl FlightRecorder {
     }
 }
 
-/// Atomic write: `<name>.tmp` + fsync + rename + dir fsync.
+/// Atomic write via [`ull_nn::write_atomic`].
 fn write_dump(dir: &Path, dump: &BlackboxDump) -> std::io::Result<PathBuf> {
     fs::create_dir_all(dir)?;
-    let name = format!("blackbox-{:04}-{}.json", dump.dump_seq, dump.reason);
-    let path = dir.join(&name);
-    let tmp = dir.join(format!("{name}.tmp"));
+    let path = dir.join(format!(
+        "blackbox-{:04}-{}.json",
+        dump.dump_seq, dump.reason
+    ));
     let json =
         serde_json::to_string_pretty(dump).map_err(|e| std::io::Error::other(e.to_string()))?;
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(json.as_bytes())?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, &path)?;
-    if let Ok(d) = fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
+    ull_nn::write_atomic(&path, json.as_bytes())?;
     Ok(path)
 }
 

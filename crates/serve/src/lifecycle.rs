@@ -55,6 +55,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
+use ull_nn::fnv1a;
 use ull_robust::profile_envelope_batches;
 use ull_snn::SnnNetwork;
 use ull_tensor::init::mix64;
@@ -323,7 +324,7 @@ impl LifecycleManager {
                 self.cfg.envelope_rel_margin,
                 self.cfg.envelope_abs_margin,
             );
-            let fingerprint = logits_fingerprint(&net, calibration, t_full);
+            let fingerprint = logits_fingerprint(calibration, |b| net.forward(b, t_full).logits);
             (envelope_full, envelope_reduced, fingerprint)
         }));
         let (envelope_full, envelope_reduced, fingerprint) = profiled.map_err(|_| {
@@ -440,12 +441,8 @@ impl LifecycleManager {
         let previous = engine.swap_model(replica, model);
         let t_full = engine.config().t_full;
         let swapped_ok = catch_unwind(AssertUnwindSafe(|| {
-            let mut h = FNV_SEED;
-            for batch in &self.calibration {
-                let logits = engine.forward_serving(replica, batch, t_full);
-                h = fnv1a_continue(h, &logits_bytes(&logits));
-            }
-            h == expected
+            let forward = |b: &Tensor| engine.forward_serving(replica, b, t_full);
+            logits_fingerprint(&self.calibration, forward) == expected
         }))
         .unwrap_or(false);
         if swapped_ok {
@@ -527,34 +524,16 @@ impl LifecycleManager {
     }
 }
 
-const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a continuation over a chunk (the checkpoint layer's `fnv1a`
-/// hashes one contiguous buffer; the lifecycle hashes batch-by-batch).
-fn fnv1a_continue(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-fn logits_bytes(logits: &Tensor) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(logits.data().len() * 4);
-    for v in logits.data() {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    bytes
-}
-
-/// Golden fingerprint: FNV-1a over the bit patterns of the network's
-/// logits on every calibration batch at `t` steps, in batch order.
-fn logits_fingerprint(net: &SnnNetwork, calibration: &[Tensor], t: usize) -> u64 {
-    let mut h = FNV_SEED;
+/// Golden fingerprint: FNV-1a over the bit patterns of `forward`'s
+/// logits on every calibration batch, in batch order.
+fn logits_fingerprint(calibration: &[Tensor], mut forward: impl FnMut(&Tensor) -> Tensor) -> u64 {
+    let mut bytes = Vec::new();
     for batch in calibration {
-        h = fnv1a_continue(h, &logits_bytes(&net.forward(batch, t).logits));
+        for v in forward(batch).data() {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
     }
-    h
+    fnv1a(&bytes)
 }
 
 /// Fraction of rows whose argmax matches between two `[n, classes]`
@@ -588,7 +567,6 @@ fn argmax(row: &[f32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ull_nn::fnv1a;
 
     #[test]
     fn canary_assignment_is_deterministic_and_fraction_shaped() {
@@ -617,14 +595,6 @@ mod tests {
         };
         let mgr = LifecycleManager::new(cfg, vec![Tensor::zeros(&[1, 3, 8, 8])]);
         assert!((0..500).all(|s| mgr.is_canary_batch(s)));
-    }
-
-    #[test]
-    fn fingerprint_continuation_matches_single_shot_fnv() {
-        let data = b"the quick brown fox";
-        let whole = fnv1a(data);
-        let split = fnv1a_continue(fnv1a_continue(FNV_SEED, &data[..7]), &data[7..]);
-        assert_eq!(whole, split);
     }
 
     #[test]

@@ -29,14 +29,14 @@
 //! [`read_manifest`] never panics on any byte sequence — truncation,
 //! flips, wrong types, oversized files all come back as a typed
 //! [`ManifestError`] and leave the incumbent model serving (fuzzed in
-//! `tests/lifecycle.rs`). [`write_manifest`] follows the PR 2 atomic
-//! convention (`.tmp` + fsync + rename + directory fsync) so a crashed
+//! `tests/lifecycle.rs`). [`write_manifest`] writes with
+//! [`ull_nn::write_atomic`] (`.tmp` + fsync + rename + directory fsync) so a crashed
 //! deployer leaves either the old manifest or the new one, never a torn
 //! hybrid at the published name.
 
 use std::fmt;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
@@ -216,8 +216,8 @@ pub fn read_manifest(dir: &Path) -> Result<Manifest, ManifestError> {
     parse_manifest(&bytes)
 }
 
-/// Atomically publishes `manifest` in `dir` via the write-tmp / fsync /
-/// rename / dir-fsync convention (the deployer half of the protocol;
+/// Atomically publishes `manifest` in `dir` via [`ull_nn::write_atomic`]'s
+/// write-tmp / fsync / rename / dir-fsync convention (the deployer half of the protocol;
 /// benches and tests use it, real deployments may reimplement it in any
 /// language as long as the rename is atomic).
 ///
@@ -227,18 +227,7 @@ pub fn read_manifest(dir: &Path) -> Result<Manifest, ManifestError> {
 pub fn write_manifest(dir: &Path, manifest: &Manifest) -> io::Result<()> {
     let json =
         serde_json::to_string_pretty(manifest).map_err(|e| io::Error::other(e.to_string()))?;
-    let path = dir.join(MANIFEST_NAME);
-    let tmp = dir.join(format!("{MANIFEST_NAME}.tmp"));
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(json.as_bytes())?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, &path)?;
-    if let Ok(d) = fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
+    ull_nn::write_atomic(&dir.join(MANIFEST_NAME), json.as_bytes())
 }
 
 #[cfg(test)]

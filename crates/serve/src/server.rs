@@ -16,11 +16,10 @@
 //! * **Drain is graceful.** [`Server::shutdown`] stops admissions
 //!   (late submissions get a typed `Overloaded`), lets workers flush
 //!   every queued request, joins them, and returns the final metrics
-//!   snapshot; [`Server::shutdown_to`] additionally persists it with
-//!   an fsync so a supervisor restart cannot lose the run's counters.
+//!   snapshot; [`Server::shutdown_to`] additionally persists it
+//!   atomically so a supervisor restart cannot lose the run's counters.
 
 use std::collections::VecDeque;
-use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -208,16 +207,16 @@ impl Server {
     }
 
     /// [`shutdown`](Self::shutdown), then persist the snapshot as JSON
-    /// with an fsync before returning it. The persisted snapshot is the
-    /// one [`reconcile`] audits — a supervisor can verify after a
-    /// restart that no admitted request went unanswered.
+    /// with [`ull_nn::write_atomic`] before returning it, so a crash
+    /// mid-write leaves the previous snapshot, never a torn one. The
+    /// persisted snapshot is the one [`reconcile`] audits — a supervisor
+    /// can verify after a restart that no admitted request went
+    /// unanswered.
     pub fn shutdown_to(self, path: &Path) -> std::io::Result<MetricsSnapshot> {
         let snap = self.shutdown();
         let json = serde_json::to_string_pretty(&snap)
             .map_err(|e| std::io::Error::other(e.to_string()))?;
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(json.as_bytes())?;
-        f.sync_all()?;
+        ull_nn::write_atomic(path, json.as_bytes())?;
         Ok(snap)
     }
 }

@@ -427,6 +427,37 @@ fn drain_flushes_the_queue_and_persists_metrics() {
 }
 
 #[test]
+fn shutdown_to_replaces_an_existing_snapshot_atomically() {
+    let _obs = ull_obs::test_lock();
+    let data = test_data();
+    let cfg = base_config();
+    let engine = Engine::new(
+        cfg.clone(),
+        vec![replica("primary", clean_net(11), &data, &cfg)],
+        None,
+    );
+    let server = Server::start(engine);
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("shutdown_to-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("metrics.json");
+    std::fs::write(&path, "{\"stale\": \"snapshot of an earlier run").unwrap();
+
+    let snap = server.shutdown_to(&path).expect("snapshot persisted");
+    let disk: ull_obs::MetricsSnapshot =
+        serde_json::from_str(&std::fs::read_to_string(&path).unwrap())
+            .expect("the persisted snapshot parses");
+    assert_eq!(disk.counters, snap.counters);
+    let names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(names, ["metrics.json"], "no temporary file may survive");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn tcp_round_trip_speaks_typed_replies() {
     use ull_serve::{read_frame, write_frame};
 
