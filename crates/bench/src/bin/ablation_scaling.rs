@@ -13,6 +13,11 @@
 //! ```sh
 //! cargo run --release -p ull-bench --bin ablation_scaling [--scale small]
 //! ```
+//!
+//! `--scale tiny` is a run check only: it trains VGG-16 to chance
+//! (9.38 % on 10 classes) and α/β conversion alone reads 0.00 %, so a
+//! tiny run shows that the bin runs, not that its numbers hold. Use
+//! `--scale small` (the committed `reports/*_small.json`) for results.
 
 use serde::Serialize;
 use ull_bench::{load_data, sgl_finetune, train_or_load_dnn, write_report, Arch, Scale};

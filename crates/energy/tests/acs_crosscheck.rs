@@ -35,12 +35,9 @@ fn linear_net(seed: u64) -> (ull_nn::Network, SnnNetwork) {
 
 /// `(tensor.macs, tensor.acs, spike stats)` of one forward.
 fn measured(snn: &SnnNetwork, x: &Tensor, t: usize) -> (u64, u64, ull_snn::SpikeStats) {
-    ull_obs::reset();
-    ull_obs::set_enabled(true);
-    let out = snn.forward(x, t);
-    let snap = ull_obs::snapshot();
-    ull_obs::set_enabled(false);
-    ull_obs::reset();
+    let reg = ull_obs::Registry::new();
+    let out = ull_obs::with_registry(&reg, || snn.forward(x, t));
+    let snap = reg.snapshot();
     let count = |key| snap.counters.get(key).copied().unwrap_or(0);
     (count("tensor.macs"), count("tensor.acs"), out.stats)
 }
@@ -58,7 +55,6 @@ fn executed_accumulates_match_energy_audit_exactly() {
     let t = 4;
 
     let _threads = parallel::override_lock();
-    let _obs = ull_obs::test_lock();
     parallel::set_threads(1);
     let (_, acs, stats) = measured(&snn, &x, t);
     parallel::set_threads(0);
@@ -124,7 +120,6 @@ fn executed_accumulates_are_well_below_nominal_at_low_spike_rates() {
     let x = normal(&[32, 3, 16, 16], 0.0, 1.0, &mut seeded_rng(2022 ^ 0x5eed));
 
     let _threads = parallel::override_lock();
-    let _obs = ull_obs::test_lock();
     parallel::set_threads(1);
     let (macs, acs, stats) = measured(&snn, &x, T);
     parallel::set_threads(0);

@@ -1,14 +1,18 @@
 //! Observability for the DNN→SNN pipeline: tracing spans, run metrics and
 //! per-layer profiling — dependency-free (std + the vendored serde shims).
 //!
-//! Three facilities share one process-wide registry:
+//! Every facility records into the calling thread's current [`Registry`]:
+//! the process-global one, or the one [`with_registry`] sets for a scope.
+//! A serving engine keeps the registry current at its construction, so
+//! two engines (or two tests) in one process never mix counts.
 //!
 //! * **Spans** — nestable RAII timers ([`span`]) with monotonic-clock
 //!   durations, aggregated per *path* (the `/`-joined chain of enclosing
 //!   span labels, e.g. `pipeline.sgl/snn.forward_train/tensor.conv2d`).
 //!   Worker threads of `ull_tensor::parallel` inherit the spawning
-//!   thread's path via [`current_path`]/[`with_parent_path`], so kernel
-//!   time spent on the pool rolls up under the parent span.
+//!   thread's path *and* registry via [`current_scope`]/[`with_scope`],
+//!   so kernel time and counts on the pool roll up under the parent span
+//!   in the parent's registry.
 //! * **Counters and gauges** — monotonically accumulating event counts
 //!   ([`counter_add`]: spikes, MACs, checkpoint bytes, α/β candidates…)
 //!   and last-write-wins values ([`gauge_set`]: neurons per layer).
@@ -24,12 +28,14 @@
 //!
 //! # The disabled fast path
 //!
-//! Instrumentation is **off by default**. Every entry point first performs
-//! exactly one relaxed atomic load and returns immediately when disabled —
-//! no clock reads, no allocation, no locks — so instrumented hot paths stay
-//! within the ≤2% overhead budget asserted by `ull-bench`'s `obs_overhead`
-//! binary. Binaries opt in with [`init_from_env`] (honouring `ULL_TRACE`
-//! and `ULL_METRICS=1`) or programmatically with [`set_enabled`].
+//! Instrumentation is **off by default**: the process-global registry
+//! starts disabled. While no registry is enabled, every entry point
+//! performs exactly one relaxed atomic load (a count of enabled
+//! registries) and returns — no clock reads, no allocation, no locks —
+//! so instrumented hot paths stay within the ≤2% overhead budget asserted
+//! by `ull-bench`'s `obs_overhead` binary. Binaries opt in with
+//! [`init_from_env`] (honouring `ULL_TRACE` and `ULL_METRICS=1`) or
+//! with [`set_enabled`]; a [`Registry::new`] collects from the start.
 //!
 //! Instrumentation never alters numerics: enabled or not, all kernels and
 //! training loops produce bit-identical outputs.
@@ -37,18 +43,17 @@
 //! # Example
 //!
 //! ```
-//! let _lock = ull_obs::test_lock();
-//! ull_obs::reset();
-//! ull_obs::set_enabled(true);
-//! {
+//! let reg = ull_obs::Registry::new();
+//! ull_obs::with_registry(&reg, || {
 //!     let _outer = ull_obs::span("epoch");
 //!     let _inner = ull_obs::span("matmul");
 //!     ull_obs::counter_add("macs", 1024);
-//! }
-//! let snap = ull_obs::snapshot();
+//! });
+//! let snap = reg.snapshot();
 //! assert_eq!(snap.spans["epoch/matmul"].count, 1);
 //! assert_eq!(snap.counters["macs"], 1024);
-//! ull_obs::set_enabled(false);
+//! // Nothing reached the (disabled) process-global registry.
+//! assert!(ull_obs::Registry::global().snapshot().is_empty());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -59,28 +64,32 @@ use std::collections::{BTreeMap, HashMap};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
-// Enable flag — the one atomic every disabled call site pays.
+// Enable gate — the one atomic every disabled call site pays.
 // ---------------------------------------------------------------------------
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Number of registries whose enable flag is set. While it reads zero,
+/// every entry point returns after this one load.
+static ENABLED_REGISTRIES: AtomicUsize = AtomicUsize::new(0);
 
-/// Whether instrumentation is currently collecting. One relaxed load.
+/// Whether the current thread's registry is collecting. One relaxed load
+/// while no registry is enabled.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED_REGISTRIES.load(Ordering::Relaxed) != 0 && with_current(Registry::enabled)
 }
 
-/// Turns collection on or off process-wide. Turning it off does not clear
-/// aggregates (see [`reset`]) or close an open trace (see [`close_trace`]).
+/// Turns collection on or off for the current thread's registry. Turning
+/// it off does not clear aggregates (see [`reset`]) or close an open trace
+/// (see [`close_trace`]).
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+    with_current(|reg| reg.set_enabled(on));
 }
 
 /// Initialises from the environment: `ULL_TRACE=<path>` opens the JSONL
@@ -121,7 +130,17 @@ pub struct SpanStat {
     pub max_ns: u64,
 }
 
-struct Registry {
+/// A metrics registry: span, counter, gauge and histogram aggregates, an
+/// optional trace sink and its own enable flag. A cheap `Arc` handle;
+/// clones share one registry.
+///
+/// Threads record into the registry set by [`with_registry`], or into
+/// the process-global one ([`Registry::global`]) outside any scope.
+#[derive(Clone)]
+pub struct Registry(Arc<RegistryState>);
+
+struct RegistryState {
+    enabled: AtomicBool,
     epoch: Instant,
     spans: Mutex<HashMap<String, SpanStat>>,
     counters: Mutex<HashMap<String, u64>>,
@@ -130,16 +149,149 @@ struct Registry {
     trace: Mutex<Option<BufWriter<File>>>,
 }
 
-fn registry() -> &'static Registry {
-    static REG: OnceLock<Registry> = OnceLock::new();
-    REG.get_or_init(|| Registry {
-        epoch: Instant::now(),
-        spans: Mutex::new(HashMap::new()),
-        counters: Mutex::new(HashMap::new()),
-        gauges: Mutex::new(HashMap::new()),
-        hists: Mutex::new(HashMap::new()),
-        trace: Mutex::new(None),
+impl Drop for RegistryState {
+    fn drop(&mut self) {
+        if *self.enabled.get_mut() {
+            ENABLED_REGISTRIES.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+}
+
+impl Default for Registry {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Registry {
+    /// A fresh, empty registry that is already collecting.
+    pub fn new() -> Registry {
+        let reg = Registry::disabled();
+        reg.set_enabled(true);
+        reg
+    }
+
+    fn disabled() -> Registry {
+        Registry(Arc::new(RegistryState {
+            enabled: AtomicBool::new(false),
+            epoch: Instant::now(),
+            spans: Mutex::new(HashMap::new()),
+            counters: Mutex::new(HashMap::new()),
+            gauges: Mutex::new(HashMap::new()),
+            hists: Mutex::new(HashMap::new()),
+            trace: Mutex::new(None),
+        }))
+    }
+
+    /// The process-global registry: where threads outside any
+    /// [`with_registry`] scope record. Starts disabled.
+    pub fn global() -> &'static Registry {
+        static GLOBAL: OnceLock<Registry> = OnceLock::new();
+        GLOBAL.get_or_init(Registry::disabled)
+    }
+
+    /// The calling thread's current registry (a handle to it).
+    pub fn current() -> Registry {
+        with_current(Registry::clone)
+    }
+
+    /// Whether this registry is collecting.
+    pub fn enabled(&self) -> bool {
+        self.0.enabled.load(Ordering::Relaxed)
+    }
+
+    /// Turns collection on or off for this registry.
+    pub fn set_enabled(&self, on: bool) {
+        if self.0.enabled.swap(on, Ordering::Relaxed) != on {
+            if on {
+                ENABLED_REGISTRIES.fetch_add(1, Ordering::Relaxed);
+            } else {
+                ENABLED_REGISTRIES.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Copies this registry's aggregates into a [`MetricsSnapshot`].
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        fn sorted<V: Clone>(m: &Mutex<HashMap<String, V>>) -> BTreeMap<String, V> {
+            lock(m)
+                .iter()
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect()
+        }
+        let reg = &self.0;
+        MetricsSnapshot {
+            spans: sorted(&reg.spans),
+            counters: sorted(&reg.counters),
+            gauges: sorted(&reg.gauges),
+            histograms: sorted(&reg.hists),
+        }
+    }
+
+    /// Clears every span, counter, gauge and histogram aggregate (the
+    /// enable flag and the trace sink are untouched).
+    pub fn reset(&self) {
+        let reg = &self.0;
+        lock(&reg.spans).clear();
+        lock(&reg.counters).clear();
+        lock(&reg.gauges).clear();
+        lock(&reg.hists).clear();
+    }
+
+    fn write_trace(&self, event: &TraceEvent) {
+        if let Some(w) = lock(&self.0.trace).as_mut() {
+            let line = serde_json::to_string(event).expect("TraceEvent serializes infallibly");
+            let _ = writeln!(w, "{line}");
+        }
+    }
+
+    /// Microseconds from this registry's creation to `at`.
+    fn micros_since_epoch(&self, at: Instant) -> u64 {
+        at.duration_since(self.0.epoch)
+            .as_micros()
+            .min(u64::MAX as u128) as u64
+    }
+}
+
+thread_local! {
+    /// The registry this thread records into; `None` is the process-global
+    /// one.
+    static CURRENT: RefCell<Option<Registry>> = const { RefCell::new(None) };
+}
+
+fn with_current<R>(f: impl FnOnce(&Registry) -> R) -> R {
+    CURRENT.with(|c| match &*c.borrow() {
+        Some(reg) => f(reg),
+        None => f(Registry::global()),
     })
+}
+
+/// Runs `f` on the current registry if it is collecting. One relaxed load
+/// while no registry is enabled.
+#[inline]
+fn record(f: impl FnOnce(&Registry)) {
+    if ENABLED_REGISTRIES.load(Ordering::Relaxed) == 0 {
+        return;
+    }
+    with_current(|reg| {
+        if reg.enabled() {
+            f(reg);
+        }
+    });
+}
+
+/// Runs `f` with `reg` as this thread's current registry, restoring the
+/// previous one afterwards (also when `f` unwinds).
+pub fn with_registry<R>(reg: &Registry, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<Registry>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let prev = self.0.take();
+            CURRENT.with(|c| *c.borrow_mut() = prev);
+        }
+    }
+    let _restore = Restore(CURRENT.with(|c| c.replace(Some(reg.clone()))));
+    f()
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
@@ -177,8 +329,9 @@ thread_local! {
 }
 
 /// RAII span timer returned by [`span`]. Dropping it stops the clock and
-/// folds the duration into the per-path aggregate (and the trace, if one
-/// is open). Inert — a single `None` — when collection is disabled.
+/// folds the duration into the current registry's per-path aggregate (and
+/// its trace, if one is open). Inert — a single `None` — when collection
+/// is disabled.
 #[must_use = "a span measures the scope it lives in; bind it to a variable"]
 pub struct SpanGuard(Option<ActiveSpan>);
 
@@ -224,50 +377,57 @@ impl Drop for SpanGuard {
             full
         });
         let dur_ns = dur.as_nanos().min(u64::MAX as u128) as u64;
-        let reg = registry();
-        {
-            let mut spans = lock(&reg.spans);
-            let stat = spans.entry(path.clone()).or_default();
-            stat.count += 1;
-            stat.total_ns += dur_ns;
-            stat.max_ns = stat.max_ns.max(dur_ns);
-        }
-        let start_us = active
-            .start
-            .duration_since(reg.epoch)
-            .as_micros()
-            .min(u64::MAX as u128) as u64;
-        write_trace(&TraceEvent::Span {
-            path,
-            label: active.label.to_string(),
-            thread: thread_ordinal(),
-            start_us,
-            dur_us: dur_ns / 1_000,
+        with_current(|reg| {
+            {
+                let mut spans = lock(&reg.0.spans);
+                let stat = spans.entry(path.clone()).or_default();
+                stat.count += 1;
+                stat.total_ns += dur_ns;
+                stat.max_ns = stat.max_ns.max(dur_ns);
+            }
+            reg.write_trace(&TraceEvent::Span {
+                path,
+                label: active.label.to_string(),
+                thread: thread_ordinal(),
+                start_us: reg.micros_since_epoch(active.start),
+                dur_us: dur_ns / 1_000,
+            });
         });
     }
 }
 
-/// The current thread's open-span path (empty when none, or when
-/// collection is disabled). Pool entry points capture this once before
-/// spawning so workers can adopt it with [`with_parent_path`].
-pub fn current_path() -> String {
-    if !enabled() {
-        return String::new();
-    }
-    PATH.with(|p| p.borrow().clone())
+/// What a pool worker inherits from the thread that hands it work: the
+/// open span path and the current registry. Captured once per parallel
+/// call by [`current_scope`] and adopted on each worker by [`with_scope`].
+pub struct Scope {
+    path: String,
+    registry: Registry,
 }
 
-/// Runs `f` with the thread's span path set to `parent` (as captured by
-/// [`current_path`] on the spawning thread), restoring the previous path
-/// afterwards. With an empty `parent` this is exactly `f()`.
-pub fn with_parent_path<R>(parent: &str, f: impl FnOnce() -> R) -> R {
-    if parent.is_empty() {
-        return f();
+/// The current thread's [`Scope`]: its open-span path (empty when none,
+/// or when collection is disabled) and its registry.
+pub fn current_scope() -> Scope {
+    let path = if enabled() {
+        PATH.with(|p| p.borrow().clone())
+    } else {
+        String::new()
+    };
+    Scope {
+        path,
+        registry: Registry::current(),
     }
-    let saved = PATH.with(|p| std::mem::replace(&mut *p.borrow_mut(), parent.to_string()));
-    let r = f();
-    PATH.with(|p| *p.borrow_mut() = saved);
-    r
+}
+
+/// Runs `f` inside `scope` (as captured by [`current_scope`] on the
+/// spawning thread): its registry is current and its path is the parent
+/// of every span `f` opens. Both are restored afterwards.
+pub fn with_scope<R>(scope: &Scope, f: impl FnOnce() -> R) -> R {
+    with_registry(&scope.registry, || {
+        let saved = PATH.with(|p| p.replace(scope.path.clone()));
+        let r = f();
+        PATH.with(|p| *p.borrow_mut() = saved);
+        r
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -278,16 +438,16 @@ pub fn with_parent_path<R>(parent: &str, f: impl FnOnce() -> R) -> R {
 /// [`reset`] zeroes them.
 #[inline]
 pub fn counter_add(key: &str, delta: u64) {
-    if !enabled() || delta == 0 {
+    if delta == 0 {
         return;
     }
-    *lock(&registry().counters)
-        .entry(key.to_string())
-        .or_insert(0) += delta;
-    write_trace(&TraceEvent::Counter {
-        key: key.to_string(),
-        delta,
-        thread: thread_ordinal(),
+    record(|reg| {
+        *lock(&reg.0.counters).entry(key.to_string()).or_insert(0) += delta;
+        reg.write_trace(&TraceEvent::Counter {
+            key: key.to_string(),
+            delta,
+            thread: thread_ordinal(),
+        });
     });
 }
 
@@ -305,13 +465,12 @@ pub fn counter_add_indexed(key: &str, index: usize, delta: u64) {
 /// Sets the gauge `key` to `value` (last write wins).
 #[inline]
 pub fn gauge_set(key: &str, value: u64) {
-    if !enabled() {
-        return;
-    }
-    lock(&registry().gauges).insert(key.to_string(), value);
-    write_trace(&TraceEvent::Gauge {
-        key: key.to_string(),
-        value,
+    record(|reg| {
+        lock(&reg.0.gauges).insert(key.to_string(), value);
+        reg.write_trace(&TraceEvent::Gauge {
+            key: key.to_string(),
+            value,
+        });
     });
 }
 
@@ -328,14 +487,11 @@ pub fn gauge_set_indexed(key: &str, index: usize, value: u64) {
 /// recovery events). No in-memory aggregate.
 #[inline]
 pub fn mark(label: &str) {
-    if !enabled() {
-        return;
-    }
-    let reg = registry();
-    let at_us = reg.epoch.elapsed().as_micros().min(u64::MAX as u128) as u64;
-    write_trace(&TraceEvent::Mark {
-        label: label.to_string(),
-        at_us,
+    record(|reg| {
+        reg.write_trace(&TraceEvent::Mark {
+            label: label.to_string(),
+            at_us: reg.micros_since_epoch(Instant::now()),
+        });
     });
 }
 
@@ -471,20 +627,19 @@ impl HistogramSnapshot {
 }
 
 /// Folds `value` into the histogram `key`. One relaxed load and return
-/// when collection is disabled; the registry is untouched.
+/// when no registry is collecting; a disabled registry is untouched.
 #[inline]
 pub fn histogram_record(key: &str, value: u64) {
-    if !enabled() {
-        return;
-    }
-    lock(&registry().hists)
-        .entry(key.to_string())
-        .or_default()
-        .record(value);
-    write_trace(&TraceEvent::Hist {
-        key: key.to_string(),
-        value,
-        thread: thread_ordinal(),
+    record(|reg| {
+        lock(&reg.0.hists)
+            .entry(key.to_string())
+            .or_default()
+            .record(value);
+        reg.write_trace(&TraceEvent::Hist {
+            key: key.to_string(),
+            value,
+            thread: thread_ordinal(),
+        });
     });
 }
 
@@ -543,37 +698,31 @@ pub enum TraceEvent {
     },
 }
 
-fn write_trace(event: &TraceEvent) {
-    let reg = registry();
-    let mut guard = lock(&reg.trace);
-    if let Some(w) = guard.as_mut() {
-        let line = serde_json::to_string(event).expect("TraceEvent serializes infallibly");
-        let _ = writeln!(w, "{line}");
-    }
-}
-
-/// Opens (or replaces) the JSONL trace sink at `path`. Does not by itself
-/// enable collection — callers normally go through [`init_from_env`].
+/// Opens (or replaces) the current registry's JSONL trace sink at `path`.
+/// Does not by itself enable collection — callers normally go through
+/// [`init_from_env`].
 ///
 /// # Errors
 ///
 /// Returns the underlying I/O error if the file cannot be created.
 pub fn open_trace(path: impl AsRef<Path>) -> std::io::Result<()> {
     let f = File::create(path)?;
-    *lock(&registry().trace) = Some(BufWriter::new(f));
+    with_current(|reg| *lock(&reg.0.trace) = Some(BufWriter::new(f)));
     Ok(())
 }
 
 /// Flushes buffered trace lines to disk (no-op without an open trace).
 pub fn flush_trace() {
-    if let Some(w) = lock(&registry().trace).as_mut() {
-        let _ = w.flush();
-    }
+    with_current(|reg| {
+        if let Some(w) = lock(&reg.0.trace).as_mut() {
+            let _ = w.flush();
+        }
+    });
 }
 
 /// Flushes and closes the trace sink (no-op without an open trace).
 pub fn close_trace() {
-    if let Some(mut w) = lock(&registry().trace).take() {
+    if let Some(mut w) = with_current(|reg| lock(&reg.0.trace).take()) {
         let _ = w.flush();
     }
 }
@@ -619,49 +768,15 @@ impl MetricsSnapshot {
     }
 }
 
-/// Copies the current aggregates into a [`MetricsSnapshot`].
+/// Copies the current registry's aggregates into a [`MetricsSnapshot`].
 pub fn snapshot() -> MetricsSnapshot {
-    let reg = registry();
-    MetricsSnapshot {
-        spans: lock(&reg.spans)
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect(),
-        counters: lock(&reg.counters)
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect(),
-        gauges: lock(&reg.gauges)
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect(),
-        histograms: lock(&reg.hists)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect(),
-    }
+    with_current(Registry::snapshot)
 }
 
-/// Clears every span, counter, gauge and histogram aggregate (the enable
-/// flag and the trace sink are untouched). Call between phases for
-/// per-phase snapshots.
+/// Clears every aggregate of the current registry (see
+/// [`Registry::reset`]). Call between phases for per-phase snapshots.
 pub fn reset() {
-    let reg = registry();
-    lock(&reg.spans).clear();
-    lock(&reg.counters).clear();
-    lock(&reg.gauges).clear();
-    lock(&reg.hists).clear();
-}
-
-/// Serializes tests that mutate the process-wide registry or enable flag,
-/// so parallel test threads cannot race each other. Poison-proof.
-#[doc(hidden)]
-pub fn test_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    match LOCK.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+    with_current(Registry::reset);
 }
 
 #[cfg(test)]
@@ -674,33 +789,35 @@ mod tests {
 
     #[test]
     fn disabled_calls_record_nothing() {
-        let _lock = test_lock();
-        reset();
-        set_enabled(false);
-        {
-            let _g = span("never");
-            counter_add("never", 7);
-            gauge_set("never", 9);
-            histogram_record("never", 11);
-        }
-        assert!(snapshot().is_empty());
-        assert_eq!(current_path(), "");
+        // Another registry collecting at the same time must not switch
+        // this one on.
+        let _other = Registry::new();
+        let reg = Registry::new();
+        reg.set_enabled(false);
+        with_registry(&reg, || {
+            assert!(!enabled());
+            {
+                let _g = span("never");
+                counter_add("never", 7);
+                gauge_set("never", 9);
+                histogram_record("never", 11);
+            }
+            assert_eq!(current_scope().path, "");
+        });
+        assert!(reg.snapshot().is_empty());
     }
 
     #[test]
     fn spans_nest_into_paths_and_aggregate() {
-        let _lock = test_lock();
-        reset();
-        set_enabled(true);
-        for _ in 0..3 {
-            let _outer = span("outer");
-            let _inner = span("inner");
-        }
-        {
+        let reg = Registry::new();
+        with_registry(&reg, || {
+            for _ in 0..3 {
+                let _outer = span("outer");
+                let _inner = span("inner");
+            }
             let _solo = span("outer");
-        }
-        set_enabled(false);
-        let snap = snapshot();
+        });
+        let snap = reg.snapshot();
         assert_eq!(snap.spans["outer"].count, 4);
         assert_eq!(snap.spans["outer/inner"].count, 3);
         assert!(snap.spans["outer"].total_ns >= snap.spans["outer"].max_ns);
@@ -709,43 +826,63 @@ mod tests {
     }
 
     #[test]
-    fn worker_threads_inherit_the_parent_path() {
-        let _lock = test_lock();
-        reset();
-        set_enabled(true);
-        {
+    fn worker_threads_inherit_the_parent_scope() {
+        let reg = Registry::new();
+        with_registry(&reg, || {
             let _outer = span("parent");
-            let parent = current_path();
-            assert_eq!(parent, "parent");
+            let parent = current_scope();
+            assert_eq!(parent.path, "parent");
             std::thread::scope(|s| {
                 s.spawn(|| {
-                    with_parent_path(&parent, || {
+                    with_scope(&parent, || {
                         let _k = span("kernel");
+                        counter_add("worker.count", 1);
                     });
-                    // The worker's own path is restored afterwards.
+                    // The worker's own path and registry are restored.
                     assert_eq!(PATH.with(|p| p.borrow().clone()), "");
+                    assert!(CURRENT.with(|c| c.borrow().is_none()));
                 });
             });
-        }
-        set_enabled(false);
-        let snap = snapshot();
+        });
+        let snap = reg.snapshot();
         assert_eq!(snap.spans["parent/kernel"].count, 1);
+        assert_eq!(snap.counters["worker.count"], 1);
+    }
+
+    #[test]
+    fn registries_are_disjoint_and_nest() {
+        let (a, b) = (Registry::new(), Registry::new());
+        with_registry(&a, || {
+            counter_add("c", 1);
+            with_registry(&b, || counter_add("c", 10));
+            counter_add("c", 2);
+        });
+        assert_eq!(a.snapshot().counters["c"], 3);
+        assert_eq!(b.snapshot().counters["c"], 10);
+        assert!(!Registry::global().snapshot().counters.contains_key("c"));
+    }
+
+    #[test]
+    fn with_registry_restores_the_previous_registry_on_unwind() {
+        let reg = Registry::new();
+        let caught = std::panic::catch_unwind(|| with_registry(&reg, || panic!("boom")));
+        assert!(caught.is_err());
+        assert!(CURRENT.with(|c| c.borrow().is_none()));
     }
 
     #[test]
     fn counters_accumulate_and_gauges_overwrite() {
-        let _lock = test_lock();
-        reset();
-        set_enabled(true);
-        counter_add("macs", 10);
-        counter_add("macs", 5);
-        counter_add_indexed("spikes.node", 3, 2);
-        counter_add_indexed("spikes.node", 3, 4);
-        counter_add("zero", 0); // no-op by contract
-        gauge_set("neurons", 100);
-        gauge_set("neurons", 200);
-        set_enabled(false);
-        let snap = snapshot();
+        let reg = Registry::new();
+        with_registry(&reg, || {
+            counter_add("macs", 10);
+            counter_add("macs", 5);
+            counter_add_indexed("spikes.node", 3, 2);
+            counter_add_indexed("spikes.node", 3, 4);
+            counter_add("zero", 0); // no-op by contract
+            gauge_set("neurons", 100);
+            gauge_set("neurons", 200);
+        });
+        let snap = reg.snapshot();
         assert_eq!(snap.counters["macs"], 15);
         assert_eq!(snap.counters["spikes.node.3"], 6);
         assert!(!snap.counters.contains_key("zero"));
@@ -755,16 +892,13 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_through_json() {
-        let _lock = test_lock();
-        reset();
-        set_enabled(true);
-        {
+        let reg = Registry::new();
+        with_registry(&reg, || {
             let _g = span("a");
             counter_add("c", 3);
             gauge_set("g", 4);
-        }
-        set_enabled(false);
-        let snap = snapshot();
+        });
+        let snap = reg.snapshot();
         let json = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(snap, back);
@@ -772,20 +906,19 @@ mod tests {
 
     #[test]
     fn trace_file_holds_parseable_events() {
-        let _lock = test_lock();
-        reset();
         let path = temp_trace("events");
-        open_trace(&path).unwrap();
-        set_enabled(true);
-        {
-            let _g = span("traced");
-            counter_add("c", 1);
-            gauge_set("g", 2);
-            mark("phase");
-            histogram_record("h", 42);
-        }
-        set_enabled(false);
-        close_trace();
+        let reg = Registry::new();
+        with_registry(&reg, || {
+            open_trace(&path).unwrap();
+            {
+                let _g = span("traced");
+                counter_add("c", 1);
+                gauge_set("g", 2);
+                mark("phase");
+                histogram_record("h", 42);
+            }
+            close_trace();
+        });
         let body = std::fs::read_to_string(&path).unwrap();
         let events: Vec<TraceEvent> = body
             .lines()
@@ -811,14 +944,13 @@ mod tests {
 
     #[test]
     fn reset_clears_aggregates_but_not_the_flag() {
-        let _lock = test_lock();
-        reset();
-        set_enabled(true);
-        counter_add("c", 1);
-        reset();
-        assert!(snapshot().is_empty());
-        assert!(enabled());
-        set_enabled(false);
+        let reg = Registry::new();
+        with_registry(&reg, || {
+            counter_add("c", 1);
+            reset();
+            assert!(snapshot().is_empty());
+            assert!(enabled());
+        });
     }
 
     #[test]
@@ -845,14 +977,13 @@ mod tests {
 
     #[test]
     fn histograms_record_exact_aggregates() {
-        let _lock = test_lock();
-        reset();
-        set_enabled(true);
-        for v in [0u64, 1, 5, 5, 100, 7] {
-            histogram_record("lat", v);
-        }
-        set_enabled(false);
-        let snap = snapshot();
+        let reg = Registry::new();
+        with_registry(&reg, || {
+            for v in [0u64, 1, 5, 5, 100, 7] {
+                histogram_record("lat", v);
+            }
+        });
+        let snap = reg.snapshot();
         let h = &snap.histograms["lat"];
         assert_eq!(h.count, 6);
         assert_eq!(h.sum, 118);

@@ -112,19 +112,20 @@ proptest! {
         prop_assert!(est <= exact.saturating_mul(2).max(1));
     }
 
-    /// With the gate off, `histogram_record` leaves the process registry
+    /// With the gate off, `histogram_record` leaves the registry
     /// untouched — no keys appear, counts stay zero.
     #[test]
     fn gate_off_leaves_registry_untouched(
         values in proptest::collection::vec(0u64..1_000_000, 1..50),
     ) {
-        let _lock = ull_obs::test_lock();
-        ull_obs::reset();
-        ull_obs::set_enabled(false);
-        for &v in &values {
-            histogram_record("gated.off", v);
-        }
-        let snap = ull_obs::snapshot();
+        let reg = ull_obs::Registry::new();
+        reg.set_enabled(false);
+        ull_obs::with_registry(&reg, || {
+            for &v in &values {
+                histogram_record("gated.off", v);
+            }
+        });
+        let snap = reg.snapshot();
         prop_assert!(snap.histograms.is_empty());
         prop_assert!(snap.is_empty());
     }

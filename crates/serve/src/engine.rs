@@ -175,10 +175,13 @@ pub struct Engine {
     clock_skew_ms: AtomicU64,
     lifecycle: Mutex<Option<Arc<LifecycleManager>>>,
     recorder: FlightRecorder,
+    registry: ull_obs::Registry,
 }
 
 impl Engine {
-    /// Builds an engine over an ordered replica pool.
+    /// Builds an engine over an ordered replica pool. The engine records
+    /// into the calling thread's current `ull_obs` registry: build it
+    /// inside `ull_obs::with_registry` to give it a private one.
     ///
     /// `schedule` powers the `Anytime` rung; without one, that rung
     /// falls back to a plain full-T forward (no early exit). A schedule
@@ -244,12 +247,19 @@ impl Engine {
             clock_skew_ms: AtomicU64::new(0),
             lifecycle: Mutex::new(None),
             recorder,
+            registry: ull_obs::Registry::current(),
         }
     }
 
     /// The serving configuration.
     pub fn config(&self) -> &ServeConfig {
         &self.cfg
+    }
+
+    /// The metrics registry this engine records into: the one current
+    /// when it was built. Scrapes and shutdown snapshots read it.
+    pub fn registry(&self) -> &ull_obs::Registry {
+        &self.registry
     }
 
     /// Milliseconds since the engine was built (the breaker clock),
@@ -391,8 +401,12 @@ impl Engine {
 
     /// Executes one batch at `rung`, with watchdog + breaker + failover
     /// and (when a lifecycle is attached) manifest polling + canary
-    /// mirroring.
+    /// mirroring. Records into the engine's registry on any thread.
     pub fn execute(&self, x: &Tensor, rung: RungLabel) -> BatchResult {
+        ull_obs::with_registry(&self.registry, || self.execute_batch(x, rung))
+    }
+
+    fn execute_batch(&self, x: &Tensor, rung: RungLabel) -> BatchResult {
         let _span = ull_obs::span("serve.batch");
         ull_obs::counter_add("serve.batches", 1);
         let seq = self.seq.fetch_add(1, Ordering::SeqCst);

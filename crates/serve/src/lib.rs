@@ -35,7 +35,8 @@
 //!   race-tolerant [`connect_with_retry`] dialer ([`retry`]).
 //!
 //! Everything is instrumented through `ull-obs` (`serve.*` counters,
-//! queue-depth gauge, per-rung counters, batch spans).
+//! queue-depth gauge, per-rung counters, batch spans), recorded into the
+//! registry that was current when the [`Engine`] was built.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -119,7 +119,9 @@ impl Server {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || {
+                        ull_obs::with_registry(shared.engine.registry(), || worker_loop(&shared))
+                    })
                     .expect("spawn worker")
             })
             .collect();
@@ -180,7 +182,8 @@ impl Server {
     }
 
     /// Graceful drain: stop admitting, flush the queue, join workers
-    /// and the accept loop, return the final metrics snapshot.
+    /// and the accept loop, return the final snapshot of the engine's
+    /// registry.
     pub fn shutdown(mut self) -> MetricsSnapshot {
         {
             let mut st = lock_queue(&self.shared);
@@ -192,7 +195,8 @@ impl Server {
         }
         // The queue is drained: the depth gauge must agree (it would
         // otherwise stay at the last pre-drain value forever).
-        ull_obs::gauge_set("serve.queue_depth", 0);
+        let registry = self.shared.engine.registry();
+        ull_obs::with_registry(registry, || ull_obs::gauge_set("serve.queue_depth", 0));
         self.accept_stop.store(true, Ordering::SeqCst);
         for (addr, handle) in self.accept_threads.drain(..) {
             // Wake the accept loop with a throwaway connection so it
@@ -203,7 +207,7 @@ impl Server {
         // Every run ends with a final flight-recorder context file (when
         // the recorder is armed).
         self.shared.engine.flight_dump("drain");
-        ull_obs::snapshot()
+        registry.snapshot()
     }
 
     /// [`shutdown`](Self::shutdown), then persist the snapshot as JSON
@@ -299,6 +303,10 @@ impl Client {
     /// Validates and enqueues a request. Always results in exactly one
     /// reply on the returned channel.
     pub fn submit(&self, req: Request) -> mpsc::Receiver<Reply> {
+        ull_obs::with_registry(self.shared.engine.registry(), || self.admit(req))
+    }
+
+    fn admit(&self, req: Request) -> mpsc::Receiver<Reply> {
         let (tx, rx) = mpsc::channel();
         let reply = |r: Reply| {
             let _ = tx.send(r);
@@ -371,7 +379,7 @@ impl Client {
                     .collect();
                 ControlReply::Metrics {
                     id,
-                    snapshot: ull_obs::snapshot(),
+                    snapshot: engine.registry().snapshot(),
                     replicas,
                     breakers: engine.breaker_states(),
                     versions,
@@ -596,7 +604,13 @@ fn batch_tensor(cfg: &ServeConfig, batch: &[Pending]) -> Result<Tensor, String> 
 /// The stream gets `TCP_NODELAY` first: a reply larger than one segment
 /// must not have its last partial segment held for the client's
 /// delayed ACK. A socket that refuses the option is dropped.
-fn serve_connection(mut stream: TcpStream, client: &Client) {
+fn serve_connection(stream: TcpStream, client: &Client) {
+    ull_obs::with_registry(client.shared.engine.registry(), || {
+        serve_frames(stream, client)
+    });
+}
+
+fn serve_frames(mut stream: TcpStream, client: &Client) {
     if stream.set_nodelay(true).is_err() {
         return;
     }

@@ -7,18 +7,17 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use ull_data::{generate, Dataset, SynthCifarConfig};
-use ull_nn::models;
-use ull_robust::{profile_envelope, FaultConfig, FaultedNetwork, InferenceFault};
+use ull_data::Dataset;
+use ull_robust::profile_envelope;
 use ull_serve::{
     parse_manifest, write_manifest, Engine, LifecycleConfig, LifecycleManager, LifecycleTransition,
     Manifest, ReplicaSpec, RungLabel, ServeConfig,
 };
-use ull_snn::{SnnNetwork, SpikeSpec};
+use ull_snn::SnnNetwork;
 use ull_tensor::Tensor;
 
-const CLASSES: usize = 3;
-const SIDE: usize = 8;
+mod common;
+use common::{clean_net, faulted_net, private_engine, test_data, SIDE};
 
 // ---------------------------------------------------------------------------
 // Manifest fuzzing (satellite: torn writes, bit flips, stale versions)
@@ -79,23 +78,6 @@ proptest! {
 // End-to-end lifecycle flows
 // ---------------------------------------------------------------------------
 
-fn clean_net(seed: u64) -> SnnNetwork {
-    let dnn = models::vgg_micro(CLASSES, SIDE, 0.25, seed);
-    let specs = vec![SpikeSpec::identity(0.5); dnn.threshold_nodes().len()];
-    SnnNetwork::from_network(&dnn, &specs).unwrap()
-}
-
-fn faulted_net(seed: u64, ber: f64) -> SnnNetwork {
-    let clean = clean_net(seed);
-    let cfg = FaultConfig::new(seed).with(InferenceFault::WeightBitFlip { ber });
-    FaultedNetwork::new(&clean, &cfg).network().clone()
-}
-
-fn test_data() -> Dataset {
-    let (_, test) = generate(&SynthCifarConfig::tiny(CLASSES));
-    test
-}
-
 /// Held-out calibration batches for validation/fingerprinting.
 fn calibration(data: &Dataset) -> Vec<Tensor> {
     data.eval_batches(2).take(3).map(|b| b.images).collect()
@@ -132,7 +114,7 @@ fn lifecycle_config(dir: &Path) -> LifecycleConfig {
 }
 
 /// Engine with one clean incumbent replica (version 0) and an attached
-/// lifecycle manager for `lcfg`.
+/// lifecycle manager for `lcfg`, recording into its own fresh registry.
 fn lifecycle_engine(data: &Dataset, lcfg: LifecycleConfig) -> (Engine, Arc<LifecycleManager>) {
     let cfg = ServeConfig {
         input_shape: vec![3, SIDE, SIDE],
@@ -159,7 +141,7 @@ fn lifecycle_engine(data: &Dataset, lcfg: LifecycleConfig) -> (Engine, Arc<Lifec
             0.05,
         )),
     };
-    let engine = Engine::new(cfg, vec![spec], None);
+    let engine = private_engine(&cfg, vec![spec]);
     let mgr = Arc::new(LifecycleManager::new(lcfg, calibration(data)));
     engine.attach_lifecycle(Arc::clone(&mgr));
     (engine, mgr)
@@ -184,11 +166,7 @@ fn lifecycle_timeline(engine: &Engine) -> Vec<(LifecycleTransition, u64)> {
 
 #[test]
 fn clean_reload_promotes_and_is_deterministic_across_reruns() {
-    let _obs = ull_obs::test_lock();
-    ull_obs::set_enabled(true);
-
     let run = |name: &str| {
-        ull_obs::reset();
         let data = test_data();
         let dir = model_dir(name);
         let (engine, mgr) = lifecycle_engine(&data, lifecycle_config(&dir));
@@ -207,7 +185,7 @@ fn clean_reload_promotes_and_is_deterministic_across_reruns() {
                 (LifecycleTransition::Promoted, 1)
             ]
         );
-        let snap = ull_obs::snapshot();
+        let snap = engine.registry().snapshot();
         ull_serve::reconcile(&snap).expect("lifecycle counters reconcile");
         assert_eq!(snap.counters.get("serve.lifecycle.promotions"), Some(&1));
         assert_eq!(
@@ -221,7 +199,6 @@ fn clean_reload_promotes_and_is_deterministic_across_reruns() {
 
     let (timeline_a, logits_a) = run("promote-a");
     let (timeline_b, logits_b) = run("promote-b");
-    ull_obs::set_enabled(false);
     assert_eq!(
         timeline_a, timeline_b,
         "lifecycle decisions replay bit-for-bit"
@@ -233,7 +210,6 @@ fn clean_reload_promotes_and_is_deterministic_across_reruns() {
 
 #[test]
 fn corrupt_artifact_is_quarantined_then_accepted_after_repair() {
-    let _obs = ull_obs::test_lock();
     let data = test_data();
     let dir = model_dir("corrupt");
     let (engine, mgr) = lifecycle_engine(&data, lifecycle_config(&dir));
@@ -274,7 +250,6 @@ fn corrupt_artifact_is_quarantined_then_accepted_after_repair() {
 
 #[test]
 fn stale_versions_and_missing_manifests_change_nothing() {
-    let _obs = ull_obs::test_lock();
     let data = test_data();
     let dir = model_dir("stale");
     let (engine, mgr) = lifecycle_engine(&data, lifecycle_config(&dir));
@@ -296,7 +271,6 @@ fn stale_versions_and_missing_manifests_change_nothing() {
 
 #[test]
 fn mid_canary_corruption_rolls_back_on_excursions() {
-    let _obs = ull_obs::test_lock();
     let data = test_data();
     let dir = model_dir("mid-canary");
     let lcfg = LifecycleConfig {
@@ -341,7 +315,6 @@ fn mid_canary_corruption_rolls_back_on_excursions() {
 
 #[test]
 fn regressed_candidate_rolls_back_on_low_agreement() {
-    let _obs = ull_obs::test_lock();
     let data = test_data();
     let dir = model_dir("regressed");
     let (engine, mgr) = lifecycle_engine(&data, lifecycle_config(&dir));
@@ -374,7 +347,6 @@ fn regressed_candidate_rolls_back_on_low_agreement() {
 
 #[test]
 fn failed_swap_verification_restores_incumbent_then_next_version_recovers() {
-    let _obs = ull_obs::test_lock();
     let data = test_data();
     let dir = model_dir("torn-swap");
     let (engine, mgr) = lifecycle_engine(&data, lifecycle_config(&dir));

@@ -6,98 +6,20 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use ull_data::{generate, Dataset, SynthCifarConfig};
-use ull_nn::models;
-use ull_robust::{profile_envelope, FaultConfig, FaultedNetwork, InferenceFault};
 use ull_serve::{
-    connect_with_retry, reconcile, BreakerState, Engine, ReplicaSpec, Reply, Request, RetryPolicy,
-    RungLabel, ServeConfig, Server,
+    connect_with_retry, reconcile, BreakerState, Reply, Request, RetryPolicy, RungLabel,
+    ServeConfig, Server,
 };
-use ull_snn::{SnnNetwork, SpikeSpec};
 use ull_tensor::parallel;
 
-const CLASSES: usize = 3;
-const SIDE: usize = 8;
-
-fn clean_net(seed: u64) -> SnnNetwork {
-    let dnn = models::vgg_micro(CLASSES, SIDE, 0.25, seed);
-    let specs = vec![SpikeSpec::identity(0.5); dnn.threshold_nodes().len()];
-    SnnNetwork::from_network(&dnn, &specs).unwrap()
-}
-
-fn faulted_net(seed: u64, ber: f64) -> SnnNetwork {
-    let clean = clean_net(seed);
-    let cfg = FaultConfig::new(seed).with(InferenceFault::WeightBitFlip { ber });
-    FaultedNetwork::new(&clean, &cfg).network().clone()
-}
-
-fn test_data() -> Dataset {
-    let (_, test) = generate(&SynthCifarConfig::tiny(CLASSES));
-    test
-}
-
-/// One request per test image, flattened.
-fn requests(data: &Dataset, n: usize) -> Vec<Request> {
-    data.eval_batches(1)
-        .take(n)
-        .enumerate()
-        .map(|(i, b)| Request {
-            id: i as u64 + 1,
-            pixels: b.images.data().to_vec(),
-            shape: vec![3, SIDE, SIDE],
-            deadline_ms: None,
-        })
-        .collect()
-}
-
-fn replica(name: &str, net: SnnNetwork, profile_on: &Dataset, cfg: &ServeConfig) -> ReplicaSpec {
-    // Profile the *clean* dynamics at both fixed-T rungs with per-sample
-    // batches, matching how the tests submit traffic.
-    let clean = clean_net(11);
-    ReplicaSpec {
-        name: name.to_string(),
-        net,
-        envelope_full: Some(profile_envelope(
-            &clean, profile_on, cfg.t_full, 1, 0.5, 0.05,
-        )),
-        envelope_reduced: Some(profile_envelope(
-            &clean,
-            profile_on,
-            cfg.t_reduced,
-            1,
-            0.5,
-            0.05,
-        )),
-    }
-}
-
-fn base_config() -> ServeConfig {
-    ServeConfig {
-        input_shape: vec![3, SIDE, SIDE],
-        t_full: 4,
-        t_reduced: 2,
-        workers: 2,
-        queue_capacity: 64,
-        max_batch: 4,
-        max_linger_ms: 1,
-        default_deadline_ms: 30_000,
-        // Quarantine far longer than any test so a tripped breaker never
-        // half-opens mid-assertion.
-        backoff_base_ms: 120_000,
-        backoff_max_ms: 600_000,
-        ..ServeConfig::default()
-    }
-}
+mod common;
+use common::*;
 
 #[test]
 fn predictions_flow_end_to_end() {
     let data = test_data();
     let cfg = base_config();
-    let engine = Engine::new(
-        cfg.clone(),
-        vec![replica("primary", clean_net(11), &data, &cfg)],
-        None,
-    );
+    let engine = primary_engine(&cfg, &data);
     let server = Server::start(engine);
     let client = server.client();
     for req in requests(&data, 12) {
@@ -125,11 +47,7 @@ fn predictions_flow_end_to_end() {
 fn expired_deadlines_get_typed_replies_without_inference() {
     let data = test_data();
     let cfg = base_config();
-    let engine = Engine::new(
-        cfg.clone(),
-        vec![replica("primary", clean_net(11), &data, &cfg)],
-        None,
-    );
+    let engine = primary_engine(&cfg, &data);
     let server = Server::start(engine);
     let client = server.client();
     let mut req = requests(&data, 1).remove(0);
@@ -152,11 +70,7 @@ fn overload_sheds_with_typed_overloaded_and_nothing_is_dropped() {
         chaos_execute_delay_ms: 40,
         ..base_config()
     };
-    let engine = Engine::new(
-        cfg.clone(),
-        vec![replica("primary", clean_net(11), &data, &cfg)],
-        None,
-    );
+    let engine = primary_engine(&cfg, &data);
     let server = Server::start(engine);
     let client = server.client();
     let reqs: Vec<Request> = requests(&data, 4)
@@ -199,13 +113,12 @@ fn breaker_trips_on_faulted_primary_and_fails_over() {
         breaker_threshold: 3,
         ..base_config()
     };
-    let engine = Engine::new(
-        cfg.clone(),
+    let engine = private_engine(
+        &cfg,
         vec![
             replica("faulted-primary", faulted_net(11, 1e-2), &data, &cfg),
             replica("clean-fallback", clean_net(11), &data, &cfg),
         ],
-        None,
     );
     let server = Server::start(engine);
     let client = server.client();
@@ -262,13 +175,12 @@ fn half_open_admits_exactly_one_probe_and_doubles_on_failure() {
         backoff_max_ms: 1 << 40,
         ..base_config()
     };
-    let engine = Engine::new(
-        cfg.clone(),
+    let engine = private_engine(
+        &cfg,
         vec![
             replica("faulted-primary", faulted_net(11, 1e-2), &data, &cfg),
             replica("clean-fallback", clean_net(11), &data, &cfg),
         ],
-        None,
     );
     let x = data.eval_batches(1).next().unwrap().images;
 
@@ -339,11 +251,7 @@ fn worker_panics_are_isolated_and_retried() {
         workers: 1,
         ..base_config()
     };
-    let engine = Engine::new(
-        cfg.clone(),
-        vec![replica("primary", clean_net(11), &data, &cfg)],
-        None,
-    );
+    let engine = primary_engine(&cfg, &data);
     let server = Server::start(engine);
     let client = server.client();
     let reqs = requests(&data, 3);
@@ -371,9 +279,6 @@ fn worker_panics_are_isolated_and_retried() {
 
 #[test]
 fn drain_flushes_the_queue_and_persists_metrics() {
-    let _obs = ull_obs::test_lock();
-    ull_obs::set_enabled(true);
-    ull_obs::reset();
     let data = test_data();
     let cfg = ServeConfig {
         workers: 1,
@@ -381,11 +286,7 @@ fn drain_flushes_the_queue_and_persists_metrics() {
         chaos_execute_delay_ms: 5,
         ..base_config()
     };
-    let engine = Engine::new(
-        cfg.clone(),
-        vec![replica("primary", clean_net(11), &data, &cfg)],
-        None,
-    );
+    let engine = primary_engine(&cfg, &data);
     let server = Server::start(engine);
     let client = server.client();
     let receivers: Vec<_> = requests(&data, 8)
@@ -395,7 +296,6 @@ fn drain_flushes_the_queue_and_persists_metrics() {
 
     let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("drain_metrics.json");
     let snap = server.shutdown_to(&path).expect("snapshot persisted");
-    ull_obs::set_enabled(false);
 
     // Every admitted request was flushed before the workers exited.
     for rx in receivers {
@@ -428,14 +328,9 @@ fn drain_flushes_the_queue_and_persists_metrics() {
 
 #[test]
 fn shutdown_to_replaces_an_existing_snapshot_atomically() {
-    let _obs = ull_obs::test_lock();
     let data = test_data();
     let cfg = base_config();
-    let engine = Engine::new(
-        cfg.clone(),
-        vec![replica("primary", clean_net(11), &data, &cfg)],
-        None,
-    );
+    let engine = primary_engine(&cfg, &data);
     let server = Server::start(engine);
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
         .join(format!("shutdown_to-{}", std::process::id()));
@@ -463,11 +358,7 @@ fn tcp_round_trip_speaks_typed_replies() {
 
     let data = test_data();
     let cfg = base_config();
-    let engine = Engine::new(
-        cfg.clone(),
-        vec![replica("primary", clean_net(11), &data, &cfg)],
-        None,
-    );
+    let engine = primary_engine(&cfg, &data);
     let mut server = Server::start(engine);
     let addr = server.listen("127.0.0.1:0").unwrap();
 
@@ -501,11 +392,7 @@ fn clean_runs_are_invariant_to_ull_threads() {
             workers: 1,
             ..base_config()
         };
-        let engine = Engine::new(
-            cfg.clone(),
-            vec![replica("primary", clean_net(11), &data, &cfg)],
-            None,
-        );
+        let engine = primary_engine(&cfg, &data);
         let server = Server::start(engine);
         let client = server.client();
         let logits: Vec<Vec<u32>> = requests(&data, 6)

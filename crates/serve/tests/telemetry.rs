@@ -6,84 +6,15 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use ull_data::{generate, Dataset, SynthCifarConfig};
-use ull_nn::models;
-use ull_robust::{profile_envelope, FaultConfig, FaultedNetwork, InferenceFault};
 use ull_serve::{
     connect_with_retry, parse_blackbox, read_frame, reconcile, trace_id, write_frame,
-    BlackboxConfig, BreakerState, ControlReply, ControlRequest, Engine, ReplicaSpec, Reply,
-    Request, RetryPolicy, ServeConfig, Server,
+    BlackboxConfig, BreakerState, ControlReply, ControlRequest, Reply, RetryPolicy, ServeConfig,
+    Server,
 };
-use ull_snn::{SnnNetwork, SpikeSpec};
 use ull_tensor::parallel;
 
-const CLASSES: usize = 3;
-const SIDE: usize = 8;
-
-fn clean_net(seed: u64) -> SnnNetwork {
-    let dnn = models::vgg_micro(CLASSES, SIDE, 0.25, seed);
-    let specs = vec![SpikeSpec::identity(0.5); dnn.threshold_nodes().len()];
-    SnnNetwork::from_network(&dnn, &specs).unwrap()
-}
-
-fn faulted_net(seed: u64, ber: f64) -> SnnNetwork {
-    let clean = clean_net(seed);
-    let cfg = FaultConfig::new(seed).with(InferenceFault::WeightBitFlip { ber });
-    FaultedNetwork::new(&clean, &cfg).network().clone()
-}
-
-fn test_data() -> Dataset {
-    let (_, test) = generate(&SynthCifarConfig::tiny(CLASSES));
-    test
-}
-
-fn requests(data: &Dataset, n: usize) -> Vec<Request> {
-    data.eval_batches(1)
-        .take(n)
-        .enumerate()
-        .map(|(i, b)| Request {
-            id: i as u64 + 1,
-            pixels: b.images.data().to_vec(),
-            shape: vec![3, SIDE, SIDE],
-            deadline_ms: None,
-        })
-        .collect()
-}
-
-fn replica(name: &str, net: SnnNetwork, profile_on: &Dataset, cfg: &ServeConfig) -> ReplicaSpec {
-    let clean = clean_net(11);
-    ReplicaSpec {
-        name: name.to_string(),
-        net,
-        envelope_full: Some(profile_envelope(
-            &clean, profile_on, cfg.t_full, 1, 0.5, 0.05,
-        )),
-        envelope_reduced: Some(profile_envelope(
-            &clean,
-            profile_on,
-            cfg.t_reduced,
-            1,
-            0.5,
-            0.05,
-        )),
-    }
-}
-
-fn base_config() -> ServeConfig {
-    ServeConfig {
-        input_shape: vec![3, SIDE, SIDE],
-        t_full: 4,
-        t_reduced: 2,
-        workers: 2,
-        queue_capacity: 64,
-        max_batch: 4,
-        max_linger_ms: 1,
-        default_deadline_ms: 30_000,
-        backoff_base_ms: 120_000,
-        backoff_max_ms: 600_000,
-        ..ServeConfig::default()
-    }
-}
+mod common;
+use common::*;
 
 fn blackbox_dir(tag: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("telemetry-bb-{tag}"));
@@ -96,20 +27,12 @@ fn blackbox_dir(tag: &str) -> PathBuf {
 /// quiet. It must be current after every dequeue and zero after drain.
 #[test]
 fn queue_depth_gauge_tracks_dequeues_and_drain() {
-    let _obs = ull_obs::test_lock();
-    ull_obs::set_enabled(true);
-    ull_obs::reset();
     let data = test_data();
     let cfg = ServeConfig {
         workers: 1,
         ..base_config()
     };
-    let engine = Engine::new(
-        cfg.clone(),
-        vec![replica("primary", clean_net(11), &data, &cfg)],
-        None,
-    );
-    let server = Server::start(engine);
+    let server = Server::start(primary_engine(&cfg, &data));
     let client = server.client();
 
     // Serial calls: after each reply the queue is empty, so the gauge
@@ -117,7 +40,12 @@ fn queue_depth_gauge_tracks_dequeues_and_drain() {
     for req in requests(&data, 3) {
         assert!(client.call(req).is_prediction());
         assert_eq!(
-            ull_obs::snapshot().gauges.get("serve.queue_depth"),
+            server
+                .engine()
+                .registry()
+                .snapshot()
+                .gauges
+                .get("serve.queue_depth"),
             Some(&0),
             "gauge must be updated on dequeue, not only on admission"
         );
@@ -129,7 +57,6 @@ fn queue_depth_gauge_tracks_dequeues_and_drain() {
         .map(|r| client.submit(r))
         .collect();
     let snap = server.shutdown();
-    ull_obs::set_enabled(false);
     for rx in receivers {
         assert!(rx
             .recv_timeout(Duration::from_secs(5))
@@ -160,11 +87,7 @@ fn queue_depth_gauge_tracks_dequeues_and_drain() {
 fn replies_echo_deterministic_trace_ids() {
     let data = test_data();
     let cfg = base_config();
-    let engine = Engine::new(
-        cfg.clone(),
-        vec![replica("primary", clean_net(11), &data, &cfg)],
-        None,
-    );
+    let engine = primary_engine(&cfg, &data);
     let server = Server::start(engine);
     let client = server.client();
     let conn = client.conn_serial();
@@ -199,23 +122,15 @@ fn replies_echo_deterministic_trace_ids() {
 /// and step counts are pure functions of the (deterministic) forwards.
 #[test]
 fn trace_ids_and_step_histograms_are_invariant_to_ull_threads() {
-    let _obs = ull_obs::test_lock();
     let _guard = parallel::override_lock();
     let data = test_data();
     let run = |threads: usize| -> (Vec<u64>, String) {
         parallel::set_threads(threads);
-        ull_obs::set_enabled(true);
-        ull_obs::reset();
         let cfg = ServeConfig {
             workers: 1,
             ..base_config()
         };
-        let engine = Engine::new(
-            cfg.clone(),
-            vec![replica("primary", clean_net(11), &data, &cfg)],
-            None,
-        );
-        let server = Server::start(engine);
+        let server = Server::start(primary_engine(&cfg, &data));
         let client = server.client();
         let traces: Vec<u64> = requests(&data, 6)
             .into_iter()
@@ -226,7 +141,6 @@ fn trace_ids_and_step_histograms_are_invariant_to_ull_threads() {
             })
             .collect();
         let snap = server.shutdown();
-        ull_obs::set_enabled(false);
         let steps: std::collections::BTreeMap<String, _> = snap
             .histograms
             .iter()
@@ -262,17 +176,9 @@ fn trace_ids_and_step_histograms_are_invariant_to_ull_threads() {
 /// exactly with the shutdown snapshot.
 #[test]
 fn in_band_scrape_serves_live_state_and_reconciles_with_shutdown() {
-    let _obs = ull_obs::test_lock();
-    ull_obs::set_enabled(true);
-    ull_obs::reset();
     let data = test_data();
     let cfg = base_config();
-    let engine = Engine::new(
-        cfg.clone(),
-        vec![replica("primary", clean_net(11), &data, &cfg)],
-        None,
-    );
-    let mut server = Server::start(engine);
+    let mut server = Server::start(primary_engine(&cfg, &data));
     let addr = server.listen("127.0.0.1:0").unwrap();
     let client = server.client();
     for req in requests(&data, 5) {
@@ -285,7 +191,8 @@ fn in_band_scrape_serves_live_state_and_reconciles_with_shutdown() {
         serde_json::from_str(&String::from_utf8(read_frame(conn).unwrap()).unwrap()).unwrap()
     };
 
-    let admitted_before = ull_obs::snapshot().counters["serve.admitted"];
+    let admitted = || server.engine().registry().snapshot().counters["serve.admitted"];
+    let admitted_before = admitted();
     let reply = scrape(&mut conn, &ControlRequest::Metrics { id: 7 });
     let ControlReply::Metrics {
         id,
@@ -313,7 +220,7 @@ fn in_band_scrape_serves_live_state_and_reconciles_with_shutdown() {
         "the scrape carries the live histograms"
     );
     assert_eq!(
-        ull_obs::snapshot().counters["serve.admitted"],
+        admitted(),
         admitted_before,
         "scrapes must never touch the inference queue"
     );
@@ -337,7 +244,6 @@ fn in_band_scrape_serves_live_state_and_reconciles_with_shutdown() {
     };
     drop(conn);
     let final_snap = server.shutdown();
-    ull_obs::set_enabled(false);
     assert_eq!(live.counters, final_snap.counters);
     assert_eq!(live.gauges, final_snap.gauges);
     assert_eq!(
@@ -347,6 +253,45 @@ fn in_band_scrape_serves_live_state_and_reconciles_with_shutdown() {
     );
     assert_eq!(live.counters["serve.scrapes"], 3);
     reconcile(&final_snap).expect("snapshot reconciles");
+}
+
+/// Two engines serving at the same time in one process, each built
+/// inside its own registry, keep disjoint counts: each drained snapshot
+/// holds exactly its own traffic and reconciles on its own.
+#[test]
+fn concurrent_engines_keep_disjoint_registries() {
+    let data = test_data();
+    let cfg = base_config();
+    let loads = [5u64, 8];
+    let both_started = std::sync::Barrier::new(loads.len());
+    let snaps: Vec<ull_obs::MetricsSnapshot> = std::thread::scope(|s| {
+        let runs: Vec<_> = loads
+            .iter()
+            .map(|&n| {
+                let (data, cfg, both_started) = (&data, &cfg, &both_started);
+                s.spawn(move || {
+                    let server = Server::start(primary_engine(cfg, data));
+                    let client = server.client();
+                    both_started.wait();
+                    let pending: Vec<_> = requests(data, n as usize)
+                        .into_iter()
+                        .map(|r| client.submit(r))
+                        .collect();
+                    for rx in pending {
+                        assert!(rx.recv().unwrap().is_prediction());
+                    }
+                    server.shutdown()
+                })
+            })
+            .collect();
+        runs.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    for (snap, &n) in snaps.iter().zip(&loads) {
+        assert_eq!(snap.counters["serve.admitted"], n, "{:?}", snap.counters);
+        assert_eq!(snap.counters["serve.served"], n);
+        assert_eq!(snap.histograms["serve.lat.total"].count, n);
+        reconcile(snap).expect("each engine reconciles on its own counts");
+    }
 }
 
 /// An armed flight recorder dumps on a breaker trip and again on drain;
@@ -364,13 +309,12 @@ fn breaker_trip_and_drain_write_parseable_dumps() {
         },
         ..base_config()
     };
-    let engine = Engine::new(
-        cfg.clone(),
+    let engine = private_engine(
+        &cfg,
         vec![
             replica("faulted-primary", faulted_net(11, 1e-2), &data, &cfg),
             replica("clean-fallback", clean_net(11), &data, &cfg),
         ],
-        None,
     );
     let server = Server::start(engine);
     let client = server.client();
@@ -427,11 +371,7 @@ fn exhausted_worker_panics_write_a_dump() {
         },
         ..base_config()
     };
-    let engine = Engine::new(
-        cfg.clone(),
-        vec![replica("primary", clean_net(11), &data, &cfg)],
-        None,
-    );
+    let engine = primary_engine(&cfg, &data);
     let server = Server::start(engine);
     let client = server.client();
     let reqs = requests(&data, 2);

@@ -218,20 +218,18 @@ fn packing_builds_once_and_steady_state_stays_alloc_free() {
     let snn = test_net(7);
     let x = normal(&[3, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(17));
     let x_small = normal(&[1, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(18));
-    // override_lock also serializes against the other tests here, whose
-    // forwards would otherwise land in the build counter.
     let _threads = parallel::override_lock();
-    let _obs = ull_obs::test_lock();
     parallel::set_threads(1);
 
-    ull_obs::reset();
-    ull_obs::set_enabled(true);
-    snn.forward(&x, 1); // builds the pack, grows workspace buffers
-    let pack = snn.prepack();
-    snn.forward(&x, 8); // extra timesteps: same pack
-    snn.forward(&x_small, 2); // different batch shape: same pack
-    ull_obs::set_enabled(false);
-    let snap = ull_obs::snapshot();
+    let reg = ull_obs::Registry::new();
+    let pack = ull_obs::with_registry(&reg, || {
+        snn.forward(&x, 1); // builds the pack, grows workspace buffers
+        let pack = snn.prepack();
+        snn.forward(&x, 8); // extra timesteps: same pack
+        snn.forward(&x_small, 2); // different batch shape: same pack
+        pack
+    });
+    let snap = reg.snapshot();
     assert_eq!(
         snap.counters.get("snn.pack.builds"),
         Some(&1),
@@ -239,8 +237,9 @@ fn packing_builds_once_and_steady_state_stays_alloc_free() {
     );
     assert!(Arc::ptr_eq(&pack, &snn.prepack()));
 
-    // With the pack warm (and obs off — its records allocate), extra
-    // steady-state steps must not touch the allocator.
+    // With the pack warm (and outside the collecting registry — its
+    // records allocate), extra steady-state steps must not touch the
+    // allocator.
     let short = allocs_during(|| {
         snn.forward(&x, 2);
     });
@@ -252,7 +251,6 @@ fn packing_builds_once_and_steady_state_stays_alloc_free() {
         "packed steady-state steps allocated: T=2 cost {short} hits, T=8 cost {long}"
     );
 
-    ull_obs::reset();
     parallel::set_threads(0);
 }
 
@@ -263,28 +261,26 @@ fn packing_race_on_first_forward_builds_once() {
     let snn = Arc::new(test_net(8));
     let x = normal(&[2, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(19));
     let _threads = parallel::override_lock();
-    let _obs = ull_obs::test_lock();
     parallel::set_threads(1);
     let start = Barrier::new(2);
 
-    ull_obs::reset();
-    ull_obs::set_enabled(true);
+    let reg = ull_obs::Registry::new();
     std::thread::scope(|s| {
         for _ in 0..2 {
             s.spawn(|| {
-                start.wait();
-                snn.forward(&x, 2);
+                ull_obs::with_registry(&reg, || {
+                    start.wait();
+                    snn.forward(&x, 2);
+                })
             });
         }
     });
-    ull_obs::set_enabled(false);
     assert_eq!(
-        ull_obs::snapshot().counters.get("snn.pack.builds"),
+        reg.snapshot().counters.get("snn.pack.builds"),
         Some(&1),
         "racing first forwards must share one build"
     );
 
-    ull_obs::reset();
     parallel::set_threads(0);
 }
 
@@ -303,21 +299,20 @@ fn tampered_weight_mutation_triggers_repack() {
     let mut snn = test_net(11);
     let x = normal(&[2, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(23));
     let _threads = parallel::override_lock();
-    let _obs = ull_obs::test_lock();
     parallel::set_threads(1);
 
-    ull_obs::reset();
-    ull_obs::set_enabled(true);
-    snn.forward_tampered(&x, 3, &NoopTamper);
-    // Simulate an in-place weight fault between inference calls.
-    for node in snn.nodes_mut() {
-        if let SnnOp::Conv2d { weight, .. } = &mut node.op {
-            weight.value.data_mut()[0] += 0.25;
+    let reg = ull_obs::Registry::new();
+    let packed_out = ull_obs::with_registry(&reg, || {
+        snn.forward_tampered(&x, 3, &NoopTamper);
+        // Simulate an in-place weight fault between inference calls.
+        for node in snn.nodes_mut() {
+            if let SnnOp::Conv2d { weight, .. } = &mut node.op {
+                weight.value.data_mut()[0] += 0.25;
+            }
         }
-    }
-    let packed_out = snn.forward_tampered(&x, 3, &NoopTamper);
-    ull_obs::set_enabled(false);
-    let snap = ull_obs::snapshot();
+        snn.forward_tampered(&x, 3, &NoopTamper)
+    });
+    let snap = reg.snapshot();
     assert_eq!(
         snap.counters.get("snn.pack.builds"),
         Some(&2),
@@ -333,6 +328,5 @@ fn tampered_weight_mutation_triggers_repack() {
         assert_eq!(p.to_bits(), u.to_bits(), "{p} vs {u}");
     }
 
-    ull_obs::reset();
     parallel::set_threads(0);
 }

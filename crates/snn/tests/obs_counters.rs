@@ -1,9 +1,6 @@
 //! `SpikeStats::publish_to_obs` must mirror a forward's spike counts in
-//! the obs registry exactly.
-//!
-//! The registry is process-global, so any forward another test runs while
-//! this one has recording enabled lands in the same counters. The check
-//! therefore lives in its own test binary, where nothing else runs.
+//! the obs registry exactly. The forward runs inside a private registry,
+//! so nothing another test records can reach its counters.
 
 use ull_nn::NetworkBuilder;
 use ull_snn::{SnnNetwork, SpikeSpec};
@@ -23,16 +20,13 @@ fn tiny_snn(seed: u64) -> SnnNetwork {
 #[test]
 fn obs_counters_agree_with_spike_stats() {
     let _guard = parallel::override_lock();
-    let _obs = ull_obs::test_lock();
-    ull_obs::reset();
-    ull_obs::set_enabled(true);
+    let reg = ull_obs::Registry::new();
     parallel::set_threads(1);
     let snn = tiny_snn(60);
     let x = normal(&[3, 2, 4, 4], 0.5, 1.0, &mut seeded_rng(61));
-    let out = snn.forward(&x, 4);
+    let out = ull_obs::with_registry(&reg, || snn.forward(&x, 4));
     parallel::set_threads(0);
-    ull_obs::set_enabled(false);
-    let snap = ull_obs::snapshot();
+    let snap = reg.snapshot();
     // Per-node counters mirror SpikeStats exactly; the prefix sum is
     // the whole-network total the energy audit reasons about.
     for (id, &s) in out.stats.spikes_per_node().iter().enumerate() {

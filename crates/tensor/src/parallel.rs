@@ -171,14 +171,15 @@ where
     // is taken once per chunk; chunks are coarse (whole row blocks), so
     // contention is negligible against the work inside `f`.
     let queue = Mutex::new(data.chunks_mut(chunk_len).enumerate());
-    // Workers adopt the caller's open-span path so any spans inside `f`
-    // roll up under the span that issued this parallel call.
-    let parent = ull_obs::current_path();
+    // Workers adopt the caller's obs scope, so spans and counters inside
+    // `f` roll up under the span that issued this parallel call, in the
+    // caller's registry.
+    let parent = ull_obs::current_scope();
     std::thread::scope(|s| {
         for _ in 0..threads.min(n_chunks) {
             s.spawn(|| {
                 as_pool_worker(|| {
-                    ull_obs::with_parent_path(&parent, || loop {
+                    ull_obs::with_scope(&parent, || loop {
                         let next = queue.lock().expect("chunk queue poisoned").next();
                         match next {
                             Some((i, chunk)) => f(i, chunk),
@@ -204,12 +205,12 @@ where
     }
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
-    let parent = ull_obs::current_path();
+    let parent = ull_obs::current_scope();
     std::thread::scope(|s| {
         for _ in 0..threads.min(n) {
             s.spawn(|| {
                 as_pool_worker(|| {
-                    ull_obs::with_parent_path(&parent, || loop {
+                    ull_obs::with_scope(&parent, || loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
                             break;
@@ -245,9 +246,9 @@ where
         let rb = b();
         return (ra, rb);
     }
-    let parent = ull_obs::current_path();
+    let parent = ull_obs::current_scope();
     std::thread::scope(|s| {
-        let hb = s.spawn(|| as_pool_worker(|| ull_obs::with_parent_path(&parent, b)));
+        let hb = s.spawn(|| as_pool_worker(|| ull_obs::with_scope(&parent, b)));
         let ra = a();
         (ra, hb.join().expect("par_join worker panicked"))
     })
@@ -396,23 +397,35 @@ mod tests {
     #[test]
     fn worker_spans_roll_up_under_the_callers_span() {
         let _guard = override_lock();
-        let _obs = ull_obs::test_lock();
-        ull_obs::reset();
-        ull_obs::set_enabled(true);
+        // Collecting into the global registry too, so a leak out of the
+        // scoped one would show up there.
+        let global = ull_obs::Registry::global();
+        global.set_enabled(true);
+        let reg = ull_obs::Registry::new();
         set_threads(4);
-        {
-            let _outer = ull_obs::span("outer");
-            let _ = par_map(8, |i| {
-                let _inner = ull_obs::span("work");
-                i * 2
-            });
-        }
+        ull_obs::with_registry(&reg, || {
+            let _outer = ull_obs::span("parallel.test.outer");
+            par_map(8, |_| {
+                let _inner = ull_obs::span("parallel.test.work");
+                ull_obs::counter_add("parallel.test.items", 1);
+            })
+        });
         set_threads(0);
-        ull_obs::set_enabled(false);
-        let snap = ull_obs::snapshot();
+        global.set_enabled(false);
+        let snap = reg.snapshot();
         // Every per-item span lands on the parent path, none at top level.
-        assert_eq!(snap.spans["outer/work"].count, 8);
-        assert!(!snap.spans.contains_key("work"));
+        assert_eq!(
+            snap.spans["parallel.test.outer/parallel.test.work"].count,
+            8
+        );
+        assert!(!snap.spans.contains_key("parallel.test.work"));
+        assert_eq!(snap.counters["parallel.test.items"], 8);
+        let leaked = global.snapshot();
+        assert!(
+            leaked.spans.keys().all(|k| !k.contains("parallel.test."))
+                && !leaked.counters.contains_key("parallel.test.items"),
+            "worker records reached the global registry"
+        );
     }
 
     #[test]

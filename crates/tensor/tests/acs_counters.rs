@@ -1,12 +1,7 @@
 //! Counted-work checks for the tensor kernels: nominal `tensor.macs`,
-//! executed `tensor.acs` and `tensor.im2col.bytes`.
-//!
-//! The obs registry is process-global, so any kernel another test runs
-//! while one of these has recording enabled lands in the same counters.
-//! In the crate's lib test binary, which runs many kernel tests at once,
-//! these checks failed intermittently. They therefore live in their own
-//! test binary, where every test holds `ull_obs::test_lock()` for the
-//! whole time it records.
+//! executed `tensor.acs` and `tensor.im2col.bytes`. Each check counts
+//! inside its own private registry, so kernels other tests run at the
+//! same time never reach its counters.
 
 use ull_tensor::conv::{conv2d, conv2d_packed_into, ConvGeometry, ConvScratch};
 use ull_tensor::{
@@ -46,21 +41,20 @@ fn spike_tensor(shape: &[usize], amp: f32, one_in: usize, seed: usize) -> Tensor
 
 #[test]
 fn executed_acs_counter_reflects_sparsity() {
-    let _obs = ull_obs::test_lock();
     let _guard = parallel::override_lock();
     parallel::set_threads(1);
-    ull_obs::reset();
-    ull_obs::set_enabled(true);
+    let reg = ull_obs::Registry::new();
     let mut a = rand_tensor(&[4, 10], 30);
     for (i, v) in a.data_mut().iter_mut().enumerate() {
         *v = if i % 2 == 0 { 1.0 } else { 0.0 }; // exactly half the lhs is zero
     }
     let b = rand_tensor(&[10, 6], 31);
     let bt = rand_tensor(&[6, 10], 32);
-    let _ = matmul(&a, &b);
-    let _ = matmul_transpose_b(&a, &bt);
-    ull_obs::set_enabled(false);
-    let snap = ull_obs::snapshot();
+    ull_obs::with_registry(&reg, || {
+        let _ = matmul(&a, &b);
+        let _ = matmul_transpose_b(&a, &bt);
+    });
+    let snap = reg.snapshot();
     // Nominal: 2 · (4·10·6); executed: half of that in each kernel.
     assert_eq!(snap.counters["tensor.macs"], 2 * 4 * 10 * 6);
     assert_eq!(snap.counters["tensor.acs"], 4 * 10 * 6);
@@ -69,7 +63,6 @@ fn executed_acs_counter_reflects_sparsity() {
 
 #[test]
 fn executed_acs_counter_matches_the_unpacked_kernel() {
-    let _obs = ull_obs::test_lock();
     let _guard = parallel::override_lock();
     parallel::set_threads(1);
     let mut a = rand_tensor(&[4, 10], 30);
@@ -78,31 +71,25 @@ fn executed_acs_counter_matches_the_unpacked_kernel() {
     }
     let b = rand_tensor(&[6, 10], 31);
     let packed = PackedWeights::pack_rhs_t(&b);
-    ull_obs::reset();
-    ull_obs::set_enabled(true);
-    let _ = matmul_tb_packed(&a, &packed);
-    ull_obs::set_enabled(false);
-    let snap = ull_obs::snapshot();
+    let reg = ull_obs::Registry::new();
+    let _ = ull_obs::with_registry(&reg, || matmul_tb_packed(&a, &packed));
+    let snap = reg.snapshot();
     assert_eq!(snap.counters["tensor.macs"], 4 * 10 * 6);
     assert_eq!(snap.counters["tensor.acs"], 2 * 10 * 6);
     parallel::set_threads(0);
-    ull_obs::reset();
 }
 
 #[test]
 fn event_kernels_report_executed_acs() {
-    let _obs = ull_obs::test_lock();
     let _guard = parallel::override_lock();
     parallel::set_threads(1);
-    ull_obs::reset();
-    ull_obs::set_enabled(true);
+    let reg = ull_obs::Registry::new();
     let a = spike_tensor(&[3, 10], 1.0, 2, 0);
     let b = rand_tensor(&[4, 10], 70);
     let ev = SpikeBatch::from_dense(&a).unwrap();
     let mut out = Tensor::default();
-    matmul_tb_events(&ev, &b, &mut out);
-    ull_obs::set_enabled(false);
-    let snap = ull_obs::snapshot();
+    ull_obs::with_registry(&reg, || matmul_tb_events(&ev, &b, &mut out));
+    let snap = reg.snapshot();
     assert_eq!(snap.counters["tensor.macs"], 3 * 10 * 4);
     assert_eq!(snap.counters["tensor.acs"], (ev.nnz() * 4) as u64);
     parallel::set_threads(0);
@@ -110,12 +97,9 @@ fn event_kernels_report_executed_acs() {
 
 /// `[tensor.macs, tensor.acs, tensor.im2col.bytes]` recorded while `f` runs.
 fn counted_work(f: impl FnOnce()) -> [u64; 3] {
-    ull_obs::reset();
-    ull_obs::set_enabled(true);
-    f();
-    ull_obs::set_enabled(false);
-    let snap = ull_obs::snapshot();
-    ull_obs::reset();
+    let reg = ull_obs::Registry::new();
+    ull_obs::with_registry(&reg, f);
+    let snap = reg.snapshot();
     ["tensor.macs", "tensor.acs", "tensor.im2col.bytes"]
         .map(|key| snap.counters.get(key).copied().unwrap_or(0))
 }
@@ -127,7 +111,6 @@ fn counted_work(f: impl FnOnce()) -> [u64; 3] {
 /// count.
 #[test]
 fn packing_moves_no_counted_work() {
-    let _obs = ull_obs::test_lock();
     let _guard = parallel::override_lock();
     let geo = ConvGeometry::square(3, 1, 1);
     let x = spike_tensor(&[2, 3, 8, 8], 0.5, 4, 3);

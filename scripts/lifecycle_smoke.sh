@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Model-lifecycle smoke test: the serve crate's lifecycle/manifest unit
-# and fuzz tests, then the chaos acceptance gate — corrupted or
-# regressed candidates are never promoted and are quarantined typed,
+# Model-lifecycle smoke test (the lifecycle/manifest unit and fuzz tests
+# run in Tier-1): the chaos acceptance gate — corrupted or regressed
+# candidates are never promoted and are quarantined typed,
 # mid-canary corruption rolls back within a bounded number of canary
 # batches, a clean reload drops zero replies, canary routing and
 # post-promotion outputs are bit-identical across reruns, and an engine
@@ -13,9 +13,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SMOKE_TIMEOUT="${SMOKE_TIMEOUT:-900}"
-
-echo "== lifecycle unit + fuzz + integration tests =="
-timeout "$SMOKE_TIMEOUT" cargo test -p ull-serve -q
 
 echo "== lifecycle chaos acceptance gate =="
 cargo build --release -p ull-bench --bin serve_lifecycle

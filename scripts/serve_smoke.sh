@@ -1,26 +1,18 @@
 #!/usr/bin/env bash
-# Serving smoke test: the TCP wire surface (200 requests including
-# expired deadlines, wrong shapes, non-finite pixels, invalid JSON and
-# an oversized frame — every reply typed, clean drain), then the chaos
-# soak acceptance gate (tiny scale): breaker trips within K batches of
-# mid-run fault injection, >= 99 % of post-trip batches on the fallback,
-# accuracy within 1 pt of clean, p99 under the deadline, shed requests
-# typed, clean run bit-identical across ULL_THREADS {1, 4}.
+# Serving smoke test (the serve crate's tests run in Tier-1): the TCP
+# wire surface (200 requests including expired deadlines, wrong shapes,
+# non-finite pixels, invalid JSON and an oversized frame — every reply
+# typed, clean drain), then the chaos soak acceptance gate (tiny scale):
+# breaker trips within K batches of mid-run fault injection, >= 99 % of
+# post-trip batches on the fallback, accuracy within 1 pt of clean, p99
+# under the deadline, shed requests typed, clean run bit-identical
+# across ULL_THREADS {1, 4}.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Serving is network + thread heavy; a wedged queue must fail the job,
 # not hang it.
 SMOKE_TIMEOUT="${SMOKE_TIMEOUT:-900}"
-
-# The wire tests (one write per frame, TCP_NODELAY, the TCP/in-process
-# latency ratio gate) run on their own first, so a framing stall is
-# reported separately from any other serve test failure.
-echo "== wire framing and socket tests =="
-timeout "$SMOKE_TIMEOUT" cargo test -p ull-serve --test wire -q
-
-echo "== serve unit + integration tests =="
-timeout "$SMOKE_TIMEOUT" cargo test -p ull-serve -q
 
 echo "== wire-protocol smoke (200 requests over TCP) =="
 cargo build --release -p ull-bench --bin serve_smoke --bin serve_soak
