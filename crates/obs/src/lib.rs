@@ -401,12 +401,20 @@ impl Drop for SpanGuard {
 /// call by [`current_scope`] and adopted on each worker by [`with_scope`].
 pub struct Scope {
     path: String,
-    registry: Registry,
+    /// `None` while no registry collects: workers then record nothing
+    /// wherever they run, so the disabled capture is one load.
+    registry: Option<Registry>,
 }
 
 /// The current thread's [`Scope`]: its open-span path (empty when none,
 /// or when collection is disabled) and its registry.
 pub fn current_scope() -> Scope {
+    if ENABLED_REGISTRIES.load(Ordering::Relaxed) == 0 {
+        return Scope {
+            path: String::new(),
+            registry: None,
+        };
+    }
     let path = if enabled() {
         PATH.with(|p| p.borrow().clone())
     } else {
@@ -414,7 +422,7 @@ pub fn current_scope() -> Scope {
     };
     Scope {
         path,
-        registry: Registry::current(),
+        registry: Some(Registry::current()),
     }
 }
 
@@ -422,7 +430,10 @@ pub fn current_scope() -> Scope {
 /// spawning thread): its registry is current and its path is the parent
 /// of every span `f` opens. Both are restored afterwards.
 pub fn with_scope<R>(scope: &Scope, f: impl FnOnce() -> R) -> R {
-    with_registry(&scope.registry, || {
+    let Some(registry) = &scope.registry else {
+        return f();
+    };
+    with_registry(registry, || {
         let saved = PATH.with(|p| p.replace(scope.path.clone()));
         let r = f();
         PATH.with(|p| *p.borrow_mut() = saved);
