@@ -22,7 +22,7 @@
 use serde::Serialize;
 use ull_bench::{load_data, sgl_finetune, train_or_load_dnn, write_report, Arch, Scale};
 use ull_core::{
-    collect_preactivations, compute_loss, convert, find_scaling_factors, ConversionMethod,
+    beta_grid, beta_losses, collect_preactivations, convert, find_scaling_factors, ConversionMethod,
 };
 use ull_snn::evaluate_snn;
 use ull_tensor::init::seeded_rng;
@@ -156,12 +156,11 @@ fn main() {
         .copied()
         .filter(|&p| p > 0.0 && p <= layer.mu)
         .collect();
+    let betas = beta_grid();
     let mut l_best = f32::INFINITY;
     for i in 1..=101 {
         let alpha = i as f32 / 101.0;
-        for j in 0..=200 {
-            let beta = j as f32 * 0.01;
-            let loss = compute_loss(&candidates, layer.mu, alpha, beta, 2);
+        for loss in beta_losses(&candidates, layer.mu, alpha, &betas, 2) {
             if loss.abs() < l_best.abs() {
                 l_best = loss;
             }

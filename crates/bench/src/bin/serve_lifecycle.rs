@@ -34,9 +34,10 @@
 //!
 //! `--gate` asserts the CI acceptance criteria
 //! (`scripts/lifecycle_smoke.sh` runs it under `ULL_THREADS` 1 and 4).
-//! Artifacts: `reports/serve_lifecycle_{scale}.json`,
-//! `BENCH_lifecycle.json`, and the reload/rollback timeline between the
-//! `lifecycle` markers of EXPERIMENTS.md.
+//! Artifacts: `reports/serve_lifecycle_{scale}.json`; a report run (no
+//! `--gate`) also writes `BENCH_lifecycle.json` and the reload/rollback
+//! timeline between the `lifecycle` markers of EXPERIMENTS.md. The gate
+//! writes only `reports/serve_lifecycle_tiny.json`.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -564,13 +565,6 @@ fn main() {
     };
     let path = write_report("serve_lifecycle", scale, &report);
     println!("report written to {}", path.display());
-    let bench_path = workspace_root().join("BENCH_lifecycle.json");
-    std::fs::write(
-        &bench_path,
-        serde_json::to_string_pretty(&report).expect("serialise"),
-    )
-    .expect("write BENCH_lifecycle.json");
-    println!("benchmark artifact written to {}", bench_path.display());
 
     if gate {
         assert!(
@@ -640,6 +634,15 @@ fn main() {
         );
         println!("lifecycle gate passed");
     } else {
+        // The committed artifact comes from a report run, never from the
+        // gate.
+        let bench_path = workspace_root().join("BENCH_lifecycle.json");
+        std::fs::write(
+            &bench_path,
+            serde_json::to_string_pretty(&report).expect("serialise"),
+        )
+        .expect("write BENCH_lifecycle.json");
+        println!("benchmark artifact written to {}", bench_path.display());
         let mut section = String::new();
         section.push_str(&format!(
             "\nLifecycle chaos bench at `--scale {}`: an incumbent (version 0) \

@@ -27,8 +27,11 @@
 //! of clean, p99 latency under the deadline, shed requests typed, and
 //! the clean run thread-invariant.
 //!
-//! Artifacts: `reports/serve_soak_{scale}.json`, `BENCH_serve.json`, and
-//! the failover timeline between the `serve` markers of EXPERIMENTS.md.
+//! Artifacts: `reports/serve_soak_{scale}.json`; a report run (no
+//! `--gate`) also writes `BENCH_serve.json`, the metrics dump
+//! `reports/serve_soak_metrics.json` and the failover timeline between
+//! the `serve` markers of EXPERIMENTS.md. The gate writes only
+//! `reports/serve_soak_tiny.json`.
 
 use std::time::Instant;
 
@@ -401,12 +404,16 @@ fn main() {
     let invariant = thread_invariance(&cfg, &net, &test, cfg.max_batch);
     println!("clean run thread-invariant across ULL_THREADS {{1, 4}}: {invariant}");
 
-    let reports_dir = workspace_root().join("reports");
-    std::fs::create_dir_all(&reports_dir).expect("reports dir");
-    let metrics_path = reports_dir.join("serve_soak_metrics.json");
-    let snapshot = server
-        .shutdown_to(&metrics_path)
-        .expect("drain and persist metrics");
+    // The gate keeps its metrics inside its tiny report; only a report
+    // run refreshes the committed dump.
+    let snapshot = if gate {
+        server.shutdown()
+    } else {
+        let metrics_path = workspace_root().join("reports/serve_soak_metrics.json");
+        server
+            .shutdown_to(&metrics_path)
+            .expect("drain and persist metrics")
+    };
     ull_obs::set_enabled(false);
 
     let report = SoakReport {
@@ -426,13 +433,6 @@ fn main() {
     };
     let path = write_report("serve_soak", scale, &report);
     println!("report written to {}", path.display());
-    let bench_path = workspace_root().join("BENCH_serve.json");
-    std::fs::write(
-        &bench_path,
-        serde_json::to_string_pretty(&report).expect("serialise"),
-    )
-    .expect("write BENCH_serve.json");
-    println!("benchmark artifact written to {}", bench_path.display());
 
     if gate {
         assert!(
@@ -479,6 +479,15 @@ fn main() {
         assert!(report.thread_invariant, "clean run not thread-invariant");
         println!("serve gate passed");
     } else {
+        // The committed artifact comes from a report run, never from the
+        // tiny-scale gate.
+        let bench_path = workspace_root().join("BENCH_serve.json");
+        std::fs::write(
+            &bench_path,
+            serde_json::to_string_pretty(&report).expect("serialise"),
+        )
+        .expect("write BENCH_serve.json");
+        println!("benchmark artifact written to {}", bench_path.display());
         let mut section = String::new();
         section.push_str(&format!(
             "\nChaos soak at `--scale {}`: two replicas, BER {HIGH_BER} weight flips \

@@ -7,6 +7,34 @@
 //! where the distribution has mass — β sweeps `[0, 2]` in steps of 0.01,
 //! and the pair minimising the summed post-activation difference (Seg-I /
 //! Seg-II / Seg-III of Fig. 1b) wins.
+//!
+//! # One loss kernel
+//!
+//! Every loss comes from [`beta_losses`], which scores one α against a
+//! grid of β values in a single pass over the percentile samples. Per
+//! sample it hoists the β-free part of the contribution — the Seg-I/II
+//! staircase level `j·α` with `j = clip(⌊p·T/(αμ)⌋, 0, T)` — out of the
+//! β loop, then adds `p − ((j·α)·β)·μ/T` for a block of `BETA_BLOCK` β
+//! values into as many independent f64 accumulators, so the additions of
+//! different β values overlap instead of forming one serial chain.
+//!
+//! Each loss is bit-identical to scoring its (α, β) pair on its own with
+//! one serial f64 sum over the samples:
+//!
+//! * each (α, β) adds the same f32 contribution, evaluated with the same
+//!   operations in the same order (`j·α` is the first product of
+//!   `p − j·α·β·μ/T` evaluated left to right; Seg-III's `μ − (α·β)·μ` is
+//!   the same expression with `j·α` replaced by `α` and a division by
+//!   exactly 1.0);
+//! * its accumulator starts at `0.0` and adds the contributions in
+//!   sample order (ascending p in a percentile table), skipping `p ≤ 0`
+//!   — blocking only changes which β values share a pass, never the
+//!   order within one β's sum;
+//! * [`find_scaling_factors`] folds the winner first-best with a strict
+//!   `<` on `|loss|`, β ascending within a candidate and then candidates
+//!   in table order, so ties resolve as in the serial double loop.
+//!
+//! [`compute_loss`] is the kernel called with a one-value grid.
 
 use serde::{Deserialize, Serialize};
 use ull_tensor::parallel;
@@ -18,6 +46,9 @@ use crate::analysis::LayerActivations;
 pub const BETA_STEP: f32 = 0.01;
 /// The β search range prescribed by Algorithm 1.
 pub const BETA_MAX: f32 = 2.0;
+
+/// β values scored per pass of [`beta_losses`], one f64 accumulator each.
+const BETA_BLOCK: usize = 8;
 
 /// Result of the (α, β) search for one layer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -32,6 +63,13 @@ pub struct LayerScaling {
     pub beta: f32,
     /// The winning |loss| value.
     pub loss: f32,
+}
+
+/// The β grid `{0, 0.01, …, 2}` Algorithm 1 sweeps for every α.
+pub fn beta_grid() -> Vec<f32> {
+    (0..=(BETA_MAX / BETA_STEP) as usize)
+        .map(|i| i as f32 * BETA_STEP)
+        .collect()
 }
 
 /// `ComputeLoss` of Algorithm 1: the signed post-activation difference
@@ -51,39 +89,68 @@ pub struct LayerScaling {
 /// Seg-I and Seg-II share one formula, `j = clip(⌊p·T/(αμ)⌋, 0, T)` —
 /// bit-for-bit the expression [`crate::snn_staircase`] evaluates — so the
 /// loss is exactly `Σ dnn_activation(p) − snn_staircase(p)` over the
-/// samples.
+/// samples. This is [`beta_losses`] on the one-value grid `[beta]`.
 ///
 /// # Panics
 ///
 /// Panics if `mu <= 0`, `alpha <= 0`, or `t == 0`.
 pub fn compute_loss(percentiles: &[f32], mu: f32, alpha: f32, beta: f32, t: usize) -> f32 {
+    beta_losses(percentiles, mu, alpha, &[beta], t)[0]
+}
+
+/// [`compute_loss`] for one α and every β of `betas`: element `k` of the
+/// result is `compute_loss(percentiles, mu, alpha, betas[k], t)`, bit for
+/// bit, computed in one pass over the samples per block of β values (see
+/// the module docs for why the bits match).
+///
+/// # Panics
+///
+/// Panics if `mu <= 0`, `alpha <= 0`, or `t == 0`.
+pub fn beta_losses(percentiles: &[f32], mu: f32, alpha: f32, betas: &[f32], t: usize) -> Vec<f32> {
     assert!(mu > 0.0, "mu must be positive");
     assert!(alpha > 0.0, "alpha must be positive");
     assert!(t > 0, "need at least one time step");
     let tf = t as f32;
     let amu = alpha * mu;
-    let mut loss = 0.0f64;
-    for &p in percentiles {
-        if p <= 0.0 {
-            continue;
+    // Each positive sample contributes `base − step·β·μ/div`; the
+    // β-free `(base, step, div)` are computed once here.
+    let terms: Vec<[f32; 3]> = percentiles
+        .iter()
+        .filter_map(|&p| {
+            if p <= 0.0 {
+                None
+            } else if p <= mu {
+                // Seg-I / Seg-II. The clamp to T (not T−1) is what
+                // saturates the p == αμ boundary at αβμ like the real
+                // staircase.
+                let j = (p * tf / amu).floor().clamp(0.0, tf);
+                Some([p, j * alpha, tf])
+            } else {
+                // Seg-III: μ − (α·β)·μ; dividing by 1.0 is exact.
+                Some([mu, alpha, 1.0])
+            }
+        })
+        .collect();
+    let mut losses = Vec::with_capacity(betas.len());
+    for block in betas.chunks(BETA_BLOCK) {
+        // A short last block repeats its final β; those lanes are dropped.
+        let mut beta = [block[block.len() - 1]; BETA_BLOCK];
+        beta[..block.len()].copy_from_slice(block);
+        let mut acc = [0.0f64; BETA_BLOCK];
+        for &[base, step, div] in &terms {
+            for (a, &b) in acc.iter_mut().zip(&beta) {
+                *a += (base - step * b * mu / div) as f64;
+            }
         }
-        let contribution = if p <= mu {
-            // Seg-I / Seg-II. The clamp to T (not T−1) is what saturates
-            // the p == αμ boundary at αβμ like the real staircase; the
-            // former `min(T−1)` clamp left that point one step short.
-            let j = (p * tf / amu).floor().clamp(0.0, tf);
-            p - j * alpha * beta * mu / tf
-        } else {
-            mu - alpha * beta * mu
-        };
-        loss += contribution as f64;
+        losses.extend(acc[..block.len()].iter().map(|&l| l as f32));
     }
-    loss as f32
+    losses
 }
 
 /// `FindScalingFactors` of Algorithm 1: for each percentile candidate
-/// `α = P[j]/μ` and each `β ∈ {0, 0.01, …, 2}`, evaluates
-/// [`compute_loss`] and returns the (α, β) with the smallest |loss|.
+/// `α = P[j]/μ` and each `β ∈ {0, 0.01, …, 2}`, evaluates the loss
+/// ([`beta_losses`] over the whole β grid) and returns the (α, β) with the
+/// smallest |loss|.
 ///
 /// `percentiles` is the table `P[0..=M]` restricted to values ≤ μ; pass
 /// the full activation percentile table and the function trims it.
@@ -112,9 +179,8 @@ pub fn find_scaling_factors(percentiles: &[f32], mu: f32, t: usize) -> (f32, f32
     // Initial factors α = β = 1 (line 1 of Algorithm 1).
     let mut best = (1.0f32, 1.0f32);
     let mut best_loss = compute_loss(&candidates, mu, 1.0, 1.0, t);
-    let betas: Vec<f32> = (0..=(BETA_MAX / BETA_STEP) as usize)
-        .map(|i| i as f32 * BETA_STEP)
-        .collect();
+    let betas = beta_grid();
+    // Nominal (α, β) pairs: the kernel scores every one of them.
     ull_obs::counter_add("convert.alpha_candidates", candidates.len() as u64);
     ull_obs::counter_add(
         "convert.pairs_evaluated",
@@ -128,16 +194,14 @@ pub fn find_scaling_factors(percentiles: &[f32], mu: f32, t: usize) -> (f32, f32
     // included — is identical for every thread count.
     let per_candidate = parallel::par_map(candidates.len(), |ci| {
         let alpha = candidates[ci] / mu;
-        let mut cand_best = (alpha, betas[0]);
-        let mut cand_loss = compute_loss(&candidates, mu, alpha, betas[0], t);
-        for &beta in &betas[1..] {
-            let loss = compute_loss(&candidates, mu, alpha, beta, t);
-            if loss.abs() < cand_loss.abs() {
-                cand_best = (alpha, beta);
-                cand_loss = loss;
+        let losses = beta_losses(&candidates, mu, alpha, &betas, t);
+        let mut k_best = 0;
+        for (k, loss) in losses.iter().enumerate().skip(1) {
+            if loss.abs() < losses[k_best].abs() {
+                k_best = k;
             }
         }
-        (cand_best, cand_loss)
+        ((alpha, betas[k_best]), losses[k_best])
     });
     for (cand_best, cand_loss) in per_candidate {
         if cand_loss.abs() < best_loss.abs() {

@@ -53,7 +53,7 @@ pub mod summary;
 
 pub use activation::{dnn_activation, snn_staircase, StaircaseConfig};
 pub use algorithm1::scale_layers;
-pub use algorithm1::{compute_loss, find_scaling_factors, LayerScaling};
+pub use algorithm1::{beta_grid, beta_losses, compute_loss, find_scaling_factors, LayerScaling};
 pub use analysis::{
     collect_preactivations, delta_empirical, h_prime_t_mu, h_t_mu, k_mu, layer_error_reports,
     LayerActivations, LayerErrorReport,

@@ -59,8 +59,16 @@ pub fn percentile(values: &[f32], q: f32) -> f32 {
         "percentile q={q} outside [0, 100]"
     );
     let mut sorted: Vec<f32> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    sort_ascending(&mut sorted);
     percentile_sorted(&sorted, q)
+}
+
+/// Sorts ascending for the percentile estimators. The sort is unstable:
+/// the only elements the comparator calls equal yet differ in bits are
+/// `+0.0` and `-0.0` (for NaN-free input), so a table built on it can
+/// differ from a stably sorted one only in the sign of a zero entry.
+fn sort_ascending(values: &mut [f32]) {
+    values.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
 }
 
 /// [`percentile`] on data that is already sorted ascending (no copy).
@@ -95,7 +103,7 @@ pub fn percentile_sorted(sorted: &[f32], q: f32) -> f32 {
 pub fn percentile_table(values: &[f32]) -> Vec<f32> {
     assert!(!values.is_empty(), "percentile table of empty sample");
     let mut sorted: Vec<f32> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    sort_ascending(&mut sorted);
     (0..=100)
         .map(|i| percentile_sorted(&sorted, i as f32))
         .collect()

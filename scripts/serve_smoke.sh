@@ -21,11 +21,13 @@ timeout "$SMOKE_TIMEOUT" ./target/release/serve_smoke
 echo "== chaos soak acceptance gate (tiny scale) =="
 timeout "$SMOKE_TIMEOUT" ./target/release/serve_soak --gate
 
+# The gate writes only its tiny report; the committed small-scale
+# BENCH_serve.json comes from `serve_soak --scale small`.
 echo "== artifact check =="
-test -s BENCH_serve.json
-grep -q '"batches_to_trip"' BENCH_serve.json
-grep -q '"timeline"' BENCH_serve.json
-grep -q '"thread_invariant": true' BENCH_serve.json
+test -s reports/serve_soak_tiny.json
+grep -q '"batches_to_trip"' reports/serve_soak_tiny.json
+grep -q '"timeline"' reports/serve_soak_tiny.json
+grep -q '"thread_invariant": true' reports/serve_soak_tiny.json
 test -s reports/serve_smoke_metrics.json
 grep -q '"serve.served"' reports/serve_smoke_metrics.json
 

@@ -16,13 +16,15 @@ echo "== telemetry probe acceptance gate =="
 cargo build --release -p ull-bench --bin telemetry_probe --bin obs_summary
 timeout "$SMOKE_TIMEOUT" ./target/release/telemetry_probe --gate
 
+# The gate writes only its tiny report; the committed
+# BENCH_telemetry.json comes from a run without --gate.
 echo "== artifact check =="
-test -s BENCH_telemetry.json
-grep -q '"scrape_monotone": true' BENCH_telemetry.json
-grep -q '"reconciled": true' BENCH_telemetry.json
-grep -q '"p99_within_one_bucket": true' BENCH_telemetry.json
-grep -q '"blackbox_parsed": true' BENCH_telemetry.json
-grep -q '"determinism": true' BENCH_telemetry.json
+test -s reports/telemetry_probe_tiny.json
+grep -q '"scrape_monotone": true' reports/telemetry_probe_tiny.json
+grep -q '"reconciled": true' reports/telemetry_probe_tiny.json
+grep -q '"p99_within_one_bucket": true' reports/telemetry_probe_tiny.json
+grep -q '"blackbox_parsed": true' reports/telemetry_probe_tiny.json
+grep -q '"determinism": true' reports/telemetry_probe_tiny.json
 ls reports/blackbox_telemetry/blackbox-*-breaker_trip.json > /dev/null
 ls reports/blackbox_telemetry/blackbox-*-drain.json > /dev/null
 
