@@ -148,8 +148,6 @@ fn main() -> ExitCode {
     let interesting = [
         "tensor.macs",
         "tensor.acs",
-        "tensor.im2col.bytes",
-        "tensor.col2im.bytes",
         "nn.train.batches",
         "snn.train.batches",
         "checkpoint.saves",

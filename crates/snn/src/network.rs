@@ -280,7 +280,7 @@ struct StepWorkspace {
     membranes: Vec<Option<Tensor>>,
     /// Per-node output of the current step, reused across steps.
     acts: Vec<Tensor>,
-    /// im2col/GEMM scratch shared by the conv nodes, which run one at a
+    /// GEMM product scratch shared by the conv nodes, which run one at a
     /// time; it grows to the largest layer's size in the first step.
     conv_scratch: ConvScratch,
 }

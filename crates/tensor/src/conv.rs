@@ -1,21 +1,26 @@
-//! 2-d convolution via im2col, with full backward passes.
+//! 2-d convolution lowered to GEMM without materialized columns, with
+//! full backward passes.
 //!
 //! Layout conventions:
 //!
 //! * activations: `[N, C, H, W]` (batch, channels, height, width)
 //! * convolution weights: `[F, C, KH, KW]` (filters first)
 //!
-//! The forward pass lowers the input to a `[N·OH·OW, C·KH·KW]` column matrix
-//! ([`im2col`]) and reduces the convolution to one `cols · Wᵀ` product on
-//! the packed panel core ([`conv2d_packed_into`]); [`conv2d`] packs its
-//! filter bank per call, while the SNN packs once per weight version and
-//! reuses one [`ConvScratch`] across its conv nodes. The backward pass
-//! reuses the same lowering: the weight gradient is a `colsᵀ · grad`
-//! product and the input gradient is scattered back with [`col2im`].
+//! The forward pass is one `cols · Wᵀ` product on the packed panel core
+//! ([`conv2d_packed_into`]), where `cols` is the input's `[N·OH·OW,
+//! C·KH·KW]` im2col matrix. That matrix is implicit: the core gathers each
+//! 4-row tile of receptive fields straight from the input. [`conv2d`]
+//! packs its filter bank per call, while the SNN packs once per weight
+//! version and reuses one [`ConvScratch`] across its conv nodes. The
+//! backward pass ([`conv2d_backward`]) runs the same lowering's two GEMMs
+//! pixel by pixel: the weight gradient `g2ᵀ · cols` gathers each
+//! receptive field once per filter block, and the input gradient adds each
+//! pixel's `g2 · W` row straight back onto its receptive field.
 
 use serde::{Deserialize, Serialize};
 
-use crate::{matmul, matmul_transpose_a, parallel, PackedWeights, Tensor};
+use crate::packed::Lhs;
+use crate::{parallel, PackedWeights, Tensor};
 
 /// Geometry of a 2-d convolution (square stride/padding, arbitrary kernel).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -65,131 +70,116 @@ impl ConvGeometry {
     }
 }
 
-/// Lowers `input: [N, C, H, W]` into columns `[N·OH·OW, C·KH·KW]`.
-///
-/// Each output row holds the receptive field of one output pixel; zero
-/// padding appears as literal zeros.
-///
-/// # Panics
-///
-/// Panics if `input` is not rank 4 or the geometry does not fit.
-pub fn im2col(input: &Tensor, geo: ConvGeometry) -> Tensor {
-    let mut cols = Vec::new();
-    let (rows, ckk) = im2col_into(input, geo, &mut cols);
-    Tensor::from_vec(cols, &[rows, ckk]).expect("im2col length by construction")
+/// The implicit im2col matrix `[N·OH·OW, C·KH·KW]` of an NCHW input: row
+/// `(b·OH + oy)·OW + ox` is the receptive field of output pixel `(oy, ox)`
+/// of image `b` in `(ch, ky, kx)` order, with zero padding read as `0.0`.
+/// The matrix is never stored; [`ConvRows::gather`] writes one row at a
+/// time into a caller-owned buffer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ConvRows<'a> {
+    data: &'a [f32],
+    n: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    oh: usize,
+    ow: usize,
+    geo: ConvGeometry,
 }
 
-/// [`im2col`] writing into a caller-owned buffer (cleared and resized in
-/// place), returning `(rows, ckk)` of the `[N·OH·OW, C·KH·KW]` matrix it
-/// filled. Steady-state callers reuse the buffer's capacity and allocate
-/// nothing.
-///
-/// # Panics
-///
-/// Panics if `input` is not rank 4 or the geometry does not fit.
-pub fn im2col_into(input: &Tensor, geo: ConvGeometry, cols: &mut Vec<f32>) -> (usize, usize) {
-    let [n, c, h, w] = dims4(input, "im2col input");
-    let (oh, ow) = geo.output_hw(h, w);
-    let ckk = c * geo.kh * geo.kw;
-    let _span = ull_obs::span("tensor.im2col");
-    ull_obs::counter_add(
-        "tensor.im2col.bytes",
-        (n * oh * ow * ckk * std::mem::size_of::<f32>()) as u64,
-    );
-    cols.clear();
-    cols.resize(n * oh * ow * ckk, 0.0);
-    let data = input.data();
-    let pad = geo.padding as isize;
-    // One batch image per work item: image `b` owns the contiguous column
-    // rows `[b·OH·OW, (b+1)·OH·OW)`, and every written value depends only
-    // on the input, so the result is identical for any thread count.
-    parallel::par_chunks_mut(cols, oh * ow * ckk, |b, image_cols| {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let row = (oy * ow + ox) * ckk;
-                let iy0 = (oy * geo.stride) as isize - pad;
-                let ix0 = (ox * geo.stride) as isize - pad;
-                for ch in 0..c {
-                    let plane = (b * c + ch) * h * w;
-                    for ky in 0..geo.kh {
-                        let iy = iy0 + ky as isize;
-                        let dst = row + (ch * geo.kh + ky) * geo.kw;
-                        if iy < 0 || iy >= h as isize {
-                            continue; // padding row stays zero
-                        }
-                        let src_row = plane + iy as usize * w;
-                        for kx in 0..geo.kw {
-                            let ix = ix0 + kx as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            image_cols[dst + kx] = data[src_row + ix as usize];
-                        }
+impl<'a> ConvRows<'a> {
+    fn new(input: &'a Tensor, geo: ConvGeometry) -> Self {
+        let [n, c, h, w] = dims4(input, "conv input");
+        let (oh, ow) = geo.output_hw(h, w);
+        ConvRows {
+            data: input.data(),
+            n,
+            c,
+            h,
+            w,
+            oh,
+            ow,
+            geo,
+        }
+    }
+
+    /// Row count `N·OH·OW`.
+    pub(crate) fn rows(&self) -> usize {
+        self.n * self.oh * self.ow
+    }
+
+    /// Row length `C·KH·KW`.
+    pub(crate) fn ckk(&self) -> usize {
+        self.c * self.geo.kh * self.geo.kw
+    }
+
+    /// Writes row `row` into `dst` (length `C·KH·KW`), padding as `0.0`.
+    pub(crate) fn gather(&self, row: usize, dst: &mut [f32]) {
+        let (pixels, chw) = (self.oh * self.ow, self.c * self.h * self.w);
+        let b = row / pixels;
+        self.gather_pixel(&self.data[b * chw..(b + 1) * chw], row - b * pixels, dst);
+    }
+
+    /// [`ConvRows::gather`] for output pixel `pixel` of one `[C, H, W]`
+    /// image.
+    fn gather_pixel(&self, image: &[f32], pixel: usize, dst: &mut [f32]) {
+        let (kh, kw) = (self.geo.kh, self.geo.kw);
+        let (iy0, ix0) = self.origin(pixel);
+        for (ch, plane) in image.chunks_exact(self.h * self.w).enumerate() {
+            for ky in 0..kh {
+                let d = &mut dst[(ch * kh + ky) * kw..(ch * kh + ky + 1) * kw];
+                let iy = iy0 + ky as isize;
+                if iy < 0 || iy >= self.h as isize {
+                    d.iter_mut().for_each(|v| *v = 0.0);
+                    continue;
+                }
+                let line = &plane[iy as usize * self.w..(iy as usize + 1) * self.w];
+                for (kx, v) in d.iter_mut().enumerate() {
+                    let ix = ix0 + kx as isize;
+                    *v = if ix < 0 || ix >= self.w as isize {
+                        0.0
+                    } else {
+                        line[ix as usize]
+                    };
+                }
+            }
+        }
+    }
+
+    /// Adds row `src` (length `C·KH·KW`) of output pixel `pixel` back onto
+    /// its receptive field in `image` (`[C, H, W]`) in `(ch, ky, kx)`
+    /// order, skipping padding — the adjoint of [`ConvRows::gather`].
+    fn scatter_add(&self, pixel: usize, src: &[f32], image: &mut [f32]) {
+        let (kh, kw) = (self.geo.kh, self.geo.kw);
+        let (iy0, ix0) = self.origin(pixel);
+        for (ch, plane) in image.chunks_exact_mut(self.h * self.w).enumerate() {
+            for ky in 0..kh {
+                let iy = iy0 + ky as isize;
+                if iy < 0 || iy >= self.h as isize {
+                    continue;
+                }
+                let s = &src[(ch * kh + ky) * kw..(ch * kh + ky + 1) * kw];
+                let line = &mut plane[iy as usize * self.w..(iy as usize + 1) * self.w];
+                for (kx, &v) in s.iter().enumerate() {
+                    let ix = ix0 + kx as isize;
+                    if ix >= 0 && ix < self.w as isize {
+                        line[ix as usize] += v;
                     }
                 }
             }
         }
-    });
-    (n * oh * ow, ckk)
-}
+    }
 
-/// Inverse scatter of [`im2col`]: accumulates columns back into `[N, C, H, W]`.
-///
-/// Overlapping receptive fields *sum* their contributions, which is exactly
-/// the adjoint of `im2col` — this is what conv backward needs.
-///
-/// # Panics
-///
-/// Panics if `cols` does not have the shape `im2col` would produce for the
-/// given image dimensions.
-pub fn col2im(cols: &Tensor, n: usize, c: usize, h: usize, w: usize, geo: ConvGeometry) -> Tensor {
-    let (oh, ow) = geo.output_hw(h, w);
-    let ckk = c * geo.kh * geo.kw;
-    assert_eq!(
-        cols.shape(),
-        &[n * oh * ow, ckk],
-        "col2im: column matrix has wrong shape"
-    );
-    let _span = ull_obs::span("tensor.col2im");
-    ull_obs::counter_add(
-        "tensor.col2im.bytes",
-        (cols.len() * std::mem::size_of::<f32>()) as u64,
-    );
-    let mut out = vec![0.0f32; n * c * h * w];
-    let data = cols.data();
-    let pad = geo.padding as isize;
-    // One batch image per work item: image `b` only accumulates from its
-    // own column rows, and the oy/ox/ky/kx scatter order within an image
-    // matches the serial loop, so overlapping-field sums are bit-identical
-    // for any thread count.
-    parallel::par_chunks_mut(&mut out, c * h * w, |b, image_out| {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let row = ((b * oh + oy) * ow + ox) * ckk;
-                let iy0 = (oy * geo.stride) as isize - pad;
-                let ix0 = (ox * geo.stride) as isize - pad;
-                for ch in 0..c {
-                    let plane = ch * h * w;
-                    for ky in 0..geo.kh {
-                        let iy = iy0 + ky as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let src = row + (ch * geo.kh + ky) * geo.kw;
-                        let dst_row = plane + iy as usize * w;
-                        for kx in 0..geo.kw {
-                            let ix = ix0 + kx as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            image_out[dst_row + ix as usize] += data[src + kx];
-                        }
-                    }
-                }
-            }
-        }
-    });
-    Tensor::from_vec(out, &[n, c, h, w]).expect("col2im length by construction")
+    /// Input coordinates `(iy0, ix0)` of the top-left tap of output pixel
+    /// `pixel`'s receptive field (negative inside the padding).
+    fn origin(&self, pixel: usize) -> (isize, isize) {
+        let (oy, ox) = (pixel / self.ow, pixel % self.ow);
+        let pad = self.geo.padding as isize;
+        (
+            (oy * self.geo.stride) as isize - pad,
+            (ox * self.geo.stride) as isize - pad,
+        )
+    }
 }
 
 /// Forward 2-d convolution: `input [N,C,H,W] * weight [F,C,KH,KW] (+ bias [F])`.
@@ -214,25 +204,25 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, geo: ConvG
     out
 }
 
-/// Reusable intermediate buffers for [`conv2d_packed_into`]: the im2col
-/// column matrix and the `[N·OH·OW, F]` GEMM product. The SNN step
-/// workspace keeps one, shared by its conv nodes, which removes the two
-/// largest per-step allocations. Every call refills the buffers completely,
-/// so one scratch serves layers of any geometry.
+/// Reusable intermediate buffer for [`conv2d_packed_into`]: the
+/// `[N·OH·OW, F]` GEMM product. The SNN step workspace keeps one, shared
+/// by its conv nodes, which removes the largest per-step allocation. Every
+/// call refills the buffer completely, so one scratch serves layers of any
+/// geometry.
 #[derive(Debug, Default, Clone)]
 pub struct ConvScratch {
-    cols: Vec<f32>,
     prod: Vec<f32>,
 }
 
 /// Forward 2-d convolution over a filter bank packed by
 /// [`PackedWeights::pack_conv`], writing into caller-owned scratch and
 /// output buffers (resized in place, so steady-state callers allocate
-/// nothing). The input is lowered by im2col, multiplied against the packed
-/// panels by the register-blocked core of [`crate::packed`], then the bias
-/// is added per row and the rows are permuted back to NCHW. Results are
-/// bit-identical for every input, sparsity and thread count (each output
-/// element accumulates its terms in ascending-k order — see
+/// nothing). The register-blocked core of [`crate::packed`] multiplies the
+/// input's implicit im2col matrix against the packed panels, gathering
+/// each 4-row tile of receptive fields straight from the input, then the
+/// bias is added per row and the rows are permuted back to NCHW. Results
+/// are bit-identical for every input, sparsity and thread count (each
+/// output element accumulates its terms in ascending-k order — see
 /// [`crate::packed`]).
 ///
 /// # Panics
@@ -263,13 +253,14 @@ pub fn conv2d_packed_into(
     );
     let _span = ull_obs::span("tensor.conv2d");
     let (oh, ow) = geo.output_hw(h, w);
-    let (rows, ckk) = im2col_into(input, geo, &mut scratch.cols);
-    debug_assert_eq!(ckk, weight.reduction_len());
+    let lhs = ConvRows::new(input, geo);
+    let rows = lhs.rows();
+    debug_assert_eq!(lhs.ckk(), weight.reduction_len());
     scratch.prod.clear();
     scratch.prod.resize(rows * f, 0.0);
-    // [N·OH·OW, CKK] x packed [F, CKK]ᵀ -> [N·OH·OW, F]
+    // implicit [N·OH·OW, CKK] x packed [F, CKK]ᵀ -> [N·OH·OW, F]
     crate::packed::packed_gemm_raw(
-        &scratch.cols,
+        Lhs::Conv(lhs),
         rows,
         weight,
         &mut scratch.prod,
@@ -292,6 +283,24 @@ pub fn conv2d_packed_into(
 /// `grad_out` must be `[N, F, OH, OW]`. Returns `(d_input, d_weight, d_bias)`
 /// with the shapes of `input`, `weight` and `[F]` respectively.
 ///
+/// The two gradients are the GEMMs of the lowered convolution, run without
+/// storing a column matrix. With `g2 = [N·OH·OW, F]` the output gradient
+/// as rows and `cols` the input's implicit im2col matrix:
+///
+/// * `d_weight[f, q] = Σ_p g2[p, f] · cols[p, q]` over pixels `p` in
+///   ascending order, each worker owning one block of filters and
+///   gathering every pixel's receptive field from the input once;
+/// * `d_input` takes each pixel's row `Σ_f g2[p, f] · W[f, ·]` (filters
+///   ascending) and adds it onto the pixel's receptive field, pixels in
+///   ascending order within each image.
+///
+/// Both skip the `g2 == 0.0` terms, so every element sums the same terms
+/// in the same order as the two GEMMs over a materialized column matrix
+/// and the scatter of its gradient back onto the input would: results and
+/// the `tensor.macs` / `tensor.acs` counts match that lowering bit for bit
+/// (the scalar oracle of `tests/conv_backward_oracle.rs`) for any thread
+/// count.
+///
 /// # Panics
 ///
 /// Panics on any shape mismatch.
@@ -302,7 +311,12 @@ pub fn conv2d_backward(
     geo: ConvGeometry,
 ) -> (Tensor, Tensor, Tensor) {
     let [n, c, h, w] = dims4(input, "conv2d_backward input");
-    let [f, _, kh, kw] = dims4(weight, "conv2d_backward weight");
+    let [f, wc, kh, kw] = dims4(weight, "conv2d_backward weight");
+    assert_eq!(
+        (wc, kh, kw),
+        (c, geo.kh, geo.kw),
+        "conv2d_backward: weight disagrees with input channels or geometry"
+    );
     let (oh, ow) = geo.output_hw(h, w);
     assert_eq!(
         grad_out.shape(),
@@ -310,44 +324,92 @@ pub fn conv2d_backward(
         "conv2d_backward: grad_out shape mismatch"
     );
     let _span = ull_obs::span("tensor.conv2d_backward");
-    let cols = im2col(input, geo);
-    let g2 = nchw_to_rows(grad_out); // [N·OH·OW, F]
-    let w2 = weight
-        .reshape(&[f, c * kh * kw])
-        .expect("weight reshape to [F, CKK]");
-    // dW = g2ᵀ · cols : [F, CKK]
-    let dw = matmul_transpose_a(&g2, &cols)
-        .reshape(&[f, c, kh, kw])
-        .expect("dweight reshape");
-    // db = column sums of g2
-    let db = g2.sum_rows();
-    // dcols = g2 · w2 : [N·OH·OW, CKK]
-    let dcols = matmul(&g2, &w2);
-    let dx = col2im(&dcols, n, c, h, w, geo);
-    (dx, dw, db)
-}
+    let cols = ConvRows::new(input, geo);
+    let (pixels, ckk) = (oh * ow, cols.ckk());
+    // The nominal MACs of the two GEMMs, `d_weight` and `d_input`.
+    ull_obs::counter_add("tensor.macs", (2 * cols.rows() * f * ckk) as u64);
+    let (go, wd) = (grad_out.data(), weight.data());
+    let chw = c * h * w;
 
-/// Permutes `[N, F, OH, OW]` into the row matrix `[N·OH·OW, F]`.
-///
-/// # Panics
-///
-/// Panics if `t` is not rank 4.
-pub fn nchw_to_rows(t: &Tensor) -> Tensor {
-    let [n, f, oh, ow] = dims4(t, "nchw_to_rows");
-    let mut out = vec![0.0f32; t.len()];
-    let data = t.data();
-    for b in 0..n {
-        for ch in 0..f {
-            let plane = (b * f + ch) * oh * ow;
-            for p in 0..oh * ow {
-                out[(b * oh * ow + p) * f + ch] = data[plane + p];
+    // One block of filters per worker: every worker walks all pixels in
+    // ascending order and gathers each receptive field once.
+    let mut dw = vec![0.0f32; f * ckk];
+    let block = f.div_ceil(parallel::num_threads()).max(1);
+    parallel::par_chunks_mut(&mut dw, block * ckk, |bi, dw_block| {
+        let filters = dw_block.len() / ckk;
+        let mut field = vec![0.0f32; ckk];
+        let mut executed = 0u64;
+        for (b, image) in input.data().chunks_exact(chw).enumerate() {
+            // This image's `[filters, OH·OW]` slab of the output gradient.
+            let g = &go[(b * f + bi * block) * pixels..(b * f + bi * block + filters) * pixels];
+            for pixel in 0..pixels {
+                let g_at = |j: usize| g[j * pixels + pixel];
+                if (0..filters).all(|j| g_at(j) == 0.0) {
+                    continue; // no term of this pixel survives the skip
+                }
+                cols.gather_pixel(image, pixel, &mut field);
+                for (j, dw_row) in dw_block.chunks_exact_mut(ckk).enumerate() {
+                    let gv = g_at(j);
+                    if gv == 0.0 {
+                        continue;
+                    }
+                    executed += ckk as u64;
+                    for (o, &x) in dw_row.iter_mut().zip(&field) {
+                        *o += gv * x;
+                    }
+                }
             }
         }
-    }
-    Tensor::from_vec(out, &[n * oh * ow, f]).expect("nchw_to_rows length")
+        ull_obs::counter_add("tensor.acs", executed);
+    });
+
+    // One image per work item: an image's pixels only reach its own
+    // input gradient, in the same ascending pixel order at any thread count.
+    let mut dx = vec![0.0f32; n * chw];
+    parallel::par_chunks_mut(&mut dx, chw, |b, image| {
+        let g = &go[b * f * pixels..(b + 1) * f * pixels];
+        let mut row = vec![0.0f32; ckk];
+        let mut executed = 0u64;
+        for pixel in 0..pixels {
+            row.fill(0.0);
+            let mut any = false;
+            for (fi, w_row) in wd.chunks_exact(ckk).enumerate() {
+                let gv = g[fi * pixels + pixel];
+                if gv == 0.0 {
+                    continue;
+                }
+                any = true;
+                executed += ckk as u64;
+                for (o, &wv) in row.iter_mut().zip(w_row) {
+                    *o += gv * wv;
+                }
+            }
+            // An all-`+0.0` row adds nothing: sums that start at `+0.0`
+            // never hold `-0.0`, the one value adding `+0.0` would change.
+            if any {
+                cols.scatter_add(pixel, &row, image);
+            }
+        }
+        ull_obs::counter_add("tensor.acs", executed);
+    });
+
+    // db = column sums of g2, pixels ascending.
+    let db = (0..f)
+        .map(|fi| {
+            (0..n)
+                .flat_map(|b| &go[(b * f + fi) * pixels..(b * f + fi + 1) * pixels])
+                .fold(0.0f32, |acc, &v| acc + v)
+        })
+        .collect();
+    (
+        Tensor::from_vec(dx, &[n, c, h, w]).expect("d_input length"),
+        Tensor::from_vec(dw, &[f, c, kh, kw]).expect("d_weight length"),
+        Tensor::from_vec(db, &[f]).expect("d_bias length"),
+    )
 }
 
-/// Inverse of [`nchw_to_rows`]: `[N·OH·OW, F]` back to `[N, F, OH, OW]`.
+/// Permutes the row matrix `[N·OH·OW, F]` (one row per output pixel) into
+/// `[N, F, OH, OW]`.
 ///
 /// # Panics
 ///
@@ -498,19 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn im2col_col2im_adjointness() {
-        // <im2col(x), y> == <x, col2im(y)> — the defining adjoint property.
-        let geo = ConvGeometry::square(3, 1, 1);
-        let x = seq_tensor(&[1, 2, 4, 4]);
-        let cols = im2col(&x, geo);
-        let y = seq_tensor(&[cols.shape()[0], cols.shape()[1]]);
-        let lhs: f32 = cols.data().iter().zip(y.data()).map(|(a, b)| a * b).sum();
-        let back = col2im(&y, 1, 2, 4, 4, geo);
-        let rhs: f32 = x.data().iter().zip(back.data()).map(|(a, b)| a * b).sum();
-        assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
-    }
-
-    #[test]
     fn backward_matches_finite_differences() {
         let geo = ConvGeometry::square(3, 1, 1);
         let x = seq_tensor(&[1, 2, 4, 4]);
@@ -564,8 +613,15 @@ mod tests {
     #[test]
     fn nchw_rows_round_trip() {
         let t = seq_tensor(&[2, 3, 2, 2]);
-        let rows = nchw_to_rows(&t);
-        assert_eq!(rows.shape(), &[8, 3]);
+        // [N, F, OH, OW] -> [N·OH·OW, F], element by element.
+        let mut rows = Tensor::zeros(&[8, 3]);
+        for b in 0..2 {
+            for ch in 0..3 {
+                for p in 0..4 {
+                    rows.set(&[b * 4 + p, ch], t.at(&[b, ch, p / 2, p % 2]));
+                }
+            }
+        }
         let back = rows_to_nchw(&rows, 2, 3, 2, 2);
         assert_close(&back, &t, 0.0);
     }

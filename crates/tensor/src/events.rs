@@ -3,7 +3,7 @@
 //! The paper's efficiency argument (§VI) is that SNN layers are
 //! *accumulate-only and sparse*: at T=2–3 most neurons never fire, so a
 //! hardware implementation pays one AC per **spike**, not one MAC per
-//! **weight**. The dense im2col+GEMM lowering simulates that network in
+//! **weight**. The dense GEMM lowering simulates that network in
 //! time proportional to *shape*; the kernels here consume a [`SpikeBatch`]
 //! — per-sample sorted active indices plus the one common amplitude
 //! `βV_th` every spike carries — and run in time proportional to
@@ -18,7 +18,7 @@
 //!
 //! Both kernels accumulate each output element's active contributions in
 //! exactly the order the dense path uses — ascending `(ch, ky, kx)` for
-//! convolution (the im2col column order), ascending `k` for the linear
+//! convolution (the implicit im2col column order), ascending `k` for the linear
 //! product — and skipped terms are precisely the terms the zero-skipping
 //! dense kernels also drop. A skipped term contributes an exact `+0.0`
 //! to a dense accumulator whenever the weight is finite (`0·finite = ±0.0`
@@ -150,14 +150,13 @@ impl SpikeBatch {
 }
 
 /// Event-driven 2-d convolution: `events [N,C,H,W] * weight [F,C,KH,KW]
-/// (+ bias [F])` into `out [N,F,OH,OW]`, without materialising im2col
-/// columns.
+/// (+ bias [F])` into `out [N,F,OH,OW]`, touching only the active inputs.
 ///
 /// Each event scatters into the output pixels whose receptive field covers
 /// it. Events are sorted by flat input index `(ch, iy, ix)`, and for a
 /// fixed output pixel the kernel coordinates `(ky, kx)` are monotone in
 /// `(iy, ix)`, so every output element accumulates its terms in ascending
-/// `(ch, ky, kx)` order — exactly the im2col column order of the dense
+/// `(ch, ky, kx)` order — exactly the reduction order of the dense
 /// path, making results bit-identical to [`crate::conv::conv2d`] for
 /// finite weights.
 ///
@@ -203,8 +202,8 @@ pub fn conv2d_events(
     let amp = events.amp();
     let hw = h * w;
     let plane = oh * ow;
-    // One sample per work item, exactly like the dense path's per-image
-    // im2col chunks: sample `b` owns the contiguous `[b·F·OH·OW ..)` block.
+    // One sample per work item: sample `b` owns the contiguous
+    // `[b·F·OH·OW ..)` block.
     parallel::par_chunks_mut(out.data_mut(), f * plane, |b, sample_out| {
         let mut executed = 0u64;
         for &idx in events.sample_indices(b) {

@@ -7,7 +7,8 @@
 //!
 //! * elementwise arithmetic and mapping ([`Tensor::add`], [`Tensor::map`], …)
 //! * matrix multiplication ([`matmul`])
-//! * 2-d convolution via im2col with full backward passes ([`conv`])
+//! * 2-d convolution lowered to GEMM over an implicit im2col matrix (no
+//!   column buffer in the forward or the backward pass) ([`conv`])
 //! * weight-stationary packed dense kernels ([`packed`]) — weights laid out
 //!   once per network into panels for the register-blocked core, the one
 //!   `A · Bᵀ` kernel behind every conv and linear forward, DNN and SNN
@@ -57,10 +58,11 @@ pub mod pool;
 pub mod stats;
 
 // The unit tests share the integration tests' scalar reference kernels,
-// which name this crate by its external name.
+// which name this crate by its external name; they use only some of them.
 #[cfg(test)]
 extern crate self as ull_tensor;
 #[cfg(test)]
+#[allow(dead_code)]
 #[path = "../tests/common/reference.rs"]
 mod reference;
 

@@ -11,11 +11,13 @@
 //! streams the panel linearly while register-blocking over
 //! [`PANEL_WIDTH`]-wide output columns and 4-high output rows. This core is
 //! the crate's one `A · Bᵀ` kernel: [`matmul_tb_packed`] and
-//! [`crate::conv::conv2d_packed_into`] (which reuses it after im2col) run
-//! it over a pack built once per weight version, as the SNN does, and
+//! [`crate::conv::conv2d_packed_into`] (whose lhs is the input's implicit
+//! im2col matrix, gathered tile by tile) run it over a pack built once per
+//! weight version, as the SNN does, and
 //! [`crate::matmul_transpose_b`] and [`crate::conv::conv2d`] pack their
 //! weight per call, as the DNN forward does. The backward GEMMs
-//! ([`crate::matmul()`], [`crate::matmul_transpose_a`]) stay unpacked.
+//! ([`crate::matmul()`], [`crate::matmul_transpose_a`], and
+//! [`crate::conv::conv2d_backward`]'s own loops) stay unpacked.
 //!
 //! # Bit-identity contract
 //!
@@ -30,6 +32,9 @@
 //! reference kernels of `crates/tensor/tests/common/reference.rs` by
 //! `crates/tensor/tests/packed_diff.rs`.
 
+use std::cell::RefCell;
+
+use crate::conv::ConvRows;
 use crate::parallel;
 use crate::Tensor;
 
@@ -110,8 +115,9 @@ impl PackedWeights {
     }
 
     /// Packs a conv filter bank `weight: [F, C, KH, KW]`, pre-reshaped to
-    /// the `[F, C·KH·KW]` im2col GEMM operand (which it already is in
-    /// row-major memory) and packed like [`PackedWeights::pack_rhs_t`].
+    /// the `[F, C·KH·KW]` GEMM operand of the lowered conv (which it
+    /// already is in row-major memory) and packed like
+    /// [`PackedWeights::pack_rhs_t`].
     ///
     /// # Panics
     ///
@@ -255,29 +261,49 @@ fn packed_gemm_into(a: &Tensor, b: &PackedWeights, out: &mut Tensor, span: &'sta
         b.k
     );
     out.reset_shaped(&[m, b.n]);
-    packed_gemm_raw(a.data(), m, b, out.data_mut(), span);
+    packed_gemm_raw(Lhs::Rows(a.data()), m, b, out.data_mut(), span);
 }
 
-/// Row-major packed GEMM core over raw slices: `ad: [m, k]` against a
-/// packed `[n, k]`-semantics operand, writing `out: [m, n]`. Shared by the
-/// public packed matmuls and [`crate::conv::conv2d_packed_into`] (whose
-/// im2col scratch is a plain `Vec`).
+/// Where [`packed_gemm_raw`] reads its `[m, k]` lhs rows from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Lhs<'a> {
+    /// A row-major `[m, k]` slice.
+    Rows(&'a [f32]),
+    /// The implicit im2col matrix of a conv input, gathered one
+    /// [`TILE_ROWS`]-row tile at a time and never stored whole.
+    Conv(ConvRows<'a>),
+}
+
+thread_local! {
+    /// The [`TILE_ROWS`] × `k` lhs tile an [`Lhs::Conv`] source is gathered
+    /// into. It grows to the widest reduction a thread sees and is reused
+    /// from then on, so the steady-state conv forward allocates nothing.
+    static CONV_TILE: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The packed GEMM core: `lhs: [m, k]` against a packed `[n, k]`-semantics
+/// operand, writing `out: [m, n]`. Shared by the public packed matmuls and
+/// [`crate::conv::conv2d_packed_into`], whose lhs is the input's implicit
+/// im2col matrix.
 ///
 /// Register-blocks over [`TILE_ROWS`] output rows × [`PANEL_WIDTH`] output
 /// columns with the reduction loop innermost. Each output element's
 /// accumulator receives its non-zero terms in ascending `p` order starting
 /// from `+0.0`, so the result is bit-identical to a scalar dot product per
 /// element (and to [`crate::matmul`] for the [`PackLayout::Rhs`]
-/// orientation).
+/// orientation) whichever source the rows come from.
 pub(crate) fn packed_gemm_raw(
-    ad: &[f32],
+    lhs: Lhs<'_>,
     m: usize,
     b: &PackedWeights,
     out: &mut [f32],
     span: &'static str,
 ) {
     let (n, k) = (b.n, b.k);
-    assert_eq!(ad.len(), m * k, "packed gemm: lhs length");
+    match lhs {
+        Lhs::Rows(ad) => assert_eq!(ad.len(), m * k, "packed gemm: lhs length"),
+        Lhs::Conv(src) => assert_eq!((src.rows(), src.ckk()), (m, k), "packed gemm: conv lhs"),
+    }
     assert_eq!(out.len(), m * n, "packed gemm: out length");
     let _span = ull_obs::span(span);
     ull_obs::counter_add("tensor.macs", (m * k * n) as u64);
@@ -289,15 +315,29 @@ pub(crate) fn packed_gemm_raw(
         let i0 = ci * block;
         let rows = chunk.len() / n;
         let mut executed = 0u64;
+        // This thread's tile, put back after the chunk; `take` leaves an
+        // empty, unallocated `Vec` behind.
+        let mut tile = CONV_TILE.take();
+        if matches!(lhs, Lhs::Conv(_)) && tile.len() < TILE_ROWS * k {
+            tile.resize(TILE_ROWS * k, 0.0);
+        }
         let mut r0 = 0usize;
         while r0 < rows {
             let mr = (rows - r0).min(TILE_ROWS);
+            if let Lhs::Conv(src) = lhs {
+                for r in 0..mr {
+                    src.gather(i0 + r0 + r, &mut tile[r * k..(r + 1) * k]);
+                }
+            }
             // Row slices of the tile, fixed-size so the hot loop stays
             // allocation-free; only the first `mr` entries are real.
             let mut arows: [&[f32]; TILE_ROWS] = [&[]; TILE_ROWS];
             for (r, slot) in arows.iter_mut().enumerate().take(mr) {
                 let row = i0 + r0 + r;
-                *slot = &ad[row * k..(row + 1) * k];
+                *slot = match lhs {
+                    Lhs::Rows(ad) => &ad[row * k..(row + 1) * k],
+                    Lhs::Conv(_) => &tile[r * k..(r + 1) * k],
+                };
                 executed += slot.iter().filter(|&&v| v != 0.0).count() as u64 * n as u64;
             }
             let mut j0 = 0usize;
@@ -326,6 +366,7 @@ pub(crate) fn packed_gemm_raw(
             }
             r0 += mr;
         }
+        CONV_TILE.set(tile);
         ull_obs::counter_add("tensor.acs", executed);
     });
 }

@@ -3,7 +3,8 @@
 //! A `std::thread::scope`-based worker pool with three entry points:
 //!
 //! * [`par_chunks_mut`] — split a mutable slice into contiguous chunks and
-//!   process them concurrently (row-blocked matmul, im2col).
+//!   process them concurrently (row-blocked matmul, per-image conv
+//!   backward).
 //! * [`par_map`] — evaluate `f(0..n)` concurrently and return the results
 //!   in index order (batch-parallel SNN simulation, per-layer α/β search).
 //! * [`par_join`] — run two closures concurrently.
@@ -30,7 +31,7 @@
 //! the pool holds no global state beyond the thread-count override and
 //! borrows (not moves) the caller's data. Calls nested inside a worker
 //! run inline on that worker — an outer fan-out (batch-parallel SNN
-//! steps) already owns every core, so inner kernels (matmul, im2col) do
+//! steps) already owns every core, so inner kernels (matmul, conv) do
 //! not spawn a second generation of threads.
 
 use std::cell::Cell;

@@ -1,9 +1,10 @@
 //! Counted-work checks for the tensor kernels: nominal `tensor.macs`,
-//! executed `tensor.acs` and `tensor.im2col.bytes`. Each check counts
+//! executed `tensor.acs`, and `tensor.im2col.bytes`, which stays 0 now
+//! that no conv materializes its column matrix. Each check counts
 //! inside its own private registry, so kernels other tests run at the
 //! same time never reach its counters.
 
-use ull_tensor::conv::{conv2d, conv2d_packed_into, ConvGeometry, ConvScratch};
+use ull_tensor::conv::{conv2d, conv2d_backward, conv2d_packed_into, ConvGeometry, ConvScratch};
 use ull_tensor::{
     matmul, matmul_tb_events, matmul_tb_packed, matmul_transpose_b, parallel, PackedWeights,
     SpikeBatch, Tensor,
@@ -106,7 +107,7 @@ fn counted_work(f: impl FnOnce()) -> [u64; 3] {
 
 /// Packing changes only the weight memory layout, so it must not move any
 /// counted work: a conv and a linear layer on spike input report the same
-/// nominal MACs, executed ACs and im2col bytes on a pack built once as
+/// nominal MACs, executed ACs and (zero) im2col bytes on a pack built once as
 /// on one `conv2d`/`matmul_transpose_b` make per call, at any thread
 /// count.
 #[test]
@@ -136,7 +137,7 @@ fn packing_moves_no_counted_work() {
             conv_unpacked[1] < conv_unpacked[0],
             "zero inputs are skipped"
         );
-        assert!(conv_unpacked[2] > 0, "conv lowers through im2col");
+        assert_eq!(conv_unpacked[2], 0, "conv materializes no columns");
 
         let linear_unpacked = counted_work(|| {
             matmul_transpose_b(&a, &b);
@@ -149,6 +150,34 @@ fn packing_moves_no_counted_work() {
             linear_unpacked[1] < linear_unpacked[0],
             "zero inputs are skipped"
         );
+    }
+    parallel::set_threads(0);
+}
+
+/// The backward pass of a conv counts the work of its two GEMMs: the
+/// weight gradient `g2ᵀ · cols` and the input gradient `g2 · W`, each
+/// `N·OH·OW · F · C·KH·KW` nominal MACs, with the zero entries of the
+/// output gradient `g2` skipped. The pinned values are those the
+/// materialized-column backward recorded on this input, so lowering the
+/// columns implicitly moves no counted work, at any thread count.
+#[test]
+fn conv_backward_counts_the_work_of_its_two_gemms() {
+    let _guard = parallel::override_lock();
+    let geo = ConvGeometry::square(3, 2, 1);
+    let x = rand_tensor(&[2, 3, 9, 9], 90);
+    let weight = rand_tensor(&[7, 3, 3, 3], 91);
+    let grad = spike_tensor(&[2, 7, 5, 5], -0.25, 3, 11);
+    for threads in [1usize, 4] {
+        parallel::set_threads(threads);
+        let [macs, acs, cols_bytes] = counted_work(|| {
+            conv2d_backward(&x, &weight, &grad, geo);
+        });
+        assert_eq!(
+            macs, 18_900,
+            "2 · 50 pixels · 7 filters · 27, threads {threads}"
+        );
+        assert_eq!(acs, 6_318, "threads {threads}");
+        assert_eq!(cols_bytes, 0, "no column matrix, threads {threads}");
     }
     parallel::set_threads(0);
 }

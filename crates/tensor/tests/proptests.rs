@@ -1,7 +1,7 @@
 //! Property-based tests for the tensor kernels.
 
 use proptest::prelude::*;
-use ull_tensor::conv::{col2im, conv2d, im2col, ConvGeometry};
+use ull_tensor::conv::{conv2d, conv2d_backward, ConvGeometry};
 use ull_tensor::pool::{avgpool2d, maxpool2d};
 use ull_tensor::stats::{moments, percentile, percentile_table, Histogram};
 use ull_tensor::{
@@ -197,14 +197,13 @@ proptest! {
         let _guard = parallel::override_lock();
         parallel::set_threads(1);
         let base = conv2d(&x, &w, None, geo);
-        let base_cols = im2col(&x, geo);
-        let base_im = col2im(&base_cols, 3, 2, 6, 6, geo);
+        // The forward output, zeroed where negative, as a ReLU-like grad.
+        let grad = base.map(|v| v.max(0.0));
+        let base_grads = conv2d_backward(&x, &w, &grad, geo);
         for threads in [2, 3, 4] {
             parallel::set_threads(threads);
             prop_assert_eq!(&conv2d(&x, &w, None, geo), &base, "threads {}", threads);
-            let cols = im2col(&x, geo);
-            prop_assert_eq!(&cols, &base_cols, "threads {}", threads);
-            prop_assert_eq!(&col2im(&cols, 3, 2, 6, 6, geo), &base_im, "threads {}", threads);
+            prop_assert_eq!(&conv2d_backward(&x, &w, &grad, geo), &base_grads, "threads {}", threads);
         }
         parallel::set_threads(0);
     }
@@ -242,7 +241,7 @@ proptest! {
         stride in 1usize..3,
         padding in 0usize..3,
     ) {
-        // The event-driven kernel replays the im2col+GEMM accumulation
+        // The event-driven kernel replays the dense conv's accumulation
         // order, so any geometry and any spike pattern must reproduce the
         // dense result bit for bit, at every thread count.
         let geo = ConvGeometry::square(3, stride, padding);
