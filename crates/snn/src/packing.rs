@@ -157,6 +157,9 @@ mod tests {
     fn fingerprint_is_stable_and_weight_sensitive() {
         let net = test_net(1);
         let fp = net_fingerprint(&net);
+        // Pinned: perfbench compares this hash across runs, so a change to
+        // how it folds weights must show up here first.
+        assert_eq!(fp, 0x57f0_a403_2dad_abb1);
         assert_eq!(fp, net_fingerprint(&net));
         assert_eq!(fp, net_fingerprint(&net.clone()));
         let mut mutated = net.clone();
