@@ -1,12 +1,12 @@
 //! §IV-B ablation study:
 //!
-//! 1. The threshold-scaling heuristics of [16]/[24] followed by SGL
+//! 1. The threshold-scaling heuristics of \[16\]/\[24\] followed by SGL
 //!    collapse to near-chance accuracy at T = 2–3 (the initialisation is
 //!    too far off for SGL to recover in budget), while the paper's α/β
 //!    initialisation trains fine.
 //! 2. Conversion-only latency: the α/β scaling alone (no SGL) reaches
 //!    near-DNN accuracy around T ≈ 12, versus T ≈ 16 for the optimal
-//!    conversion of [15].
+//!    conversion of \[15\].
 //! 3. Percentile-α vs linear-α search (design-decision ablation #4 in
 //!    DESIGN.md): percentile placement finds a lower residual loss.
 //!

@@ -1,6 +1,6 @@
 //! Fig. 2: conversion-only test accuracy vs number of time steps, for VGG
 //! and ResNet, comparing threshold-ReLU thresholds (`V^th = μ`) against the
-//! max-pre-activation thresholds of [15] (`V^th = d_max`).
+//! max-pre-activation thresholds of \[15\] (`V^th = d_max`).
 //!
 //! Expected shape: both collapse toward chance as T → 1–3; `d_max` is
 //! consistently worse (its thresholds are outliers); both recover by

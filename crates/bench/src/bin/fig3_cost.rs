@@ -1,5 +1,5 @@
 //! Fig. 3: training/inference time per epoch and memory consumption as a
-//! function of T — ours (T = 2, 3) vs the 5-step hybrid baseline [7].
+//! function of T — ours (T = 2, 3) vs the 5-step hybrid baseline \[7\].
 //!
 //! Time is wall-clock per epoch on this machine; memory is the exact byte
 //! count of the BPTT tape (training) and of the persistent membrane state

@@ -2,8 +2,8 @@
 //! energy for
 //!
 //! * ours at T = 2 and T = 3 (α/β conversion + SGL),
-//! * the 5-step hybrid baseline [7] (threshold balance + SGL),
-//! * the 16-step optimal conversion [15] (bias shift),
+//! * the 5-step hybrid baseline \[7\] (threshold balance + SGL),
+//! * the 16-step optimal conversion \[15\] (bias shift),
 //! * the iso-architecture DNN,
 //!
 //! under the 45 nm CMOS model (E_MAC = 3.2 pJ, E_AC = 0.1 pJ) and the

@@ -28,16 +28,16 @@
 //!    `ULL_THREADS` ∈ {1, 4}.
 //!
 //! ```sh
-//! cargo run --release -p ull-bench --bin serve_lifecycle [--scale small]
+//! cargo run --release -p ull-bench --bin serve_lifecycle
 //! cargo run --release -p ull-bench --bin serve_lifecycle -- --gate
 //! ```
 //!
-//! `--gate` asserts the CI acceptance criteria
-//! (`scripts/lifecycle_smoke.sh` runs it under `ULL_THREADS` 1 and 4).
-//! Artifacts: `reports/serve_lifecycle_{scale}.json`; a report run (no
-//! `--gate`) also writes `BENCH_lifecycle.json` and the reload/rollback
-//! timeline between the `lifecycle` markers of EXPERIMENTS.md. The gate
-//! writes only `reports/serve_lifecycle_tiny.json`.
+//! Every run serves the same micro VGG on 8×8 inputs, so the bin takes
+//! no `--scale`. `--gate` asserts the CI acceptance criteria
+//! (`scripts/lifecycle_smoke.sh` runs it under `ULL_THREADS` 1 and 4) and
+//! writes only `reports/serve_lifecycle_tiny.json`. A report run (no
+//! `--gate`) writes `BENCH_lifecycle.json` and the reload/rollback
+//! timeline between the `lifecycle` markers of EXPERIMENTS.md.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -215,7 +215,6 @@ struct DeterminismStats {
 
 #[derive(Serialize)]
 struct LifecycleReport {
-    scale: String,
     config: ServeConfig,
     no_manifest_identical: bool,
     clean_reload: ReloadStats,
@@ -493,11 +492,6 @@ fn scenario_determinism(data: &Dataset) -> DeterminismStats {
 
 fn main() {
     let gate = std::env::args().any(|a| a == "--gate");
-    let scale = if gate {
-        Scale::Tiny
-    } else {
-        Scale::from_args()
-    };
     ull_obs::set_enabled(true);
     ull_obs::reset();
     let data = test_data();
@@ -549,7 +543,6 @@ fn main() {
     reconcile(&snapshot).expect("lifecycle counters reconcile across all scenarios");
 
     let report = LifecycleReport {
-        scale: scale.name().to_string(),
         config: serve_config(lifecycle_config(&PathBuf::from("<model-dir>")), 2),
         no_manifest_identical,
         clean_reload,
@@ -563,10 +556,9 @@ fn main() {
         timeline,
         counters: snapshot.counters.clone(),
     };
-    let path = write_report("serve_lifecycle", scale, &report);
-    println!("report written to {}", path.display());
-
     if gate {
+        let path = write_report("serve_lifecycle", Scale::Tiny, &report);
+        println!("report written to {}", path.display());
         assert!(
             report.no_manifest_identical,
             "lifecycle must be invisible without a manifest"
@@ -644,13 +636,11 @@ fn main() {
         .expect("write BENCH_lifecycle.json");
         println!("benchmark artifact written to {}", bench_path.display());
         let mut section = String::new();
-        section.push_str(&format!(
-            "\nLifecycle chaos bench at `--scale {}`: an incumbent (version 0) \
-             serves throughout while candidate versions are published, canaried \
-             on a deterministic fraction of live batches, and promoted or rolled \
-             back.\n\n",
-            scale.name()
-        ));
+        section.push_str(
+            "\nLifecycle chaos bench: an incumbent (version 0) serves throughout \
+             while candidate versions are published, canaried on a deterministic \
+             fraction of live batches, and promoted or rolled back.\n\n",
+        );
         section.push_str("| scenario | outcome |\n|---|---|\n");
         section.push_str(&format!(
             "| no manifest | byte-identical to a lifecycle-free engine: {} |\n",

@@ -1,11 +1,11 @@
 //! Table II: comparison with the SOTA approaches the paper benchmarks,
 //! all re-implemented in this framework on the same architecture/data:
 //!
-//! * Rathi et al. 2020 [7] — hybrid training at T = 5 (threshold-balance
+//! * Rathi et al. 2020 \[7\] — hybrid training at T = 5 (threshold-balance
 //!   conversion + SGL),
-//! * Kundu et al. 2021 [26] — hybrid training at T = 10 (same recipe,
+//! * Kundu et al. 2021 \[26\] — hybrid training at T = 10 (same recipe,
 //!   more steps),
-//! * Deng et al. 2021 [15] — conversion-only at T = 16 (bias shift +
+//! * Deng et al. 2021 \[15\] — conversion-only at T = 16 (bias shift +
 //!   trained thresholds),
 //! * **this work** — α/β conversion + SGL at T = 2.
 //!

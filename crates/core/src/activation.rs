@@ -1,7 +1,7 @@
 //! Closed-form activation functions of Fig. 1.
 //!
 //! The DNN side is the threshold ReLU of Eq. 1; the SNN side is the
-//! staircase of Eq. 5, optionally bias-shifted by `δ = V^th/2T` ([15]) and
+//! staircase of Eq. 5, optionally bias-shifted by `δ = V^th/2T` (\[15\]) and
 //! α/β-scaled (the paper's proposal, Fig. 1b).
 
 use serde::{Deserialize, Serialize};
@@ -27,7 +27,7 @@ pub struct StaircaseConfig {
     pub v_th: f32,
     /// Number of time steps T.
     pub t: usize,
-    /// Left shift of the curve (the bias `δ`; [15] uses `V^th/2T`).
+    /// Left shift of the curve (the bias `δ`; \[15\] uses `V^th/2T`).
     pub bias: f32,
     /// Output-height scale β (Eq. 8; 1.0 for plain IF).
     pub beta: f32,
@@ -44,7 +44,7 @@ impl StaircaseConfig {
         }
     }
 
-    /// Bias-added staircase of [15]: left shift by `δ = V^th/2T`.
+    /// Bias-added staircase of \[15\]: left shift by `δ = V^th/2T`.
     pub fn bias_added(v_th: f32, t: usize) -> Self {
         StaircaseConfig {
             v_th,

@@ -98,7 +98,7 @@ pub fn k_mu(samples: &[f32], mu: f32) -> f32 {
     (mass / samples.len() as f64 / mu as f64) as f32
 }
 
-/// Estimates `h(T,μ)` of Eq. 7 (with the bias shift of [15], as in the
+/// Estimates `h(T,μ)` of Eq. 7 (with the bias shift of \[15\], as in the
 /// paper's Fig. 1a insert): the normalised expected SNN output
 /// `E[s'] / μ` under the bias-added staircase with `V^th = μ`.
 ///

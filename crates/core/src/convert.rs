@@ -25,17 +25,17 @@ pub enum ConversionMethod {
     /// (the "threshold ReLU" curve of Fig. 2).
     ThresholdBalance,
     /// `V^th` = the given percentile of the layer's pre-activations —
-    /// `100.0` gives the maximum pre-activation `d_max` used by [15]
+    /// `100.0` gives the maximum pre-activation `d_max` used by \[15\]
     /// (the "max pre-activation" curve of Fig. 2, worse at low T because
     /// `d_max` is an outlier).
     MaxPreactivation {
         /// Percentile in `[0, 100]`; 100 = `d_max`.
         percentile: f32,
     },
-    /// [15]'s optimal conversion: `V^th = μ` plus the bias shift
+    /// \[15\]'s optimal conversion: `V^th = μ` plus the bias shift
     /// `δ = V^th/2T` (realised as initial membrane charge `V^th/2`).
     BiasShift,
-    /// The threshold-scaling heuristics of [16]/[24]: `V^th = factor ·
+    /// The threshold-scaling heuristics of \[16\]/\[24\]: `V^th = factor ·
     /// d_max` with a hand-picked scale factor (the ablation baseline that
     /// collapses under SGL at T = 2–3).
     ScalingHeuristic {

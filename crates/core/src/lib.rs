@@ -15,10 +15,10 @@
 //! * [`algorithm1`] — the paper's Algorithm 1: a percentile-driven search
 //!   over threshold scale α and output scale β minimising the empirical
 //!   post-activation difference per layer.
-//! * [`convert`] / [`pipeline`] — converters (the paper's method plus the
+//! * [`convert`](mod@convert) / [`pipeline`] — converters (the paper's method plus the
 //!   baselines it compares against: threshold balancing, max
-//!   pre-activation [15], bias shift [15], and the scaling heuristics of
-//!   [16]/[24]) and the full hybrid pipeline *train DNN → convert → SGL
+//!   pre-activation \[15\], bias shift \[15\], and the scaling heuristics of
+//!   \[16\]/\[24\]) and the full hybrid pipeline *train DNN → convert → SGL
 //!   fine-tune* that produces Table I.
 //!
 //! # Example

@@ -21,7 +21,7 @@
 //! [`RecoveryConfig::max_retries`] times, after which it surfaces
 //! [`TrainError::Diverged`].
 //!
-//! The [`FaultPlan`](crate::FaultPlan) hooks let tests inject each failure
+//! The [`FaultPlan`] hooks let tests inject each failure
 //! mode at an exact epoch, deterministically.
 
 use std::fmt;
@@ -139,7 +139,7 @@ pub enum PipelineError {
     /// Training failed numerically and the retry budget is exhausted
     /// ([`TrainError::Diverged`]).
     Train(TrainError),
-    /// A [`FaultPlan`](crate::FaultPlan) crash fault fired: the run stopped
+    /// A [`FaultPlan`] crash fault fired: the run stopped
     /// as if the process had been killed at that point. Resume with
     /// [`resume_pipeline`] to continue.
     SimulatedCrash {

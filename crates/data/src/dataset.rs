@@ -199,7 +199,7 @@ impl Dataset {
     /// A copy of the dataset with zero-mean Gaussian noise of the given
     /// standard deviation added to every pixel — the input-corruption
     /// robustness probe used when comparing DNN and SNN degradation (cf.
-    /// the paper's references [9]/[26] on SNN robustness).
+    /// the paper's references \[9\]/\[26\] on SNN robustness).
     pub fn with_noise(&self, std: f32, seed: u64) -> Dataset {
         let mut rng = ull_tensor::init::seeded_rng(seed);
         let images = self

@@ -45,7 +45,7 @@ impl SnnAudit {
 ///   step: `T · MACs`;
 /// * spike-fed layers pay `ζ_in · MACs` accumulates, where `ζ_in` is the
 ///   measured average spike count per input neuron over all T steps
-///   (the standard estimate used by the paper's references [27], [28]).
+///   (the standard estimate used by the paper's references \[27\], \[28\]).
 ///
 /// `dnn_audit` must come from [`crate::audit_dnn`] on the *source* network
 /// (same node ids), and `report` from an `ull-snn` evaluation run.

@@ -35,7 +35,7 @@ impl EnergyModel {
 }
 
 /// Normalised neuromorphic energy model (`total = FLOPs·E_compute +
-/// T·E_static`, paper §VI-B following [32]).
+/// T·E_static`, paper §VI-B following \[32\]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NeuromorphicModel {
     /// Human-readable platform name.

@@ -32,7 +32,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod adam;
 mod checkpoint;
 mod loss;
 mod metrics;
@@ -43,7 +42,6 @@ mod trainer;
 
 pub mod models;
 
-pub use adam::{Adam, AdamConfig};
 pub use checkpoint::{
     fnv1a, load, load_latest, load_with_meta, save, save_with_meta, write_atomic, CheckpointError,
     CheckpointMeta, ValidatePayload, CHECKPOINT_EXT, FORMAT_VERSION,

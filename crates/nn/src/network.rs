@@ -68,16 +68,6 @@ pub enum NodeOp {
     Add,
 }
 
-impl NodeOp {
-    /// `true` for ops that carry trainable parameters.
-    pub fn has_params(&self) -> bool {
-        matches!(
-            self,
-            NodeOp::Conv2d { .. } | NodeOp::Linear { .. } | NodeOp::ThresholdRelu { .. }
-        )
-    }
-}
-
 /// One node: an operation plus the ids of its input nodes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Node {

@@ -12,11 +12,12 @@ pub struct Param {
     pub value: Tensor,
     /// Accumulated gradient (same shape as `value`).
     pub grad: Tensor,
-    /// Momentum buffer (same shape as `value`). SGD uses it as the
-    /// velocity; Adam uses it as the first-moment estimate `m`.
+    /// Momentum buffer (same shape as `value`): SGD's velocity.
     pub momentum: Tensor,
-    /// Second-moment estimate `v` for Adam; lazily initialised so SGD-only
-    /// training (and checkpoints written by it) pay nothing.
+    /// Always `None`: no optimizer in this workspace keeps a second moment.
+    /// The field stays so the serialized format (pinned, and hashed by the
+    /// pipeline pins) keeps its `"second_moment":null` entry; JSON written
+    /// without it still loads.
     #[serde(default)]
     pub second_moment: Option<Tensor>,
     /// Whether weight decay applies (true for weights, false for biases and
@@ -86,6 +87,15 @@ mod tests {
         let p = Param::scalar(2.5, false);
         assert_eq!(p.scalar_value(), 2.5);
         assert_eq!(p.len(), 1);
+    }
+
+    #[test]
+    fn sgd_checkpoint_without_second_moment_loads() {
+        // Back-compat: JSON written before the field existed must load.
+        let json = r#"{"value":{"shape":[1],"data":[1.0]},"grad":{"shape":[1],"data":[0.0]},"momentum":{"shape":[1],"data":[0.0]},"decay":true}"#;
+        let p: Param = serde_json::from_str(json).unwrap();
+        assert!(p.second_moment.is_none());
+        assert_eq!(p.value.data()[0], 1.0);
     }
 
     #[test]

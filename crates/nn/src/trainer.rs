@@ -109,9 +109,8 @@ pub struct EpochStats {
     pub seconds: f64,
 }
 
-/// A network the shared optimizers ([`Sgd`], [`Adam`](crate::Adam)) and
-/// the shared epoch loop ([`run_epoch`]) can train: the DNN and the
-/// converted SNN.
+/// A network the shared optimizer ([`Sgd`]) and the shared epoch loop
+/// ([`run_epoch`]) can train: the DNN and the converted SNN.
 pub trait Trainable {
     /// What a train-mode forward records for [`Trainable::backward`].
     type Tape;
@@ -151,8 +150,8 @@ impl Trainable for Network {
         Network::visit_params_mut(self, f);
     }
 
-    /// Keeps every threshold μ at or above [`MU_FLOOR`]: the threshold
-    /// ReLU `clip(x, 0, μ)` needs μ ≥ 0, but the optimizers update μ like
+    /// Keeps every threshold μ at or above `MU_FLOOR` (0.01): the threshold
+    /// ReLU `clip(x, 0, μ)` needs μ ≥ 0, but the optimizer updates μ like
     /// any other scalar, and a large step could drive it negative.
     fn clamp_params(&mut self) {
         for node in self.nodes_mut() {

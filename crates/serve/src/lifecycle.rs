@@ -13,7 +13,7 @@
 //! 1. **Validation** (at the manifest poll). The artifact is loaded
 //!    through `ull_nn::checkpoint::load_with_meta` (checksum + format
 //!    version enforced, `SnnNetwork::validate` run on the payload), a
-//!    fresh [`RateEnvelope`] pair is profiled on the held-out
+//!    fresh [`RateEnvelope`](ull_robust::RateEnvelope) pair is profiled on the held-out
 //!    calibration batches at both fixed-T rungs, and a golden output
 //!    fingerprint (FNV-1a over the candidate's calibration logits) is
 //!    recorded. Any failure — torn file, wrong checksum, shape-mismatch

@@ -6,7 +6,7 @@
 //! a Bernoulli/Poisson spike train whose rate is proportional to
 //! intensity. Rate coding keeps the first layer accumulate-only but needs
 //! an order of magnitude more time steps for the rates to resolve, which
-//! is exactly why the paper (and [7]–[9]) moved away from it. This module
+//! is exactly why the paper (and \[7\]–\[9\]) moved away from it. This module
 //! implements both so the claim is reproducible (see the
 //! `rate_vs_direct` example and the `ablation_design` experiment).
 

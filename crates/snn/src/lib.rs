@@ -13,9 +13,9 @@
 //!   first layer at every time step; only subsequent layers communicate via
 //!   spikes.
 //! * **Surrogate-gradient learning (SGL)** over the unrolled T steps
-//!   ([`train`]): BPTT with a boxcar surrogate `∂s/∂u ≈ 1/(2V^th)` on
+//!   ([`train_snn_epoch`]): BPTT with a boxcar surrogate `∂s/∂u ≈ 1/(2V^th)` on
 //!   `0 ≤ u ≤ 2V^th` and detached reset, jointly training weights,
-//!   thresholds and leaks as in [7] (Rathi et al., DIET-SNN).
+//!   thresholds and leaks as in \[7\] (Rathi et al., DIET-SNN).
 //!
 //! Inference and training share one step loop over the packed kernels:
 //! [`SnnNetwork::forward_train`] runs the same step as

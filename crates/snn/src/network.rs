@@ -100,7 +100,7 @@ impl SpikeSpec {
         }
     }
 
-    /// The bias-shifted IF spec of Deng et al. [15]: initial membrane
+    /// The bias-shifted IF spec of Deng et al. \[15\]: initial membrane
     /// charge `V^th/2`, equivalent to shifting the SNN activation left by
     /// `δ = V^th/2T`.
     pub fn bias_shifted(v_th: f32) -> Self {
@@ -932,7 +932,7 @@ impl SnnNetwork {
     /// over the steps actually run are returned together with that step
     /// count.
     ///
-    /// Runs the same allocation-free [`Stepper`] as [`SnnNetwork::forward`],
+    /// Runs the same allocation-free `Stepper` as [`SnnNetwork::forward`],
     /// so each step costs what a `forward` step costs and the logits of a
     /// full run equal `forward(x, t_max)` bit for bit. The mean handed to
     /// the callback is one buffer refilled in place each step.
@@ -1002,7 +1002,7 @@ impl SnnNetwork {
     }
 
     /// Training-mode unrolled forward pass: records the full BPTT tape.
-    /// Runs the same [`Stepper`] and packed kernels as the eval entry
+    /// Runs the same `Stepper` and packed kernels as the eval entry
     /// points, serially over the whole batch; each step's activations move
     /// into the tape. Dropout masks are sampled the first time step 0
     /// reaches each dropout node (in node order) and shared across time

@@ -26,7 +26,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use ull_nn::NodeId;
-use ull_tensor::{tensor_fingerprint, PackedWeights};
+use ull_tensor::{PackedWeights, Tensor};
 
 use crate::network::{SnnNetwork, SnnOp};
 
@@ -102,6 +102,18 @@ pub fn net_fingerprint(net: &SnnNetwork) -> u64 {
     h
 }
 
+/// FNV-1a over a tensor's shape and raw `f32` bit patterns. Folds whole
+/// `u32` words (not bytes) so a multi-million-parameter network hashes in
+/// one fast pass; the shape prefix distinguishes equal-data
+/// different-shape tensors.
+fn tensor_fingerprint(t: &Tensor) -> u64 {
+    let shape = t.shape().iter().map(|&d| d as u64);
+    let bits = t.data().iter().map(|v| u64::from(v.to_bits()));
+    shape.chain(bits).fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// The packed weights for `net`, as [`SnnNetwork::prepack`] resolves
 /// them. Packing is the only eval kernel route, so this always returns
 /// `Some`; the `Option` is kept so existing callers compile unchanged.
@@ -133,7 +145,7 @@ mod tests {
     use crate::SpikeSpec;
     use ull_nn::NetworkBuilder;
     use ull_tensor::init::{normal, seeded_rng};
-    use ull_tensor::{parallel, Tensor};
+    use ull_tensor::parallel;
 
     fn test_net(seed: u64) -> SnnNetwork {
         let mut b = NetworkBuilder::new(2, 8, seed);
@@ -169,6 +181,18 @@ mod tests {
             }
         }
         assert_ne!(fp, net_fingerprint(&mutated));
+    }
+
+    #[test]
+    fn tensor_fingerprint_tracks_content_and_shape() {
+        let a = normal(&[4, 6], 0.0, 1.0, &mut seeded_rng(11));
+        assert_eq!(tensor_fingerprint(&a), tensor_fingerprint(&a.clone()));
+        let mut mutated = a.clone();
+        mutated.data_mut()[3] += 1.0;
+        assert_ne!(tensor_fingerprint(&a), tensor_fingerprint(&mutated));
+        // Same bits, different shape — must not collide.
+        let reshaped = a.reshape(&[6, 4]).unwrap();
+        assert_ne!(tensor_fingerprint(&a), tensor_fingerprint(&reshaped));
     }
 
     #[test]

@@ -409,31 +409,18 @@ pub fn conv2d_backward(
 }
 
 /// Permutes the row matrix `[N·OH·OW, F]` (one row per output pixel) into
-/// `[N, F, OH, OW]`.
-///
-/// # Panics
-///
-/// Panics if the row count does not equal `n·oh·ow` or the width is not `f`.
-pub fn rows_to_nchw(rows: &Tensor, n: usize, f: usize, oh: usize, ow: usize) -> Tensor {
-    assert_eq!(
-        rows.shape(),
-        &[n * oh * ow, f],
-        "rows_to_nchw: shape mismatch"
-    );
-    let mut out = Tensor::default();
-    rows_to_nchw_into(rows.data(), n, f, oh, ow, &mut out);
-    out
-}
-
-/// [`rows_to_nchw`] over a raw `[N·OH·OW, F]` slice, writing into a
-/// caller-owned output tensor (resized in place, allocation-free at steady
-/// state).
+/// `[N, F, OH, OW]`, writing into a caller-owned output tensor (resized in
+/// place, allocation-free at steady state).
 ///
 /// # Panics
 ///
 /// Panics if `data.len() != n·f·oh·ow`.
-pub fn rows_to_nchw_into(data: &[f32], n: usize, f: usize, oh: usize, ow: usize, out: &mut Tensor) {
-    assert_eq!(data.len(), n * f * oh * ow, "rows_to_nchw: length mismatch");
+fn rows_to_nchw_into(data: &[f32], n: usize, f: usize, oh: usize, ow: usize, out: &mut Tensor) {
+    assert_eq!(
+        data.len(),
+        n * f * oh * ow,
+        "rows_to_nchw_into: length mismatch"
+    );
     out.reset_shaped(&[n, f, oh, ow]);
     let od = out.data_mut();
     for b in 0..n {
@@ -622,7 +609,8 @@ mod tests {
                 }
             }
         }
-        let back = rows_to_nchw(&rows, 2, 3, 2, 2);
+        let mut back = Tensor::default();
+        rows_to_nchw_into(rows.data(), 2, 3, 2, 2, &mut back);
         assert_close(&back, &t, 0.0);
     }
 

@@ -55,20 +55,6 @@ pub fn kaiming_normal(shape: &[usize], rng: &mut StdRng) -> Tensor {
     normal(shape, 0.0, std, rng)
 }
 
-/// Xavier/Glorot uniform initialisation:
-/// `U(-a, a)` with `a = sqrt(6 / (fan_in + fan_out))`.
-///
-/// # Panics
-///
-/// Panics if `shape` has fewer than 2 axes.
-pub fn xavier_uniform(shape: &[usize], rng: &mut StdRng) -> Tensor {
-    assert!(shape.len() >= 2, "xavier init needs a weight-like shape");
-    let fan_out: usize = shape[0] * shape[2..].iter().product::<usize>();
-    let fan_in: usize = shape[1..].iter().product();
-    let a = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    uniform(shape, -a, a, rng)
-}
-
 /// Stateless counter-based hash: folds `words` into `seed` with a
 /// SplitMix64 finalizer per word. Unlike a sequential RNG stream, the
 /// result depends only on the *coordinates* hashed — not on how many draws
@@ -132,13 +118,6 @@ mod tests {
             "std {} vs {expected}",
             m.std
         );
-    }
-
-    #[test]
-    fn xavier_respects_symmetric_bound() {
-        let w = xavier_uniform(&[10, 20], &mut seeded_rng(5));
-        let a = (6.0f32 / 30.0).sqrt();
-        assert!(w.data().iter().all(|&x| x.abs() <= a));
     }
 
     #[test]

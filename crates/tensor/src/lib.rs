@@ -6,7 +6,7 @@
 //! row-major [`Tensor`] with the operations the paper's models need:
 //!
 //! * elementwise arithmetic and mapping ([`Tensor::add`], [`Tensor::map`], …)
-//! * matrix multiplication ([`matmul`])
+//! * matrix multiplication ([`matmul()`])
 //! * 2-d convolution lowered to GEMM over an implicit im2col matrix (no
 //!   column buffer in the forward or the backward pass) ([`conv`])
 //! * weight-stationary packed dense kernels ([`packed`]) — weights laid out
@@ -14,7 +14,6 @@
 //!   `A · Bᵀ` kernel behind every conv and linear forward, DNN and SNN
 //! * event-driven sparse kernels over compact spike batches ([`events`]),
 //!   bit-identical to the dense path, kept as a per-layer reference
-
 //! * max / average pooling with backward passes ([`pool`])
 //! * reductions, softmax, and clipping (the threshold-ReLU of Eq. 1)
 //! * statistics used by the conversion algorithm: percentiles and
@@ -69,10 +68,7 @@ mod reference;
 pub use error::TensorError;
 pub use events::{conv2d_events, matmul_tb_events, SpikeBatch};
 pub use matmul::{matmul, matmul_transpose_a, matmul_transpose_b};
-pub use packed::{
-    matmul_packed, matmul_tb_packed, matmul_tb_packed_into, tensor_fingerprint, PackLayout,
-    PackedWeights,
-};
+pub use packed::{matmul_tb_packed, matmul_tb_packed_into, PackedWeights};
 pub use tensor::Tensor;
 
 /// Convenience alias for results returned by fallible tensor constructors.

@@ -1,8 +1,8 @@
-//! Operator overloads and axis-wise reductions.
+//! Operator overloads, batch selection and stacking.
 //!
-//! `&Tensor + &Tensor` etc. delegate to the elementwise methods; axis
-//! reductions and slicing support the analysis tooling (per-channel
-//! statistics, batch splitting).
+//! `&Tensor + &Tensor` etc. delegate to the elementwise methods;
+//! [`Tensor::select_batch`] and [`Tensor::stack`] split and rebuild
+//! batches.
 
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
@@ -58,65 +58,6 @@ impl Neg for &Tensor {
 }
 
 impl Tensor {
-    /// Sums over one axis, removing it from the shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis >= rank`.
-    pub fn sum_axis(&self, axis: usize) -> Tensor {
-        self.reduce_axis(axis, |acc, v| acc + v, 0.0)
-    }
-
-    /// Maximum over one axis, removing it from the shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis >= rank`.
-    pub fn max_axis(&self, axis: usize) -> Tensor {
-        self.reduce_axis(axis, f32::max, f32::NEG_INFINITY)
-    }
-
-    /// Mean over one axis, removing it from the shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis >= rank`.
-    pub fn mean_axis(&self, axis: usize) -> Tensor {
-        let n = self.shape()[axis] as f32;
-        let mut t = self.sum_axis(axis);
-        t.scale_in_place(1.0 / n);
-        t
-    }
-
-    fn reduce_axis(&self, axis: usize, f: impl Fn(f32, f32) -> f32, init: f32) -> Tensor {
-        let shape = self.shape();
-        assert!(
-            axis < shape.len(),
-            "axis {axis} out of range for rank {}",
-            shape.len()
-        );
-        let outer: usize = shape[..axis].iter().product();
-        let mid = shape[axis];
-        let inner: usize = shape[axis + 1..].iter().product();
-        let mut out_shape: Vec<usize> = shape[..axis].to_vec();
-        out_shape.extend_from_slice(&shape[axis + 1..]);
-        if out_shape.is_empty() {
-            out_shape.push(1);
-        }
-        let mut out = vec![init; outer * inner];
-        let data = self.data();
-        for o in 0..outer {
-            for m in 0..mid {
-                let base = (o * mid + m) * inner;
-                let obase = o * inner;
-                for i in 0..inner {
-                    out[obase + i] = f(out[obase + i], data[base + i]);
-                }
-            }
-        }
-        Tensor::from_vec(out, &out_shape).expect("reduce_axis output length")
-    }
-
     /// Extracts sample `i` of a batched `[N, …]` tensor as a `[…]` tensor.
     ///
     /// # Panics
@@ -174,36 +115,6 @@ mod tests {
         assert_eq!((&a * 2.0).data(), &[2.0, 4.0, 6.0, 8.0]);
         assert_eq!((&a + 1.0).data(), &[2.0, 3.0, 4.0, 5.0]);
         assert_eq!((-&a).data(), &[-1.0, -2.0, -3.0, -4.0]);
-    }
-
-    #[test]
-    fn sum_axis_both_axes() {
-        let a = t22();
-        assert_eq!(a.sum_axis(0).data(), &[4.0, 6.0]);
-        assert_eq!(a.sum_axis(1).data(), &[3.0, 7.0]);
-    }
-
-    #[test]
-    fn max_and_mean_axis() {
-        let a = t22();
-        assert_eq!(a.max_axis(0).data(), &[3.0, 4.0]);
-        assert_eq!(a.mean_axis(1).data(), &[1.5, 3.5]);
-    }
-
-    #[test]
-    fn reduce_axis_on_rank3() {
-        let t = Tensor::from_vec((0..8).map(|x| x as f32).collect(), &[2, 2, 2]).unwrap();
-        let s = t.sum_axis(1);
-        assert_eq!(s.shape(), &[2, 2]);
-        assert_eq!(s.data(), &[2.0, 4.0, 10.0, 12.0]);
-    }
-
-    #[test]
-    fn rank1_reduction_keeps_scalar_shape() {
-        let t = Tensor::from_slice(&[1.0, 2.0, 3.0]);
-        let s = t.sum_axis(0);
-        assert_eq!(s.shape(), &[1]);
-        assert_eq!(s.data(), &[6.0]);
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! [`PANEL_WIDTH`] output features: within a panel, the [`PANEL_WIDTH`]
 //! weights an inner-product step needs are contiguous, so the packed GEMM
 //! streams the panel linearly while register-blocking over
-//! [`PANEL_WIDTH`]-wide output columns and 4-high output rows. This core is
-//! the crate's one `A · Bᵀ` kernel: [`matmul_tb_packed`] and
+//! [`PANEL_WIDTH`]-wide output columns and 4-high output rows. Every pack is
+//! the `[n, k]` rhs of `C = A · Bᵀ` (a linear layer's `[out, in]` weight, or
+//! a conv filter bank flattened to `[F, C·KH·KW]`), and this core is the
+//! crate's one `A · Bᵀ` kernel: [`matmul_tb_packed`] and
 //! [`crate::conv::conv2d_packed_into`] (whose lhs is the input's implicit
 //! im2col matrix, gathered tile by tile) run it over a pack built once per
 //! weight version, as the SNN does, and
@@ -26,8 +28,7 @@
 //! `a[i,p]·b[p,j]` terms in ascending `p` order into an accumulator that
 //! starts at `+0.0`, skipping exactly the `a == 0.0` terms. Products have
 //! identical operands, sums identical order — so results are
-//! **bit-identical** to a scalar dot product per element (and
-//! [`matmul_packed`] to the `i-k-j` [`crate::matmul()`]) for every shape,
+//! **bit-identical** to a scalar dot product per element for every shape,
 //! sparsity and `ULL_THREADS`, asserted exhaustively against the scalar
 //! reference kernels of `crates/tensor/tests/common/reference.rs` by
 //! `crates/tensor/tests/packed_diff.rs`.
@@ -48,23 +49,11 @@ pub const PANEL_WIDTH: usize = 8;
 /// purely a performance knob: each row's accumulators are independent.
 const TILE_ROWS: usize = 4;
 
-/// Which GEMM operand orientation a [`PackedWeights`] was built for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PackLayout {
-    /// Packed from `B: [k, n]` for `C = A · B` ([`matmul_packed`]).
-    Rhs,
-    /// Packed from `B: [n, k]` for `C = A · Bᵀ` ([`matmul_tb_packed`]) —
-    /// the layer-weight orientation (`[out_features, in_features]`, or a
-    /// conv filter bank flattened to `[F, C·KH·KW]`).
-    RhsT,
-}
-
-/// A weight matrix laid out once for the packed kernels: k-major panels of
-/// [`PANEL_WIDTH`] output features, so the inner reduction loop streams
-/// contiguous memory regardless of the source orientation.
+/// The `[n, k]` rhs of `C = A · Bᵀ` laid out once for the packed core:
+/// k-major panels of [`PANEL_WIDTH`] output features, so the inner
+/// reduction loop streams contiguous memory.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedWeights {
-    layout: PackLayout,
     /// Output features (GEMM `n`).
     n: usize,
     /// Reduction length (GEMM `k`).
@@ -87,29 +76,10 @@ impl PackedWeights {
     /// Panics if `b` is not rank 2.
     pub fn pack_rhs_t(b: &Tensor) -> Self {
         let (n, k) = dims2(b, "pack_rhs_t source");
-        let bd = b.data();
         PackedWeights {
-            layout: PackLayout::RhsT,
             n,
             k,
-            data: pack_panels(n, k, |j, p| bd[j * k + p]),
-            conv_dims: None,
-        }
-    }
-
-    /// Packs `b: [k, n]` for the `C = A · B` kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b` is not rank 2.
-    pub fn pack_rhs(b: &Tensor) -> Self {
-        let (k, n) = dims2(b, "pack_rhs source");
-        let bd = b.data();
-        PackedWeights {
-            layout: PackLayout::Rhs,
-            n,
-            k,
-            data: pack_panels(n, k, |j, p| bd[p * n + j]),
+            data: pack_panels(n, k, b.data()),
             conv_dims: None,
         }
     }
@@ -136,19 +106,12 @@ impl PackedWeights {
             weight.shape()[3],
         ];
         let k = c * kh * kw;
-        let wd = weight.data();
         PackedWeights {
-            layout: PackLayout::RhsT,
             n: f,
             k,
-            data: pack_panels(f, k, |j, p| wd[j * k + p]),
+            data: pack_panels(f, k, weight.data()),
             conv_dims: Some([f, c, kh, kw]),
         }
-    }
-
-    /// The pack's operand orientation.
-    pub fn layout(&self) -> PackLayout {
-        self.layout
     }
 
     /// Output features (GEMM `n`; conv `F`).
@@ -173,10 +136,9 @@ impl PackedWeights {
     }
 }
 
-/// Lays `n` output features × `k` reduction steps out as k-major panels;
-/// `get(j, p)` reads source weight for output feature `j`, reduction step
-/// `p`.
-fn pack_panels(n: usize, k: usize, get: impl Fn(usize, usize) -> f32) -> Vec<f32> {
+/// Lays the row-major `src: [n, k]` (one row per output feature) out as
+/// k-major panels.
+fn pack_panels(n: usize, k: usize, src: &[f32]) -> Vec<f32> {
     let _span = ull_obs::span("tensor.pack");
     ull_obs::counter_add("tensor.pack.bytes", (n * k * 4) as u64);
     let mut data = Vec::with_capacity(n * k);
@@ -185,42 +147,12 @@ fn pack_panels(n: usize, k: usize, get: impl Fn(usize, usize) -> f32) -> Vec<f32
         let w = (n - j0).min(PANEL_WIDTH);
         for p in 0..k {
             for j in j0..j0 + w {
-                data.push(get(j, p));
+                data.push(src[j * k + p]);
             }
         }
         j0 += w;
     }
     data
-}
-
-/// FNV-1a over a tensor's shape and raw `f32` bit patterns — a cheap
-/// content hash. Folds whole `u32` words (not bytes) so a
-/// multi-million-parameter network hashes in one fast pass; the shape
-/// prefix distinguishes equal-data different-shape tensors.
-pub fn tensor_fingerprint(t: &Tensor) -> u64 {
-    let shape = t.shape().iter().map(|&d| d as u64);
-    let bits = t.data().iter().map(|v| u64::from(v.to_bits()));
-    shape.chain(bits).fold(0xcbf2_9ce4_8422_2325, |h, w| {
-        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// `C = A · B` over packed weights (`A: [m, k]`, pack source `B: [k, n]`).
-/// Bit-identical to [`crate::matmul`] for every input and thread count.
-///
-/// # Panics
-///
-/// Panics if `a` is not rank 2, the pack was not built by
-/// [`PackedWeights::pack_rhs`], or the reduction lengths disagree.
-pub fn matmul_packed(a: &Tensor, b: &PackedWeights) -> Tensor {
-    assert_eq!(
-        b.layout,
-        PackLayout::Rhs,
-        "matmul_packed needs a pack_rhs-packed operand"
-    );
-    let mut out = Tensor::default();
-    packed_gemm_into(a, b, &mut out, "tensor.matmul_packed");
-    out
 }
 
 /// `C = A · Bᵀ` over packed weights (`A: [m, k]`, pack source `B: [n, k]`).
@@ -229,9 +161,7 @@ pub fn matmul_packed(a: &Tensor, b: &PackedWeights) -> Tensor {
 ///
 /// # Panics
 ///
-/// Panics if `a` is not rank 2, the pack was not built by
-/// [`PackedWeights::pack_rhs_t`] / [`PackedWeights::pack_conv`], or the
-/// reduction lengths disagree.
+/// Panics if `a` is not rank 2 or the reduction lengths disagree.
 pub fn matmul_tb_packed(a: &Tensor, b: &PackedWeights) -> Tensor {
     let mut out = Tensor::default();
     matmul_tb_packed_into(a, b, &mut out);
@@ -245,15 +175,6 @@ pub fn matmul_tb_packed(a: &Tensor, b: &PackedWeights) -> Tensor {
 ///
 /// See [`matmul_tb_packed`].
 pub fn matmul_tb_packed_into(a: &Tensor, b: &PackedWeights, out: &mut Tensor) {
-    assert_eq!(
-        b.layout,
-        PackLayout::RhsT,
-        "matmul_tb_packed needs a pack_rhs_t/pack_conv-packed operand"
-    );
-    packed_gemm_into(a, b, out, "tensor.matmul_tb_packed");
-}
-
-fn packed_gemm_into(a: &Tensor, b: &PackedWeights, out: &mut Tensor, span: &'static str) {
     let (m, k) = dims2(a, "packed matmul lhs");
     assert_eq!(
         k, b.k,
@@ -261,7 +182,13 @@ fn packed_gemm_into(a: &Tensor, b: &PackedWeights, out: &mut Tensor, span: &'sta
         b.k
     );
     out.reset_shaped(&[m, b.n]);
-    packed_gemm_raw(Lhs::Rows(a.data()), m, b, out.data_mut(), span);
+    packed_gemm_raw(
+        Lhs::Rows(a.data()),
+        m,
+        b,
+        out.data_mut(),
+        "tensor.matmul_tb_packed",
+    );
 }
 
 /// Where [`packed_gemm_raw`] reads its `[m, k]` lhs rows from.
@@ -281,8 +208,8 @@ thread_local! {
     static CONV_TILE: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The packed GEMM core: `lhs: [m, k]` against a packed `[n, k]`-semantics
-/// operand, writing `out: [m, n]`. Shared by the public packed matmuls and
+/// The packed GEMM core: `lhs: [m, k]` against a packed `[n, k]` operand,
+/// writing `out: [m, n]`. Shared by [`matmul_tb_packed_into`] and
 /// [`crate::conv::conv2d_packed_into`], whose lhs is the input's implicit
 /// im2col matrix.
 ///
@@ -290,8 +217,7 @@ thread_local! {
 /// columns with the reduction loop innermost. Each output element's
 /// accumulator receives its non-zero terms in ascending `p` order starting
 /// from `+0.0`, so the result is bit-identical to a scalar dot product per
-/// element (and to [`crate::matmul`] for the [`PackLayout::Rhs`]
-/// orientation) whichever source the rows come from.
+/// element whichever source the rows come from.
 pub(crate) fn packed_gemm_raw(
     lhs: Lhs<'_>,
     m: usize,
@@ -384,7 +310,7 @@ fn dims2(t: &Tensor, what: &str) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{matmul, reference};
+    use crate::reference;
 
     fn rand_tensor(shape: &[usize], seed: u64) -> Tensor {
         let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -423,16 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_matmul_matches_unpacked_bitwise() {
-        for n in [1usize, 5, 8, 13] {
-            let a = rand_tensor(&[6, 9], n as u64 + 100);
-            let b = rand_tensor(&[9, n], n as u64 + 200);
-            let packed = PackedWeights::pack_rhs(&b);
-            assert_bits_eq(&matmul_packed(&a, &packed), &matmul(&a, &b));
-        }
-    }
-
-    #[test]
     fn sparse_lhs_is_bit_identical_too() {
         // The SNN hot path: a mostly-zero spike matrix against packed
         // weights. Zero-skip must drop exactly the reference's masked terms.
@@ -462,30 +378,10 @@ mod tests {
     }
 
     #[test]
-    fn tensor_fingerprint_tracks_content_and_shape() {
-        let a = rand_tensor(&[4, 6], 11);
-        assert_eq!(tensor_fingerprint(&a), tensor_fingerprint(&a.clone()));
-        let mut mutated = a.clone();
-        mutated.data_mut()[3] += 1.0;
-        assert_ne!(tensor_fingerprint(&a), tensor_fingerprint(&mutated));
-        // Same bits, different shape — must not collide.
-        let reshaped = a.reshape(&[6, 4]).unwrap();
-        assert_ne!(tensor_fingerprint(&a), tensor_fingerprint(&reshaped));
-    }
-
-    #[test]
     #[should_panic(expected = "reduction lengths disagree")]
     fn mismatched_reduction_panics() {
         let a = Tensor::zeros(&[2, 3]);
         let b = PackedWeights::pack_rhs_t(&Tensor::zeros(&[4, 5]));
-        let _ = matmul_tb_packed(&a, &b);
-    }
-
-    #[test]
-    #[should_panic(expected = "pack_rhs_t")]
-    fn wrong_layout_panics() {
-        let a = Tensor::zeros(&[2, 3]);
-        let b = PackedWeights::pack_rhs(&Tensor::zeros(&[3, 4]));
         let _ = matmul_tb_packed(&a, &b);
     }
 }

@@ -1,13 +1,12 @@
 //! Dependency-free data parallelism for the hot kernels.
 //!
-//! A `std::thread::scope`-based worker pool with three entry points:
+//! A `std::thread::scope`-based worker pool with two entry points:
 //!
 //! * [`par_chunks_mut`] — split a mutable slice into contiguous chunks and
 //!   process them concurrently (row-blocked matmul, per-image conv
 //!   backward).
 //! * [`par_map`] — evaluate `f(0..n)` concurrently and return the results
 //!   in index order (batch-parallel SNN simulation, per-layer α/β search).
-//! * [`par_join`] — run two closures concurrently.
 //!
 //! # Thread count
 //!
@@ -233,28 +232,6 @@ where
         .collect()
 }
 
-/// Runs `a` and `b` concurrently (or serially, in that order, when the
-/// pool is size 1) and returns both results.
-pub fn par_join<RA, RB, FA, FB>(a: FA, b: FB) -> (RA, RB)
-where
-    RA: Send,
-    RB: Send,
-    FA: FnOnce() -> RA + Send,
-    FB: FnOnce() -> RB + Send,
-{
-    if num_threads() <= 1 || in_pool() {
-        let ra = a();
-        let rb = b();
-        return (ra, rb);
-    }
-    let parent = ull_obs::current_scope();
-    std::thread::scope(|s| {
-        let hb = s.spawn(|| as_pool_worker(|| ull_obs::with_scope(&parent, b)));
-        let ra = a();
-        (ra, hb.join().expect("par_join worker panicked"))
-    })
-}
-
 /// Serializes tests that mutate the global thread override so they do not
 /// race each other (test binaries run tests concurrently).
 #[doc(hidden)]
@@ -296,18 +273,6 @@ mod tests {
             set_threads(threads);
             let out = par_map(37, |i| i * i);
             assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
-        }
-        set_threads(0);
-    }
-
-    #[test]
-    fn par_join_returns_both() {
-        let _guard = override_lock();
-        for threads in [1, 2] {
-            set_threads(threads);
-            let (a, b) = par_join(|| 2 + 2, || "ok".to_string());
-            assert_eq!(a, 4);
-            assert_eq!(b, "ok");
         }
         set_threads(0);
     }

@@ -164,8 +164,8 @@ impl Histogram {
         (b.max(0.0) as usize).min(self.counts.len() - 1)
     }
 
-    /// Accumulates one value; out-of-range values clamp to the edge bins
-    /// (see [`Histogram::bin_index`] for the exact edge convention).
+    /// Accumulates one value. Bins are half-open except the last, which
+    /// also takes `hi`; out-of-range values clamp to the edge bins.
     pub fn record(&mut self, value: f32) {
         let idx = self.bin_index(value);
         self.counts[idx] += 1;

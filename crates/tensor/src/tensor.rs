@@ -112,11 +112,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns a tensor with the same data and a new shape.
     ///
     /// # Errors
@@ -267,13 +262,6 @@ impl Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 

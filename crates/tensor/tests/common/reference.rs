@@ -1,17 +1,18 @@
 //! Scalar reference kernels: the independent oracle of the packed panel
-//! core and of the conv backward. `conv2d` and `matmul_transpose_b` run
-//! that core themselves, so comparing against them proves nothing; these
-//! loops share no kernel code with the crate. Each output element is one
-//! serial dot product over ascending `k`, starting from `+0.0`, with the
-//! `a == 0.0` terms masked out — the per-element order the panel core
-//! must reproduce bit for bit. The convolutions lower through a
-//! materialized column matrix ([`im2col`], and [`col2im`] for the input
-//! gradient), which the crate itself never builds.
+//! core, of the two `i-k-j` backward GEMMs and of the conv backward.
+//! `conv2d` and `matmul_transpose_b` run that core themselves, so
+//! comparing against them proves nothing; these loops share no kernel code
+//! with the crate. Each output element is one serial dot product over
+//! ascending `k`, starting from `+0.0`, with the `a == 0.0` terms masked
+//! out — the per-element order every crate GEMM must reproduce bit for
+//! bit. The convolutions lower through a materialized column matrix
+//! ([`im2col`], and [`col2im`] for the input gradient), which the crate
+//! itself never builds.
 //!
 //! The crate's own unit tests include this file too, which is why it
 //! names the crate as `ull_tensor`.
 
-use ull_tensor::conv::{rows_to_nchw, ConvGeometry};
+use ull_tensor::conv::ConvGeometry;
 use ull_tensor::Tensor;
 
 /// `C = A · Bᵀ` for `a: [m, k]`, `b: [n, k]`, as one scalar dot product
@@ -28,14 +29,58 @@ pub fn matmul_tb(a: &Tensor, b: &Tensor) -> Tensor {
         "reference matmul_tb shapes"
     );
     let (ad, bd) = (a.data(), b.data());
+    dot_products(m, n, k, |i, j, p| {
+        masked_product(ad[i * k + p], bd[j * k + p])
+    })
+}
+
+/// `C = A · B` for `a: [m, k]`, `b: [k, n]`, as one scalar dot product
+/// per output element.
+///
+/// # Panics
+///
+/// Panics if either operand is not rank 2 or the inner dims disagree.
+pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
+    let (m, k) = (a.shape()[0], a.shape()[1]);
+    let (k2, n) = (b.shape()[0], b.shape()[1]);
+    assert!(
+        a.rank() == 2 && b.rank() == 2 && k == k2,
+        "reference matmul shapes"
+    );
+    let (ad, bd) = (a.data(), b.data());
+    dot_products(m, n, k, |i, j, p| {
+        masked_product(ad[i * k + p], bd[p * n + j])
+    })
+}
+
+/// `C = Aᵀ · B` for `a: [k, m]`, `b: [k, n]`, as one scalar dot product
+/// per output element.
+///
+/// # Panics
+///
+/// Panics if either operand is not rank 2 or the leading dims disagree.
+pub fn matmul_ta(a: &Tensor, b: &Tensor) -> Tensor {
+    let (k, m) = (a.shape()[0], a.shape()[1]);
+    let (k2, n) = (b.shape()[0], b.shape()[1]);
+    assert!(
+        a.rank() == 2 && b.rank() == 2 && k == k2,
+        "reference matmul_ta shapes"
+    );
+    let (ad, bd) = (a.data(), b.data());
+    dot_products(m, n, k, |i, j, p| {
+        masked_product(ad[p * m + i], bd[p * n + j])
+    })
+}
+
+/// The `[m, n]` matrix whose element `(i, j)` sums `term(i, j, p)` over
+/// `p` ascending, starting from `+0.0`.
+fn dot_products(m: usize, n: usize, k: usize, term: impl Fn(usize, usize, usize) -> f32) -> Tensor {
     let mut out = vec![0.0f32; m * n];
     for i in 0..m {
-        let arow = &ad[i * k..(i + 1) * k];
         for j in 0..n {
-            let brow = &bd[j * k..(j + 1) * k];
             let mut acc = 0.0f32;
-            for (&av, &bv) in arow.iter().zip(brow) {
-                acc += masked_product(av, bv);
+            for p in 0..k {
+                acc += term(i, j, p);
             }
             out[i * n + j] = acc;
         }
@@ -70,7 +115,14 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, geo: ConvG
             }
         }
     }
-    rows_to_nchw(&rows, n, f, oh, ow)
+    let mut out = vec![0.0f32; n * f * oh * ow];
+    for (p, row) in rows.data().chunks(f).enumerate() {
+        let (b, pixel) = (p / (oh * ow), p % (oh * ow));
+        for (fi, &v) in row.iter().enumerate() {
+            out[(b * f + fi) * oh * ow + pixel] = v;
+        }
+    }
+    Tensor::from_vec(out, &[n, f, oh, ow]).unwrap()
 }
 
 /// Lowers `input: [N, C, H, W]` into the column matrix

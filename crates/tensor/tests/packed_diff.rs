@@ -1,19 +1,21 @@
-//! Differential harness for the packed weight-stationary kernels.
+//! Differential harness for the crate's GEMMs: the packed weight-stationary
+//! kernels and the two `i-k-j` backward kernels.
 //!
 //! Fuzzes shapes × sparsity × `ULL_THREADS` {1, 4} and asserts *byte*
-//! equality between the packed panel core and an independent oracle: the
-//! scalar dot-product kernels of `common/reference.rs` for `A · Bᵀ` and
-//! conv (the crate's own `matmul_transpose_b` and `conv2d` run the panel
-//! core themselves), and the `i-k-j` [`matmul`] for `A · B`. Deterministic
-//! cases pin the panel/tile boundary shapes (n ∈ {1, 7, 8, 9, 16, 17}, m
-//! across the 4-row tile) that fuzzing may skip over.
+//! equality against the scalar dot-product kernels of `common/reference.rs`:
+//! the packed panel core for `A · Bᵀ` and conv (the crate's own
+//! `matmul_transpose_b` and `conv2d` run that core themselves), and
+//! [`matmul`] and [`matmul_transpose_a`] for `A · B` and `Aᵀ · B`.
+//! Deterministic cases pin the panel/tile boundary shapes
+//! (n ∈ {1, 7, 8, 9, 16, 17}, m across the 4-row tile) that fuzzing may
+//! skip over.
 
 mod common;
 
 use common::reference;
 use proptest::prelude::*;
 use ull_tensor::conv::{conv2d_packed_into, ConvGeometry, ConvScratch};
-use ull_tensor::{matmul, matmul_packed, matmul_tb_packed, parallel, PackedWeights, Tensor};
+use ull_tensor::{matmul, matmul_tb_packed, matmul_transpose_a, parallel, PackedWeights, Tensor};
 
 fn assert_bits_eq(got: &Tensor, want: &Tensor, ctx: &str) {
     assert_eq!(got.shape(), want.shape(), "{ctx}: shape");
@@ -60,19 +62,22 @@ fn panel_and_tile_boundaries_bitwise_across_threads() {
             let bt = rand_tensor(&[n, k], (m * 17 + n * 3) as u64);
             let b = rand_tensor(&[k, n], (m * 29 + n * 7) as u64);
             let packed_t = PackedWeights::pack_rhs_t(&bt);
-            let packed = PackedWeights::pack_rhs(&b);
             for sparse in [false, true] {
                 if sparse {
                     sparsify(&mut a, 4, 0.75);
                 }
+                // The same values read as the `[k, m]` lhs of `Aᵀ · B`.
+                let at = a.reshape(&[k, m]).unwrap();
                 parallel::set_threads(1);
                 let want_tb = reference::matmul_tb(&a, &bt);
-                let want = matmul(&a, &b);
+                let want = reference::matmul(&a, &b);
+                let want_ta = reference::matmul_ta(&at, &b);
                 for threads in [1usize, 4] {
                     parallel::set_threads(threads);
                     let ctx = format!("m={m} n={n} k={k} sparse={sparse} threads={threads}");
                     assert_bits_eq(&matmul_tb_packed(&a, &packed_t), &want_tb, &ctx);
-                    assert_bits_eq(&matmul_packed(&a, &packed), &want, &ctx);
+                    assert_bits_eq(&matmul(&a, &b), &want, &ctx);
+                    assert_bits_eq(&matmul_transpose_a(&at, &b), &want_ta, &ctx);
                 }
             }
         }
@@ -188,24 +193,28 @@ proptest! {
         parallel::set_threads(0);
     }
 
-    /// `C = A · B` orientation: packed == `i-k-j` [`matmul`], bitwise.
+    /// The backward GEMMs: `A · B` and `Aᵀ · B` == reference, bitwise, at
+    /// `ULL_THREADS` 1 and 4.
     #[test]
-    fn fuzz_matmul_packed_bitwise(
+    fn fuzz_backward_gemms_bitwise(
         data in proptest::collection::vec(-3.0f32..3.0, 60),
         m in 1usize..5,
         k in 1usize..5,
         n in 1usize..10,
     ) {
         let a = Tensor::from_vec(data[..m * k].to_vec(), &[m, k]).unwrap();
+        let at = a.reshape(&[k, m]).unwrap();
         let b = Tensor::from_vec(data[60 - k * n..].to_vec(), &[k, n]).unwrap();
-        let packed = PackedWeights::pack_rhs(&b);
+        let want = reference::matmul(&a, &b);
+        let want_ta = reference::matmul_ta(&at, &b);
         let _guard = parallel::override_lock();
         for threads in [1usize, 4] {
             parallel::set_threads(threads);
-            let want = matmul(&a, &b);
-            let got = matmul_packed(&a, &packed);
-            for (g, w) in got.data().iter().zip(want.data()) {
-                prop_assert_eq!(g.to_bits(), w.to_bits(), "threads {}", threads);
+            for (got, want) in [(matmul(&a, &b), &want), (matmul_transpose_a(&at, &b), &want_ta)] {
+                prop_assert_eq!(got.shape(), want.shape());
+                for (g, w) in got.data().iter().zip(want.data()) {
+                    prop_assert_eq!(g.to_bits(), w.to_bits(), "threads {}", threads);
+                }
             }
         }
         parallel::set_threads(0);
