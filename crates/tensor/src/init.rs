@@ -15,13 +15,6 @@ pub fn seeded_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
-/// Tensor with elements drawn uniformly from `[lo, hi)`.
-pub fn uniform(shape: &[usize], lo: f32, hi: f32, rng: &mut StdRng) -> Tensor {
-    let n: usize = shape.iter().product();
-    let data: Vec<f32> = (0..n).map(|_| rng.gen_range(lo..hi)).collect();
-    Tensor::from_vec(data, shape).expect("uniform init length by construction")
-}
-
 /// Tensor with elements drawn from `N(mean, std²)` (Box–Muller).
 pub fn normal(shape: &[usize], mean: f32, std: f32, rng: &mut StdRng) -> Tensor {
     let n: usize = shape.iter().product();
@@ -84,21 +77,6 @@ fn splitmix64(mut x: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::stats::moments;
-
-    #[test]
-    fn seeded_rng_is_deterministic() {
-        let a = uniform(&[100], 0.0, 1.0, &mut seeded_rng(42));
-        let b = uniform(&[100], 0.0, 1.0, &mut seeded_rng(42));
-        assert_eq!(a, b);
-        let c = uniform(&[100], 0.0, 1.0, &mut seeded_rng(43));
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn uniform_respects_bounds() {
-        let t = uniform(&[1000], -0.5, 0.5, &mut seeded_rng(1));
-        assert!(t.data().iter().all(|&x| (-0.5..0.5).contains(&x)));
-    }
 
     #[test]
     fn normal_has_requested_moments() {

@@ -9,7 +9,10 @@
 //! [`PANEL_WIDTH`] output features: within a panel, the [`PANEL_WIDTH`]
 //! weights an inner-product step needs are contiguous, so the packed GEMM
 //! streams the panel linearly while register-blocking over
-//! [`PANEL_WIDTH`]-wide output columns and 4-high output rows. Every pack is
+//! [`PANEL_WIDTH`]-wide output columns and 4-high output rows. The last
+//! panel is padded with `+0.0` weights, so every panel is full and the
+//! core has one fixed-size body per tile height; the padded columns are
+//! computed and never stored. Every pack is
 //! the `[n, k]` rhs of `C = A · Bᵀ` (a linear layer's `[out, in]` weight, or
 //! a conv filter bank flattened to `[F, C·KH·KW]`), and this core is the
 //! crate's one `A · Bᵀ` kernel: [`matmul_tb_packed`] and
@@ -40,13 +43,15 @@ use crate::parallel;
 use crate::Tensor;
 
 /// Output features per packed panel — the register-blocking tile width.
-/// Eight `f32` accumulators fit comfortably in registers on every target
-/// this workspace cares about; the value never affects results, only the
+/// Every panel holds exactly this many features (the last one padded
+/// with `+0.0` weights), so the core's accumulators are fixed-size
+/// `[f32; PANEL_WIDTH]` rows. The value never affects results, only the
 /// memory layout.
 pub const PANEL_WIDTH: usize = 8;
 
-/// Output rows processed per register tile. As with [`PANEL_WIDTH`],
-/// purely a performance knob: each row's accumulators are independent.
+/// Output rows per register tile. The core has one body per tile height
+/// `1..=TILE_ROWS`, chosen once per tile; each row's accumulators are
+/// independent, so the value never affects results.
 const TILE_ROWS: usize = 4;
 
 /// The `[n, k]` rhs of `C = A · Bᵀ` laid out once for the packed core:
@@ -59,8 +64,8 @@ pub struct PackedWeights {
     /// Reduction length (GEMM `k`).
     k: usize,
     /// Panels back to back: panel `q` covers output features
-    /// `q·PANEL_WIDTH ..` and stores, for each `p` in `0..k`, its features'
-    /// weights contiguously.
+    /// `q·PANEL_WIDTH ..` and stores, for each `p` in `0..k`, its
+    /// [`PANEL_WIDTH`] features' weights contiguously (`+0.0` past `n`).
     data: Vec<f32>,
     /// `[F, C, KH, KW]` of the source filter bank when this pack was built
     /// by [`PackedWeights::pack_conv`].
@@ -130,27 +135,25 @@ impl PackedWeights {
         self.conv_dims
     }
 
-    /// Bytes held by the packed buffer.
+    /// Bytes held by the packed buffer, padded panels included.
     pub fn packed_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f32>()
     }
 }
 
 /// Lays the row-major `src: [n, k]` (one row per output feature) out as
-/// k-major panels.
+/// k-major panels, the last one padded with `+0.0` weights to
+/// [`PANEL_WIDTH`] features so that every panel is full.
 fn pack_panels(n: usize, k: usize, src: &[f32]) -> Vec<f32> {
     let _span = ull_obs::span("tensor.pack");
     ull_obs::counter_add("tensor.pack.bytes", (n * k * 4) as u64);
-    let mut data = Vec::with_capacity(n * k);
-    let mut j0 = 0;
-    while j0 < n {
-        let w = (n - j0).min(PANEL_WIDTH);
+    let mut data = Vec::with_capacity(n.div_ceil(PANEL_WIDTH) * PANEL_WIDTH * k);
+    for j0 in (0..n).step_by(PANEL_WIDTH) {
         for p in 0..k {
-            for j in j0..j0 + w {
-                data.push(src[j * k + p]);
+            for j in j0..j0 + PANEL_WIDTH {
+                data.push(if j < n { src[j * k + p] } else { 0.0 });
             }
         }
-        j0 += w;
     }
     data
 }
@@ -214,10 +217,10 @@ thread_local! {
 /// im2col matrix.
 ///
 /// Register-blocks over [`TILE_ROWS`] output rows × [`PANEL_WIDTH`] output
-/// columns with the reduction loop innermost. Each output element's
-/// accumulator receives its non-zero terms in ascending `p` order starting
-/// from `+0.0`, so the result is bit-identical to a scalar dot product per
-/// element whichever source the rows come from.
+/// columns with the reduction loop innermost, in [`full_tile`]. Each
+/// output element's accumulator receives its non-zero terms in ascending
+/// `p` order starting from `+0.0`, so the result is bit-identical to a
+/// scalar dot product per element whichever source the rows come from.
 pub(crate) fn packed_gemm_raw(
     lhs: Lhs<'_>,
     m: usize,
@@ -266,35 +269,47 @@ pub(crate) fn packed_gemm_raw(
                 };
                 executed += slot.iter().filter(|&&v| v != 0.0).count() as u64 * n as u64;
             }
-            let mut j0 = 0usize;
-            let mut panel_off = 0usize;
-            while j0 < n {
-                let w = (n - j0).min(PANEL_WIDTH);
-                let panel = &b.data[panel_off..panel_off + w * k];
-                let mut acc = [[0.0f32; PANEL_WIDTH]; TILE_ROWS];
-                for (p, brow) in panel.chunks_exact(w).enumerate() {
-                    for (arow, accr) in arows.iter().zip(acc.iter_mut()).take(mr) {
-                        let av = arow[p];
-                        if av == 0.0 {
-                            continue; // the zero-lhs terms a scalar dot product would mask out
-                        }
-                        for (o, &bv) in accr[..w].iter_mut().zip(brow) {
-                            *o += av * bv;
-                        }
-                    }
-                }
-                for (r, accr) in acc.iter().enumerate().take(mr) {
-                    let start = (r0 + r) * n + j0;
-                    chunk[start..start + w].copy_from_slice(&accr[..w]);
-                }
-                panel_off += w * k;
-                j0 += w;
+            let out = &mut chunk[r0 * n..(r0 + mr) * n];
+            match mr {
+                1 => full_tile::<1>(&arows, b, out),
+                2 => full_tile::<2>(&arows, b, out),
+                3 => full_tile::<3>(&arows, b, out),
+                _ => full_tile::<TILE_ROWS>(&arows, b, out),
             }
             r0 += mr;
         }
         CONV_TILE.set(tile);
         ull_obs::counter_add("tensor.acs", executed);
     });
+}
+
+/// One tile of `MR` lhs rows against every panel of `b`, into the tile's
+/// `[MR, n]` output rows. Fixed sizes keep the `MR × PANEL_WIDTH`
+/// accumulators in registers; each still sums its non-zero-lhs terms in
+/// ascending `p` from `+0.0`, with a separate multiply and add. Only the
+/// real columns of the padded last panel are stored.
+fn full_tile<const MR: usize>(arows: &[&[f32]; TILE_ROWS], b: &PackedWeights, out: &mut [f32]) {
+    let (n, k) = (b.n, b.k);
+    let arows: [&[f32]; MR] = std::array::from_fn(|r| &arows[r][..k]);
+    for j0 in (0..n).step_by(PANEL_WIDTH) {
+        let (brows, _) = b.data[j0 * k..(j0 + PANEL_WIDTH) * k].as_chunks::<PANEL_WIDTH>();
+        let mut acc = [[0.0f32; PANEL_WIDTH]; MR];
+        for (p, &brow) in brows.iter().enumerate() {
+            for (arow, accr) in arows.iter().zip(acc.iter_mut()) {
+                let av = arow[p];
+                if av == 0.0 {
+                    continue; // the zero-lhs terms a scalar dot product would mask out
+                }
+                for (o, bv) in accr.iter_mut().zip(brow) {
+                    *o += av * bv;
+                }
+            }
+        }
+        let w = (n - j0).min(PANEL_WIDTH);
+        for (r, accr) in acc.iter().enumerate() {
+            out[r * n + j0..r * n + j0 + w].copy_from_slice(&accr[..w]);
+        }
+    }
 }
 
 fn dims2(t: &Tensor, what: &str) -> (usize, usize) {
@@ -375,6 +390,18 @@ mod tests {
         let w2 = w.reshape(&[5, 18]).unwrap();
         let packed2 = PackedWeights::pack_rhs_t(&w2);
         assert_eq!(packed.data, packed2.data);
+    }
+
+    #[test]
+    fn packed_bytes_count_the_padded_panels() {
+        let k = 6;
+        for n in [10usize, 16] {
+            let packed = PackedWeights::pack_rhs_t(&rand_tensor(&[n, k], n as u64));
+            assert_eq!(
+                packed.packed_bytes(),
+                n.div_ceil(PANEL_WIDTH) * PANEL_WIDTH * k * 4
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! [`matmul`] and [`matmul_transpose_a`] for `A · B` and `Aᵀ · B`.
 //! Deterministic cases pin the panel/tile boundary shapes
 //! (n ∈ {1, 7, 8, 9, 16, 17}, m across the 4-row tile) that fuzzing may
-//! skip over.
+//! skip over, and the zero-lhs skip against non-finite weights.
 
 mod common;
 
@@ -79,6 +79,41 @@ fn panel_and_tile_boundaries_bitwise_across_threads() {
                     assert_bits_eq(&matmul(&a, &b), &want, &ctx);
                     assert_bits_eq(&matmul_transpose_a(&at, &b), &want_ta, &ctx);
                 }
+            }
+        }
+    }
+    parallel::set_threads(0);
+}
+
+/// Non-finite weights (`±∞`, NaN, as a weight bit flip can leave) where
+/// every lhs entry against them is `±0.0`: the panel core must skip those
+/// terms as the scalar dot product masks them, not multiply them by zero
+/// (`0 · ∞` is NaN). Covers every tile height and a padded last panel.
+#[test]
+fn zero_lhs_skips_non_finite_weights_bitwise_across_threads() {
+    let _guard = parallel::override_lock();
+    let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    let k = 9;
+    for n in [10usize, 17] {
+        for m in 1..=7usize {
+            let mut a = rand_tensor(&[m, k], (m * 13 + n) as u64);
+            let mut bt = rand_tensor(&[n, k], (m * 5 + n * 11) as u64);
+            for p in (1..k).step_by(3) {
+                for i in 0..m {
+                    a.data_mut()[i * k + p] = if (i + p) % 2 == 0 { 0.0 } else { -0.0 };
+                }
+                for j in 0..n {
+                    bt.data_mut()[j * k + p] = poison[(j + p) % 3];
+                }
+            }
+            let packed = PackedWeights::pack_rhs_t(&bt);
+            parallel::set_threads(1);
+            let want = reference::matmul_tb(&a, &bt);
+            assert!(want.data().iter().all(|v| v.is_finite()), "m={m} n={n}");
+            for threads in [1usize, 4] {
+                parallel::set_threads(threads);
+                let ctx = format!("m={m} n={n} threads={threads}");
+                assert_bits_eq(&matmul_tb_packed(&a, &packed), &want, &ctx);
             }
         }
     }
