@@ -239,7 +239,13 @@ pub(crate) fn packed_gemm_raw(
     if m * n == 0 {
         return;
     }
-    let block = crate::matmul::row_block(m);
+    // Row blocks balance the pool's workers. A one-thread pool runs them in
+    // turn, where they would only split tiles: a 4-row GEMM (a 2×2 conv at
+    // batch 1) would run as four 1-row tiles, each streaming the whole pack.
+    let block = match parallel::num_threads() {
+        1 => m,
+        _ => crate::matmul::row_block(m),
+    };
     parallel::par_chunks_mut(out, block * n, |ci, chunk| {
         let i0 = ci * block;
         let rows = chunk.len() / n;
