@@ -93,7 +93,7 @@ fn watchdog_stats(
     // Profile on small partitions so the envelope captures real
     // batch-to-batch spread (a single full-set batch would collapse it to
     // min == max and flag clean small batches).
-    let envelope = profile_envelope(snn, data, t, 3, 0.5, 0.05);
+    let envelope = profile_envelope(snn, data, t, 3);
     let probe = data.eval_batches(4096).next().expect("data");
     let mut detected = 0;
     for seed in 0..WATCHDOG_TRIALS {

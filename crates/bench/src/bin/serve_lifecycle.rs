@@ -113,7 +113,6 @@ fn lifecycle_config(dir: &Path) -> LifecycleConfig {
         canary_window: 4,
         excursion_limit: EXCURSION_LIMIT,
         agreement_threshold: 0.9,
-        ..LifecycleConfig::default()
     }
 }
 
@@ -149,17 +148,8 @@ fn lifecycle_engine(
     let spec = ReplicaSpec {
         name: "primary".to_string(),
         net: incumbent.clone(),
-        envelope_full: Some(profile_envelope(
-            &incumbent, data, cfg.t_full, batch, 0.5, 0.05,
-        )),
-        envelope_reduced: Some(profile_envelope(
-            &incumbent,
-            data,
-            cfg.t_reduced,
-            batch,
-            0.5,
-            0.05,
-        )),
+        envelope_full: Some(profile_envelope(&incumbent, data, cfg.t_full, batch)),
+        envelope_reduced: Some(profile_envelope(&incumbent, data, cfg.t_reduced, batch)),
     };
     let engine = Engine::new(cfg, vec![spec], None);
     let mgr = Arc::new(LifecycleManager::new(lcfg, calibration(data, batch)));
@@ -241,8 +231,8 @@ fn scenario_no_manifest(data: &Dataset) -> bool {
         vec![ReplicaSpec {
             name: "primary".to_string(),
             net: incumbent.clone(),
-            envelope_full: Some(profile_envelope(&incumbent, data, 4, 2, 0.5, 0.05)),
-            envelope_reduced: Some(profile_envelope(&incumbent, data, 2, 2, 0.5, 0.05)),
+            envelope_full: Some(profile_envelope(&incumbent, data, 4, 2)),
+            envelope_reduced: Some(profile_envelope(&incumbent, data, 2, 2)),
         }],
         None,
     );

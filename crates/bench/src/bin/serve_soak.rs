@@ -42,8 +42,8 @@ use ull_bench::{
 use ull_core::{convert, ConversionMethod};
 use ull_data::Dataset;
 use ull_robust::{
-    calibrate_margin_schedule, profile_envelope, FaultConfig, FaultedNetwork, InferenceFault,
-    RateEnvelope,
+    calibrate_margin_schedule, profile_envelope_batches, FaultConfig, FaultedNetwork,
+    InferenceFault,
 };
 use ull_serve::{
     BatchEvent, BreakerState, Engine, ReplicaSpec, Reply, Request, RungLabel, ServeConfig, Server,
@@ -51,6 +51,7 @@ use ull_serve::{
 use ull_snn::{SnnNetwork, SpikeSpec};
 use ull_tensor::init::seeded_rng;
 use ull_tensor::parallel;
+use ull_tensor::Tensor;
 
 const SEED: u64 = 2022;
 const HIGH_BER: f64 = 1e-2;
@@ -95,30 +96,13 @@ fn serving_net(dnn: &ull_nn::Network) -> SnnNetwork {
     SnnNetwork::from_network(dnn, &specs).expect("identity conversion")
 }
 
-/// Envelope covering every batch size the dynamic batcher can assemble:
-/// elementwise min/max over per-size profiles.
-fn merged_envelope(net: &SnnNetwork, data: &Dataset, t: usize, max_batch: usize) -> RateEnvelope {
-    let mut merged: Option<RateEnvelope> = None;
-    for size in 1..=max_batch {
-        let env = profile_envelope(net, data, t, size, 0.5, 0.05);
-        match &mut merged {
-            Some(m) => {
-                for (slot, v) in m.min.iter_mut().zip(&env.min) {
-                    *slot = slot.min(*v);
-                }
-                for (slot, v) in m.max.iter_mut().zip(&env.max) {
-                    *slot = slot.max(*v);
-                }
-            }
-            None => merged = Some(env),
-        }
-    }
-    merged.expect("at least one batch size")
-}
-
 fn replicas(net: &SnnNetwork, data: &Dataset, cfg: &ServeConfig) -> Vec<ReplicaSpec> {
-    let full = merged_envelope(net, data, cfg.t_full, cfg.max_batch);
-    let reduced = merged_envelope(net, data, cfg.t_reduced, cfg.max_batch);
+    // Profile every batch size the dynamic batcher can assemble.
+    let batches: Vec<Tensor> = (1..=cfg.max_batch)
+        .flat_map(|size| data.eval_batches(size).map(|b| b.images))
+        .collect();
+    let full = profile_envelope_batches(net, &batches, cfg.t_full);
+    let reduced = profile_envelope_batches(net, &batches, cfg.t_reduced);
     ["primary", "fallback"]
         .iter()
         .map(|name| ReplicaSpec {

@@ -11,7 +11,7 @@
 //! ```
 
 use serde::Serialize;
-use ull_bench::{load_data, train_or_load_dnn, write_report, Arch, Scale};
+use ull_bench::{flag_value, load_data, or_exit, train_or_load_dnn, write_report, Arch, Scale};
 use ull_core::{run_pipeline, ConversionMethod, PipelineConfig};
 use ull_nn::SgdConfig;
 use ull_tensor::init::seeded_rng;
@@ -31,19 +31,21 @@ struct Table1Report {
     rows: Vec<Row>,
 }
 
-fn parse_classes_filter() -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == "--classes" && i + 1 < args.len() {
-            return args[i + 1].parse().ok();
-        }
-    }
-    None
+/// `--classes N` keeps only the grid rows with N classes; absent, every
+/// row runs. A value that is not a number is an error.
+fn parse_classes_filter(args: &[String]) -> Result<Option<usize>, String> {
+    flag_value(args, "--classes")?
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("--classes needs a class count, got `{v}`"))
+        })
+        .transpose()
 }
 
 fn main() {
     let scale = Scale::from_args();
-    let filter = parse_classes_filter();
+    let args: Vec<String> = std::env::args().collect();
+    let filter = or_exit(parse_classes_filter(&args));
     let grid: [(usize, Arch); 5] = [
         (10, Arch::Vgg11),
         (10, Arch::Vgg16),
@@ -116,4 +118,25 @@ fn main() {
     }
     let path = write_report("table1_pipeline", scale, &Table1Report { rows });
     println!("\nreport written to {}", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn classes_filter_parses_or_fails_loudly() {
+        assert_eq!(parse_classes_filter(&args(&["bin"])), Ok(None));
+        assert_eq!(
+            parse_classes_filter(&args(&["bin", "--scale", "tiny", "--classes", "100"])),
+            Ok(Some(100))
+        );
+        let err = parse_classes_filter(&args(&["bin", "--classes", "ten"])).unwrap_err();
+        assert!(err.contains("ten"), "got: {err}");
+        assert!(parse_classes_filter(&args(&["bin", "--classes"])).is_err());
+    }
 }

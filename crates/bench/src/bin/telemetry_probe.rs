@@ -41,13 +41,14 @@ use ull_bench::{
 use ull_data::{generate, Dataset, SynthCifarConfig};
 use ull_nn::models;
 use ull_obs::{hist_bucket_index, HistogramSnapshot, TraceEvent};
-use ull_robust::{profile_envelope, FaultConfig, FaultedNetwork, InferenceFault, RateEnvelope};
+use ull_robust::{profile_envelope_batches, FaultConfig, FaultedNetwork, InferenceFault};
 use ull_serve::{
     connect_with_retry, parse_blackbox, read_frame, write_frame, BlackboxConfig, ControlReply,
     ControlRequest, Engine, ReplicaSpec, Reply, Request, RetryPolicy, ServeConfig, Server,
 };
 use ull_snn::{SnnNetwork, SpikeSpec};
 use ull_tensor::parallel;
+use ull_tensor::Tensor;
 
 const SEED: u64 = 2026;
 const CLASSES: usize = 4;
@@ -91,26 +92,6 @@ fn faulted_net(image: usize, seed: u64, ber: f64) -> SnnNetwork {
     let clean = clean_net(image, seed);
     let cfg = FaultConfig::new(seed).with(InferenceFault::WeightBitFlip { ber });
     FaultedNetwork::new(&clean, &cfg).network().clone()
-}
-
-/// Envelope covering every batch size the dynamic batcher can assemble.
-fn merged_envelope(net: &SnnNetwork, data: &Dataset, t: usize, max_batch: usize) -> RateEnvelope {
-    let mut merged: Option<RateEnvelope> = None;
-    for size in 1..=max_batch {
-        let env = profile_envelope(net, data, t, size, 0.5, 0.05);
-        match &mut merged {
-            Some(m) => {
-                for (slot, v) in m.min.iter_mut().zip(&env.min) {
-                    *slot = slot.min(*v);
-                }
-                for (slot, v) in m.max.iter_mut().zip(&env.max) {
-                    *slot = slot.max(*v);
-                }
-            }
-            None => merged = Some(env),
-        }
-    }
-    merged.expect("at least one batch size")
 }
 
 fn requests(data: &Dataset, image: usize, n: usize) -> Vec<Request> {
@@ -231,8 +212,12 @@ fn main() {
         },
         ..ServeConfig::default()
     };
-    let full = merged_envelope(&net, &test, cfg.t_full, cfg.max_batch);
-    let reduced = merged_envelope(&net, &test, cfg.t_reduced, cfg.max_batch);
+    // Profile every batch size the dynamic batcher can assemble.
+    let batches: Vec<Tensor> = (1..=cfg.max_batch)
+        .flat_map(|size| test.eval_batches(size).map(|b| b.images))
+        .collect();
+    let full = profile_envelope_batches(&net, &batches, cfg.t_full);
+    let reduced = profile_envelope_batches(&net, &batches, cfg.t_reduced);
     let engine = Engine::new(
         cfg.clone(),
         vec![

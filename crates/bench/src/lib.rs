@@ -77,20 +77,46 @@ pub enum Scale {
     Paper,
 }
 
+/// The value after `flag` in `args`: `None` when the flag is absent, an
+/// error when it is the last argument.
+pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
+    match args.iter().position(|a| a == flag) {
+        None => Ok(None),
+        Some(i) => match args.get(i + 1) {
+            Some(value) => Ok(Some(value)),
+            None => Err(format!("{flag} needs a value")),
+        },
+    }
+}
+
+/// Unwraps a command-line parse, or prints the error and exits with
+/// status 2.
+pub fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
 impl Scale {
-    /// Parses `--scale NAME` from `std::env::args`, defaulting to `small`.
+    /// Parses `--scale NAME` from `args`, defaulting to `small` when the
+    /// flag is absent. An unknown or missing name is an error.
+    pub fn parse(args: &[String]) -> Result<Scale, String> {
+        match flag_value(args, "--scale")? {
+            None | Some("small") => Ok(Scale::Small),
+            Some("tiny") => Ok(Scale::Tiny),
+            Some("paper") => Ok(Scale::Paper),
+            Some(other) => Err(format!(
+                "unknown --scale `{other}` (expected tiny, small or paper)"
+            )),
+        }
+    }
+
+    /// [`Scale::parse`] over `std::env::args`; exits with a message on a
+    /// bad `--scale`.
     pub fn from_args() -> Scale {
         let args: Vec<String> = std::env::args().collect();
-        for i in 0..args.len() {
-            if args[i] == "--scale" && i + 1 < args.len() {
-                return match args[i + 1].as_str() {
-                    "tiny" => Scale::Tiny,
-                    "paper" => Scale::Paper,
-                    _ => Scale::Small,
-                };
-            }
-        }
-        Scale::Small
+        or_exit(Scale::parse(&args))
     }
 
     /// Dataset configuration for this scale.
@@ -365,6 +391,28 @@ mod tests {
         assert!(Scale::Tiny.data(10).train_size < Scale::Small.data(10).train_size);
         assert!(Scale::Small.data(10).train_size <= Scale::Paper.data(10).train_size);
         assert!(Scale::Paper.width() > Scale::Small.width());
+    }
+
+    #[test]
+    fn scale_parse_rejects_unknown_and_missing_names() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert_eq!(Scale::parse(&args(&["bin"])), Ok(Scale::Small));
+        assert_eq!(
+            Scale::parse(&args(&["bin", "--gate", "--scale", "tiny"])),
+            Ok(Scale::Tiny)
+        );
+        assert_eq!(
+            Scale::parse(&args(&["bin", "--scale", "paper"])),
+            Ok(Scale::Paper)
+        );
+        assert_eq!(
+            Scale::parse(&args(&["bin", "--scale", "small"])),
+            Ok(Scale::Small)
+        );
+        let err = Scale::parse(&args(&["bin", "--scale", "tinny"])).unwrap_err();
+        assert!(err.contains("tinny"), "got: {err}");
+        let err = Scale::parse(&args(&["bin", "--scale"])).unwrap_err();
+        assert!(err.contains("needs a value"), "got: {err}");
     }
 
     #[test]

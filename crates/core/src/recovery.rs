@@ -3,10 +3,10 @@
 //!
 //! Every run — [`run_pipeline`](crate::run_pipeline) as much as
 //! [`run_pipeline_recoverable`] — goes through the same phase-cursor loop.
-//! It *commits* the full run state every `every_n_epochs` epochs and at
-//! each phase boundary: networks with momentum buffers, phase/epoch
-//! cursor, accuracy bookkeeping and the RNG. Each commit is kept in
-//! memory; the recoverable entry points also write it to
+//! It *commits* the full run state after every epoch and at each phase
+//! boundary: networks with momentum buffers, phase/epoch cursor, accuracy
+//! bookkeeping and the RNG. Each commit is kept in memory; the
+//! recoverable entry points also write it to
 //! [`RecoveryConfig::checkpoint_dir`] as an atomic, checksummed checkpoint
 //! (see [`ull_nn::save_with_meta`]). The directory is read only to resume:
 //! because every source of randomness is the persisted [`StdRng`] and
@@ -92,9 +92,6 @@ impl fmt::Display for PipelinePhase {
 pub struct RecoveryConfig {
     /// Directory for checkpoint files (created if missing).
     pub checkpoint_dir: PathBuf,
-    /// Commit a checkpoint every N successful epochs (also always at each
-    /// phase start and phase end). Must be ≥ 1.
-    pub every_n_epochs: usize,
     /// Numeric-failure budget: total rollback-and-retry attempts allowed
     /// across the whole run before giving up with
     /// [`TrainError::Diverged`].
@@ -103,25 +100,23 @@ pub struct RecoveryConfig {
     /// each successful commit). Must be ≥ 1; 2+ is recommended so a
     /// corrupted newest file still leaves a fallback.
     pub keep_last: usize,
-    /// A finite loss larger than `explosion_factor ×` the previous epoch's
-    /// loss is treated as a numeric failure (rollback + LR backoff), not
-    /// just a bad epoch.
-    pub explosion_factor: f32,
 }
 
 impl RecoveryConfig {
-    /// Sensible defaults: checkpoint every epoch, 3 retries, keep 3 files,
-    /// 10× loss-explosion threshold.
+    /// Sensible defaults: 3 retries, keep 3 files.
     pub fn new(checkpoint_dir: impl Into<PathBuf>) -> Self {
         RecoveryConfig {
             checkpoint_dir: checkpoint_dir.into(),
-            every_n_epochs: 1,
             max_retries: 3,
             keep_last: 3,
-            explosion_factor: 10.0,
         }
     }
 }
+
+/// A finite loss larger than `EXPLOSION_FACTOR ×` the previous epoch's
+/// loss is treated as a numeric failure (rollback + LR backoff), not just
+/// a bad epoch.
+const EXPLOSION_FACTOR: f32 = 10.0;
 
 /// One recovery action taken during a run, in `Display`-string form
 /// (typed errors like a NaN loss have no faithful JSON representation, so
@@ -693,9 +688,8 @@ struct Phase<Train> {
 
 /// The epoch-with-rollback loop of one trained phase: each epoch trains
 /// the phase's network in the run state. A numeric failure or a loss
-/// explosion rolls the run back to the last commit; a healthy epoch is
-/// committed every `every_n_epochs` epochs and at the phase end, where the
-/// plan's crash and corrupt faults fire.
+/// explosion rolls the run back to the last commit; every healthy epoch is
+/// committed, and the plan's crash and corrupt faults fire at the commit.
 fn train_phase<N, Train>(
     state: &mut RunState,
     commits: &mut Commits<'_>,
@@ -707,8 +701,6 @@ where
     N: Trainable,
     Train: FnMut(&mut PipelineCheckpoint, f32, &mut StdRng, Hook<'_, N>) -> Result<f32, TrainError>,
 {
-    let rcfg = commits.rcfg;
-    let every_n = rcfg.every_n_epochs.max(1);
     let label = state.phase;
     while state.epoch < phase.epochs {
         let e = state.epoch;
@@ -721,31 +713,28 @@ where
             }
         };
         match (phase.train)(&mut state.ckpt, lr, rng, &mut hook) {
-            Ok(loss) if last_loss > 0.0 && loss > rcfg.explosion_factor * last_loss => {
+            Ok(loss) if last_loss > 0.0 && loss > EXPLOSION_FACTOR * last_loss => {
                 let reason = format!(
-                    "{label} epoch {e}: loss exploded ({loss} > {} x {last_loss})",
-                    rcfg.explosion_factor
+                    "{label} epoch {e}: loss exploded ({loss} > {EXPLOSION_FACTOR} x {last_loss})"
                 );
                 commits.rollback(state, rng, reason)?;
             }
             Ok(loss) => {
                 state.ckpt.last_loss = loss;
                 state.epoch = e + 1;
-                if state.epoch.is_multiple_of(every_n) || state.epoch == phase.epochs {
-                    let crash = PipelineError::SimulatedCrash {
-                        phase: label,
-                        epoch: e,
-                    };
-                    if plan.take_crash(label, e) {
-                        return Err(crash);
+                let crash = PipelineError::SimulatedCrash {
+                    phase: label,
+                    epoch: e,
+                };
+                if plan.take_crash(label, e) {
+                    return Err(crash);
+                }
+                let path = commits.commit(state, rng)?;
+                if plan.take_corrupt(label, e) {
+                    if let Some(path) = path {
+                        corrupt_file(&path).map_err(CheckpointError::Io)?;
                     }
-                    let path = commits.commit(state, rng)?;
-                    if plan.take_corrupt(label, e) {
-                        if let Some(path) = path {
-                            corrupt_file(&path).map_err(CheckpointError::Io)?;
-                        }
-                        return Err(crash);
-                    }
+                    return Err(crash);
                 }
             }
             Err(err) => commits.rollback(state, rng, format!("{label}: {err}"))?,

@@ -96,8 +96,6 @@ pub struct AnytimeSchedule {
     /// Per-step gates, `margins[t - 1]` for step `t`; length = `t_max`.
     /// `f32::INFINITY` disables early exit at that step.
     pub margins: Vec<f32>,
-    /// Minimum steps before any sample may commit (≥ 1).
-    pub min_steps: usize,
 }
 
 impl AnytimeSchedule {
@@ -110,13 +108,12 @@ impl AnytimeSchedule {
     pub fn uniform(t_max: usize, margin: f32) -> Self {
         AnytimeSchedule {
             margins: vec![margin; t_max],
-            min_steps: 1,
         }
     }
 }
 
 /// Runs deadline-aware inference on one batch: a sample commits at the
-/// first step `t ≥ schedule.min_steps` whose running-mean margin reaches
+/// first step `t` whose running-mean margin reaches
 /// `schedule.margins[t - 1]`. A uniform gate is
 /// [`AnytimeSchedule::uniform`].
 ///
@@ -141,7 +138,6 @@ pub fn anytime_forward_scheduled(
     let mut predictions = vec![0usize; batch];
     let mut steps_used = vec![t_max; batch];
     let mut decided = vec![false; batch];
-    let min_steps = schedule.min_steps.max(1);
     let mut logits: Option<Tensor> = None;
     let (_, steps_simulated) = snn.forward_until(x, t_max, |t, mean| {
         let gate = schedule.margins[t - 1];
@@ -157,7 +153,7 @@ pub fn anytime_forward_scheduled(
             predictions[r] = argmax;
             let row = r * classes..(r + 1) * classes;
             frozen.data_mut()[row.clone()].copy_from_slice(&mean.data()[row]);
-            if t >= min_steps && margin >= gate {
+            if margin >= gate {
                 decided[r] = true;
                 steps_used[r] = t;
             } else {
@@ -326,10 +322,7 @@ pub fn calibrate_margin_schedule(
         margins.push(chosen);
     }
     margins.push(0.0);
-    AnytimeSchedule {
-        margins,
-        min_steps: 1,
-    }
+    AnytimeSchedule { margins }
 }
 
 #[cfg(test)]
@@ -369,18 +362,6 @@ mod tests {
         assert_eq!(out.steps_simulated, 1, "all decided — simulation must stop");
         let one_step = snn.forward(&batch.images, 1);
         assert_eq!(out.predictions, one_step.logits.argmax_rows());
-    }
-
-    #[test]
-    fn min_steps_defers_decisions() {
-        let (snn, data) = setup();
-        let batch = data.eval_batches(8).next().unwrap();
-        let cfg = AnytimeSchedule {
-            margins: vec![0.0; 4],
-            min_steps: 3,
-        };
-        let out = anytime_forward_scheduled(&snn, &batch.images, &cfg);
-        assert!(out.steps_used.iter().all(|&s| s == 3));
     }
 
     #[test]

@@ -36,10 +36,6 @@ pub struct SweepConfig {
     pub seed: u64,
     /// Evaluation batch size.
     pub batch_size: usize,
-    /// Watchdog relative margin (see [`crate::watchdog`]).
-    pub rel_margin: f64,
-    /// Watchdog absolute margin.
-    pub abs_margin: f64,
 }
 
 impl SweepConfig {
@@ -61,8 +57,6 @@ impl SweepConfig {
             intensities: vec![1e-4, 1e-3, 1e-2, 1e-1],
             seed,
             batch_size: 32,
-            rel_margin: 0.5,
-            abs_margin: 0.05,
         }
     }
 
@@ -77,8 +71,6 @@ impl SweepConfig {
             intensities: vec![1e-3, 1e-1],
             seed,
             batch_size: 16,
-            rel_margin: 0.5,
-            abs_margin: 0.05,
         }
     }
 }
@@ -208,8 +200,7 @@ pub fn resilience_sweep(
     let mut clean_snn = Vec::with_capacity(cfg.t_steps.len());
     let mut cells = Vec::new();
     for &t in &cfg.t_steps {
-        let envelope =
-            profile_envelope(snn, data, t, cfg.batch_size, cfg.rel_margin, cfg.abs_margin);
+        let envelope = profile_envelope(snn, data, t, cfg.batch_size);
         let clean = FaultedNetwork::new(snn, &FaultConfig::new(cfg.seed));
         let (clean_acc, _) = evaluate_faulted(&clean, data, t, cfg.batch_size);
         clean_snn.push(CleanPoint {

@@ -9,14 +9,28 @@
 //!
 //! The envelope is `[min − margin, max + margin]` per layer, where min/max
 //! are taken over the profiled batches and the margin combines a relative
-//! and an absolute slack. A run profiled on batches drawn from the same
-//! distribution therefore never trips the watchdog (zero false positives
-//! by construction plus slack), while high-BER corruption — which
-//! collapses or saturates layer activity — lands far outside.
+//! and an absolute slack (`REL_MARGIN`, `ABS_MARGIN`). A run profiled on
+//! batches drawn from the same distribution therefore never trips the
+//! watchdog (zero false positives by construction plus slack), while
+//! high-BER corruption — which collapses or saturates layer activity —
+//! lands far outside.
 
 use serde::{Deserialize, Serialize};
 use ull_data::Dataset;
 use ull_snn::{ActivityReport, SnnNetwork};
+
+/// Relative slack applied to both envelope bounds (fraction of the bound).
+///
+/// With [`ABS_MARGIN`] it keeps clean runs on held-out batches of the
+/// profiled distribution inside the envelope (zero false positives across
+/// the resilience harness's 20-run check) while still flagging the
+/// order-of-magnitude activity shifts that bit-level weight corruption
+/// causes.
+const REL_MARGIN: f64 = 0.5;
+
+/// Absolute slack applied to both envelope bounds (spikes per neuron per
+/// run).
+const ABS_MARGIN: f64 = 0.05;
 
 /// Per-layer spike-rate bounds profiled from clean runs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -25,10 +39,6 @@ pub struct RateEnvelope {
     pub min: Vec<f64>,
     /// Maximum clean per-layer spike rate observed during profiling.
     pub max: Vec<f64>,
-    /// Relative slack applied to both bounds (fraction of the bound).
-    pub rel_margin: f64,
-    /// Absolute slack applied to both bounds (spikes per neuron per run).
-    pub abs_margin: f64,
     /// Time steps of the profiled runs — a report from a different T is
     /// not comparable and is rejected by [`RateEnvelope::check`].
     pub steps: usize,
@@ -71,8 +81,8 @@ impl RateEnvelope {
             // Layers that never spike (non-spiking ops) profile as 0 on
             // both bounds; the absolute margin keeps them from flagging
             // float dust.
-            let lo = self.min[node] * (1.0 - self.rel_margin) - self.abs_margin;
-            let hi = self.max[node] * (1.0 + self.rel_margin) + self.abs_margin;
+            let lo = self.min[node] * (1.0 - REL_MARGIN) - ABS_MARGIN;
+            let hi = self.max[node] * (1.0 + REL_MARGIN) + ABS_MARGIN;
             if !(rate >= lo && rate <= hi) {
                 violations.push(RateViolation { node, rate, lo, hi });
             }
@@ -92,14 +102,7 @@ impl RateEnvelope {
 
 /// Profiles a clean activity envelope by running the network over the
 /// evaluation batches of `data` (batch by batch, so the envelope captures
-/// genuine batch-to-batch spread) with the given margins.
-///
-/// Margins trade detection power against false positives: the defaults
-/// used by the resilience harness (`rel = 0.5`, `abs = 0.05`) keep clean
-/// runs on held-out batches of the same distribution inside the envelope
-/// (zero false positives across the harness's 20-run check) while still
-/// flagging the order-of-magnitude activity shifts that bit-level weight
-/// corruption causes.
+/// genuine batch-to-batch spread).
 ///
 /// # Panics
 ///
@@ -109,12 +112,10 @@ pub fn profile_envelope(
     data: &Dataset,
     t: usize,
     batch_size: usize,
-    rel_margin: f64,
-    abs_margin: f64,
 ) -> RateEnvelope {
     let batches: Vec<ull_tensor::Tensor> =
         data.eval_batches(batch_size).map(|b| b.images).collect();
-    profile_envelope_batches(snn, &batches, t, rel_margin, abs_margin)
+    profile_envelope_batches(snn, &batches, t)
 }
 
 /// [`profile_envelope`] over caller-assembled calibration batches instead
@@ -130,8 +131,6 @@ pub fn profile_envelope_batches(
     snn: &SnnNetwork,
     batches: &[ull_tensor::Tensor],
     t: usize,
-    rel_margin: f64,
-    abs_margin: f64,
 ) -> RateEnvelope {
     let _span = ull_obs::span("robust.watchdog.profile");
     let mut min: Option<Vec<f64>> = None;
@@ -155,13 +154,7 @@ pub fn profile_envelope_batches(
     }
     let min = min.expect("no calibration batches to profile");
     let max = max.expect("no calibration batches to profile");
-    RateEnvelope {
-        min,
-        max,
-        rel_margin,
-        abs_margin,
-        steps: t,
-    }
+    RateEnvelope { min, max, steps: t }
 }
 
 #[cfg(test)]
@@ -183,7 +176,7 @@ mod tests {
     #[test]
     fn clean_runs_never_trip_the_watchdog() {
         let (snn, data) = setup();
-        let envelope = profile_envelope(&snn, &data, 3, 8, 0.5, 0.05);
+        let envelope = profile_envelope(&snn, &data, 3, 8);
         // 20 clean checks over varying batch partitions of the same
         // distribution: the acceptance criterion demands zero false
         // positives.
@@ -208,7 +201,7 @@ mod tests {
     #[test]
     fn watchdog_detects_high_ber_weight_corruption() {
         let (snn, data) = setup();
-        let envelope = profile_envelope(&snn, &data, 3, 8, 0.5, 0.05);
+        let envelope = profile_envelope(&snn, &data, 3, 8);
         let batch = data.eval_batches(32).next().unwrap();
         let mut detected = 0;
         let trials = 20;
@@ -229,7 +222,7 @@ mod tests {
     #[test]
     fn watchdog_flags_stuck_and_silent_layers() {
         let (snn, data) = setup();
-        let envelope = profile_envelope(&snn, &data, 2, 8, 0.5, 0.05);
+        let envelope = profile_envelope(&snn, &data, 2, 8);
         let batch = data.eval_batches(16).next().unwrap();
         let silent = FaultedNetwork::new(
             &snn,
@@ -254,16 +247,38 @@ mod tests {
     #[test]
     fn batch_slice_profiling_matches_dataset_profiling() {
         let (snn, data) = setup();
-        let from_dataset = profile_envelope(&snn, &data, 2, 8, 0.5, 0.05);
+        let from_dataset = profile_envelope(&snn, &data, 2, 8);
         let batches: Vec<ull_tensor::Tensor> = data.eval_batches(8).map(|b| b.images).collect();
-        let from_batches = profile_envelope_batches(&snn, &batches, 2, 0.5, 0.05);
+        let from_batches = profile_envelope_batches(&snn, &batches, 2);
         assert_eq!(from_dataset, from_batches);
+
+        // Batches of several sizes in one call give the elementwise
+        // min/max of the per-size profiles, bit for bit: f64 min/max does
+        // not depend on the order the batches are visited in.
+        let sizes = 1..=4;
+        let per_size: Vec<RateEnvelope> = sizes
+            .clone()
+            .map(|size| profile_envelope(&snn, &data, 2, size))
+            .collect();
+        let mut merged = per_size[0].clone();
+        for env in &per_size[1..] {
+            for (slot, v) in merged.min.iter_mut().zip(&env.min) {
+                *slot = slot.min(*v);
+            }
+            for (slot, v) in merged.max.iter_mut().zip(&env.max) {
+                *slot = slot.max(*v);
+            }
+        }
+        let all_sizes: Vec<ull_tensor::Tensor> = sizes
+            .flat_map(|size| data.eval_batches(size).map(|b| b.images))
+            .collect();
+        assert_eq!(profile_envelope_batches(&snn, &all_sizes, 2), merged);
     }
 
     #[test]
     fn mismatched_report_shape_panics() {
         let (snn, data) = setup();
-        let envelope = profile_envelope(&snn, &data, 2, 8, 0.5, 0.05);
+        let envelope = profile_envelope(&snn, &data, 2, 8);
         let batch = data.eval_batches(8).next().unwrap();
         let report = snn.forward(&batch.images, 3).stats.report();
         let err = std::panic::catch_unwind(|| envelope.check(&report));

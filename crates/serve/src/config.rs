@@ -35,15 +35,6 @@ pub struct LifecycleConfig {
     /// promotion; measured agreement below this at the promotion gate
     /// triggers rollback instead.
     pub agreement_threshold: f64,
-    /// Replica index the candidate is promoted into (fallback replicas
-    /// keep the boot model as a known-good reserve).
-    pub target_replica: usize,
-    /// Seed for deterministic canary batch assignment.
-    pub canary_seed: u64,
-    /// Relative slack of the candidate envelope profiled at validation.
-    pub envelope_rel_margin: f64,
-    /// Absolute slack of the candidate envelope profiled at validation.
-    pub envelope_abs_margin: f64,
 }
 
 impl Default for LifecycleConfig {
@@ -56,10 +47,6 @@ impl Default for LifecycleConfig {
             canary_window: 12,
             excursion_limit: 3,
             agreement_threshold: 0.9,
-            target_replica: 0,
-            canary_seed: 0xca9a_2100,
-            envelope_rel_margin: 0.5,
-            envelope_abs_margin: 0.05,
         }
     }
 }
@@ -359,6 +346,32 @@ mod tests {
         let back: ServeConfig = serde_json::from_str(&legacy).unwrap();
         assert_eq!(back, ServeConfig::default());
         assert!(!back.lifecycle.enabled());
+
+        // The config block of `BENCH_serve.json`, recorded while the
+        // canary seed, target replica and envelope margins were still
+        // lifecycle fields: they are ignored on load.
+        let recorded = r#"{
+            "input_shape": [3, 16, 16], "t_full": 4, "t_reduced": 2,
+            "workers": 2, "queue_capacity": 64, "max_batch": 4,
+            "max_linger_ms": 1, "default_deadline_ms": 10000,
+            "est_full_ms": 50, "est_reduced_ms": 20, "anytime_depth": 16,
+            "reduced_depth": 32, "breaker_threshold": 3,
+            "backoff_base_ms": 600000, "backoff_max_ms": 3600000,
+            "backoff_seed": 2022, "chaos_execute_delay_ms": 0,
+            "lifecycle": {
+                "model_dir": null, "poll_every_batches": 8,
+                "canary_fraction": 0.5, "canary_min_batches": 12,
+                "canary_window": 12, "excursion_limit": 3,
+                "agreement_threshold": 0.9, "target_replica": 0,
+                "canary_seed": 3399098624, "envelope_rel_margin": 0.5,
+                "envelope_abs_margin": 0.05
+            },
+            "blackbox": {"dir": null, "capacity": 256}
+        }"#;
+        let back: ServeConfig = serde_json::from_str(recorded).unwrap();
+        assert_eq!(back.lifecycle, LifecycleConfig::default());
+        assert_eq!((back.max_batch, back.backoff_seed), (4, 2022));
+        back.validate().unwrap();
     }
 
     #[test]

@@ -67,6 +67,13 @@ use crate::engine::{BatchResult, Engine, ReplicaModel};
 use crate::manifest::{read_manifest, ManifestError};
 use crate::protocol::RungLabel;
 
+/// Replica the candidate is promoted into; the fallback replicas keep the
+/// boot model as a known-good reserve.
+const TARGET_REPLICA: usize = 0;
+
+/// Seed of the deterministic canary batch assignment.
+const CANARY_SEED: u64 = 0xca9a_2100;
+
 /// Kind of lifecycle state change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LifecycleTransition {
@@ -197,14 +204,14 @@ impl LifecycleManager {
     }
 
     /// Whether the batch with this serial is mirrored to the candidate.
-    /// A pure function of `(canary_seed, seq)` — bit-identical across
+    /// A pure function of `seq` — bit-identical across
     /// `ULL_THREADS` settings and reruns.
     pub fn is_canary_batch(&self, seq: u64) -> bool {
         if self.cfg.canary_fraction >= 1.0 {
             return true;
         }
         let threshold = (self.cfg.canary_fraction * u64::MAX as f64) as u64;
-        mix64(self.cfg.canary_seed, &[seq]) < threshold
+        mix64(CANARY_SEED, &[seq]) < threshold
     }
 
     /// Engine hook, called after every executed batch: polls the
@@ -252,7 +259,7 @@ impl LifecycleManager {
             // the first poll after this canary resolves.
             return;
         }
-        if manifest.version <= engine.serving_version(self.cfg.target_replica) {
+        if manifest.version <= engine.serving_version(TARGET_REPLICA) {
             return;
         }
         let now = engine.now_ms();
@@ -310,20 +317,8 @@ impl LifecycleManager {
             .map_err(|e| format!("artifact rejected: {e}"))?;
         let calibration = &self.calibration;
         let profiled = catch_unwind(AssertUnwindSafe(|| {
-            let envelope_full = profile_envelope_batches(
-                &net,
-                calibration,
-                t_full,
-                self.cfg.envelope_rel_margin,
-                self.cfg.envelope_abs_margin,
-            );
-            let envelope_reduced = profile_envelope_batches(
-                &net,
-                calibration,
-                t_reduced,
-                self.cfg.envelope_rel_margin,
-                self.cfg.envelope_abs_margin,
-            );
+            let envelope_full = profile_envelope_batches(&net, calibration, t_full);
+            let envelope_reduced = profile_envelope_batches(&net, calibration, t_reduced);
             let fingerprint = logits_fingerprint(calibration, |b| net.forward(b, t_full).logits);
             (envelope_full, envelope_reduced, fingerprint)
         }));
@@ -437,11 +432,10 @@ impl LifecycleManager {
         } else {
             cand.fingerprint
         };
-        let replica = self.cfg.target_replica;
-        let previous = engine.swap_model(replica, model);
+        let previous = engine.swap_model(TARGET_REPLICA, model);
         let t_full = engine.config().t_full;
         let swapped_ok = catch_unwind(AssertUnwindSafe(|| {
-            let forward = |b: &Tensor| engine.forward_serving(replica, b, t_full);
+            let forward = |b: &Tensor| engine.forward_serving(TARGET_REPLICA, b, t_full);
             logits_fingerprint(&self.calibration, forward) == expected
         }))
         .unwrap_or(false);
@@ -462,7 +456,7 @@ impl LifecycleManager {
         } else {
             // The model now serving does not reproduce the validated
             // outputs: put the incumbent back and quarantine the version.
-            let _ = engine.swap_model(replica, previous);
+            let _ = engine.swap_model(TARGET_REPLICA, previous);
             self.rollback(
                 engine,
                 seq,

@@ -54,17 +54,8 @@ pub fn replica(
     ReplicaSpec {
         name: name.to_string(),
         net,
-        envelope_full: Some(profile_envelope(
-            &clean, profile_on, cfg.t_full, 1, 0.5, 0.05,
-        )),
-        envelope_reduced: Some(profile_envelope(
-            &clean,
-            profile_on,
-            cfg.t_reduced,
-            1,
-            0.5,
-            0.05,
-        )),
+        envelope_full: Some(profile_envelope(&clean, profile_on, cfg.t_full, 1)),
+        envelope_reduced: Some(profile_envelope(&clean, profile_on, cfg.t_reduced, 1)),
     }
 }
 

@@ -109,7 +109,6 @@ fn lifecycle_config(dir: &Path) -> LifecycleConfig {
         canary_window: 4,
         excursion_limit: 2,
         agreement_threshold: 0.9,
-        ..LifecycleConfig::default()
     }
 }
 
@@ -131,15 +130,8 @@ fn lifecycle_engine(data: &Dataset, lcfg: LifecycleConfig) -> (Engine, Arc<Lifec
     let spec = ReplicaSpec {
         name: "primary".to_string(),
         net: incumbent.clone(),
-        envelope_full: Some(profile_envelope(&incumbent, data, cfg.t_full, 2, 0.5, 0.05)),
-        envelope_reduced: Some(profile_envelope(
-            &incumbent,
-            data,
-            cfg.t_reduced,
-            2,
-            0.5,
-            0.05,
-        )),
+        envelope_full: Some(profile_envelope(&incumbent, data, cfg.t_full, 2)),
+        envelope_reduced: Some(profile_envelope(&incumbent, data, cfg.t_reduced, 2)),
     };
     let engine = private_engine(&cfg, vec![spec]);
     let mgr = Arc::new(LifecycleManager::new(lcfg, calibration(data)));

@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<22}{:>12}{:>14}",
         "weight memory BER", "SNN %", "watchdog"
     );
-    let envelope = profile_envelope(&snn, &test, t, 8, 0.5, 0.05);
+    let envelope = profile_envelope(&snn, &test, t, 8);
     for ber in [0.0, 1e-4, 1e-3, 1e-2] {
         let fault_cfg = FaultConfig::new(7).with(InferenceFault::WeightBitFlip { ber });
         let faulted = FaultedNetwork::new(&snn, &fault_cfg);
