@@ -126,7 +126,11 @@ fn snapshot_of(reply: ControlReply) -> ull_obs::MetricsSnapshot {
 }
 
 /// Phase 2: trace ids and per-rung step histograms must be bit-identical
-/// across `ULL_THREADS` {1, 4} and across reruns.
+/// across `ULL_THREADS` {1, 4} and across reruns. The requests go through
+/// a [`Server`], whose workers run their kernels on their own thread, so
+/// both arms now run every kernel at a budget of 1: the check covers the
+/// pool setting, not a multi-thread forward (`serve_soak` and
+/// `serve_lifecycle` call `Engine::execute` directly and cross the pool).
 fn determinism_check(cfg: &ServeConfig, data: &Dataset, image: usize) -> bool {
     let _guard = parallel::override_lock();
     let run = |threads: usize| -> (Vec<u64>, String) {

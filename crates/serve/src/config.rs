@@ -163,7 +163,9 @@ pub struct ServeConfig {
     /// Time steps for the reduced rung (the paper's latency dial: fewer
     /// steps, slightly lower accuracy, proportionally lower cost).
     pub t_reduced: usize,
-    /// Worker threads pulling batches off the queue.
+    /// Worker threads pulling batches off the queue. Each worker runs its
+    /// batch's kernels on its own thread, whatever `ULL_THREADS` says, so
+    /// this is the serving parallelism: raise it on a larger box.
     pub workers: usize,
     /// Bounded admission-queue capacity; a full queue sheds with a typed
     /// `Overloaded` reply instead of queueing unboundedly.

@@ -30,7 +30,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ull_obs::MetricsSnapshot;
-use ull_tensor::Tensor;
+use ull_tensor::{parallel, Tensor};
 
 use crate::config::ServeConfig;
 use crate::engine::Engine;
@@ -100,7 +100,10 @@ pub struct Client {
 }
 
 impl Server {
-    /// Starts `cfg.workers` worker threads over `engine`.
+    /// Starts `cfg.workers` worker threads over `engine`. Each worker
+    /// runs inside [`parallel::serial`]: its kernels stay on its own
+    /// thread. [`Engine::execute`] called from any other thread keeps
+    /// the process-wide kernel pool.
     pub fn start(engine: Engine) -> Server {
         let cfg = engine.config().clone();
         let workers_n = cfg.workers;
@@ -120,7 +123,13 @@ impl Server {
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
                     .spawn(move || {
-                        ull_obs::with_registry(shared.engine.registry(), || worker_loop(&shared))
+                        // Serving's parallelism is its workers: each runs
+                        // its kernels on its own thread, spawning none.
+                        parallel::serial(|| {
+                            ull_obs::with_registry(shared.engine.registry(), || {
+                                worker_loop(&shared)
+                            })
+                        })
                     })
                     .expect("spawn worker")
             })

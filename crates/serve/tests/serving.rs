@@ -402,6 +402,19 @@ fn clean_runs_are_invariant_to_ull_threads() {
                 other => panic!("got {other:?}"),
             })
             .collect();
+        // Served kernels run at a budget of 1 whatever the pool; the same
+        // six images as one direct batch cross the pool.
+        let batch = data.eval_batches(6).next().expect("six images").images;
+        let direct = server.engine().execute(&batch, RungLabel::Full).logits;
+        let direct_rows: Vec<Vec<u32>> = direct
+            .data()
+            .chunks(CLASSES)
+            .map(|row| row.iter().map(|l| l.to_bits()).collect())
+            .collect();
+        assert_eq!(
+            logits, direct_rows,
+            "served rows differ from one direct batch"
+        );
         server.shutdown();
         logits
     };
@@ -412,4 +425,37 @@ fn clean_runs_are_invariant_to_ull_threads() {
         serial, parallel_run,
         "served logits must be bit-identical across ULL_THREADS"
     );
+}
+
+/// Serve workers run their kernels on their own thread: on a two-thread
+/// kernel pool, served traffic spawns no kernel thread, while the same
+/// engine called directly from this thread still fans out a batch of 2.
+#[test]
+fn served_batches_spawn_no_kernel_threads() {
+    let _guard = parallel::override_lock();
+    parallel::set_threads(2);
+    let data = test_data();
+    let engine = primary_engine(&base_config(), &data);
+    let server = Server::start(engine);
+    let client = server.client();
+    let pending: Vec<_> = requests(&data, 12)
+        .into_iter()
+        .map(|r| client.submit(r))
+        .collect();
+    for reply in pending {
+        let reply = reply.recv().expect("one reply per request");
+        assert!(reply.is_prediction(), "got {reply:?}");
+    }
+    let spawned = |server: &Server| {
+        let snap = server.engine().registry().snapshot();
+        snap.counters.get("parallel.spawned").copied().unwrap_or(0)
+    };
+    assert_eq!(spawned(&server), 0, "a serve worker spawned kernel threads");
+
+    // Positive control: the counter sees a direct call's fan-out.
+    let batch = data.eval_batches(2).next().expect("a batch of 2").images;
+    server.engine().execute(&batch, RungLabel::Full);
+    parallel::set_threads(0);
+    assert!(spawned(&server) > 0, "a direct batch of 2 spawned nothing");
+    server.shutdown();
 }

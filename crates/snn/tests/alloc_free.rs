@@ -11,9 +11,10 @@
 //! steady steps — the assertion is that there are none.
 //!
 //! Hits are counted per thread. The tests run the forward on one kernel
-//! thread, so every allocation it makes lands on the test's own thread,
-//! while the test harness and other test threads allocating at the same
-//! moment cannot inflate the count.
+//! thread — a one-thread pool, or a two-thread pool inside
+//! `parallel::serial` as a serve worker runs it — so every allocation it
+//! makes lands on the test's own thread, while the test harness and other
+//! test threads allocating at the same moment cannot inflate the count.
 //!
 //! This lives in an integration test because the library crates
 //! `forbid(unsafe_code)` and a counting `#[global_allocator]` needs an
@@ -105,27 +106,34 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 #[test]
 fn steady_state_step_loop_does_not_allocate() {
     let snn = test_net(42);
-    let x = normal(&[3, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(99));
-    // Single thread: inline execution, no pool hand-off buffers.
     let _threads = parallel::override_lock();
-    parallel::set_threads(1);
+    // One kernel thread: a one-thread pool, and a two-thread pool inside
+    // `parallel::serial` as a serve worker runs it. Batch 1 is where an
+    // unbudgeted two-thread pool would split every GEMM.
+    for (threads, batch) in [(1, 3), (2, 1), (2, 3)] {
+        parallel::set_threads(threads);
+        let x = normal(&[batch, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(99));
+        parallel::serial(|| {
+            // Warm up lazily initialised state (thread-count cache, the
+            // network's pack, allocator internals).
+            snn.forward(&x, 1);
 
-    // Warm up lazily initialised state (thread-count cache, the network's
-    // pack, allocator internals).
-    snn.forward(&x, 1);
-
-    // Step 1 grows every workspace buffer to its working size, so steps
-    // 2+ must be allocation-free and T=8 may not out-allocate T=2.
-    let short = allocs_during(|| {
-        snn.forward(&x, 2);
-    });
-    let long = allocs_during(|| {
-        snn.forward(&x, 8);
-    });
-    assert!(
-        long <= short,
-        "steady-state steps allocated: T=2 cost {short} hits, T=8 cost {long}"
-    );
+            // Step 1 grows every workspace buffer to its working size, so
+            // steps 2+ must be allocation-free and T=8 may not out-allocate
+            // T=2.
+            let short = allocs_during(|| {
+                snn.forward(&x, 2);
+            });
+            let long = allocs_during(|| {
+                snn.forward(&x, 8);
+            });
+            assert!(
+                long <= short,
+                "{threads} threads, batch {batch}: steady-state steps allocated: \
+                 T=2 cost {short} hits, T=8 cost {long}"
+            );
+        });
+    }
 
     parallel::set_threads(0);
 }

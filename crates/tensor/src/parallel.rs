@@ -8,13 +8,36 @@
 //! * [`par_map`] — evaluate `f(0..n)` concurrently and return the results
 //!   in index order (batch-parallel SNN simulation, per-layer α/β search).
 //!
-//! # Thread count
+//! # Thread count and kernel budget
 //!
-//! [`num_threads`] resolves, in order: the programmatic [`set_threads`]
-//! override, the `ULL_THREADS` environment variable, and finally
-//! [`std::thread::available_parallelism`]. `ULL_THREADS=1` (or
-//! `set_threads(1)`) is a guaranteed serial fallback: every entry point
-//! runs its work inline on the calling thread without spawning.
+//! [`num_threads`] resolves, in order: the calling thread's kernel budget,
+//! the programmatic [`set_threads`] override, the `ULL_THREADS`
+//! environment variable, and finally
+//! [`std::thread::available_parallelism`]. A count of 1 is a guaranteed
+//! serial fallback: every entry point runs its work inline on the calling
+//! thread without spawning, and every kernel sizes its row and batch
+//! blocks for one thread.
+//!
+//! The budget is per thread and unset by default. [`serial`] sets it to 1
+//! for the duration of a closure, so a thread that already is one of
+//! several parallel workers (an `ull-serve` batch worker) runs its kernels
+//! on itself, whatever the process-wide count.
+//!
+//! # Fan-out
+//!
+//! A call that splits into `w = min(threads, pieces) > 1` workers spawns
+//! `w − 1` scoped threads, and the calling thread works as the `w`-th:
+//! every worker pulls pieces from one shared queue until it is empty.
+//! Spawned workers adopt the caller's obs scope, so spans and counters
+//! they record roll up under the caller's span, in the caller's registry.
+//! Each fan-out adds 1 to the `parallel.fanouts` counter and `w − 1` to
+//! `parallel.spawned`; inline calls record nothing.
+//!
+//! Every worker, the caller included, runs its pieces at a budget of 1.
+//! Calls nested inside a piece therefore run inline on that worker — an
+//! outer fan-out (batch-parallel SNN steps) already owns every core, so
+//! inner kernels (matmul, conv) do not spawn a second generation of
+//! threads. The caller's own budget is restored when the call returns.
 //!
 //! # Determinism
 //!
@@ -22,39 +45,41 @@
 //! output element's accumulation order identical to the serial loop
 //! (contiguous row/batch blocks, reductions folded in index order). Under
 //! that contract — upheld by every kernel in this workspace — results are
-//! **bit-identical for every thread count**. The property tests in
-//! `crates/tensor/tests/proptests.rs` and `crates/snn/tests/proptests.rs`
-//! assert exact equality between 1-, 2-, 3- and 4-thread runs.
+//! **bit-identical for every thread count and budget**. The property
+//! tests in `crates/tensor/tests/proptests.rs` and
+//! `crates/snn/tests/proptests.rs` assert exact equality between 1-, 2-,
+//! 3- and 4-thread runs.
 //!
 //! Threads are scoped: they are spawned and joined inside each call, so
 //! the pool holds no global state beyond the thread-count override and
-//! borrows (not moves) the caller's data. Calls nested inside a worker
-//! run inline on that worker — an outer fan-out (batch-parallel SNN
-//! steps) already owns every core, so inner kernels (matmul, conv) do
-//! not spawn a second generation of threads.
+//! borrows (not moves) the caller's data.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 thread_local! {
-    /// Set while a pool worker runs caller code. Nested parallel calls
-    /// (e.g. a batch-parallel SNN step invoking the row-parallel matmul)
-    /// then run inline instead of spawning threads quadratically — the
-    /// outer fan-out already owns every core.
-    static IN_POOL: Cell<bool> = const { Cell::new(false) };
+    /// This thread's kernel budget: the worker count its parallel calls
+    /// use, ahead of the process-wide resolution. 0 means unset.
+    static BUDGET: Cell<usize> = const { Cell::new(0) };
 }
 
-fn in_pool() -> bool {
-    IN_POOL.with(Cell::get)
-}
-
-/// Marks the current thread as a pool worker for the duration of `f`.
-fn as_pool_worker<R>(f: impl FnOnce() -> R) -> R {
-    IN_POOL.with(|p| p.set(true));
-    let r = f();
-    IN_POOL.with(|p| p.set(false));
-    r
+/// Runs `f` with this thread's kernel budget at 1: every parallel call
+/// `f` makes, directly or nested, runs inline on this thread and sizes
+/// its blocks for one thread. The previous budget is restored when `f`
+/// returns or unwinds.
+///
+/// Results are bit-identical to a run at any other thread count; only
+/// where the work runs changes.
+pub fn serial<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            BUDGET.with(|b| b.set(self.0));
+        }
+    }
+    let _restore = Restore(BUDGET.with(|b| b.replace(1)));
+    f()
 }
 
 /// Programmatic override; 0 means "not set".
@@ -121,10 +146,15 @@ fn default_threads() -> usize {
 
 /// The worker count every parallel entry point will use.
 ///
-/// Resolution order: [`set_threads`] override → `ULL_THREADS` environment
-/// variable (malformed values warn once and are ignored) →
+/// Resolution order: this thread's kernel budget (see [`serial`]) →
+/// [`set_threads`] override → `ULL_THREADS` environment variable
+/// (malformed values warn once and are ignored) →
 /// [`std::thread::available_parallelism`] (queried once, then cached) → 1.
 pub fn num_threads() -> usize {
+    let budget = BUDGET.with(Cell::get);
+    if budget > 0 {
+        return budget;
+    }
     let o = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if o > 0 {
         return o;
@@ -136,10 +166,26 @@ pub fn num_threads() -> usize {
 }
 
 /// Overrides the worker count process-wide; `set_threads(0)` restores the
-/// `ULL_THREADS`/`available_parallelism` default. Mainly for tests and
-/// benches that compare thread counts within one process.
+/// `ULL_THREADS`/`available_parallelism` default. A thread inside
+/// [`serial`] keeps its budget of 1. Mainly for tests and benches that
+/// compare thread counts within one process.
 pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
+}
+
+/// Runs `work` on `workers` threads: `workers − 1` scoped spawns, which
+/// adopt the caller's obs scope, plus the calling thread. Every copy runs
+/// at a budget of 1, so parallel calls nested in `work` run inline.
+fn fan_out(workers: usize, work: impl Fn() + Sync) {
+    ull_obs::counter_add("parallel.fanouts", 1);
+    ull_obs::counter_add("parallel.spawned", (workers - 1) as u64);
+    let parent = ull_obs::current_scope();
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(|| serial(|| ull_obs::with_scope(&parent, &work)));
+        }
+        serial(&work);
+    });
 }
 
 /// Splits `data` into contiguous `chunk_len`-sized pieces (the last may be
@@ -159,9 +205,8 @@ where
     F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(chunk_len > 0, "chunk_len must be positive");
-    let threads = num_threads();
-    let n_chunks = data.len().div_ceil(chunk_len.max(1));
-    if threads <= 1 || n_chunks <= 1 || in_pool() {
+    let workers = num_threads().min(data.len().div_ceil(chunk_len));
+    if workers <= 1 {
         for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
             f(i, chunk);
         }
@@ -171,23 +216,11 @@ where
     // is taken once per chunk; chunks are coarse (whole row blocks), so
     // contention is negligible against the work inside `f`.
     let queue = Mutex::new(data.chunks_mut(chunk_len).enumerate());
-    // Workers adopt the caller's obs scope, so spans and counters inside
-    // `f` roll up under the span that issued this parallel call, in the
-    // caller's registry.
-    let parent = ull_obs::current_scope();
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(n_chunks) {
-            s.spawn(|| {
-                as_pool_worker(|| {
-                    ull_obs::with_scope(&parent, || loop {
-                        let next = queue.lock().expect("chunk queue poisoned").next();
-                        match next {
-                            Some((i, chunk)) => f(i, chunk),
-                            None => break,
-                        }
-                    })
-                })
-            });
+    fan_out(workers, || loop {
+        let next = queue.lock().expect("chunk queue poisoned").next();
+        match next {
+            Some((i, chunk)) => f(i, chunk),
+            None => break,
         }
     });
 }
@@ -199,28 +232,19 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let threads = num_threads();
-    if threads <= 1 || n <= 1 || in_pool() {
+    let workers = num_threads().min(n);
+    if workers <= 1 {
         return (0..n).map(f).collect();
     }
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
-    let parent = ull_obs::current_scope();
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(n) {
-            s.spawn(|| {
-                as_pool_worker(|| {
-                    ull_obs::with_scope(&parent, || loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let value = f(i);
-                        *slots[i].lock().expect("result slot poisoned") = Some(value);
-                    })
-                })
-            });
+    fan_out(workers, || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        let value = f(i);
+        *slots[i].lock().expect("result slot poisoned") = Some(value);
     });
     slots
         .into_iter()
@@ -280,15 +304,23 @@ mod tests {
     #[test]
     fn serial_fallback_spawns_no_threads() {
         let _guard = override_lock();
-        set_threads(1);
         let caller = std::thread::current().id();
-        let mut seen = Vec::new();
-        let mut v = vec![0u8; 16];
-        par_chunks_mut(&mut v, 4, |_, _| {});
-        let ids = par_map(4, |_| std::thread::current().id());
-        seen.extend(ids);
-        assert!(seen.iter().all(|&id| id == caller));
+        let reg = ull_obs::Registry::new();
+        let ids = ull_obs::with_registry(&reg, || {
+            set_threads(1);
+            let mut v = vec![0u8; 16];
+            par_chunks_mut(&mut v, 4, |_, _| {});
+            let mut ids = par_map(4, |_| std::thread::current().id());
+            set_threads(4);
+            ids.extend(serial(|| par_map(4, |_| std::thread::current().id())));
+            ids
+        });
         set_threads(0);
+        assert!(ids.iter().all(|&id| id == caller));
+        // Inline calls record nothing on the obs plane.
+        let snap = reg.snapshot();
+        assert!(!snap.counters.contains_key("parallel.fanouts"));
+        assert!(!snap.counters.contains_key("parallel.spawned"));
     }
 
     #[test]
@@ -361,6 +393,40 @@ mod tests {
     }
 
     #[test]
+    fn serial_budget_wins_and_is_restored_on_unwind() {
+        let _guard = override_lock();
+        set_threads(4);
+        serial(|| {
+            assert_eq!(num_threads(), 1, "the budget beats the override");
+            serial(|| assert_eq!(num_threads(), 1));
+            assert_eq!(num_threads(), 1, "a nested serial restores 1");
+        });
+        assert_eq!(num_threads(), 4, "serial restores the unset budget");
+        let unwound = std::panic::catch_unwind(|| serial(|| panic!("kernel failed")));
+        assert!(unwound.is_err());
+        assert_eq!(num_threads(), 4, "an unwind restores the budget too");
+        set_threads(0);
+    }
+
+    #[test]
+    fn the_caller_works_as_one_of_the_workers() {
+        let _guard = override_lock();
+        set_threads(3);
+        let caller = std::thread::current().id();
+        let ids = par_map(64, |_| {
+            std::thread::sleep(std::time::Duration::from_micros(200));
+            std::thread::current().id()
+        });
+        assert!(ids.contains(&caller), "the caller ran no item");
+        let distinct: std::collections::HashSet<_> = ids.iter().collect();
+        assert!(distinct.len() <= 3, "{} threads ran items", distinct.len());
+        let budgets = par_map(6, |_| num_threads());
+        assert!(budgets.iter().all(|&b| b == 1), "workers run at budget 1");
+        assert_eq!(num_threads(), 3, "the caller's budget is restored");
+        set_threads(0);
+    }
+
+    #[test]
     fn worker_spans_roll_up_under_the_callers_span() {
         let _guard = override_lock();
         // Collecting into the global registry too, so a leak out of the
@@ -386,6 +452,9 @@ mod tests {
         );
         assert!(!snap.spans.contains_key("parallel.test.work"));
         assert_eq!(snap.counters["parallel.test.items"], 8);
+        // One fan-out: three spawned workers, the caller the fourth.
+        assert_eq!(snap.counters["parallel.fanouts"], 1);
+        assert_eq!(snap.counters["parallel.spawned"], 3);
         let leaked = global.snapshot();
         assert!(
             leaked.spans.keys().all(|k| !k.contains("parallel.test."))
