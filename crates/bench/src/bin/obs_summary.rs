@@ -64,7 +64,6 @@ fn main() -> ExitCode {
                     TraceEvent::Hist { key, value, .. } => {
                         hists.entry(key).or_default().record(value);
                     }
-                    TraceEvent::Mark { .. } => {}
                 }
             }
             TraceLine::Unknown(tag) => {

@@ -110,9 +110,7 @@ fn lifecycle_config(dir: &Path) -> LifecycleConfig {
         poll_every_batches: 1,
         canary_fraction: 1.0,
         canary_min_batches: 4,
-        canary_window: 4,
         excursion_limit: EXCURSION_LIMIT,
-        agreement_threshold: 0.9,
     }
 }
 
@@ -364,7 +362,6 @@ fn scenario_mid_canary_corruption(data: &Dataset) -> RollbackStats {
     let lcfg = LifecycleConfig {
         // Only a rollback can end this canary.
         canary_min_batches: 200,
-        canary_window: 200,
         ..lifecycle_config(&dir)
     };
     let (engine, mgr) = lifecycle_engine(data, lcfg, 2);

@@ -7,7 +7,7 @@
 //! 2. **Fault injection** — the primary replica's weights are corrupted
 //!    *mid-run* (BER 1e-2 bit flips via `ull-robust`); the spike-rate
 //!    watchdog flags the excursions, the circuit breaker trips within
-//!    `breaker_threshold` batches, and traffic fails over to the clean
+//!    `BREAKER_THRESHOLD` batches, and traffic fails over to the clean
 //!    fallback while excursion batches are retried there.
 //! 3. **Overload burst** — a burst far beyond queue capacity against a
 //!    deliberately slowed server; shed requests must get typed
@@ -47,6 +47,7 @@ use ull_robust::{
 };
 use ull_serve::{
     BatchEvent, BreakerState, Engine, ReplicaSpec, Reply, Request, RungLabel, ServeConfig, Server,
+    BREAKER_THRESHOLD,
 };
 use ull_snn::{SnnNetwork, SpikeSpec};
 use ull_tensor::init::seeded_rng;
@@ -269,7 +270,6 @@ fn main() {
         max_batch: 4,
         max_linger_ms: 1,
         default_deadline_ms: 10_000,
-        breaker_threshold: 3,
         // Quarantine far beyond the soak so a tripped primary never
         // half-opens mid-run (probe/backoff behaviour is unit-tested).
         backoff_base_ms: 600_000,
@@ -305,7 +305,7 @@ fn main() {
     // the watchdog verdict sequence — is reproducible) before resuming
     // open-loop load. Every probe must still be answered.
     let client = server.client();
-    for (req, _) in set.iter().take(2 * cfg.breaker_threshold) {
+    for (req, _) in set.iter().take(2 * BREAKER_THRESHOLD) {
         let reply = client.call(req.clone());
         assert!(
             matches!(reply, Reply::Prediction { .. }),
@@ -420,10 +420,9 @@ fn main() {
 
     if gate {
         assert!(
-            report.batches_to_trip <= report.config.breaker_threshold + 1,
-            "breaker took {} batches to trip (threshold {})",
+            report.batches_to_trip <= BREAKER_THRESHOLD + 1,
+            "breaker took {} batches to trip (threshold {BREAKER_THRESHOLD})",
             report.batches_to_trip,
-            report.config.breaker_threshold
         );
         assert!(
             report.post_trip_batches > 0

@@ -206,7 +206,6 @@ fn main() {
         max_batch: 4,
         max_linger_ms: 1,
         default_deadline_ms: 30_000,
-        breaker_threshold: 3,
         backoff_base_ms: 600_000,
         backoff_max_ms: 3_600_000,
         backoff_seed: SEED,
@@ -261,7 +260,7 @@ fn main() {
     };
 
     // Open-loop waves against the faulted primary: the watchdog trips the
-    // breaker within `breaker_threshold` batches and traffic fails over.
+    // breaker within `BREAKER_THRESHOLD` batches and traffic fails over.
     let set = requests(&test, image, 24);
     let mut answered = 0usize;
     for _ in 0..WAVES {

@@ -4,8 +4,8 @@
 //! points of a pipeline run — "poison one gradient in epoch 2 of SGL",
 //! "crash before the epoch-4 checkpoint commits", "corrupt the newest
 //! checkpoint file on disk". The recovery runner
-//! ([`run_pipeline_recoverable`](crate::run_pipeline_recoverable) and
-//! friends) consults the plan at each injection site. One-shot
+//! ([`run_or_resume_pipeline`](crate::run_or_resume_pipeline)) consults
+//! the plan at each injection site. One-shot
 //! [`FaultPoint`]s fire **at most once** and are consumed when they do, so
 //! a resumed process with a fresh (empty) plan replays the same epochs
 //! cleanly. [`RecurringFault`]s extend this with periodic or seeded-random

@@ -64,9 +64,7 @@ pub use depth::{depth_error_report, DepthErrorReport};
 pub use faults::{FaultKind, FaultPlan, FaultPoint, RecurringFault, Trigger};
 pub use pipeline::{run_pipeline, PipelineConfig, PipelineReport};
 pub use recovery::{
-    resume_pipeline, resume_pipeline_with_faults, run_or_resume_pipeline, run_pipeline_recoverable,
-    run_pipeline_recoverable_with_faults, PipelineCheckpoint, PipelineError, PipelinePhase,
-    RecoveryConfig, RecoveryEvent,
+    run_or_resume_pipeline, PipelineCheckpoint, PipelineError, PipelinePhase, RecoveryEvent,
 };
 pub use summary::ConversionSummary;
 pub use ull_obs::MetricsSnapshot;

@@ -129,10 +129,8 @@ pub struct PipelineReport {
 /// This is the pipeline driver of [`crate::recovery`] without a checkpoint
 /// directory: it commits the run state to memory every epoch, and a NaN/Inf
 /// or exploding loss rolls back to the last commit at half the learning
-/// rate (up to
-/// [`RecoveryConfig::new`](crate::RecoveryConfig::new)'s default retry
-/// budget), as logged
-/// in [`PipelineReport::recovery_events`]. A healthy run trains exactly
+/// rate (up to three times per run), as logged in
+/// [`PipelineReport::recovery_events`]. A healthy run trains exactly
 /// as an unchecked loop would.
 ///
 /// # Errors

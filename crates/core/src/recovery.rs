@@ -1,25 +1,25 @@
 //! The one driver of the hybrid pipeline, *train DNN → convert → SGL
-//! fine-tune*, and its crash-safe, resumable entry points.
+//! fine-tune*, and its crash-safe, resumable entry point.
 //!
 //! Every run — [`run_pipeline`](crate::run_pipeline) as much as
-//! [`run_pipeline_recoverable`] — goes through the same phase-cursor loop.
+//! [`run_or_resume_pipeline`] — goes through the same phase-cursor loop.
 //! It *commits* the full run state after every epoch and at each phase
 //! boundary: networks with momentum buffers, phase/epoch cursor, accuracy
-//! bookkeeping and the RNG. Each commit is kept in memory; the
-//! recoverable entry points also write it to
-//! [`RecoveryConfig::checkpoint_dir`] as an atomic, checksummed checkpoint
-//! (see [`ull_nn::save_with_meta`]). The directory is read only to resume:
-//! because every source of randomness is the persisted [`StdRng`] and
-//! every reduction order is fixed, a run that is killed and resumed with
-//! [`resume_pipeline`] produces **bit-identical** results to one that was
-//! never interrupted.
+//! bookkeeping and the RNG. Each commit is kept in memory;
+//! [`run_or_resume_pipeline`] also writes it to its checkpoint directory
+//! as an atomic, checksummed checkpoint (see [`ull_nn::save_with_meta`])
+//! and keeps the newest three. The directory holds one run: a call that
+//! finds a valid checkpoint there resumes it, and a call that finds none
+//! deletes the rejected files and starts fresh. Because every source of
+//! randomness is the persisted [`StdRng`] and every reduction order is
+//! fixed, a run that is killed and resumed produces **bit-identical**
+//! results to one that was never interrupted.
 //!
 //! Numeric failures (NaN/Inf loss or gradients, loss explosions) are
 //! detected by the checked training loops *before* they can poison the
 //! parameters; the driver rolls back to the last commit in memory, halves
-//! the learning rate, and retries — up to
-//! [`RecoveryConfig::max_retries`] times, after which it surfaces
-//! [`TrainError::Diverged`].
+//! the learning rate, and retries — up to three times per run, after
+//! which it surfaces [`TrainError::Diverged`].
 //!
 //! The [`FaultPlan`] hooks let tests inject each failure
 //! mode at an exact epoch, deterministically.
@@ -72,7 +72,7 @@ impl PipelinePhase {
     }
 
     /// Inverse of [`PipelinePhase::as_str`].
-    pub fn from_label(label: &str) -> Option<Self> {
+    fn from_label(label: &str) -> Option<Self> {
         match label {
             "dnn-train" => Some(PipelinePhase::DnnTrain),
             "sgl" => Some(PipelinePhase::Sgl),
@@ -87,31 +87,13 @@ impl fmt::Display for PipelinePhase {
     }
 }
 
-/// Checkpointing and retry policy of the recoverable runner.
-#[derive(Debug, Clone)]
-pub struct RecoveryConfig {
-    /// Directory for checkpoint files (created if missing).
-    pub checkpoint_dir: PathBuf,
-    /// Numeric-failure budget: total rollback-and-retry attempts allowed
-    /// across the whole run before giving up with
-    /// [`TrainError::Diverged`].
-    pub max_retries: usize,
-    /// Keep at most this many checkpoint files (oldest pruned first, after
-    /// each successful commit). Must be ≥ 1; 2+ is recommended so a
-    /// corrupted newest file still leaves a fallback.
-    pub keep_last: usize,
-}
+/// Rollback-and-retry attempts allowed across a whole run before it
+/// gives up with [`TrainError::Diverged`].
+const MAX_RETRIES: usize = 3;
 
-impl RecoveryConfig {
-    /// Sensible defaults: 3 retries, keep 3 files.
-    pub fn new(checkpoint_dir: impl Into<PathBuf>) -> Self {
-        RecoveryConfig {
-            checkpoint_dir: checkpoint_dir.into(),
-            max_retries: 3,
-            keep_last: 3,
-        }
-    }
-}
+/// Checkpoint files kept in the directory (oldest pruned first, after
+/// each commit): a corrupted newest file still leaves two to fall back on.
+const KEEP_LAST: usize = 3;
 
 /// A finite loss larger than `EXPLOSION_FACTOR ×` the previous epoch's
 /// loss is treated as a numeric failure (rollback + LR backoff), not just
@@ -128,15 +110,15 @@ pub type RecoveryEvent = String;
 pub enum PipelineError {
     /// DNN→SNN conversion failed.
     Convert(ConvertError),
-    /// A checkpoint could not be written, or no valid checkpoint was found
-    /// to resume from.
+    /// A checkpoint could not be written, the directory could not be
+    /// read, or the newest valid checkpoint does not describe a run.
     Checkpoint(CheckpointError),
     /// Training failed numerically and the retry budget is exhausted
     /// ([`TrainError::Diverged`]).
     Train(TrainError),
     /// A [`FaultPlan`] crash fault fired: the run stopped
-    /// as if the process had been killed at that point. Resume with
-    /// [`resume_pipeline`] to continue.
+    /// as if the process had been killed at that point. Call
+    /// [`run_or_resume_pipeline`] on the same directory to continue.
     SimulatedCrash {
         /// Phase in which the simulated crash fired.
         phase: PipelinePhase,
@@ -288,7 +270,6 @@ fn checkpoint_name(phase: PipelinePhase, epoch: usize) -> String {
 /// [`Commits::rollback`] restores, and the checkpoint directory each
 /// commit is also written to when the run has one.
 struct Commits<'a> {
-    rcfg: &'a RecoveryConfig,
     dir: Option<&'a Path>,
     last: RunState,
     last_rng: StdRng,
@@ -311,7 +292,7 @@ impl Commits<'_> {
         };
         let path = dir.join(checkpoint_name(state.phase, state.epoch));
         save_with_meta(&state.ckpt, &meta, &path)?;
-        prune(dir, self.rcfg.keep_last);
+        prune(dir, KEEP_LAST);
         Ok(Some(path))
     }
 
@@ -325,11 +306,11 @@ impl Commits<'_> {
     ) -> Result<(), PipelineError> {
         ull_obs::counter_add("recovery.rollbacks", 1);
         let retries = state.ckpt.retries_used + 1;
-        if retries > self.rcfg.max_retries {
+        if retries > MAX_RETRIES {
             return Err(PipelineError::Train(TrainError::Diverged {
                 phase: state.phase.as_str().to_string(),
                 epoch: state.epoch,
-                retries: self.rcfg.max_retries,
+                retries: MAX_RETRIES,
             }));
         }
         let backoff = state.ckpt.lr_backoff * 0.5;
@@ -347,9 +328,9 @@ impl Commits<'_> {
     }
 }
 
-/// Best-effort pruning of checkpoints beyond `keep_last` (a failed unlink
-/// must not kill a healthy training run).
-fn prune(dir: &Path, keep_last: usize) {
+/// Best-effort deletion of every checkpoint but the `keep` newest (a
+/// failed unlink must not kill a healthy training run).
+fn prune(dir: &Path, keep: usize) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
     };
@@ -360,7 +341,7 @@ fn prune(dir: &Path, keep_last: usize) {
         .collect();
     names.sort();
     names.reverse(); // newest first
-    for old in names.iter().skip(keep_last.max(1)) {
+    for old in names.iter().skip(keep) {
         let _ = fs::remove_file(old);
     }
 }
@@ -418,59 +399,8 @@ fn corrupt_file(path: &Path) -> io::Result<()> {
     fs::write(path, bytes)
 }
 
-/// Runs the full pipeline crash-safely from scratch:
-/// [`run_pipeline`](crate::run_pipeline) under `rcfg`'s retry policy, with
-/// every commit also written to `rcfg.checkpoint_dir` as an atomic
-/// checkpoint. On the healthy path the result is bit-identical to
-/// [`run_pipeline`](crate::run_pipeline) with the same seed.
-///
-/// # Errors
-///
-/// See [`PipelineError`].
-pub fn run_pipeline_recoverable(
-    dnn: &mut Network,
-    train_data: &Dataset,
-    test_data: &Dataset,
-    cfg: &PipelineConfig,
-    rcfg: &RecoveryConfig,
-    rng: &mut StdRng,
-) -> Result<(PipelineReport, SnnNetwork), PipelineError> {
-    run_pipeline_recoverable_with_faults(
-        dnn,
-        train_data,
-        test_data,
-        cfg,
-        rcfg,
-        rng,
-        &mut FaultPlan::none(),
-    )
-}
-
-/// [`run_pipeline_recoverable`] with a deterministic [`FaultPlan`] — the
-/// entry point of the fault-injection harness.
-///
-/// # Errors
-///
-/// See [`PipelineError`]; crash faults surface as
-/// [`PipelineError::SimulatedCrash`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_pipeline_recoverable_with_faults(
-    dnn: &mut Network,
-    train_data: &Dataset,
-    test_data: &Dataset,
-    cfg: &PipelineConfig,
-    rcfg: &RecoveryConfig,
-    rng: &mut StdRng,
-    plan: &mut FaultPlan,
-) -> Result<(PipelineReport, SnnNetwork), PipelineError> {
-    fs::create_dir_all(&rcfg.checkpoint_dir).map_err(CheckpointError::Io)?;
-    let dir = Some(rcfg.checkpoint_dir.as_path());
-    let state = RunState::fresh(dnn);
-    drive(dnn, train_data, test_data, cfg, rcfg, dir, rng, plan, state)
-}
-
-/// A fresh run that commits to memory only, under `RecoveryConfig`'s
-/// default retry policy: the body of [`run_pipeline`](crate::run_pipeline).
+/// A fresh run that commits to memory only: the body of
+/// [`run_pipeline`](crate::run_pipeline).
 pub(crate) fn run_in_memory(
     dnn: &mut Network,
     train_data: &Dataset,
@@ -478,88 +408,53 @@ pub(crate) fn run_in_memory(
     cfg: &PipelineConfig,
     rng: &mut StdRng,
 ) -> Result<(PipelineReport, SnnNetwork), PipelineError> {
-    let rcfg = RecoveryConfig::new(PathBuf::new());
     let state = RunState::fresh(dnn);
     let plan = &mut FaultPlan::none();
-    drive(
-        dnn, train_data, test_data, cfg, &rcfg, None, rng, plan, state,
-    )
+    drive(dnn, train_data, test_data, cfg, None, rng, plan, state)
 }
 
-/// Resumes an interrupted run from the newest valid checkpoint in
-/// `rcfg.checkpoint_dir`. The run continues from the persisted networks
-/// and RNG state: `dnn` and `rng` are overwritten, never read. The
-/// completed run is bit-identical to one that was never interrupted.
+/// Runs the pipeline crash-safely, writing every commit to
+/// `checkpoint_dir` (created if missing) as an atomic checkpoint.
+///
+/// If the directory holds a valid checkpoint, the run resumes from the
+/// newest one: `dnn` and `rng` are overwritten from it, never read, and
+/// the completed run is bit-identical to one that was never interrupted.
+/// Otherwise the rejected checkpoint files are deleted and the run starts
+/// fresh from `dnn` and `rng`, bit-identical to
+/// [`run_pipeline`](crate::run_pipeline) with the same seed on the
+/// healthy path. `plan` injects faults; pass [`FaultPlan::none`] outside
+/// tests.
 ///
 /// # Errors
 ///
-/// [`CheckpointError::NoValidCheckpoint`] (wrapped) if the directory holds
-/// no usable checkpoint; otherwise see [`PipelineError`].
-pub fn resume_pipeline(
-    dnn: &mut Network,
-    train_data: &Dataset,
-    test_data: &Dataset,
-    cfg: &PipelineConfig,
-    rcfg: &RecoveryConfig,
-    rng: &mut StdRng,
-) -> Result<(PipelineReport, SnnNetwork), PipelineError> {
-    resume_pipeline_with_faults(
-        dnn,
-        train_data,
-        test_data,
-        cfg,
-        rcfg,
-        rng,
-        &mut FaultPlan::none(),
-    )
-}
-
-/// [`resume_pipeline`] with a deterministic [`FaultPlan`].
-///
-/// # Errors
-///
-/// Same as [`resume_pipeline`].
-#[allow(clippy::too_many_arguments)]
-pub fn resume_pipeline_with_faults(
-    dnn: &mut Network,
-    train_data: &Dataset,
-    test_data: &Dataset,
-    cfg: &PipelineConfig,
-    rcfg: &RecoveryConfig,
-    rng: &mut StdRng,
-    plan: &mut FaultPlan,
-) -> Result<(PipelineReport, SnnNetwork), PipelineError> {
-    let (ckpt, meta, _path) = load_latest::<PipelineCheckpoint>(&rcfg.checkpoint_dir)?;
-    let state = restore(ckpt, &meta, rng)?;
-    ull_obs::counter_add("recovery.resumes", 1);
-    let dir = Some(rcfg.checkpoint_dir.as_path());
-    drive(dnn, train_data, test_data, cfg, rcfg, dir, rng, plan, state)
-}
-
-/// Resumes if `rcfg.checkpoint_dir` holds a valid checkpoint, otherwise
-/// starts fresh — what a restarted job wants.
-///
-/// # Errors
-///
-/// See [`PipelineError`].
+/// See [`PipelineError`]; crash faults surface as
+/// [`PipelineError::SimulatedCrash`].
 pub fn run_or_resume_pipeline(
     dnn: &mut Network,
     train_data: &Dataset,
     test_data: &Dataset,
     cfg: &PipelineConfig,
-    rcfg: &RecoveryConfig,
+    checkpoint_dir: &Path,
     rng: &mut StdRng,
+    plan: &mut FaultPlan,
 ) -> Result<(PipelineReport, SnnNetwork), PipelineError> {
-    match load_latest::<PipelineCheckpoint>(&rcfg.checkpoint_dir) {
+    fs::create_dir_all(checkpoint_dir).map_err(CheckpointError::Io)?;
+    let state = match load_latest::<PipelineCheckpoint>(checkpoint_dir) {
         Ok((ckpt, meta, _path)) => {
             let state = restore(ckpt, &meta, rng)?;
             ull_obs::counter_add("recovery.resumes", 1);
-            let dir = Some(rcfg.checkpoint_dir.as_path());
-            let plan = &mut FaultPlan::none();
-            drive(dnn, train_data, test_data, cfg, rcfg, dir, rng, plan, state)
+            state
         }
-        Err(_) => run_pipeline_recoverable(dnn, train_data, test_data, cfg, rcfg, rng),
-    }
+        Err(CheckpointError::NoValidCheckpoint { .. }) => {
+            // Only this run's commits may remain, or `prune` would keep a
+            // rejected file that sorts after them and delete theirs.
+            prune(checkpoint_dir, 0);
+            RunState::fresh(dnn)
+        }
+        Err(e) => return Err(e.into()),
+    };
+    let dir = Some(checkpoint_dir);
+    drive(dnn, train_data, test_data, cfg, dir, rng, plan, state)
 }
 
 /// The phase-cursor drive loop shared by every run, fresh or resumed,
@@ -571,14 +466,12 @@ fn drive(
     train_data: &Dataset,
     test_data: &Dataset,
     cfg: &PipelineConfig,
-    rcfg: &RecoveryConfig,
     dir: Option<&Path>,
     rng: &mut StdRng,
     plan: &mut FaultPlan,
     mut state: RunState,
 ) -> Result<(PipelineReport, SnnNetwork), PipelineError> {
     let mut commits = Commits {
-        rcfg,
         dir,
         last: state.clone(),
         last_rng: rng.clone(),
@@ -768,7 +661,6 @@ mod tests {
             .join(format!("drivers-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        let rcfg = RecoveryConfig::new(&dir);
         let run = |dir: Option<&Path>| {
             let mut dnn = dnn0.clone();
             let mut rng = seeded_rng(12);
@@ -781,7 +673,7 @@ mod tests {
                 .with(PipelinePhase::Sgl, 1, FaultKind::NanGradient { batch: 1 });
             let state = RunState::fresh(&dnn);
             let (rep, snn) = drive(
-                &mut dnn, &train, &test, &cfg, &rcfg, dir, &mut rng, &mut plan, state,
+                &mut dnn, &train, &test, &cfg, dir, &mut rng, &mut plan, state,
             )
             .expect("the driver must recover from injected NaNs");
             assert_eq!(plan.pending(), 0, "both faults must have fired");

@@ -7,8 +7,8 @@
 //! what follows names where the run restored from, not what it computed.
 
 use ull_core::{
-    run_pipeline, run_pipeline_recoverable_with_faults, FaultKind, FaultPlan, PipelineConfig,
-    PipelinePhase, PipelineReport, RecoveryConfig,
+    run_or_resume_pipeline, run_pipeline, FaultKind, FaultPlan, PipelineConfig, PipelinePhase,
+    PipelineReport,
 };
 use ull_data::{generate, Dataset, SynthCifarConfig};
 use ull_nn::{fnv1a, models, Network};
@@ -57,7 +57,6 @@ fn nan_rollback_pipeline_is_pinned_bit_for_bit() {
         .join("ull_core_pipeline_pin")
         .join(format!("nan-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let rcfg = RecoveryConfig::new(&dir);
     let mut rng = seeded_rng(12);
     let mut plan = FaultPlan::none()
         .with(
@@ -66,9 +65,7 @@ fn nan_rollback_pipeline_is_pinned_bit_for_bit() {
             FaultKind::NanGradient { batch: 0 },
         )
         .with(PipelinePhase::Sgl, 1, FaultKind::NanGradient { batch: 1 });
-    let result = run_pipeline_recoverable_with_faults(
-        &mut dnn, &train, &test, &pcfg, &rcfg, &mut rng, &mut plan,
-    );
+    let result = run_or_resume_pipeline(&mut dnn, &train, &test, &pcfg, &dir, &mut rng, &mut plan);
     let _ = std::fs::remove_dir_all(&dir);
     let (rep, snn) = result.expect("pipeline must recover from injected NaNs");
     assert_eq!(plan.pending(), 0, "both faults must have fired");

@@ -6,12 +6,11 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use ull_core::{
-    resume_pipeline, run_or_resume_pipeline, run_pipeline, run_pipeline_recoverable,
-    run_pipeline_recoverable_with_faults, FaultKind, FaultPlan, PipelineCheckpoint, PipelineConfig,
-    PipelineError, PipelinePhase, RecoveryConfig, Trigger,
+    run_or_resume_pipeline, run_pipeline, FaultKind, FaultPlan, PipelineCheckpoint, PipelineConfig,
+    PipelineError, PipelinePhase, Trigger,
 };
 use ull_data::{generate, Dataset, SynthCifarConfig};
-use ull_nn::{models, CheckpointError, CheckpointMeta, Network, TrainError};
+use ull_nn::{models, CheckpointMeta, Network, TrainError};
 use ull_snn::SnnNetwork;
 use ull_tensor::init::seeded_rng;
 use ull_tensor::parallel;
@@ -63,6 +62,16 @@ fn dnn_bits(dnn: &Network) -> String {
     serde_json::to_string(dnn).unwrap()
 }
 
+/// A fault plan that injects nothing.
+fn clean() -> FaultPlan {
+    FaultPlan::none()
+}
+
+fn resumes(reg: &ull_obs::Registry) -> u64 {
+    let snap = reg.snapshot();
+    snap.counters.get("recovery.resumes").copied().unwrap_or(0)
+}
+
 #[test]
 fn healthy_recoverable_run_matches_run_pipeline_bit_for_bit() {
     let (train, test, dnn0, pcfg) = fixture();
@@ -74,10 +83,17 @@ fn healthy_recoverable_run_matches_run_pipeline_bit_for_bit() {
 
     let mut dnn_rec = dnn0.clone();
     let dir = test_dir("healthy");
-    let rcfg = RecoveryConfig::new(dir.path());
     let mut rng = seeded_rng(12);
-    let (rep_rec, snn_rec) =
-        run_pipeline_recoverable(&mut dnn_rec, &train, &test, &pcfg, &rcfg, &mut rng).unwrap();
+    let (rep_rec, snn_rec) = run_or_resume_pipeline(
+        &mut dnn_rec,
+        &train,
+        &test,
+        &pcfg,
+        dir.path(),
+        &mut rng,
+        &mut clean(),
+    )
+    .unwrap();
 
     assert_eq!(
         rep_plain.dnn_accuracy.to_bits(),
@@ -103,20 +119,32 @@ fn interrupted_and_resumed_run_is_bit_identical() {
     // Reference: uninterrupted recoverable run.
     let mut dnn_ref = dnn0.clone();
     let dir_ref = test_dir("uninterrupted");
-    let rcfg_ref = RecoveryConfig::new(dir_ref.path());
     let mut rng = seeded_rng(12);
-    let (rep_ref, snn_ref) =
-        run_pipeline_recoverable(&mut dnn_ref, &train, &test, &pcfg, &rcfg_ref, &mut rng).unwrap();
+    let (rep_ref, snn_ref) = run_or_resume_pipeline(
+        &mut dnn_ref,
+        &train,
+        &test,
+        &pcfg,
+        dir_ref.path(),
+        &mut rng,
+        &mut clean(),
+    )
+    .unwrap();
 
     // Interrupted run: crash mid-DNN-training, resume, crash mid-SGL,
     // resume again to completion.
     let dir = test_dir("interrupted");
-    let rcfg = RecoveryConfig::new(dir.path());
     let mut dnn = dnn0.clone();
     let mut rng = seeded_rng(12);
     let mut plan = FaultPlan::none().with(PipelinePhase::DnnTrain, 2, FaultKind::CrashBeforeCommit);
-    let err = run_pipeline_recoverable_with_faults(
-        &mut dnn, &train, &test, &pcfg, &rcfg, &mut rng, &mut plan,
+    let err = run_or_resume_pipeline(
+        &mut dnn,
+        &train,
+        &test,
+        &pcfg,
+        dir.path(),
+        &mut rng,
+        &mut plan,
     )
     .unwrap_err();
     assert!(matches!(
@@ -132,11 +160,16 @@ fn interrupted_and_resumed_run_is_bit_identical() {
     let mut dnn = models::vgg_micro(4, 8, 0.5, 999);
     let mut rng = seeded_rng(999);
     let mut plan = FaultPlan::none().with(PipelinePhase::Sgl, 1, FaultKind::CrashBeforeCommit);
-    let err = {
-        use ull_core::resume_pipeline_with_faults;
-        resume_pipeline_with_faults(&mut dnn, &train, &test, &pcfg, &rcfg, &mut rng, &mut plan)
-            .unwrap_err()
-    };
+    let err = run_or_resume_pipeline(
+        &mut dnn,
+        &train,
+        &test,
+        &pcfg,
+        dir.path(),
+        &mut rng,
+        &mut plan,
+    )
+    .unwrap_err();
     assert!(matches!(
         err,
         PipelineError::SimulatedCrash {
@@ -147,7 +180,16 @@ fn interrupted_and_resumed_run_is_bit_identical() {
 
     let mut dnn = models::vgg_micro(4, 8, 0.5, 777);
     let mut rng = seeded_rng(777);
-    let (rep, snn) = resume_pipeline(&mut dnn, &train, &test, &pcfg, &rcfg, &mut rng).unwrap();
+    let (rep, snn) = run_or_resume_pipeline(
+        &mut dnn,
+        &train,
+        &test,
+        &pcfg,
+        dir.path(),
+        &mut rng,
+        &mut clean(),
+    )
+    .unwrap();
 
     assert_eq!(rep_ref.dnn_accuracy.to_bits(), rep.dnn_accuracy.to_bits());
     assert_eq!(
@@ -169,7 +211,6 @@ fn nan_gradient_triggers_rollback_and_still_converges() {
     pcfg.dnn_epochs = 6;
 
     let dir = test_dir("nan_rollback");
-    let rcfg = RecoveryConfig::new(dir.path());
     let mut dnn = dnn0.clone();
     let mut rng = seeded_rng(12);
     // Poison one gradient in DNN epoch 1 and one in SGL epoch 1; both must
@@ -181,8 +222,14 @@ fn nan_gradient_triggers_rollback_and_still_converges() {
             FaultKind::NanGradient { batch: 0 },
         )
         .with(PipelinePhase::Sgl, 1, FaultKind::NanGradient { batch: 1 });
-    let (rep, snn) = run_pipeline_recoverable_with_faults(
-        &mut dnn, &train, &test, &pcfg, &rcfg, &mut rng, &mut plan,
+    let (rep, snn) = run_or_resume_pipeline(
+        &mut dnn,
+        &train,
+        &test,
+        &pcfg,
+        dir.path(),
+        &mut rng,
+        &mut plan,
     )
     .expect("pipeline must recover from injected NaNs");
     assert_eq!(plan.pending(), 0, "both faults must have fired");
@@ -210,19 +257,31 @@ fn corrupted_newest_checkpoint_is_skipped_on_resume() {
     // Reference: uninterrupted run.
     let mut dnn_ref = dnn0.clone();
     let dir_ref = test_dir("corrupt_ref");
-    let rcfg_ref = RecoveryConfig::new(dir_ref.path());
     let mut rng = seeded_rng(12);
-    let (_, snn_ref) =
-        run_pipeline_recoverable(&mut dnn_ref, &train, &test, &pcfg, &rcfg_ref, &mut rng).unwrap();
+    let (_, snn_ref) = run_or_resume_pipeline(
+        &mut dnn_ref,
+        &train,
+        &test,
+        &pcfg,
+        dir_ref.path(),
+        &mut rng,
+        &mut clean(),
+    )
+    .unwrap();
 
     // Crash that corrupts the newest checkpoint after committing it.
     let dir = test_dir("corrupt");
-    let rcfg = RecoveryConfig::new(dir.path());
     let mut dnn = dnn0.clone();
     let mut rng = seeded_rng(12);
     let mut plan = FaultPlan::none().with(PipelinePhase::DnnTrain, 2, FaultKind::CorruptCheckpoint);
-    let err = run_pipeline_recoverable_with_faults(
-        &mut dnn, &train, &test, &pcfg, &rcfg, &mut rng, &mut plan,
+    let err = run_or_resume_pipeline(
+        &mut dnn,
+        &train,
+        &test,
+        &pcfg,
+        dir.path(),
+        &mut rng,
+        &mut plan,
     )
     .unwrap_err();
     assert!(matches!(err, PipelineError::SimulatedCrash { .. }));
@@ -231,8 +290,16 @@ fn corrupted_newest_checkpoint_is_skipped_on_resume() {
     // checkpoint, and still finish bit-identically.
     let mut dnn = models::vgg_micro(4, 8, 0.5, 999);
     let mut rng = seeded_rng(999);
-    let (_, snn) = resume_pipeline(&mut dnn, &train, &test, &pcfg, &rcfg, &mut rng)
-        .expect("resume must survive a corrupted newest checkpoint");
+    let (_, snn) = run_or_resume_pipeline(
+        &mut dnn,
+        &train,
+        &test,
+        &pcfg,
+        dir.path(),
+        &mut rng,
+        &mut clean(),
+    )
+    .expect("resume must survive a corrupted newest checkpoint");
     assert_eq!(snn_bits(&snn_ref), snn_bits(&snn));
 }
 
@@ -241,23 +308,28 @@ fn retry_budget_exhaustion_surfaces_diverged() {
     let (train, test, dnn0, pcfg) = fixture();
 
     let dir = test_dir("diverged");
-    let mut rcfg = RecoveryConfig::new(dir.path());
-    rcfg.max_retries = 2;
     let mut dnn = dnn0.clone();
     let mut rng = seeded_rng(12);
-    // The same epoch fails on the first attempt and on both retries.
+    // The same epoch fails on the first attempt and on all three retries.
     let mut plan = FaultPlan::none();
-    for _ in 0..3 {
+    for _ in 0..4 {
         plan = plan.with(
             PipelinePhase::DnnTrain,
             1,
             FaultKind::NanGradient { batch: 0 },
         );
     }
-    let err = run_pipeline_recoverable_with_faults(
-        &mut dnn, &train, &test, &pcfg, &rcfg, &mut rng, &mut plan,
+    let err = run_or_resume_pipeline(
+        &mut dnn,
+        &train,
+        &test,
+        &pcfg,
+        dir.path(),
+        &mut rng,
+        &mut plan,
     )
     .unwrap_err();
+    assert_eq!(plan.pending(), 0, "every fault must have fired");
     match err {
         PipelineError::Train(TrainError::Diverged {
             phase,
@@ -266,7 +338,7 @@ fn retry_budget_exhaustion_surfaces_diverged() {
         }) => {
             assert_eq!(phase, "dnn-train");
             assert_eq!(epoch, 1);
-            assert_eq!(retries, 2);
+            assert_eq!(retries, 3);
         }
         other => panic!("expected Diverged, got {other}"),
     }
@@ -289,29 +361,26 @@ fn keep_last_prunes_checkpoint_directory() {
     pcfg.dnn_epochs = 3;
     pcfg.snn_epochs = 2;
 
-    // keep_last = 2: only the two newest checkpoints survive a full run.
-    let dir = test_dir("keep_last_2");
-    let mut rcfg = RecoveryConfig::new(dir.path());
-    rcfg.keep_last = 2;
+    // Only the three newest checkpoints survive a full run.
+    let dir = test_dir("keep_last");
     let mut dnn = dnn0.clone();
     let mut rng = seeded_rng(12);
-    run_pipeline_recoverable(&mut dnn, &train, &test, &pcfg, &rcfg, &mut rng).unwrap();
+    run_or_resume_pipeline(
+        &mut dnn,
+        &train,
+        &test,
+        &pcfg,
+        dir.path(),
+        &mut rng,
+        &mut clean(),
+    )
+    .unwrap();
     let files = checkpoint_files(dir.path());
-    assert_eq!(files.len(), 2, "{files:?}");
+    assert_eq!(files.len(), 3, "{files:?}");
     // The newest survivor must still load as a valid pipeline checkpoint.
     let (_, meta, path) = ull_nn::load_latest::<PipelineCheckpoint>(dir.path()).unwrap();
     assert_eq!(Some(path.as_path()), files.last().map(|p| p.as_path()));
     assert_eq!(meta.phase, "sgl", "newest checkpoint is from the SGL phase");
-
-    // keep_last = 0 is clamped: at least one checkpoint is always kept,
-    // otherwise a crash right after pruning would lose the whole run.
-    let dir0 = test_dir("keep_last_0");
-    let mut rcfg0 = RecoveryConfig::new(dir0.path());
-    rcfg0.keep_last = 0;
-    let mut dnn = dnn0.clone();
-    let mut rng = seeded_rng(12);
-    run_pipeline_recoverable(&mut dnn, &train, &test, &pcfg, &rcfg0, &mut rng).unwrap();
-    assert_eq!(checkpoint_files(dir0.path()).len(), 1);
 }
 
 #[test]
@@ -323,7 +392,6 @@ fn faulted_recovery_is_thread_invariant() {
     let run = |threads: usize, name: &str| {
         parallel::set_threads(threads);
         let dir = test_dir(name);
-        let rcfg = RecoveryConfig::new(dir.path());
         let mut dnn = dnn0.clone();
         let mut rng = seeded_rng(12);
         let mut plan = FaultPlan::none()
@@ -333,8 +401,14 @@ fn faulted_recovery_is_thread_invariant() {
                 FaultKind::NanGradient { batch: 0 },
             )
             .with(PipelinePhase::Sgl, 1, FaultKind::NanGradient { batch: 1 });
-        let (rep, snn) = run_pipeline_recoverable_with_faults(
-            &mut dnn, &train, &test, &pcfg, &rcfg, &mut rng, &mut plan,
+        let (rep, snn) = run_or_resume_pipeline(
+            &mut dnn,
+            &train,
+            &test,
+            &pcfg,
+            dir.path(),
+            &mut rng,
+            &mut plan,
         )
         .expect("pipeline must recover from injected NaNs");
         assert_eq!(plan.pending(), 0, "both faults must have fired");
@@ -355,8 +429,6 @@ fn recurring_fault_schedule_exhausts_retries_to_diverged() {
     // flaky-hardware scenario one-shot points cannot express.
     let (train, test, dnn0, pcfg) = fixture();
     let dir = test_dir("recurring_diverged");
-    let mut rcfg = RecoveryConfig::new(dir.path());
-    rcfg.max_retries = 1;
     let mut dnn = dnn0.clone();
     let mut rng = seeded_rng(12);
     let mut plan = FaultPlan::none().with_recurring(
@@ -367,8 +439,14 @@ fn recurring_fault_schedule_exhausts_retries_to_diverged() {
         },
         FaultKind::NanGradient { batch: 0 },
     );
-    let err = run_pipeline_recoverable_with_faults(
-        &mut dnn, &train, &test, &pcfg, &rcfg, &mut rng, &mut plan,
+    let err = run_or_resume_pipeline(
+        &mut dnn,
+        &train,
+        &test,
+        &pcfg,
+        dir.path(),
+        &mut rng,
+        &mut plan,
     )
     .unwrap_err();
     match err {
@@ -379,7 +457,7 @@ fn recurring_fault_schedule_exhausts_retries_to_diverged() {
         }) => {
             assert_eq!(phase, "dnn-train");
             assert_eq!(epoch, 2);
-            assert_eq!(retries, 1);
+            assert_eq!(retries, 3);
         }
         other => panic!("expected Diverged, got {other}"),
     }
@@ -390,8 +468,24 @@ fn recurring_fault_schedule_exhausts_retries_to_diverged() {
 fn resume_rejects_nan_poisoned_checkpoint() {
     // Regression: a checkpoint holding non-finite weights must not resume.
     // The NaN survives the checksum (it was faithfully written), so only
-    // payload validation stands between it and the training loop.
+    // payload validation stands between it and the training loop. With
+    // nothing valid to resume, the run starts fresh, deletes the rejected
+    // file and ends exactly as a run in an empty directory.
     let (train, test, dnn0, pcfg) = fixture();
+    let dir_ref = test_dir("poisoned_ref");
+    let mut dnn_ref = dnn0.clone();
+    let mut rng = seeded_rng(12);
+    let (rep_ref, snn_ref) = run_or_resume_pipeline(
+        &mut dnn_ref,
+        &train,
+        &test,
+        &pcfg,
+        dir_ref.path(),
+        &mut rng,
+        &mut clean(),
+    )
+    .unwrap();
+
     let dir = test_dir("poisoned_resume");
     let mut bad = dnn0.clone();
     bad.visit_params_mut(|p| p.value.data_mut()[0] = f32::NAN);
@@ -415,25 +509,33 @@ fn resume_rejects_nan_poisoned_checkpoint() {
         epoch: 1,
         rng_state: [1, 2, 3, 4],
     };
-    ull_nn::save_with_meta(&ckpt, &meta, dir.path().join("ckpt-0-00001.json")).unwrap();
+    // Named to sort after every commit of the run, so pruning by name
+    // alone would keep it and delete the run's own newest commits.
+    let poisoned = dir.path().join("ckpt-1-99999.json");
+    ull_nn::save_with_meta(&ckpt, &meta, &poisoned).unwrap();
+
+    let reg = ull_obs::Registry::new();
     let mut dnn = dnn0.clone();
-    let mut rng = seeded_rng(5);
-    let err = resume_pipeline(
-        &mut dnn,
-        &train,
-        &test,
-        &pcfg,
-        &RecoveryConfig::new(dir.path()),
-        &mut rng,
-    )
-    .unwrap_err();
-    assert!(
-        matches!(
-            err,
-            PipelineError::Checkpoint(CheckpointError::NoValidCheckpoint { rejected: 1, .. })
-        ),
-        "{err:?}"
-    );
+    let mut rng = seeded_rng(12);
+    let (rep, snn) = ull_obs::with_registry(&reg, || {
+        run_or_resume_pipeline(
+            &mut dnn,
+            &train,
+            &test,
+            &pcfg,
+            dir.path(),
+            &mut rng,
+            &mut clean(),
+        )
+    })
+    .unwrap();
+    assert_eq!(resumes(&reg), 0, "a poisoned checkpoint must not resume");
+    assert_eq!(rep_ref.snn_accuracy.to_bits(), rep.snn_accuracy.to_bits());
+    assert_eq!(dnn_bits(&dnn_ref), dnn_bits(&dnn));
+    assert_eq!(snn_bits(&snn_ref), snn_bits(&snn));
+    let files = checkpoint_files(dir.path());
+    assert_eq!(files.len(), 3, "{files:?}");
+    assert!(!files.contains(&poisoned), "{files:?}");
 }
 
 #[test]
@@ -441,30 +543,44 @@ fn run_or_resume_starts_fresh_then_resumes() {
     let (train, test, dnn0, pcfg) = fixture();
 
     let dir = test_dir("run_or_resume");
-    let rcfg = RecoveryConfig::new(dir.path());
-    // Empty directory: starts fresh (and would error if it tried to resume).
+    // Empty directory: starts fresh.
     let mut dnn = dnn0.clone();
     let mut rng = seeded_rng(12);
     let mut plan = FaultPlan::none().with(PipelinePhase::Sgl, 0, FaultKind::CrashBeforeCommit);
-    let err = run_pipeline_recoverable_with_faults(
-        &mut dnn, &train, &test, &pcfg, &rcfg, &mut rng, &mut plan,
+    let err = run_or_resume_pipeline(
+        &mut dnn,
+        &train,
+        &test,
+        &pcfg,
+        dir.path(),
+        &mut rng,
+        &mut plan,
     )
     .unwrap_err();
     assert!(matches!(err, PipelineError::SimulatedCrash { .. }));
 
     // Now the directory has checkpoints: run_or_resume must pick them up
     // (the stale network/RNG below would otherwise change the result).
+    let reg = ull_obs::Registry::new();
     let mut dnn = models::vgg_micro(4, 8, 0.5, 31);
     let mut rng = seeded_rng(31);
-    let (rep, _snn) =
-        run_or_resume_pipeline(&mut dnn, &train, &test, &pcfg, &rcfg, &mut rng).unwrap();
+    let (rep, _snn) = ull_obs::with_registry(&reg, || {
+        run_or_resume_pipeline(
+            &mut dnn,
+            &train,
+            &test,
+            &pcfg,
+            dir.path(),
+            &mut rng,
+            &mut clean(),
+        )
+    })
+    .unwrap();
+    assert_eq!(resumes(&reg), 1);
 
     // Same as an uninterrupted reference run.
     let mut dnn_ref = dnn0.clone();
-    let dir_ref = test_dir("run_or_resume_ref");
-    let rcfg_ref = RecoveryConfig::new(dir_ref.path());
     let mut rng = seeded_rng(12);
-    let (rep_ref, _) =
-        run_pipeline_recoverable(&mut dnn_ref, &train, &test, &pcfg, &rcfg_ref, &mut rng).unwrap();
+    let (rep_ref, _) = run_pipeline(&mut dnn_ref, &train, &test, &pcfg, &mut rng).unwrap();
     assert_eq!(rep_ref.snn_accuracy.to_bits(), rep.snn_accuracy.to_bits());
 }

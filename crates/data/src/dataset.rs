@@ -93,7 +93,7 @@ impl Dataset {
     /// # Panics
     ///
     /// Panics if the dataset is empty.
-    pub fn image_shape(&self) -> &[usize] {
+    pub(crate) fn image_shape(&self) -> &[usize] {
         self.images
             .first()
             .expect("image_shape of empty dataset")
@@ -128,7 +128,7 @@ impl Dataset {
     /// # Panics
     ///
     /// Panics if the dataset is empty.
-    pub fn channel_stats(&self) -> ChannelStats {
+    pub(crate) fn channel_stats(&self) -> ChannelStats {
         assert!(!self.is_empty(), "channel_stats of empty dataset");
         let shape = self.image_shape();
         let plane = shape[1] * shape[2];
@@ -156,7 +156,7 @@ impl Dataset {
     }
 
     /// Standardises every image in place with the given statistics.
-    pub fn standardize(&mut self, stats: &ChannelStats) {
+    pub(crate) fn standardize(&mut self, stats: &ChannelStats) {
         if self.is_empty() {
             return;
         }

@@ -29,7 +29,7 @@ impl EnergyModel {
 
     /// Inference energy of an SNN (first-layer MACs + spike-driven ACs),
     /// in pJ per image.
-    pub fn snn_energy_pj(&self, audit: &SnnAudit) -> f64 {
+    pub(crate) fn snn_energy_pj(&self, audit: &SnnAudit) -> f64 {
         audit.total_macs as f64 * self.e_mac_pj + audit.total_acs as f64 * self.e_ac_pj
     }
 }

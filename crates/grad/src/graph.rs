@@ -15,7 +15,6 @@ enum Op {
     Scale(Var, f32),
     AddScalar(Var),
     Matmul(Var, Var),
-    AddBiasRows(Var, Var),
     Relu(Var),
     /// `clip(x, 0, mu)` with a trainable scalar threshold `mu` (Eq. 1).
     ClipThreshold(Var, Var),
@@ -120,26 +119,6 @@ impl Graph {
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let v = matmul(&self.nodes[a.0].value, &self.nodes[b.0].value);
         self.push(v, Op::Matmul(a, b))
-    }
-
-    /// Adds a `[n]` bias node to every row of an `[m, n]` node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes are incompatible.
-    pub fn add_bias_rows(&mut self, x: Var, b: Var) -> Var {
-        let xv = &self.nodes[x.0].value;
-        let bv = &self.nodes[b.0].value;
-        assert_eq!(xv.rank(), 2, "add_bias_rows expects a rank-2 lhs");
-        let n = xv.shape()[1];
-        assert_eq!(bv.shape(), &[n], "bias must have shape [{n}]");
-        let mut out = xv.clone();
-        for row in out.data_mut().chunks_mut(n) {
-            for (o, &bb) in row.iter_mut().zip(bv.data()) {
-                *o += bb;
-            }
-        }
-        self.push(out, Op::AddBiasRows(x, b))
     }
 
     /// Elementwise ReLU.
@@ -300,11 +279,6 @@ impl Graph {
                     self.nodes[a.0].grad.add_assign(&da);
                     self.nodes[b.0].grad.add_assign(&db);
                 }
-                &Op::AddBiasRows(x, b) => {
-                    self.nodes[x.0].grad.add_assign(&g);
-                    let db = g.sum_rows();
-                    self.nodes[b.0].grad.add_assign(&db);
-                }
                 &Op::Relu(a) => {
                     let mask = self.nodes[a.0]
                         .value
@@ -445,17 +419,6 @@ mod tests {
         for (x, y) in g.grad(a).data().iter().zip(expect_da.data()) {
             assert!((x - y).abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn bias_gradient_sums_rows() {
-        let mut g = Graph::new();
-        let x = g.input(Tensor::zeros(&[3, 2]));
-        let b = g.input(Tensor::from_slice(&[1.0, -1.0]));
-        let y = g.add_bias_rows(x, b);
-        let s = g.sum(y);
-        g.backward(s);
-        assert_eq!(g.grad(b).data(), &[3.0, 3.0]);
     }
 
     #[test]

@@ -34,7 +34,6 @@
 
 mod checkpoint;
 mod loss;
-mod metrics;
 mod network;
 mod optim;
 mod param;
@@ -47,7 +46,6 @@ pub use checkpoint::{
     CheckpointMeta, ValidatePayload, CHECKPOINT_EXT, FORMAT_VERSION,
 };
 pub use loss::{cross_entropy_grad, cross_entropy_loss};
-pub use metrics::{top_k_accuracy, ConfusionMatrix};
 pub use network::{Network, NetworkBuilder, NodeId, NodeOp, TapeEntry};
 pub use optim::{clip_grads, LrSchedule, Sgd, SgdConfig};
 pub use param::Param;

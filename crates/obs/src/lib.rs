@@ -494,18 +494,6 @@ pub fn gauge_set_indexed(key: &str, index: usize, value: u64) {
     gauge_set(&format!("{key}.{index}"), value);
 }
 
-/// Emits a point-in-time marker into the trace (phase boundaries,
-/// recovery events). No in-memory aggregate.
-#[inline]
-pub fn mark(label: &str) {
-    record(|reg| {
-        reg.write_trace(&TraceEvent::Mark {
-            label: label.to_string(),
-            at_us: reg.micros_since_epoch(Instant::now()),
-        });
-    });
-}
-
 // ---------------------------------------------------------------------------
 // Histograms
 // ---------------------------------------------------------------------------
@@ -530,7 +518,7 @@ pub fn hist_bucket_index(value: u64) -> usize {
 /// Inclusive upper bound of bucket `index`: 0 for bucket 0, else
 /// `2^index - 1` (saturating at `u64::MAX` for the top bucket).
 #[inline]
-pub fn hist_bucket_bound(index: usize) -> u64 {
+fn hist_bucket_bound(index: usize) -> u64 {
     if index == 0 {
         0
     } else if index >= 64 {
@@ -690,13 +678,6 @@ pub enum TraceEvent {
         key: String,
         /// New value.
         value: u64,
-    },
-    /// A point-in-time marker.
-    Mark {
-        /// Marker label.
-        label: String,
-        /// Microseconds since the process trace epoch.
-        at_us: u64,
     },
     /// A histogram observation.
     Hist {
@@ -925,7 +906,6 @@ mod tests {
                 let _g = span("traced");
                 counter_add("c", 1);
                 gauge_set("g", 2);
-                mark("phase");
                 histogram_record("h", 42);
             }
             close_trace();
@@ -945,9 +925,6 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, TraceEvent::Gauge { key, value: 2 } if key == "g")));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Mark { label, .. } if label == "phase")));
         assert!(events
             .iter()
             .any(|e| matches!(e, TraceEvent::Hist { key, value: 42, .. } if key == "h")));

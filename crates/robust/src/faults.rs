@@ -124,7 +124,7 @@ impl InferenceFault {
 
     /// Rebuilds the fault with a new scalar intensity — the sweep harness
     /// uses this to trace a degradation curve for one fault family.
-    pub fn with_intensity(&self, x: f64) -> InferenceFault {
+    pub(crate) fn with_intensity(&self, x: f64) -> InferenceFault {
         match self {
             InferenceFault::WeightBitFlip { .. } => InferenceFault::WeightBitFlip { ber: x },
             InferenceFault::ThresholdBitFlip { .. } => InferenceFault::ThresholdBitFlip { ber: x },
@@ -163,11 +163,6 @@ impl FaultConfig {
     pub fn with(mut self, fault: InferenceFault) -> Self {
         self.faults.push(fault);
         self
-    }
-
-    /// True if no fault has a non-zero intensity.
-    pub fn is_clean(&self) -> bool {
-        self.faults.iter().all(|f| f.intensity() == 0.0)
     }
 }
 
@@ -523,7 +518,6 @@ mod tests {
             .with(InferenceFault::WeightBitFlip { ber: 0.0 })
             .with(InferenceFault::SpikeDelete { rate: 0.0 })
             .with(InferenceFault::InputNoise { sigma: 0.0 });
-        assert!(cfg.is_clean());
         let faulted = FaultedNetwork::new(&snn, &cfg);
         let clean = snn.forward(&x, 2);
         let wrapped = faulted.forward(&x, 2, 0);

@@ -17,9 +17,9 @@
 //! * a worker panic that exhausted its retries,
 //! * graceful drain (so every run ends with a final context file).
 //!
-//! Disabled (no recording, no writes) unless
-//! [`BlackboxConfig::dir`](crate::config::BlackboxConfig) is set —
-//! benches arm it via `ULL_BLACKBOX_DIR`.
+//! Disabled (no recording, no writes) unless the caller sets
+//! [`BlackboxConfig::dir`](crate::config::BlackboxConfig); no
+//! environment variable arms it.
 
 use std::collections::VecDeque;
 use std::fs;
@@ -37,7 +37,7 @@ use crate::engine::ServeEvent;
 /// layout changes.
 pub const BLACKBOX_FORMAT_VERSION: u32 = 1;
 
-/// One incident dump as written to `ULL_BLACKBOX_DIR`.
+/// One incident dump as written to `BlackboxConfig::dir`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BlackboxDump {
     /// Layout version ([`BLACKBOX_FORMAT_VERSION`]).

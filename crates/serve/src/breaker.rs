@@ -24,12 +24,17 @@
 //! doubled (jittered, capped) quarantine.
 //!
 //! The clock is injected as plain milliseconds so every transition is
-//! unit-testable without sleeping, and the jitter derives from
-//! [`ull_tensor::init::mix64`] so two runs with the same seed quarantine
-//! for identical durations.
+//! unit-testable without sleeping, and the quarantine is the retry
+//! dialer's jittered backoff ([`crate::retry`]), so two runs with the same
+//! seed quarantine for identical durations.
 
 use serde::{Deserialize, Serialize};
-use ull_tensor::init::mix64;
+
+use crate::retry::jittered_backoff_ms;
+
+/// Consecutive watchdog excursions before a replica's breaker trips (the
+/// K of the soak gate).
+pub const BREAKER_THRESHOLD: usize = 3;
 
 /// Observable breaker state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -166,22 +171,9 @@ impl CircuitBreaker {
         self.reopen_at_ms = 0;
     }
 
-    /// Jittered exponential quarantine for the given re-open streak:
-    /// `base · 2^(streak-1)` capped at `max`, scaled by a deterministic
-    /// jitter factor in `[0.5, 1.0]`.
+    /// Jittered exponential quarantine for the given re-open streak.
     fn quarantine_ms(&self, streak: u32) -> u64 {
-        let exp = self
-            .base_ms
-            .saturating_mul(
-                1u64.checked_shl(streak.saturating_sub(1))
-                    .unwrap_or(u64::MAX),
-            )
-            .min(self.max_ms);
-        let jitter = mix64(self.seed, &[u64::from(streak)]);
-        // Map the hash to [0.5, 1.0) and scale; floor at 1 ms so a tiny
-        // base never rounds the quarantine away entirely.
-        let frac = 0.5 + (jitter >> 11) as f64 / (1u64 << 53) as f64 / 2.0;
-        ((exp as f64 * frac) as u64).max(1)
+        jittered_backoff_ms(self.base_ms, self.max_ms, self.seed, streak)
     }
 }
 

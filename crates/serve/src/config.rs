@@ -9,12 +9,12 @@ use serde::{Deserialize, Serialize};
 /// Tunables for the model-lifecycle subsystem (`lifecycle.rs`): manifest
 /// polling, deterministic canary, promotion gates and quarantine.
 ///
-/// The lifecycle is **disabled** unless `model_dir` is set — the default
-/// config serves exactly like a pre-lifecycle build.
+/// The lifecycle is **disabled** unless the caller sets `model_dir` — the
+/// default config serves exactly like a pre-lifecycle build.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LifecycleConfig {
-    /// Directory polled for the reload manifest (`ULL_MODEL_DIR`).
-    /// `None` disables the lifecycle entirely.
+    /// Directory polled for the reload manifest. `None` disables the
+    /// lifecycle entirely; no environment variable sets it.
     pub model_dir: Option<String>,
     /// Poll the manifest every N executed batches. Batch-serial driven —
     /// never wall-clock — so reload timing is reproducible for a given
@@ -23,18 +23,13 @@ pub struct LifecycleConfig {
     /// Fraction of batches mirrored to the candidate during canary,
     /// chosen by `mix64` over the batch serial.
     pub canary_fraction: f64,
-    /// Canary batches required before the candidate may be promoted.
+    /// Canary batches required before the candidate may be promoted;
+    /// top-1 agreement is measured over a sliding window of this many
+    /// canary batches.
     pub canary_min_batches: usize,
-    /// Sliding window (in canary batches) over which top-1 agreement is
-    /// measured.
-    pub canary_window: usize,
     /// Cumulative candidate watchdog excursions that trigger rollback
     /// (the K of the acceptance gate).
     pub excursion_limit: usize,
-    /// Minimum windowed top-1 agreement with the incumbent required for
-    /// promotion; measured agreement below this at the promotion gate
-    /// triggers rollback instead.
-    pub agreement_threshold: f64,
 }
 
 impl Default for LifecycleConfig {
@@ -44,26 +39,12 @@ impl Default for LifecycleConfig {
             poll_every_batches: 8,
             canary_fraction: 0.5,
             canary_min_batches: 12,
-            canary_window: 12,
             excursion_limit: 3,
-            agreement_threshold: 0.9,
         }
     }
 }
 
 impl LifecycleConfig {
-    /// Default config with `model_dir` taken from `ULL_MODEL_DIR` (the
-    /// lifecycle stays disabled when the variable is unset or empty).
-    pub fn from_env() -> Self {
-        let model_dir = std::env::var("ULL_MODEL_DIR")
-            .ok()
-            .filter(|v| !v.trim().is_empty());
-        LifecycleConfig {
-            model_dir,
-            ..LifecycleConfig::default()
-        }
-    }
-
     /// Whether the lifecycle subsystem is armed.
     pub fn enabled(&self) -> bool {
         self.model_dir.is_some()
@@ -84,17 +65,11 @@ impl LifecycleConfig {
                 self.canary_fraction
             ));
         }
-        if self.canary_min_batches == 0 || self.canary_window == 0 {
-            problems.push("lifecycle canary batches/window must be at least 1".to_string());
+        if self.canary_min_batches == 0 {
+            problems.push("lifecycle.canary_min_batches must be at least 1".to_string());
         }
         if self.excursion_limit == 0 {
             problems.push("lifecycle.excursion_limit must be at least 1".to_string());
-        }
-        if !(0.0..=1.0).contains(&self.agreement_threshold) {
-            problems.push(format!(
-                "lifecycle.agreement_threshold must be in [0, 1], got {}",
-                self.agreement_threshold
-            ));
         }
     }
 }
@@ -102,14 +77,14 @@ impl LifecycleConfig {
 /// Tunables for the flight recorder (`blackbox.rs`): a bounded ring of
 /// recent [`ServeEvent`]s dumped to disk on incidents.
 ///
-/// Disabled unless `dir` is set — the default config records nothing
-/// and writes nothing.
+/// Disabled unless the caller sets `dir` — the default config records
+/// nothing and writes nothing.
 ///
 /// [`ServeEvent`]: crate::engine::ServeEvent
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BlackboxConfig {
-    /// Directory incident dumps are written to (`ULL_BLACKBOX_DIR`).
-    /// `None` disables the flight recorder entirely.
+    /// Directory incident dumps are written to. `None` disables the
+    /// flight recorder entirely; no environment variable sets it.
     pub dir: Option<String>,
     /// Ring capacity: how many recent events a dump can contain.
     pub capacity: usize,
@@ -125,18 +100,6 @@ impl Default for BlackboxConfig {
 }
 
 impl BlackboxConfig {
-    /// Default config with `dir` taken from `ULL_BLACKBOX_DIR` (the
-    /// recorder stays disabled when the variable is unset or empty).
-    pub fn from_env() -> Self {
-        let dir = std::env::var("ULL_BLACKBOX_DIR")
-            .ok()
-            .filter(|v| !v.trim().is_empty());
-        BlackboxConfig {
-            dir,
-            ..BlackboxConfig::default()
-        }
-    }
-
     /// Whether the flight recorder is armed.
     pub fn enabled(&self) -> bool {
         self.dir.is_some()
@@ -182,13 +145,6 @@ pub struct ServeConfig {
     pub est_full_ms: u64,
     /// Estimated wall-clock cost of a reduced-T batch.
     pub est_reduced_ms: u64,
-    /// Queue depth at or above which the ladder drops from `Full` to
-    /// `Anytime`.
-    pub anytime_depth: usize,
-    /// Queue depth at or above which the ladder drops to `Reduced`.
-    pub reduced_depth: usize,
-    /// Consecutive watchdog excursions before a replica's breaker trips.
-    pub breaker_threshold: usize,
     /// Base quarantine duration for a tripped breaker, in milliseconds;
     /// doubles (with jitter) on every failed half-open probe.
     pub backoff_base_ms: u64,
@@ -224,9 +180,6 @@ impl Default for ServeConfig {
             default_deadline_ms: 1_000,
             est_full_ms: 50,
             est_reduced_ms: 20,
-            anytime_depth: 16,
-            reduced_depth: 32,
-            breaker_threshold: 3,
             backoff_base_ms: 100,
             backoff_max_ms: 10_000,
             backoff_seed: 0x5e12_7e00,
@@ -262,15 +215,6 @@ impl ServeConfig {
         if self.max_batch == 0 {
             problems.push("max_batch must be at least 1".to_string());
         }
-        if self.anytime_depth > self.reduced_depth {
-            problems.push(format!(
-                "ladder thresholds must be ordered: anytime_depth {} > reduced_depth {}",
-                self.anytime_depth, self.reduced_depth
-            ));
-        }
-        if self.breaker_threshold == 0 {
-            problems.push("breaker_threshold must be at least 1".to_string());
-        }
         if self.backoff_base_ms == 0 || self.backoff_max_ms < self.backoff_base_ms {
             problems.push(format!(
                 "backoff must satisfy 0 < base <= max, got base {} max {}",
@@ -287,7 +231,7 @@ impl ServeConfig {
     }
 
     /// Number of f32 elements one sample must carry.
-    pub fn sample_volume(&self) -> usize {
+    pub(crate) fn sample_volume(&self) -> usize {
         self.input_shape.iter().product()
     }
 }
@@ -306,13 +250,11 @@ mod tests {
         let cfg = ServeConfig {
             t_reduced: 9,
             workers: 0,
-            anytime_depth: 50,
-            reduced_depth: 10,
             backoff_base_ms: 0,
             ..ServeConfig::default()
         };
         let err = cfg.validate().unwrap_err();
-        for needle in ["t_reduced", "workers", "ladder thresholds", "backoff"] {
+        for needle in ["t_reduced", "workers", "backoff"] {
             assert!(err.contains(needle), "missing `{needle}` in: {err}");
         }
     }
@@ -350,8 +292,9 @@ mod tests {
         assert!(!back.lifecycle.enabled());
 
         // The config block of `BENCH_serve.json`, recorded while the
-        // canary seed, target replica and envelope margins were still
-        // lifecycle fields: they are ignored on load.
+        // ladder depths, breaker threshold, canary window and seed,
+        // agreement threshold, target replica and envelope margins were
+        // still fields: they are ignored on load.
         let recorded = r#"{
             "input_shape": [3, 16, 16], "t_full": 4, "t_reduced": 2,
             "workers": 2, "queue_capacity": 64, "max_batch": 4,

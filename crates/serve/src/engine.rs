@@ -46,7 +46,7 @@ use ull_snn::SnnNetwork;
 use ull_tensor::Tensor;
 
 use crate::blackbox::FlightRecorder;
-use crate::breaker::{BreakerState, CircuitBreaker};
+use crate::breaker::{BreakerState, CircuitBreaker, BREAKER_THRESHOLD};
 use crate::config::ServeConfig;
 use crate::lifecycle::{LifecycleEvent, LifecycleManager, LifecycleTransition};
 use crate::protocol::RungLabel;
@@ -203,7 +203,7 @@ impl Engine {
             .iter()
             .map(|_| {
                 Mutex::new(CircuitBreaker::new(
-                    cfg.breaker_threshold,
+                    BREAKER_THRESHOLD,
                     cfg.backoff_base_ms,
                     cfg.backoff_max_ms,
                     cfg.backoff_seed,
@@ -266,7 +266,7 @@ impl Engine {
     /// plus any chaos skew from [`chaos_advance_clock`].
     ///
     /// [`chaos_advance_clock`]: Self::chaos_advance_clock
-    pub fn now_ms(&self) -> u64 {
+    pub(crate) fn now_ms(&self) -> u64 {
         self.started.elapsed().as_millis() as u64 + self.clock_skew_ms.load(Ordering::SeqCst)
     }
 
@@ -297,7 +297,7 @@ impl Engine {
     }
 
     /// Replica names, in routing-preference order.
-    pub fn replica_names(&self) -> Vec<String> {
+    pub(crate) fn replica_names(&self) -> Vec<String> {
         self.replicas.iter().map(|r| r.name.clone()).collect()
     }
 
@@ -333,7 +333,7 @@ impl Engine {
 
     /// Writes a flight-recorder incident dump now (no-op unless
     /// `cfg.blackbox.dir` is set). Returns the dump path when written.
-    pub fn flight_dump(&self, reason: &str) -> Option<std::path::PathBuf> {
+    pub(crate) fn flight_dump(&self, reason: &str) -> Option<std::path::PathBuf> {
         self.recorder
             .dump(reason, self.now_ms(), &self.breaker_states())
     }
@@ -375,7 +375,7 @@ impl Engine {
     /// model (the lifecycle keeps it as the rollback target until the
     /// swap is verified). The replica's breaker is reset: the new model
     /// must not inherit the old model's excursion history.
-    pub fn swap_model(&self, replica: usize, model: ReplicaModel) -> ReplicaModel {
+    pub(crate) fn swap_model(&self, replica: usize, model: ReplicaModel) -> ReplicaModel {
         model.net.prepack();
         let old = {
             let mut slot = self.replicas[replica]
@@ -391,7 +391,7 @@ impl Engine {
     /// Runs `x` for `t` steps on whatever model `replica` is serving
     /// right now, without watchdog, breaker or event bookkeeping — the
     /// lifecycle's post-swap verification path.
-    pub fn forward_serving(&self, replica: usize, x: &Tensor, t: usize) -> Tensor {
+    pub(crate) fn forward_serving(&self, replica: usize, x: &Tensor, t: usize) -> Tensor {
         let model = self.replicas[replica]
             .model
             .read()
@@ -526,31 +526,17 @@ impl Engine {
             .unwrap_or_else(|e| e.into_inner());
         let batch = x.shape()[0];
         match rung {
-            RungLabel::Full => {
-                let out = model.net.forward(x, self.cfg.t_full);
-                let healthy = match &model.envelope_full {
-                    Some(env) => env.check(&out.stats.report()).is_empty(),
-                    None => true,
+            RungLabel::Full | RungLabel::Reduced => {
+                let (t, envelope) = if rung == RungLabel::Full {
+                    (self.cfg.t_full, &model.envelope_full)
+                } else {
+                    (self.cfg.t_reduced, &model.envelope_reduced)
                 };
-                (
-                    out.logits,
-                    vec![self.cfg.t_full; batch],
-                    model.version,
-                    healthy,
-                )
-            }
-            RungLabel::Reduced => {
-                let out = model.net.forward(x, self.cfg.t_reduced);
-                let healthy = match &model.envelope_reduced {
-                    Some(env) => env.check(&out.stats.report()).is_empty(),
-                    None => true,
-                };
-                (
-                    out.logits,
-                    vec![self.cfg.t_reduced; batch],
-                    model.version,
-                    healthy,
-                )
+                let out = model.net.forward(x, t);
+                let healthy = envelope
+                    .as_ref()
+                    .is_none_or(|env| env.check(&out.stats.report()).is_empty());
+                (out.logits, vec![t; batch], model.version, healthy)
             }
             RungLabel::Anytime => {
                 // Step counts are data-dependent here, so the fixed-T

@@ -17,8 +17,8 @@
 //!
 //! Two pressures push a batch down the ladder and the harsher one wins:
 //!
-//! * **queue depth** at dequeue time — depth ≥ `anytime_depth` drops to
-//!   `Anytime`, depth ≥ `reduced_depth` drops to `Reduced`;
+//! * **queue depth** at dequeue time — depth ≥ 16 (`ANYTIME_DEPTH`) drops
+//!   to `Anytime`, depth ≥ 32 (`REDUCED_DEPTH`) drops to `Reduced`;
 //! * **remaining deadline** of the tightest request in the batch —
 //!   below `est_full_ms` the full rung would blow the deadline, so the
 //!   batch degrades; below `est_reduced_ms` only `Reduced` (whose cost
@@ -32,6 +32,13 @@
 
 use crate::config::ServeConfig;
 use crate::protocol::RungLabel;
+
+/// Queue depth at or above which the ladder drops from `Full` to
+/// `Anytime`.
+const ANYTIME_DEPTH: usize = 16;
+
+/// Queue depth at or above which the ladder drops to `Reduced`.
+const REDUCED_DEPTH: usize = 32;
 
 /// Severity order for rungs (higher = more degraded).
 fn severity(r: RungLabel) -> u8 {
@@ -56,14 +63,14 @@ fn max_rung(a: RungLabel, b: RungLabel) -> RungLabel {
 /// `queue_depth` is the number of requests still waiting *behind* this
 /// batch; `min_remaining_ms` is the smallest remaining deadline among
 /// the batch's requests (`None` when every deadline is comfortably far).
-pub fn choose_rung(
+pub(crate) fn choose_rung(
     cfg: &ServeConfig,
     queue_depth: usize,
     min_remaining_ms: Option<u64>,
 ) -> RungLabel {
-    let depth_rung = if queue_depth >= cfg.reduced_depth {
+    let depth_rung = if queue_depth >= REDUCED_DEPTH {
         RungLabel::Reduced
-    } else if queue_depth >= cfg.anytime_depth {
+    } else if queue_depth >= ANYTIME_DEPTH {
         RungLabel::Anytime
     } else {
         RungLabel::Full
@@ -82,8 +89,6 @@ mod tests {
 
     fn cfg() -> ServeConfig {
         ServeConfig {
-            anytime_depth: 10,
-            reduced_depth: 20,
             est_full_ms: 50,
             est_reduced_ms: 20,
             ..ServeConfig::default()
@@ -93,14 +98,20 @@ mod tests {
     #[test]
     fn idle_queue_with_slack_deadline_serves_full() {
         assert_eq!(choose_rung(&cfg(), 0, None), RungLabel::Full);
-        assert_eq!(choose_rung(&cfg(), 9, Some(1_000)), RungLabel::Full);
+        assert_eq!(
+            choose_rung(&cfg(), ANYTIME_DEPTH - 1, Some(1_000)),
+            RungLabel::Full
+        );
     }
 
     #[test]
     fn queue_depth_pushes_down_the_ladder() {
-        assert_eq!(choose_rung(&cfg(), 10, None), RungLabel::Anytime);
-        assert_eq!(choose_rung(&cfg(), 19, None), RungLabel::Anytime);
-        assert_eq!(choose_rung(&cfg(), 20, None), RungLabel::Reduced);
+        assert_eq!(choose_rung(&cfg(), ANYTIME_DEPTH, None), RungLabel::Anytime);
+        assert_eq!(
+            choose_rung(&cfg(), REDUCED_DEPTH - 1, None),
+            RungLabel::Anytime
+        );
+        assert_eq!(choose_rung(&cfg(), REDUCED_DEPTH, None), RungLabel::Reduced);
         assert_eq!(choose_rung(&cfg(), 500, None), RungLabel::Reduced);
     }
 
@@ -116,10 +127,16 @@ mod tests {
     #[test]
     fn the_harsher_pressure_wins() {
         // Depth says Reduced, deadline says Full → Reduced.
-        assert_eq!(choose_rung(&cfg(), 25, Some(1_000)), RungLabel::Reduced);
+        assert_eq!(
+            choose_rung(&cfg(), REDUCED_DEPTH + 5, Some(1_000)),
+            RungLabel::Reduced
+        );
         // Depth says Full, deadline says Reduced → Reduced.
         assert_eq!(choose_rung(&cfg(), 0, Some(5)), RungLabel::Reduced);
         // Depth says Anytime, deadline says Reduced → Reduced.
-        assert_eq!(choose_rung(&cfg(), 12, Some(5)), RungLabel::Reduced);
+        assert_eq!(
+            choose_rung(&cfg(), ANYTIME_DEPTH + 2, Some(5)),
+            RungLabel::Reduced
+        );
     }
 }

@@ -25,7 +25,8 @@
 //!   [`reconcile`] audits (admitted = served + deadline_exceeded +
 //!   error_replies, and the lifecycle/canary identities);
 //! * a **zero-downtime model lifecycle** ([`lifecycle`], [`manifest`]):
-//!   a manifest polled from `ULL_MODEL_DIR` announces new checkpoint
+//!   a manifest polled from the caller's `lifecycle.model_dir` announces
+//!   new checkpoint
 //!   artifacts, which are checksum-validated, envelope-profiled and
 //!   shadow-canaried on a deterministic fraction of live batches before
 //!   an atomic promote — with watchdog-driven auto-rollback and
@@ -53,19 +54,16 @@ pub mod retry;
 pub mod server;
 
 pub use blackbox::{parse_blackbox, BlackboxDump, FlightRecorder, BLACKBOX_FORMAT_VERSION};
-pub use breaker::{BreakerState, CircuitBreaker};
+pub use breaker::{BreakerState, CircuitBreaker, BREAKER_THRESHOLD};
 pub use config::{BlackboxConfig, LifecycleConfig, ServeConfig};
 pub use engine::{
     rung_steps_key, BatchEvent, BatchResult, Engine, ReplicaModel, ReplicaSpec, ServeEvent,
 };
-pub use ladder::choose_rung;
 pub use lifecycle::{LifecycleEvent, LifecycleManager, LifecycleTransition};
-pub use manifest::{
-    parse_manifest, read_manifest, write_manifest, Manifest, ManifestError, MANIFEST_NAME,
-};
+pub use manifest::{parse_manifest, write_manifest, Manifest, ManifestError, MANIFEST_NAME};
 pub use protocol::{
     read_frame, trace_id, write_control_reply, write_frame, write_reply, ControlReply,
     ControlRequest, FrameError, Reply, Request, RungLabel, MAX_FRAME_LEN,
 };
-pub use retry::{connect_with_retry, retry_with_backoff, RetryPolicy};
+pub use retry::{connect_with_retry, RetryPolicy};
 pub use server::{reconcile, Client, Server};

@@ -29,8 +29,8 @@
 //!    logits over a sliding window.
 //! 3. **Promote or roll back.** K candidate excursions (while the
 //!    incumbent stayed healthy) roll the candidate back immediately;
-//!    surviving `canary_min_batches` mirrors with windowed agreement at
-//!    or above the threshold promotes it: the whole
+//!    surviving `canary_min_batches` mirrors with agreement over the
+//!    last `canary_min_batches` at or above 0.9 promotes it: the whole
 //!    [`ReplicaModel`] — network, version, envelopes — swaps atomically
 //!    behind the replica's `RwLock` (workers keep serving; no reply is
 //!    dropped or duplicated), the replica's breaker resets, and the
@@ -73,6 +73,11 @@ const TARGET_REPLICA: usize = 0;
 
 /// Seed of the deterministic canary batch assignment.
 const CANARY_SEED: u64 = 0xca9a_2100;
+
+/// Minimum windowed top-1 agreement with the incumbent required for
+/// promotion; measured agreement below this at the promotion gate
+/// triggers rollback instead.
+const AGREEMENT_THRESHOLD: f64 = 0.9;
 
 /// Kind of lifecycle state change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -390,7 +395,7 @@ impl LifecycleManager {
                     .push_back(top1_agreement(&logits, &result.logits));
             }
         }
-        while cand.agreement.len() > self.cfg.canary_window {
+        while cand.agreement.len() > self.cfg.canary_min_batches {
             cand.agreement.pop_front();
         }
         // End the `cand` borrow before the promote/rollback paths, which
@@ -407,12 +412,11 @@ impl LifecycleManager {
             );
             self.rollback(engine, seq, st, version, &detail);
         } else if canary_batches >= self.cfg.canary_min_batches {
-            if agreement >= self.cfg.agreement_threshold {
+            if agreement >= AGREEMENT_THRESHOLD {
                 self.promote(engine, seq, st, agreement);
             } else {
                 let detail = format!(
-                    "windowed top-1 agreement {agreement:.4} below threshold {}",
-                    self.cfg.agreement_threshold
+                    "windowed top-1 agreement {agreement:.4} below threshold {AGREEMENT_THRESHOLD}"
                 );
                 self.rollback(engine, seq, st, version, &detail);
             }

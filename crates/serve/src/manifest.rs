@@ -2,8 +2,9 @@
 //! themselves to a running server.
 //!
 //! A deployer drops a checkpoint artifact (a PR 2 envelope written by
-//! `ull_nn::checkpoint::save_with_meta`) into the model directory
-//! (`ULL_MODEL_DIR`), then atomically renames a small JSON manifest over
+//! `ull_nn::checkpoint::save_with_meta`) into the model directory (the
+//! `ServeConfig.lifecycle.model_dir` the caller sets; no environment
+//! variable does), then atomically renames a small JSON manifest over
 //! [`MANIFEST_NAME`]:
 //!
 //! ```json
@@ -20,13 +21,13 @@
 //!   quarantined).
 //! * `artifact` is a bare file name inside the model directory — path
 //!   separators and `..` are rejected so a hostile manifest can never
-//!   make the server read outside `ULL_MODEL_DIR`.
+//!   make the server read outside the model directory.
 //! * `checksum` is 64-bit FNV-1a over the canonical compact JSON of the
 //!   three fields above it, mirroring the checkpoint envelope: a torn or
 //!   bit-flipped manifest is detected even when the damage leaves the
 //!   JSON parseable.
 //!
-//! [`read_manifest`] never panics on any byte sequence — truncation,
+//! Reading the manifest never panics on any byte sequence — truncation,
 //! flips, wrong types, oversized files all come back as a typed
 //! [`ManifestError`] and leave the incumbent model serving (fuzzed in
 //! `tests/lifecycle.rs`). [`write_manifest`] writes with
@@ -161,7 +162,7 @@ impl Manifest {
     }
 
     /// Full path of the artifact this manifest points at inside `dir`.
-    pub fn artifact_path(&self, dir: &Path) -> PathBuf {
+    pub(crate) fn artifact_path(&self, dir: &Path) -> PathBuf {
         dir.join(&self.artifact)
     }
 }
@@ -206,7 +207,7 @@ pub fn parse_manifest(bytes: &[u8]) -> Result<Manifest, ManifestError> {
 ///
 /// [`ManifestError::Missing`] when no file exists; otherwise the same
 /// typed errors as [`parse_manifest`].
-pub fn read_manifest(dir: &Path) -> Result<Manifest, ManifestError> {
+pub(crate) fn read_manifest(dir: &Path) -> Result<Manifest, ManifestError> {
     let path = dir.join(MANIFEST_NAME);
     let bytes = match fs::read(&path) {
         Ok(b) => b,

@@ -8,12 +8,12 @@
 //!   `accept()` (`ECONNREFUSED`/`ECONNRESET` on loaded machines);
 //! * CI smoke harnesses dialing a freshly-spawned server process.
 //!
-//! [`RetryPolicy`] mirrors the circuit breaker's backoff discipline
+//! [`RetryPolicy`] shares one backoff function with the circuit breaker
 //! (`breaker.rs`): exponential delay `base · 2^(attempt-1)` capped at
-//! `max`, scaled by a [`mix64`]-derived jitter in `[0.5, 1.0)` — so two
-//! runs with the same seed retry on identical schedules, and tests can
-//! assert the exact delay sequence without sleeping (the sleep is
-//! injected).
+//! `max`, scaled by a [`mix64`]-derived jitter in `[0.5, 1.0)`
+//! — so two runs with the same seed retry on identical schedules, and
+//! tests can assert the exact delay sequence without sleeping (the sleep
+//! is injected).
 //!
 //! [`Server::listen`]: crate::Server::listen
 
@@ -22,6 +22,21 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use ull_tensor::init::mix64;
+
+/// Delay number `n` (1-based) of a jittered exponential backoff, in
+/// milliseconds: `base · 2^(n-1)` capped at `max`, scaled by a
+/// [`mix64`]-derived factor in `[0.5, 1.0)`, floored at 1 ms so a tiny
+/// base never rounds the delay away. Deterministic per `(seed, n)`; a
+/// zero `base` or `max` counts as 1.
+pub(crate) fn jittered_backoff_ms(base_ms: u64, max_ms: u64, seed: u64, n: u32) -> u64 {
+    let exp = base_ms
+        .max(1)
+        .saturating_mul(1u64.checked_shl(n.saturating_sub(1)).unwrap_or(u64::MAX))
+        .min(max_ms.max(1));
+    let jitter = mix64(seed, &[u64::from(n)]);
+    let frac = 0.5 + (jitter >> 11) as f64 / (1u64 << 53) as f64 / 2.0;
+    ((exp as f64 * frac) as u64).max(1)
+}
 
 /// Retry budget and backoff shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,18 +66,8 @@ impl RetryPolicy {
     /// Delay before retry number `retry` (1-based), in milliseconds:
     /// `base · 2^(retry-1)` capped at `max`, jittered into `[0.5, 1.0)`
     /// of itself, floored at 1 ms. Deterministic per `(seed, retry)`.
-    pub fn backoff_ms(&self, retry: u32) -> u64 {
-        let exp = self
-            .base_ms
-            .max(1)
-            .saturating_mul(
-                1u64.checked_shl(retry.saturating_sub(1))
-                    .unwrap_or(u64::MAX),
-            )
-            .min(self.max_ms.max(1));
-        let jitter = mix64(self.seed, &[u64::from(retry)]);
-        let frac = 0.5 + (jitter >> 11) as f64 / (1u64 << 53) as f64 / 2.0;
-        ((exp as f64 * frac) as u64).max(1)
+    pub(crate) fn backoff_ms(&self, retry: u32) -> u64 {
+        jittered_backoff_ms(self.base_ms, self.max_ms, self.seed, retry)
     }
 }
 
@@ -77,7 +82,7 @@ impl RetryPolicy {
 /// # Errors
 ///
 /// The error of the final attempt once the budget is exhausted.
-pub fn retry_with_backoff<T, E>(
+fn retry_with_backoff<T, E>(
     policy: &RetryPolicy,
     mut op: impl FnMut(u32) -> Result<T, E>,
     mut sleep: impl FnMut(u64),
@@ -194,6 +199,16 @@ mod tests {
         assert_eq!(r, Err("attempt 4 failed".to_string()));
         assert_eq!(calls, 4);
         assert_eq!(slept.len(), 3, "no sleep after the final attempt");
+    }
+
+    #[test]
+    fn backoff_saturates_at_the_cap_and_starts_at_the_base() {
+        // n = 0 and 1 both scale the base; from n = 64 on, 2^(n-1)
+        // overflows and the delay saturates at the cap instead.
+        for (n, exp) in [(0, 100), (1, 100), (64, 10_000), (u32::MAX, 10_000)] {
+            let ms = jittered_backoff_ms(100, 10_000, 33, n);
+            assert!((exp / 2..exp).contains(&ms), "n = {n}: {ms} ms");
+        }
     }
 
     #[test]

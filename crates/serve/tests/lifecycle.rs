@@ -106,9 +106,7 @@ fn lifecycle_config(dir: &Path) -> LifecycleConfig {
         poll_every_batches: 1,
         canary_fraction: 1.0,
         canary_min_batches: 4,
-        canary_window: 4,
         excursion_limit: 2,
-        agreement_threshold: 0.9,
     }
 }
 
@@ -268,7 +266,6 @@ fn mid_canary_corruption_rolls_back_on_excursions() {
     let lcfg = LifecycleConfig {
         // Only a rollback can end this canary.
         canary_min_batches: 50,
-        canary_window: 50,
         ..lifecycle_config(&dir)
     };
     let (engine, mgr) = lifecycle_engine(&data, lcfg);

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use ull_serve::{
     connect_with_retry, reconcile, BreakerState, Reply, Request, RetryPolicy, RungLabel,
-    ServeConfig, Server,
+    ServeConfig, Server, BREAKER_THRESHOLD,
 };
 use ull_tensor::parallel;
 
@@ -110,7 +110,6 @@ fn breaker_trips_on_faulted_primary_and_fails_over() {
     let data = test_data();
     let cfg = ServeConfig {
         workers: 1,
-        breaker_threshold: 3,
         ..base_config()
     };
     let engine = private_engine(
@@ -146,9 +145,9 @@ fn breaker_trips_on_faulted_primary_and_fails_over() {
         .position(|e| e.breaker_states[0] == BreakerState::Open)
         .expect("an event after the trip");
     assert!(
-        first_open < cfg.breaker_threshold + 1,
+        first_open < BREAKER_THRESHOLD + 1,
         "breaker must trip within {} batches, tripped after {}",
-        cfg.breaker_threshold,
+        BREAKER_THRESHOLD,
         first_open + 1
     );
     assert!(
@@ -164,13 +163,12 @@ fn breaker_trips_on_faulted_primary_and_fails_over() {
 fn half_open_admits_exactly_one_probe_and_doubles_on_failure() {
     // Engine-level half-open behaviour on the injected clock
     // (`chaos_advance_clock`) — no sleeps. The faulted primary trips
-    // immediately (threshold 1); quarantines are minutes long so real
-    // time elapsed inside the test (milliseconds) cannot cross a
+    // after `BREAKER_THRESHOLD` excursions; quarantines are minutes long
+    // so real time elapsed inside the test (milliseconds) cannot cross a
     // boundary on its own.
     let data = test_data();
     let cfg = ServeConfig {
         workers: 1,
-        breaker_threshold: 1,
         backoff_base_ms: 1_000_000, // q1 ∈ [500s, 1000s), q2 ∈ [1000s, 2000s)
         backoff_max_ms: 1 << 40,
         ..base_config()
@@ -184,10 +182,14 @@ fn half_open_admits_exactly_one_probe_and_doubles_on_failure() {
     );
     let x = data.eval_batches(1).next().unwrap().images;
 
-    // Trip: the first batch excurses on the primary and is retried.
-    let first = engine.execute(&x, RungLabel::Full);
-    assert!(first.retried_on_fallback);
-    assert_eq!(engine.breaker_states()[0], BreakerState::Open);
+    // Trip: each of the first `BREAKER_THRESHOLD` batches excurses on the
+    // primary and is retried; the last of them trips the breaker.
+    for i in 1..=BREAKER_THRESHOLD {
+        let r = engine.execute(&x, RungLabel::Full);
+        assert!(r.retried_on_fallback);
+        let open = engine.breaker_states()[0] == BreakerState::Open;
+        assert_eq!(open, i == BREAKER_THRESHOLD, "after excursion {i}");
+    }
     assert_eq!(engine.breaker_trips(), 1);
 
     // While quarantined, every batch routes straight to the fallback.
@@ -238,7 +240,7 @@ fn half_open_admits_exactly_one_probe_and_doubles_on_failure() {
         .take_events()
         .iter()
         .filter_map(|e| e.batch())
-        .skip(1) // the tripping batch itself
+        .skip(BREAKER_THRESHOLD) // the batches that tripped it
         .filter(|e| e.retried)
         .count();
     assert_eq!(retried, 2, "exactly one probe per elapsed quarantine");

@@ -302,7 +302,6 @@ fn breaker_trip_and_drain_write_parseable_dumps() {
     let data = test_data();
     // Two workers (base config): one trip must still write one dump.
     let cfg = ServeConfig {
-        breaker_threshold: 3,
         blackbox: BlackboxConfig {
             dir: Some(dir.to_string_lossy().into_owned()),
             capacity: 32,

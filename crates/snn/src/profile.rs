@@ -24,14 +24,6 @@ pub struct MemoryProfile {
     pub spiking_neurons: usize,
 }
 
-impl MemoryProfile {
-    /// Total inference working set for a batch of `n` samples (parameters
-    /// shared, membranes per sample).
-    pub fn inference_bytes(&self, n: usize) -> usize {
-        self.parameter_bytes + self.neuron_param_bytes + n * self.membrane_bytes_per_sample
-    }
-}
-
 /// Computes the [`MemoryProfile`] of `snn` for inputs of shape `[C, H, W]`.
 ///
 /// Membrane sizes are discovered with a 1-sample dry run, so this works
@@ -107,14 +99,6 @@ mod tests {
         assert_eq!(p.neuron_param_bytes, 2 * 4); // v_th + leak scalars
         assert_eq!(p.spiking_neurons, 48);
         assert_eq!(p.membrane_bytes_per_sample, 48 * 4);
-    }
-
-    #[test]
-    fn inference_bytes_scale_with_batch() {
-        let p = memory_profile(&tiny_snn(), &[2, 4, 4]);
-        let b1 = p.inference_bytes(1);
-        let b8 = p.inference_bytes(8);
-        assert_eq!(b8 - b1, 7 * p.membrane_bytes_per_sample);
     }
 
     #[test]

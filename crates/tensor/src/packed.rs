@@ -119,11 +119,6 @@ impl PackedWeights {
         }
     }
 
-    /// Output features (GEMM `n`; conv `F`).
-    pub fn out_features(&self) -> usize {
-        self.n
-    }
-
     /// Reduction length (GEMM `k`; conv `C·KH·KW`).
     pub fn reduction_len(&self) -> usize {
         self.k
@@ -389,7 +384,7 @@ mod tests {
     fn pack_conv_flattens_to_the_gemm_operand() {
         let w = rand_tensor(&[5, 2, 3, 3], 9);
         let packed = PackedWeights::pack_conv(&w);
-        assert_eq!(packed.out_features(), 5);
+        assert_eq!(packed.n, 5);
         assert_eq!(packed.reduction_len(), 18);
         assert_eq!(packed.conv_dims(), Some([5, 2, 3, 3]));
         // Packing the reshaped rank-2 view must produce identical panels.

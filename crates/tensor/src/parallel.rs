@@ -2,9 +2,9 @@
 //!
 //! A `std::thread::scope`-based worker pool with two entry points:
 //!
-//! * [`par_chunks_mut`] — split a mutable slice into contiguous chunks and
-//!   process them concurrently (row-blocked matmul, per-image conv
-//!   backward).
+//! * `par_chunks_mut` (this crate's kernels only) — split a mutable slice
+//!   into contiguous chunks and process them concurrently (row-blocked
+//!   matmul, per-image conv backward).
 //! * [`par_map`] — evaluate `f(0..n)` concurrently and return the results
 //!   in index order (batch-parallel SNN simulation, per-layer α/β search).
 //!
@@ -199,7 +199,7 @@ fn fan_out(workers: usize, work: impl Fn() + Sync) {
 /// # Panics
 ///
 /// Panics if `chunk_len == 0`.
-pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
+pub(crate) fn par_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,

@@ -270,7 +270,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the shapes differ.
-    pub fn zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Self {
+    fn zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Self {
         self.assert_same_shape(other, "zip_map");
         Tensor {
             shape: self.shape.clone(),

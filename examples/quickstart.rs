@@ -49,12 +49,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = seeded_rng(7);
     let (report, snn) = match std::env::var_os("ULL_CHECKPOINT_DIR") {
         Some(dir) => {
-            let rcfg = RecoveryConfig::new(std::path::PathBuf::from(&dir));
+            let dir = std::path::Path::new(&dir);
             println!(
                 "\ncheckpointing to {} (resuming if a checkpoint exists)",
-                rcfg.checkpoint_dir.display()
+                dir.display()
             );
-            run_or_resume_pipeline(&mut dnn, &train, &test, &cfg, &rcfg, &mut rng)?
+            let plan = &mut FaultPlan::none();
+            run_or_resume_pipeline(&mut dnn, &train, &test, &cfg, dir, &mut rng, plan)?
         }
         None => run_pipeline(&mut dnn, &train, &test, &cfg, &mut rng)?,
     };

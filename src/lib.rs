@@ -34,11 +34,10 @@ pub use ull_tensor as tensor;
 pub mod prelude {
     pub use ull_core::{
         collect_preactivations, compute_loss, convert, convert_with_budget, delta_empirical,
-        dnn_activation, find_scaling_factors, h_t_mu, k_mu, layer_error_reports, resume_pipeline,
-        run_or_resume_pipeline, run_pipeline, run_pipeline_recoverable, scale_layers,
-        snn_staircase, ConversionMethod, ConversionSummary, ConvertError, FaultKind, FaultPlan,
-        LayerActivations, LayerScaling, PipelineConfig, PipelineError, PipelinePhase,
-        PipelineReport, RecoveryConfig, StaircaseConfig,
+        dnn_activation, find_scaling_factors, h_t_mu, k_mu, layer_error_reports,
+        run_or_resume_pipeline, run_pipeline, scale_layers, snn_staircase, ConversionMethod,
+        ConversionSummary, ConvertError, FaultKind, FaultPlan, LayerActivations, LayerScaling,
+        PipelineConfig, PipelineError, PipelinePhase, PipelineReport, StaircaseConfig,
     };
     pub use ull_data::{generate, Batch, BatchIter, Dataset, SynthCifarConfig};
     pub use ull_energy::{
