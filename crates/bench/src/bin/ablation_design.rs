@@ -67,29 +67,11 @@ fn main() {
         }
     };
     let epochs = scale.snn_epochs();
-    let acc_if = sgl_finetune(
-        &mut snn_if,
-        &train,
-        Some(&test),
-        t,
-        epochs,
-        scale.batch(),
-        31,
-        pin_leak,
-    )
-    .expect("test set given");
+    let acc_if = sgl_finetune(&mut snn_if, &train, Some(&test), t, epochs, 31, pin_leak)
+        .expect("test set given");
     let (mut snn_lif, _) = convert(&dnn, &train, ConversionMethod::AlphaBeta, t).expect("convert");
-    let acc_lif = sgl_finetune(
-        &mut snn_lif,
-        &train,
-        Some(&test),
-        t,
-        epochs,
-        scale.batch(),
-        31,
-        |_| {},
-    )
-    .expect("test set given");
+    let acc_lif = sgl_finetune(&mut snn_lif, &train, Some(&test), t, epochs, 31, |_| {})
+        .expect("test set given");
     let final_leaks: Vec<f32> = snn_lif
         .nodes()
         .iter()

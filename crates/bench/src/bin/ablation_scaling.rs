@@ -74,7 +74,6 @@ fn main() {
             Some(&test),
             t,
             scale.snn_epochs().min(4),
-            scale.batch(),
             77,
             |_| {},
         )
@@ -87,7 +86,6 @@ fn main() {
             Some(&test),
             t,
             scale.snn_epochs().min(4),
-            scale.batch(),
             77,
             |_| {},
         )

@@ -12,9 +12,8 @@
 
 use serde::Serialize;
 use ull_bench::{load_data, train_or_load_dnn, write_report, Arch, Scale};
-use ull_core::{convert, ConversionMethod};
-use ull_nn::{LrSchedule, Sgd, SgdConfig};
-use ull_snn::{evaluate_snn, train_snn_epoch, SnnTrainConfig};
+use ull_core::{convert, sgl_recipe, ConversionMethod};
+use ull_snn::{evaluate_snn, train_snn_epoch};
 use ull_tensor::init::seeded_rng;
 
 #[derive(Serialize)]
@@ -56,27 +55,9 @@ fn main() {
     );
     for t in [2usize, 3, 5] {
         let (mut snn, _) = convert(&dnn, &train, ConversionMethod::AlphaBeta, t).expect("convert");
-        let sgd = Sgd::new(SgdConfig {
-            lr: 0.005,
-            momentum: 0.9,
-            weight_decay: 0.0,
-        })
-        .with_clip(5.0);
-        let cfg = SnnTrainConfig {
-            batch_size: scale.batch(),
-            time_steps: t,
-            augment_pad: 0,
-            augment_flip: false,
-        };
+        let (sgd, schedule, cfg) = sgl_recipe(1, t);
         let mut rng = seeded_rng(5);
-        let stats = train_snn_epoch(
-            &mut snn,
-            &train,
-            &sgd,
-            LrSchedule::paper(1).factor(0),
-            &cfg,
-            &mut rng,
-        );
+        let stats = train_snn_epoch(&mut snn, &train, &sgd, schedule.factor(0), &cfg, &mut rng);
         let inf_start = std::time::Instant::now();
         let (acc, _) = evaluate_snn(&snn, &test, t, scale.batch());
         let inf_seconds = inf_start.elapsed().as_secs_f64();

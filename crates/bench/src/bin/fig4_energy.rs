@@ -104,7 +104,7 @@ fn main() {
             let (mut snn, _) = convert(&dnn, &train, method, t).expect("convert");
             if tune {
                 let epochs = scale.snn_epochs().min(3);
-                sgl_finetune(&mut snn, &train, None, t, epochs, scale.batch(), 9, |_| {});
+                sgl_finetune(&mut snn, &train, None, t, epochs, 9, |_| {});
             }
             let (acc, stats) = evaluate_snn(&snn, &test, t, scale.batch());
             let activity = stats.report();

@@ -78,6 +78,8 @@ struct SoakReport {
     dataset: String,
     scale: String,
     config: ServeConfig,
+    /// Test accuracy of the source DNN, beside the served accuracies.
+    dnn_accuracy: f32,
     clean: PhaseStats,
     faulted: PhaseStats,
     burst: PhaseStats,
@@ -404,6 +406,7 @@ fn main() {
         dataset: format!("synth-{CLASSES}"),
         scale: scale.name().to_string(),
         config: cfg.clone(),
+        dnn_accuracy: dnn_acc,
         clean,
         faulted,
         burst,
@@ -475,9 +478,11 @@ fn main() {
         section.push_str(&format!(
             "\nChaos soak at `--scale {}`: two replicas, BER {HIGH_BER} weight flips \
              injected into the primary mid-run. Accuracy is over the same {}-sample \
-             request set replayed every wave.\n\n",
+             request set replayed every wave; the source DNN reads {:.1} % on the \
+             test set.\n\n",
             scale.name(),
-            set.len()
+            set.len(),
+            report.dnn_accuracy * 100.0
         ));
         section.push_str(
             "| phase | requests | predictions | shed | errors | accuracy | p50 | p99 |\n\

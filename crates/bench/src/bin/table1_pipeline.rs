@@ -12,8 +12,7 @@
 
 use serde::Serialize;
 use ull_bench::{flag_value, load_data, or_exit, train_or_load_dnn, write_report, Arch, Scale};
-use ull_core::{run_pipeline, ConversionMethod, PipelineConfig};
-use ull_nn::SgdConfig;
+use ull_core::{run_pipeline, PipelineConfig};
 use ull_tensor::init::seeded_rng;
 
 #[derive(Serialize)]
@@ -76,20 +75,6 @@ fn main() {
                 dnn_epochs: 0, // trained (or cached) above
                 snn_epochs: scale.snn_epochs().min(4),
                 time_steps: t,
-                method: ConversionMethod::AlphaBeta,
-                dnn_sgd: SgdConfig {
-                    lr: 0.05,
-                    momentum: 0.9,
-                    weight_decay: 1e-4,
-                },
-                snn_sgd: SgdConfig {
-                    lr: 0.005,
-                    momentum: 0.9,
-                    weight_decay: 0.0,
-                },
-                batch_size: scale.batch(),
-                augment_pad: 0,
-                augment_flip: false,
             };
             // (The paper trains CIFAR-100 longer — 300 vs 200 SNN epochs —
             // but at CPU scale the shared epoch budget is already the

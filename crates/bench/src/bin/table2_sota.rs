@@ -17,10 +17,9 @@
 //! ```
 
 use serde::Serialize;
-use ull_bench::{load_data, train_or_load_dnn, write_report, Arch, Scale};
+use ull_bench::{load_data, sgl_finetune, train_or_load_dnn, write_report, Arch, Scale};
 use ull_core::{convert, run_pipeline, ConversionMethod, PipelineConfig};
-use ull_nn::{Sgd, SgdConfig};
-use ull_snn::{evaluate_snn, train_snn_epoch, SnnTrainConfig};
+use ull_snn::evaluate_snn;
 use ull_tensor::init::seeded_rng;
 
 #[derive(Serialize)]
@@ -73,26 +72,8 @@ fn main() {
         let hybrid = |label: &str, t: usize, epochs: usize, rows: &mut Vec<Row>| {
             let (mut snn, _) =
                 convert(&dnn, &train, ConversionMethod::ThresholdBalance, t).expect("convert");
-            let sgd = Sgd::new(SgdConfig {
-                lr: 0.005,
-                momentum: 0.9,
-                weight_decay: 0.0,
-            })
-            .with_clip(5.0);
-            let cfg = SnnTrainConfig {
-                batch_size: scale.batch(),
-                time_steps: t,
-                augment_pad: 0,
-                augment_flip: false,
-            };
-            let mut rng = seeded_rng(43);
-            let mut best = 0.0f32;
-            for e in 0..epochs {
-                let f = ull_nn::LrSchedule::paper(epochs).factor(e);
-                train_snn_epoch(&mut snn, &train, &sgd, f, &cfg, &mut rng);
-                let (acc, _) = evaluate_snn(&snn, &test, t, scale.batch());
-                best = best.max(acc);
-            }
+            let best = sgl_finetune(&mut snn, &train, Some(&test), t, epochs, 43, |_| {})
+                .expect("test set given");
             println!("  {label:<34} T={t:<3} acc {:.2} %", best * 100.0);
             rows.push(Row {
                 dataset: dataset.clone(),
@@ -140,16 +121,6 @@ fn main() {
                 dnn_epochs: 0, // reuse the already-trained DNN
                 snn_epochs: scale.snn_epochs().min(4),
                 time_steps: t,
-                method: ConversionMethod::AlphaBeta,
-                dnn_sgd: SgdConfig::default(),
-                snn_sgd: SgdConfig {
-                    lr: 0.005,
-                    momentum: 0.9,
-                    weight_decay: 0.0,
-                },
-                batch_size: scale.batch(),
-                augment_pad: 0,
-                augment_flip: false,
             };
             let mut rng = seeded_rng(44);
             let (report, _) =

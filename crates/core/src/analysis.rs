@@ -122,28 +122,6 @@ pub fn h_t_mu(samples: &[f32], t: usize, mu: f32) -> f32 {
     (mean / mu as f64) as f32
 }
 
-/// Estimates `h'(T,μ)` — the bias-free variant used once the paper drops
-/// the δ shift (§III-B): the normalised expected SNN output under the
-/// *plain* staircase (Eq. 5) with `V^th = μ`.
-///
-/// `h'(T,μ) ≤ h(T,μ)` always: removing the left shift can only lose steps.
-///
-/// # Panics
-///
-/// Panics if `mu <= 0`, `t == 0`, or `samples` is empty.
-pub fn h_prime_t_mu(samples: &[f32], t: usize, mu: f32) -> f32 {
-    assert!(mu > 0.0, "mu must be positive");
-    assert!(t > 0, "need at least one time step");
-    assert!(!samples.is_empty(), "no samples");
-    let cfg = StaircaseConfig::plain(mu, t);
-    let mean: f64 = samples
-        .iter()
-        .map(|&s| snn_staircase(s, &cfg) as f64)
-        .sum::<f64>()
-        / samples.len() as f64;
-    (mean / mu as f64) as f32
-}
-
 /// Empirical expected post-activation difference
 /// `Δ = E[d'] − E[s']` for a layer, where `d' = clip(d, 0, μ)` and `s'`
 /// is the staircase output configured by `stair`.
@@ -271,23 +249,6 @@ mod tests {
         // At large T, h approaches K (Δ → 0); at T=2 it is clearly below.
         assert!((h16 - k).abs() < 0.05, "h16={h16} k={k}");
         assert!(k - h2 > 0.02, "h2={h2} k={k}");
-    }
-
-    #[test]
-    fn h_prime_is_below_h() {
-        let s = skewed_samples(1.0, 20_000);
-        for t in [1, 2, 3, 5] {
-            let h = h_t_mu(&s, t, 1.0);
-            let hp = h_prime_t_mu(&s, t, 1.0);
-            assert!(hp <= h + 1e-6, "T={t}: h'={hp} > h={h}");
-        }
-        let u = uniform_samples(1.0, 20_000);
-        // Under uniform f_S, h' = (T-1)/2T (missing the half-step bonus).
-        for t in [2usize, 4] {
-            let hp = h_prime_t_mu(&u, t, 1.0);
-            let expect = (t as f32 - 1.0) / (2.0 * t as f32);
-            assert!((hp - expect).abs() < 0.02, "T={t}: h'={hp} vs {expect}");
-        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use ull_snn::SnnNetwork;
 
 /// Per-layer rate error of a converted SNN against its source DNN.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DepthErrorReport {
+pub(crate) struct DepthErrorReport {
     /// Time steps of the measurement.
     pub t: usize,
     /// For each spiking layer in forward order: `(node id, mean |error|,
@@ -24,7 +24,7 @@ pub struct DepthErrorReport {
 impl DepthErrorReport {
     /// The relative error per layer (`mean |err| / mean |act|`), the
     /// quantity that grows with depth when conversion degrades.
-    pub fn relative_errors(&self) -> Vec<f32> {
+    pub(crate) fn relative_errors(&self) -> Vec<f32> {
         self.layers
             .iter()
             .map(|&(_, err, act)| if act > 1e-9 { err / act } else { 0.0 })
@@ -41,7 +41,7 @@ impl DepthErrorReport {
 /// # Panics
 ///
 /// Panics if `calibration` is empty or the networks disagree structurally.
-pub fn depth_error_report(
+pub(crate) fn depth_error_report(
     dnn: &Network,
     snn: &SnnNetwork,
     calibration: &Dataset,

@@ -45,7 +45,7 @@ pub mod activation;
 pub mod algorithm1;
 pub mod analysis;
 pub mod convert;
-pub mod depth;
+mod depth;
 pub mod faults;
 pub mod pipeline;
 pub mod recovery;
@@ -55,14 +55,13 @@ pub use activation::{dnn_activation, snn_staircase, StaircaseConfig};
 pub use algorithm1::scale_layers;
 pub use algorithm1::{beta_grid, beta_losses, compute_loss, find_scaling_factors, LayerScaling};
 pub use analysis::{
-    collect_preactivations, delta_empirical, h_prime_t_mu, h_t_mu, k_mu, layer_error_reports,
-    LayerActivations, LayerErrorReport,
+    collect_preactivations, delta_empirical, h_t_mu, k_mu, layer_error_reports, LayerActivations,
+    LayerErrorReport,
 };
 pub use convert::convert_with_budget;
 pub use convert::{convert, ConversionMethod, ConvertError};
-pub use depth::{depth_error_report, DepthErrorReport};
 pub use faults::{FaultKind, FaultPlan, FaultPoint, RecurringFault, Trigger};
-pub use pipeline::{run_pipeline, PipelineConfig, PipelineReport};
+pub use pipeline::{dnn_recipe, run_pipeline, sgl_recipe, PipelineConfig, PipelineReport};
 pub use recovery::{
     run_or_resume_pipeline, PipelineCheckpoint, PipelineError, PipelinePhase, RecoveryEvent,
 };

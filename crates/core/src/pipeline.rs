@@ -5,8 +5,8 @@
 //! (architecture, dataset, T) cell: (a) source DNN accuracy, (b) accuracy
 //! right after conversion, and (c) accuracy after SGL fine-tuning. It runs
 //! the one pipeline driver, the one in [`crate::recovery`], without a
-//! checkpoint directory; this module holds the run's configuration and
-//! report.
+//! checkpoint directory; this module holds the run's configuration, the
+//! two training recipes ([`dnn_recipe`], [`sgl_recipe`]) and the report.
 
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -14,11 +14,62 @@ use ull_data::Dataset;
 use ull_nn::{LrSchedule, Network, Sgd, SgdConfig, TrainConfig};
 use ull_snn::{SnnNetwork, SnnTrainConfig};
 
-use crate::convert::ConversionMethod;
 use crate::recovery::PipelineError;
 use crate::LayerScaling;
 
-/// Configuration of one end-to-end pipeline run.
+/// Mini-batch size of both training phases.
+const BATCH_SIZE: usize = 32;
+
+/// Global gradient-norm clip of both training phases.
+const MAX_GRAD_NORM: f32 = 5.0;
+
+/// Phase (a)'s optimizer (paper: LR 0.01, step decay).
+const DNN_SGD: SgdConfig = SgdConfig {
+    lr: 0.05,
+    momentum: 0.9,
+    weight_decay: 1e-4,
+};
+
+/// Phase (c)'s optimizer. The paper fine-tunes with a much smaller LR
+/// (1e-4 at paper scale); scaled up proportionally to the shorter
+/// schedule.
+const SGL_SGD: SgdConfig = SgdConfig {
+    lr: 0.005,
+    momentum: 0.9,
+    weight_decay: 0.0,
+};
+
+/// The DNN training recipe for a run of `epochs` epochs: SGD with
+/// momentum and gradient clipping, the paper's step decay after a linear
+/// warmup over a tenth of the run, batch 32, no augmentation. Warmup and
+/// clipping stabilise batch-norm-free deep nets.
+pub fn dnn_recipe(epochs: usize) -> (Sgd, LrSchedule, TrainConfig) {
+    let tcfg = TrainConfig {
+        batch_size: BATCH_SIZE,
+        augment_pad: 0,
+        augment_flip: false,
+    };
+    let schedule = LrSchedule::paper(epochs).with_warmup(epochs / 10);
+    (Sgd::new(DNN_SGD).with_clip(MAX_GRAD_NORM), schedule, tcfg)
+}
+
+/// The SGL fine-tuning recipe for a run of `epochs` epochs at `t` time
+/// steps: SGD with momentum and gradient clipping, the paper's step
+/// decay, batch 32, no augmentation.
+pub fn sgl_recipe(epochs: usize, t: usize) -> (Sgd, LrSchedule, SnnTrainConfig) {
+    let stcfg = SnnTrainConfig {
+        batch_size: BATCH_SIZE,
+        time_steps: t,
+        augment_pad: 0,
+        augment_flip: false,
+    };
+    let schedule = LrSchedule::paper(epochs);
+    (Sgd::new(SGL_SGD).with_clip(MAX_GRAD_NORM), schedule, stcfg)
+}
+
+/// Configuration of one end-to-end pipeline run. Everything else — the
+/// α/β conversion and the two training recipes ([`dnn_recipe`],
+/// [`sgl_recipe`]) — is fixed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PipelineConfig {
     /// DNN training epochs (paper: 300; scale down for CPU budgets).
@@ -27,69 +78,16 @@ pub struct PipelineConfig {
     pub snn_epochs: usize,
     /// SNN time steps T.
     pub time_steps: usize,
-    /// Conversion method.
-    pub method: ConversionMethod,
-    /// DNN optimizer settings (paper: LR 0.01, step decay).
-    pub dnn_sgd: SgdConfig,
-    /// SNN optimizer settings (paper: LR 1e-4, step decay).
-    pub snn_sgd: SgdConfig,
-    /// Mini-batch size for both phases.
-    pub batch_size: usize,
-    /// Augmentation padding (0 disables).
-    pub augment_pad: usize,
-    /// Random flips during training.
-    pub augment_flip: bool,
 }
 
 impl PipelineConfig {
-    /// A CPU-budget configuration with the paper's method at the given T.
+    /// A CPU-budget configuration at the given T.
     pub fn small(time_steps: usize) -> Self {
         PipelineConfig {
             dnn_epochs: 12,
             snn_epochs: 8,
             time_steps,
-            method: ConversionMethod::AlphaBeta,
-            dnn_sgd: SgdConfig {
-                lr: 0.05,
-                momentum: 0.9,
-                weight_decay: 1e-4,
-            },
-            snn_sgd: SgdConfig {
-                // The paper fine-tunes with a much smaller LR (1e-4 at
-                // paper scale); scaled up proportionally to our shorter
-                // schedule.
-                lr: 0.005,
-                momentum: 0.9,
-                weight_decay: 0.0,
-            },
-            batch_size: 32,
-            augment_pad: 0,
-            augment_flip: false,
         }
-    }
-
-    /// Phase (a)'s optimizer, LR schedule and batch settings. Warmup and
-    /// gradient clipping stabilise batch-norm-free deep nets.
-    pub(crate) fn dnn_recipe(&self) -> (Sgd, LrSchedule, TrainConfig) {
-        let schedule = LrSchedule::paper(self.dnn_epochs).with_warmup(self.dnn_epochs / 10);
-        let tcfg = TrainConfig {
-            batch_size: self.batch_size,
-            augment_pad: self.augment_pad,
-            augment_flip: self.augment_flip,
-        };
-        (Sgd::new(self.dnn_sgd).with_clip(5.0), schedule, tcfg)
-    }
-
-    /// Phase (c)'s optimizer, LR schedule and batch settings.
-    pub(crate) fn snn_recipe(&self) -> (Sgd, LrSchedule, SnnTrainConfig) {
-        let stcfg = SnnTrainConfig {
-            batch_size: self.batch_size,
-            time_steps: self.time_steps,
-            augment_pad: self.augment_pad,
-            augment_flip: self.augment_flip,
-        };
-        let schedule = LrSchedule::paper(self.snn_epochs);
-        (Sgd::new(self.snn_sgd).with_clip(5.0), schedule, stcfg)
     }
 }
 

@@ -38,9 +38,9 @@ use ull_nn::{
 };
 use ull_snn::{evaluate_snn, train_snn_epoch_with_hook, SnnNetwork};
 
-use crate::convert::{convert, ConvertError};
+use crate::convert::{convert, ConversionMethod, ConvertError};
 use crate::faults::FaultPlan;
-use crate::pipeline::{PipelineConfig, PipelineReport};
+use crate::pipeline::{dnn_recipe, sgl_recipe, PipelineConfig, PipelineReport};
 use crate::LayerScaling;
 
 /// The two trained phases of the pipeline (conversion is a single
@@ -484,7 +484,7 @@ fn drive(
         if state.epoch == 0 {
             commits.commit(&state, rng)?;
         }
-        let (sgd, schedule, tcfg) = cfg.dnn_recipe();
+        let (sgd, schedule, tcfg) = dnn_recipe(cfg.dnn_epochs);
         let phase = Phase {
             epochs: cfg.dnn_epochs,
             schedule,
@@ -503,9 +503,11 @@ fn drive(
 
         // ---- Phase (b): conversion (deterministic, no RNG) -----------
         let phase_span = ull_obs::span("pipeline.convert");
-        state.ckpt.dnn_accuracy = evaluate(&state.ckpt.dnn, test_data, cfg.batch_size);
-        let (snn, scalings) = convert(&state.ckpt.dnn, train_data, cfg.method, cfg.time_steps)?;
-        let (converted_accuracy, _) = evaluate_snn(&snn, test_data, cfg.time_steps, cfg.batch_size);
+        let batch = tcfg.batch_size;
+        state.ckpt.dnn_accuracy = evaluate(&state.ckpt.dnn, test_data, batch);
+        let method = ConversionMethod::AlphaBeta;
+        let (snn, scalings) = convert(&state.ckpt.dnn, train_data, method, cfg.time_steps)?;
+        let (converted_accuracy, _) = evaluate_snn(&snn, test_data, cfg.time_steps, batch);
         state.ckpt.converted_accuracy = converted_accuracy;
         state.ckpt.best_acc = converted_accuracy;
         state.ckpt.best_snn = Some(snn.clone());
@@ -522,7 +524,7 @@ fn drive(
 
     // ---- Phase (c): SGL fine-tuning ----------------------------------
     let phase_span = ull_obs::span("pipeline.finetune_snn");
-    let (sgd, schedule, stcfg) = cfg.snn_recipe();
+    let (sgd, schedule, stcfg) = sgl_recipe(cfg.snn_epochs, cfg.time_steps);
     let phase = Phase {
         epochs: cfg.snn_epochs,
         schedule,
@@ -530,7 +532,7 @@ fn drive(
         train: |ckpt: &mut PipelineCheckpoint, lr, rng: &mut StdRng, hook: Hook<'_, SnnNetwork>| {
             let net = ckpt.snn.as_mut().expect(HAS_SNN);
             let stats = train_snn_epoch_with_hook(net, train_data, &sgd, lr, &stcfg, rng, hook)?;
-            let (acc, _) = evaluate_snn(net, test_data, cfg.time_steps, cfg.batch_size);
+            let (acc, _) = evaluate_snn(net, test_data, cfg.time_steps, stcfg.batch_size);
             if acc > ckpt.best_acc {
                 ckpt.best_acc = acc;
                 ckpt.best_snn = Some(net.clone());

@@ -50,41 +50,6 @@ impl Augment {
     }
 }
 
-/// Randomly crops a single `[C, H, W]` image after zero-padding by `pad`.
-/// Equivalent to the translate-with-zero-fill used by [`Augment::apply`].
-///
-/// # Panics
-///
-/// Panics if `img` is not rank 3.
-pub fn random_crop_with_padding(img: &Tensor, pad: usize, rng: &mut StdRng) -> Tensor {
-    assert_eq!(img.rank(), 3, "random_crop expects [C, H, W]");
-    let mut batch = img
-        .reshape(&[1, img.shape()[0], img.shape()[1], img.shape()[2]])
-        .expect("rank-3 to rank-4 reshape");
-    let dy = rng.gen_range(0..=2 * pad) as isize - pad as isize;
-    let dx = rng.gen_range(0..=2 * pad) as isize - pad as isize;
-    shift_image(&mut batch, 0, dy, dx);
-    batch
-        .reshape(img.shape())
-        .expect("rank-4 to rank-3 reshape")
-}
-
-/// Horizontally flips a single `[C, H, W]` image.
-///
-/// # Panics
-///
-/// Panics if `img` is not rank 3.
-pub fn horizontal_flip(img: &Tensor) -> Tensor {
-    assert_eq!(img.rank(), 3, "horizontal_flip expects [C, H, W]");
-    let mut batch = img
-        .reshape(&[1, img.shape()[0], img.shape()[1], img.shape()[2]])
-        .expect("rank-3 to rank-4 reshape");
-    flip_image(&mut batch, 0);
-    batch
-        .reshape(img.shape())
-        .expect("rank-4 to rank-3 reshape")
-}
-
 /// Translates image `i` of a `[N, C, H, W]` batch by (dy, dx), zero-filling.
 fn shift_image(batch: &mut Tensor, i: usize, dy: isize, dx: isize) {
     let (c, h, w) = (batch.shape()[1], batch.shape()[2], batch.shape()[3]);
@@ -129,6 +94,33 @@ fn flip_image(batch: &mut Tensor, i: usize) {
 mod tests {
     use super::*;
     use ull_tensor::init::seeded_rng;
+
+    /// Randomly crops a single `[C, H, W]` image after zero-padding by
+    /// `pad`: the translate-with-zero-fill of [`Augment::apply`].
+    fn random_crop_with_padding(img: &Tensor, pad: usize, rng: &mut StdRng) -> Tensor {
+        assert_eq!(img.rank(), 3, "random_crop expects [C, H, W]");
+        let mut batch = img
+            .reshape(&[1, img.shape()[0], img.shape()[1], img.shape()[2]])
+            .expect("rank-3 to rank-4 reshape");
+        let dy = rng.gen_range(0..=2 * pad) as isize - pad as isize;
+        let dx = rng.gen_range(0..=2 * pad) as isize - pad as isize;
+        shift_image(&mut batch, 0, dy, dx);
+        batch
+            .reshape(img.shape())
+            .expect("rank-4 to rank-3 reshape")
+    }
+
+    /// Horizontally flips a single `[C, H, W]` image.
+    fn horizontal_flip(img: &Tensor) -> Tensor {
+        assert_eq!(img.rank(), 3, "horizontal_flip expects [C, H, W]");
+        let mut batch = img
+            .reshape(&[1, img.shape()[0], img.shape()[1], img.shape()[2]])
+            .expect("rank-3 to rank-4 reshape");
+        flip_image(&mut batch, 0);
+        batch
+            .reshape(img.shape())
+            .expect("rank-4 to rank-3 reshape")
+    }
 
     fn ramp_image() -> Tensor {
         Tensor::from_vec((0..12).map(|x| x as f32).collect(), &[3, 2, 2]).unwrap()

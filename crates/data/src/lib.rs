@@ -37,6 +37,6 @@ mod augment;
 mod dataset;
 mod synth;
 
-pub use augment::{horizontal_flip, random_crop_with_padding, Augment};
+pub use augment::Augment;
 pub use dataset::{Batch, BatchIter, Dataset};
 pub use synth::{generate, SynthCifarConfig};

@@ -46,7 +46,9 @@ pub use checkpoint::{
     CheckpointMeta, ValidatePayload, CHECKPOINT_EXT, FORMAT_VERSION,
 };
 pub use loss::{cross_entropy_grad, cross_entropy_loss};
-pub use network::{Network, NetworkBuilder, NodeId, NodeOp, TapeEntry};
+pub use network::{
+    conv_backward, linear_backward, Network, NetworkBuilder, NodeId, NodeOp, TapeEntry,
+};
 pub use optim::{clip_grads, LrSchedule, Sgd, SgdConfig};
 pub use param::Param;
 pub use trainer::{

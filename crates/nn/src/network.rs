@@ -326,22 +326,12 @@ impl Network {
                 NodeOp::Input => {}
                 NodeOp::Conv2d { weight, bias, geo } => {
                     let x = &tape[inputs[0]].activation;
-                    let (dx, dw, db) = conv2d_backward(x, &weight.value, &g, *geo);
-                    weight.grad.add_assign(&dw);
-                    if let Some(b) = bias {
-                        b.grad.add_assign(&db);
-                    }
+                    let dx = conv_backward(x, &g, weight, bias.as_mut(), *geo);
                     accumulate(&mut grads[inputs[0]], dx);
                 }
                 NodeOp::Linear { weight, bias } => {
                     let x = &tape[inputs[0]].activation;
-                    // y = x Wᵀ ⇒ dx = g W, dW = gᵀ x, db = Σ_rows g.
-                    let dx = matmul(&g, &weight.value);
-                    let dw = matmul_transpose_a(&g, x);
-                    weight.grad.add_assign(&dw);
-                    if let Some(b) = bias {
-                        b.grad.add_assign(&g.sum_rows());
-                    }
+                    let dx = linear_backward(x, &g, weight, bias.as_mut());
                     accumulate(&mut grads[inputs[0]], dx);
                 }
                 NodeOp::ThresholdRelu { mu } => {
@@ -431,6 +421,43 @@ impl Network {
         }
         s
     }
+}
+
+/// Backward of a conv node for the upstream gradient `g` at input `x`:
+/// adds dW and db into the parameters' gradients and returns dX. The DNN
+/// and the SNN (once per time step) both run it.
+pub fn conv_backward(
+    x: &Tensor,
+    g: &Tensor,
+    weight: &mut Param,
+    bias: Option<&mut Param>,
+    geo: ConvGeometry,
+) -> Tensor {
+    let (dx, dw, db) = conv2d_backward(x, &weight.value, g, geo);
+    weight.grad.add_assign(&dw);
+    if let Some(b) = bias {
+        b.grad.add_assign(&db);
+    }
+    dx
+}
+
+/// Backward of a linear node for the upstream gradient `g` at input `x`:
+/// adds dW and db into the parameters' gradients and returns dX. The DNN
+/// and the SNN (once per time step) both run it.
+pub fn linear_backward(
+    x: &Tensor,
+    g: &Tensor,
+    weight: &mut Param,
+    bias: Option<&mut Param>,
+) -> Tensor {
+    // y = x Wᵀ ⇒ dx = g W, dW = gᵀ x, db = Σ_rows g.
+    let dx = matmul(g, &weight.value);
+    let dw = matmul_transpose_a(g, x);
+    weight.grad.add_assign(&dw);
+    if let Some(b) = bias {
+        b.grad.add_assign(&g.sum_rows());
+    }
+    dx
 }
 
 fn accumulate(slot: &mut Option<Tensor>, g: Tensor) {

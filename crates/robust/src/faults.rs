@@ -356,7 +356,7 @@ pub fn evaluate_faulted(
 /// keyed by (node, element, bit) with the same salt, so a DNN and its
 /// converted SNN see the identical physical fault pattern for a given
 /// seed.
-pub fn flip_dnn_weight_bits(net: &mut ull_nn::Network, ber: f64, seed: u64) {
+pub(crate) fn flip_dnn_weight_bits(net: &mut ull_nn::Network, ber: f64, seed: u64) {
     if ber <= 0.0 {
         return;
     }

@@ -61,8 +61,6 @@ pub use anytime::{
     anytime_forward_scheduled, calibrate_margin, calibrate_margin_schedule, AnytimeOutput,
     AnytimeSchedule,
 };
-pub use faults::{
-    evaluate_faulted, flip_dnn_weight_bits, FaultConfig, FaultedNetwork, InferenceFault,
-};
+pub use faults::{evaluate_faulted, FaultConfig, FaultedNetwork, InferenceFault};
 pub use sweep::{resilience_sweep, DnnSweepCell, SweepCell, SweepConfig, SweepReport};
 pub use watchdog::{profile_envelope, profile_envelope_batches, RateEnvelope, RateViolation};

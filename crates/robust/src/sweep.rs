@@ -4,7 +4,7 @@
 //! envelope, then evaluates every (fault family, intensity) cell with
 //! [`evaluate_faulted`], recording accuracy, total spiking activity and
 //! whether the watchdog flagged the run. The source DNN is swept through
-//! the same weight-memory fault model ([`flip_dnn_weight_bits`]) so the
+//! the same weight-memory fault model (`flip_dnn_weight_bits`) so the
 //! report directly compares ANN and SNN degradation under identical
 //! physical faults — the robustness companion to the paper's accuracy and
 //! energy comparisons.

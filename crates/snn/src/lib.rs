@@ -46,7 +46,6 @@
 pub mod encoding;
 mod network;
 pub mod packing;
-pub mod profile;
 mod stats;
 mod train;
 
@@ -56,7 +55,6 @@ pub use network::{
     MAX_V_TH, MEMBRANE_CLAMP,
 };
 pub use packing::{net_fingerprint, packed_for, PackedNet};
-pub use profile::{memory_profile, MemoryProfile};
 pub use stats::{ActivityReport, SpikeStats};
 pub use train::{
     evaluate_snn, train_snn_epoch, train_snn_epoch_with_hook, SnnEpochStats, SnnSgd, SnnTrainConfig,

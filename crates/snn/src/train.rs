@@ -16,10 +16,12 @@
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use ull_data::Dataset;
-use ull_nn::{finite_check, run_epoch, Param, Sgd, TrainConfig, TrainError, Trainable};
-use ull_tensor::conv::conv2d_backward;
+use ull_nn::{
+    conv_backward, finite_check, linear_backward, run_epoch, Param, Sgd, TrainConfig, TrainError,
+    Trainable,
+};
 use ull_tensor::pool::{avgpool2d_backward, maxpool2d_backward};
-use ull_tensor::{matmul, matmul_transpose_a, Tensor};
+use ull_tensor::Tensor;
 
 use crate::network::{SnnNetwork, SnnOp, SnnTape, StepAux};
 use crate::stats::SpikeStats;
@@ -62,22 +64,13 @@ impl SnnNetwork {
                     SnnOp::Conv2d { weight, bias, geo } => {
                         let g = g_spike_out.expect("non-spike nodes only carry direct grads");
                         let x = &tape.acts[t][inputs[0]];
-                        let (dx, dw, db) = conv2d_backward(x, &weight.value, &g, *geo);
-                        weight.grad.add_assign(&dw);
-                        if let Some(b) = bias {
-                            b.grad.add_assign(&db);
-                        }
+                        let dx = conv_backward(x, &g, weight, bias.as_mut(), *geo);
                         accumulate(&mut g_node[inputs[0]], dx);
                     }
                     SnnOp::Linear { weight, bias } => {
                         let g = g_spike_out.expect("non-spike nodes only carry direct grads");
                         let x = &tape.acts[t][inputs[0]];
-                        let dx = matmul(&g, &weight.value);
-                        let dw = matmul_transpose_a(&g, x);
-                        weight.grad.add_assign(&dw);
-                        if let Some(b) = bias {
-                            b.grad.add_assign(&g.sum_rows());
-                        }
+                        let dx = linear_backward(x, &g, weight, bias.as_mut());
                         accumulate(&mut g_node[inputs[0]], dx);
                     }
                     SnnOp::Spike(layer) => {
