@@ -443,28 +443,27 @@ fn scenario_corrupted_swap(data: &Dataset) -> (String, u64) {
 /// Scenario 8: canary routing, transitions and served logits are
 /// bit-identical across reruns and `ULL_THREADS` ∈ {1, 4}.
 fn scenario_determinism(data: &Dataset) -> DeterminismStats {
-    let _guard = parallel::override_lock();
     let run = |threads: usize, tag: &str| {
-        parallel::set_threads(threads);
-        let dir = model_dir(&format!("determinism-{tag}"));
-        let lcfg = LifecycleConfig {
-            // A real fraction so the routing itself is under test.
-            canary_fraction: 0.5,
-            ..lifecycle_config(&dir)
-        };
-        let (engine, mgr) = lifecycle_engine(data, lcfg, 2);
-        publish(&dir, 1, &clean_net(11));
-        let assignment: Vec<bool> = (0..32).map(|s| mgr.is_canary_batch(s)).collect();
-        let bits = drive(&engine, data, 16);
-        let events = transitions(&lifecycle_events(&engine));
-        let version = engine.serving_version(0);
-        let _ = std::fs::remove_dir_all(dir);
-        (assignment, bits, events, version)
+        parallel::with_threads(threads, || {
+            let dir = model_dir(&format!("determinism-{tag}"));
+            let lcfg = LifecycleConfig {
+                // A real fraction so the routing itself is under test.
+                canary_fraction: 0.5,
+                ..lifecycle_config(&dir)
+            };
+            let (engine, mgr) = lifecycle_engine(data, lcfg, 2);
+            publish(&dir, 1, &clean_net(11));
+            let assignment: Vec<bool> = (0..32).map(|s| mgr.is_canary_batch(s)).collect();
+            let bits = drive(&engine, data, 16);
+            let events = transitions(&lifecycle_events(&engine));
+            let version = engine.serving_version(0);
+            let _ = std::fs::remove_dir_all(dir);
+            (assignment, bits, events, version)
+        })
     };
     let serial_a = run(1, "serial-a");
     let serial_b = run(1, "serial-b");
     let threaded = run(4, "threaded");
-    parallel::set_threads(0);
     assert_eq!(
         serial_a.3, 1,
         "determinism scenario must promote (got version {})",

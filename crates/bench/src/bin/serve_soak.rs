@@ -78,7 +78,8 @@ struct SoakReport {
     dataset: String,
     scale: String,
     config: ServeConfig,
-    /// Test accuracy of the source DNN, beside the served accuracies.
+    /// Accuracy of the source DNN on the served request set, beside the
+    /// served accuracies.
     dnn_accuracy: f32,
     clean: PhaseStats,
     faulted: PhaseStats,
@@ -201,29 +202,28 @@ fn drive_phase(server: &Server, set: &[(Request, usize)], waves: usize) -> Phase
 /// Thread-invariance check: identical clean batches on fresh engines at
 /// `ULL_THREADS ∈ {1, 4}` must produce bit-identical logits.
 fn thread_invariance(cfg: &ServeConfig, net: &SnnNetwork, data: &Dataset, batch: usize) -> bool {
-    let _guard = parallel::override_lock();
     let run = |threads: usize| -> Vec<u32> {
-        parallel::set_threads(threads);
-        let engine = Engine::new(
-            cfg.clone(),
-            vec![ReplicaSpec {
-                name: "solo".to_string(),
-                net: net.clone(),
-                envelope_full: None,
-                envelope_reduced: None,
-            }],
-            None,
-        );
-        let mut bits = Vec::new();
-        for b in data.eval_batches(batch).take(4) {
-            let out = engine.execute(&b.images, RungLabel::Full);
-            bits.extend(out.logits.data().iter().map(|v| v.to_bits()));
-        }
-        bits
+        parallel::with_threads(threads, || {
+            let engine = Engine::new(
+                cfg.clone(),
+                vec![ReplicaSpec {
+                    name: "solo".to_string(),
+                    net: net.clone(),
+                    envelope_full: None,
+                    envelope_reduced: None,
+                }],
+                None,
+            );
+            let mut bits = Vec::new();
+            for b in data.eval_batches(batch).take(4) {
+                let out = engine.execute(&b.images, RungLabel::Full);
+                bits.extend(out.logits.data().iter().map(|v| v.to_bits()));
+            }
+            bits
+        })
     };
     let serial = run(1);
     let threaded = run(4);
-    parallel::set_threads(0);
     serial == threaded
 }
 
@@ -240,7 +240,7 @@ fn main() {
     let (train, test) = load_data(scale, CLASSES);
     let image = scale.data(CLASSES).image_size;
     let mut rng = seeded_rng(42);
-    let (dnn, dnn_acc) = train_or_load_dnn(
+    let (dnn, dnn_test_acc) = train_or_load_dnn(
         "vgg16",
         scale,
         Arch::Vgg16,
@@ -249,7 +249,15 @@ fn main() {
         &test,
         &mut rng,
     );
-    println!("DNN test accuracy: {:.1} %", dnn_acc * 100.0);
+    println!("DNN test accuracy: {:.1} %", dnn_test_acc * 100.0);
+    // Every wave replays the first `served` test images, so the DNN is
+    // measured on those too.
+    let served = 24.min(test.len());
+    let dnn_acc = ull_nn::evaluate(&dnn, &test.take(served), scale.batch());
+    println!(
+        "DNN accuracy on the {served} served images: {:.1} %",
+        dnn_acc * 100.0
+    );
     // Report runs serve the paper's α/β-converted net; the CI gate runs
     // at tiny scale, where that net is chance-level with a near-silent
     // output layer (the resilience gate documents the same limitation),
@@ -284,7 +292,7 @@ fn main() {
     let schedule = calibrate_margin_schedule(&net, &test, cfg.t_full, cfg.max_batch, 0.95);
     let engine = Engine::new(cfg.clone(), replicas(&net, &test, &cfg), Some(schedule));
     let server = Server::start(engine);
-    let set = eval_set(&test, 24.min(test.len()), image);
+    let set = eval_set(&test, served, image);
 
     // Phase 1: clean soak.
     let clean = drive_phase(&server, &set, WAVES_PER_PHASE);
@@ -478,11 +486,13 @@ fn main() {
         section.push_str(&format!(
             "\nChaos soak at `--scale {}`: two replicas, BER {HIGH_BER} weight flips \
              injected into the primary mid-run. Accuracy is over the same {}-sample \
-             request set replayed every wave; the source DNN reads {:.1} % on the \
-             test set.\n\n",
+             request set replayed every wave; the source DNN reads {:.1} % on that \
+             set ({:.1} % on all {} test images).\n\n",
             scale.name(),
             set.len(),
-            report.dnn_accuracy * 100.0
+            report.dnn_accuracy * 100.0,
+            dnn_test_acc * 100.0,
+            test.len()
         ));
         section.push_str(
             "| phase | requests | predictions | shed | errors | accuracy | p50 | p99 |\n\

@@ -127,52 +127,53 @@ fn snapshot_of(reply: ControlReply) -> ull_obs::MetricsSnapshot {
 
 /// Phase 2: trace ids and per-rung step histograms must be bit-identical
 /// across `ULL_THREADS` {1, 4} and across reruns. The requests go through
-/// a [`Server`], whose workers run their kernels on their own thread, so
-/// both arms now run every kernel at a budget of 1: the check covers the
-/// pool setting, not a multi-thread forward (`serve_soak` and
+/// a [`Server`], whose workers run their kernels on their own thread at a
+/// budget of 1, and the engine build runs no kernel, so this is a rerun
+/// check: no arm runs a multi-thread forward (`serve_soak` and
 /// `serve_lifecycle` call `Engine::execute` directly and cross the pool).
+/// Without an anytime schedule every step count is `t_full`, so a direct
+/// arm here would record nothing that could differ.
 fn determinism_check(cfg: &ServeConfig, data: &Dataset, image: usize) -> bool {
-    let _guard = parallel::override_lock();
     let run = |threads: usize| -> (Vec<u64>, String) {
-        parallel::set_threads(threads);
-        ull_obs::reset();
-        let engine = Engine::new(
-            ServeConfig {
-                workers: 1,
-                blackbox: BlackboxConfig::default(),
-                ..cfg.clone()
-            },
-            vec![ReplicaSpec {
-                name: "solo".to_string(),
-                net: clean_net(image, SEED),
-                envelope_full: None,
-                envelope_reduced: None,
-            }],
-            None,
-        );
-        let server = Server::start(engine);
-        let client = server.client();
-        let traces: Vec<u64> = requests(data, image, 8)
-            .into_iter()
-            .map(|r| {
-                let reply = client.call(r);
-                assert!(reply.is_prediction(), "got {reply:?}");
-                reply.trace()
-            })
-            .collect();
-        let snap = server.shutdown();
-        let steps: std::collections::BTreeMap<String, HistogramSnapshot> = snap
-            .histograms
-            .iter()
-            .filter(|(k, _)| k.starts_with("serve.steps."))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        (traces, serde_json::to_string(&steps).unwrap())
+        parallel::with_threads(threads, || {
+            ull_obs::reset();
+            let engine = Engine::new(
+                ServeConfig {
+                    workers: 1,
+                    blackbox: BlackboxConfig::default(),
+                    ..cfg.clone()
+                },
+                vec![ReplicaSpec {
+                    name: "solo".to_string(),
+                    net: clean_net(image, SEED),
+                    envelope_full: None,
+                    envelope_reduced: None,
+                }],
+                None,
+            );
+            let server = Server::start(engine);
+            let client = server.client();
+            let traces: Vec<u64> = requests(data, image, 8)
+                .into_iter()
+                .map(|r| {
+                    let reply = client.call(r);
+                    assert!(reply.is_prediction(), "got {reply:?}");
+                    reply.trace()
+                })
+                .collect();
+            let snap = server.shutdown();
+            let steps: std::collections::BTreeMap<String, HistogramSnapshot> = snap
+                .histograms
+                .iter()
+                .filter(|(k, _)| k.starts_with("serve.steps."))
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect();
+            (traces, serde_json::to_string(&steps).unwrap())
+        })
     };
     let (t1, s1) = run(1);
     let (t4, s4) = run(4);
     let (t1b, s1b) = run(1);
-    parallel::set_threads(0);
     t1 == t4 && t1 == t1b && s1 == s4 && s1 == s1b
 }
 

@@ -256,14 +256,10 @@ mod tests {
 
     #[test]
     fn search_is_thread_count_invariant() {
-        let _guard = parallel::override_lock();
         let samples = skewed(1.0, 400);
         let table = percentile_table(&samples);
-        parallel::set_threads(1);
-        let serial = find_scaling_factors(&table, 1.0, 4);
-        parallel::set_threads(4);
-        let par = find_scaling_factors(&table, 1.0, 4);
-        parallel::set_threads(0);
+        let serial = parallel::with_threads(1, || find_scaling_factors(&table, 1.0, 4));
+        let par = parallel::with_threads(4, || find_scaling_factors(&table, 1.0, 4));
         assert_eq!(serial, par, "winner must not depend on the thread count");
     }
 

@@ -139,7 +139,6 @@ fn kernel_loss_matches_the_scalar_loss_for_every_grid_beta() {
 
 #[test]
 fn search_matches_the_serial_double_loop_at_1_and_4_threads() {
-    let _guard = parallel::override_lock();
     let mut rng = Lcg(0x0a1f_a5ea);
     let counts = (1..=24).chain([37, 64, 101]);
     for (case, candidates) in counts.enumerate() {
@@ -149,8 +148,7 @@ fn search_matches_the_serial_double_loop_at_1_and_4_threads() {
         let ps = table(&mut rng, mu, candidates, extra);
         let want = reference::find_scaling_factors(&ps, mu, t);
         for threads in [1, 4] {
-            parallel::set_threads(threads);
-            let got = find_scaling_factors(&ps, mu, t);
+            let got = parallel::with_threads(threads, || find_scaling_factors(&ps, mu, t));
             assert_eq!(
                 bits(got),
                 bits(want),
@@ -158,7 +156,6 @@ fn search_matches_the_serial_double_loop_at_1_and_4_threads() {
             );
         }
     }
-    parallel::set_threads(0);
 }
 
 #[test]
@@ -166,7 +163,6 @@ fn tied_losses_resolve_to_the_lowest_beta() {
     // One candidate (α = 1) whose losses at β = 1.12 and 1.13 have equal
     // magnitude and opposite sign: the first in β order must win, as in
     // the serial loop. A β-descending fold would return 1.13.
-    let _guard = parallel::override_lock();
     let (ps, mu, t) = ([0.125f32, 1.0], 1.0f32, 2usize);
     let grid = beta_grid();
     let losses = beta_losses(&ps, mu, 1.0, &grid, t);
@@ -176,49 +172,47 @@ fn tied_losses_resolve_to_the_lowest_beta() {
     let want = reference::find_scaling_factors(&ps, mu, t);
     assert_eq!(bits(want), bits((1.0, grid[112], losses[112])));
     for threads in [1, 4] {
-        parallel::set_threads(threads);
-        assert_eq!(bits(find_scaling_factors(&ps, mu, t)), bits(want));
+        let got = parallel::with_threads(threads, || find_scaling_factors(&ps, mu, t));
+        assert_eq!(bits(got), bits(want));
     }
-    parallel::set_threads(0);
 }
 
 #[test]
 fn unstable_percentile_sort_changes_only_the_sign_of_zeros() {
-    let _guard = parallel::override_lock();
-    parallel::set_threads(1);
     let mut rng = Lcg(0x2e60_5167);
     let mut zero_entries = 0;
-    for case in 0..40 {
-        let n = 20 + rng.below(2000);
-        let mu = pick_mu(&mut rng);
-        let samples: Vec<f32> = (0..n)
-            .map(|_| match rng.below(6) {
-                0 => 0.0,
-                1 => -0.0,
-                2 => -rng.unit() * mu,
-                3 => (1 + rng.below(8)) as f32 / 8.0 * mu,
-                _ => rng.unit() * 1.3 * mu,
-            })
-            .collect();
-        let got = percentile_table(&samples);
-        let want = reference::stable_percentile_table(&samples);
-        assert_eq!(got.len(), want.len());
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            if *w == 0.0 {
-                zero_entries += 1;
+    parallel::with_threads(1, || {
+        for case in 0..40 {
+            let n = 20 + rng.below(2000);
+            let mu = pick_mu(&mut rng);
+            let samples: Vec<f32> = (0..n)
+                .map(|_| match rng.below(6) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => -rng.unit() * mu,
+                    3 => (1 + rng.below(8)) as f32 / 8.0 * mu,
+                    _ => rng.unit() * 1.3 * mu,
+                })
+                .collect();
+            let got = percentile_table(&samples);
+            let want = reference::stable_percentile_table(&samples);
+            assert_eq!(got.len(), want.len());
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                if *w == 0.0 {
+                    zero_entries += 1;
+                }
+                assert!(
+                    g.to_bits() == w.to_bits() || (*g == 0.0 && *w == 0.0),
+                    "case {case} P[{i}]: {g:?} vs stable {w:?}"
+                );
             }
-            assert!(
-                g.to_bits() == w.to_bits() || (*g == 0.0 && *w == 0.0),
-                "case {case} P[{i}]: {g:?} vs stable {w:?}"
+            let t = 1 + case % 5;
+            assert_eq!(
+                bits(find_scaling_factors(&got, mu, t)),
+                bits(find_scaling_factors(&want, mu, t)),
+                "case {case}: search differs between the two tables"
             );
         }
-        let t = 1 + case % 5;
-        assert_eq!(
-            bits(find_scaling_factors(&got, mu, t)),
-            bits(find_scaling_factors(&want, mu, t)),
-            "case {case}: search differs between the two tables"
-        );
-    }
-    parallel::set_threads(0);
+    });
     assert!(zero_entries > 0, "no table had a zero entry to test");
 }

@@ -388,9 +388,7 @@ fn faulted_recovery_is_thread_invariant() {
     // The same fault plan must produce bit-identical recovery (same events,
     // same final weights) regardless of the worker pool size.
     let (train, test, dnn0, pcfg) = fixture();
-    let _guard = parallel::override_lock();
     let run = |threads: usize, name: &str| {
-        parallel::set_threads(threads);
         let dir = test_dir(name);
         let mut dnn = dnn0.clone();
         let mut rng = seeded_rng(12);
@@ -401,22 +399,23 @@ fn faulted_recovery_is_thread_invariant() {
                 FaultKind::NanGradient { batch: 0 },
             )
             .with(PipelinePhase::Sgl, 1, FaultKind::NanGradient { batch: 1 });
-        let (rep, snn) = run_or_resume_pipeline(
-            &mut dnn,
-            &train,
-            &test,
-            &pcfg,
-            dir.path(),
-            &mut rng,
-            &mut plan,
-        )
+        let (rep, snn) = parallel::with_threads(threads, || {
+            run_or_resume_pipeline(
+                &mut dnn,
+                &train,
+                &test,
+                &pcfg,
+                dir.path(),
+                &mut rng,
+                &mut plan,
+            )
+        })
         .expect("pipeline must recover from injected NaNs");
         assert_eq!(plan.pending(), 0, "both faults must have fired");
         (rep, snn_bits(&snn))
     };
     let (rep1, snn1) = run(1, "faults_t1");
     let (rep4, snn4) = run(4, "faults_t4");
-    parallel::set_threads(0);
     assert_eq!(snn1, snn4, "faulted recovery differs across thread counts");
     assert_eq!(rep1.snn_accuracy.to_bits(), rep4.snn_accuracy.to_bits());
     assert_eq!(rep1.recovery_events, rep4.recovery_events);

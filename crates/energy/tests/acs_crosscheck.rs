@@ -54,10 +54,7 @@ fn executed_accumulates_match_energy_audit_exactly() {
     let x = Tensor::from_vec(vals, &[1, 2, 3, 3]).unwrap();
     let t = 4;
 
-    let _threads = parallel::override_lock();
-    parallel::set_threads(1);
-    let (_, acs, stats) = measured(&snn, &x, t);
-    parallel::set_threads(0);
+    let (_, acs, stats) = parallel::with_threads(1, || measured(&snn, &x, t));
 
     let dnn_audit = audit_dnn(&dnn, &[2, 3, 3]);
     let audit = audit_snn(&snn, &dnn_audit, &stats.report());
@@ -119,10 +116,7 @@ fn executed_accumulates_are_well_below_nominal_at_low_spike_rates() {
     let snn = conv_stack();
     let x = normal(&[32, 3, 16, 16], 0.0, 1.0, &mut seeded_rng(2022 ^ 0x5eed));
 
-    let _threads = parallel::override_lock();
-    parallel::set_threads(1);
-    let (macs, acs, stats) = measured(&snn, &x, T);
-    parallel::set_threads(0);
+    let (macs, acs, stats) = parallel::with_threads(1, || measured(&snn, &x, T));
 
     let mean_rate = stats.report().mean_spike_rate() / T as f64;
     let reduction = macs as f64 / acs.max(1) as f64;

@@ -25,13 +25,10 @@ fn setup() -> (Network, SnnNetwork, Dataset) {
 
 /// Runs `f` under 1 worker and under 4 workers and returns both results.
 fn at_threads<T>(mut f: impl FnMut() -> T) -> (T, T) {
-    let _guard = parallel::override_lock();
-    parallel::set_threads(1);
-    let a = f();
-    parallel::set_threads(4);
-    let b = f();
-    parallel::set_threads(0);
-    (a, b)
+    (
+        parallel::with_threads(1, &mut f),
+        parallel::with_threads(4, f),
+    )
 }
 
 #[test]

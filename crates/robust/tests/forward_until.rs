@@ -84,19 +84,18 @@ fn frozen_rows_never_unfreeze_on_faulted_replicas() {
 
 #[test]
 fn forward_until_and_anytime_are_thread_invariant_on_faulted_replicas() {
-    let _guard = parallel::override_lock();
     let x = test_images(16);
     let net = faulted_replica(7, 1e-3);
     let cfg = AnytimeSchedule::uniform(4, 0.05);
+    let run = || {
+        (
+            net.forward_until(&x, 4, |_, _| true),
+            anytime_forward_scheduled(&net, &x, &cfg),
+        )
+    };
 
-    parallel::set_threads(1);
-    let (serial_out, serial_steps) = net.forward_until(&x, 4, |_, _| true);
-    let serial_any = anytime_forward_scheduled(&net, &x, &cfg);
-
-    parallel::set_threads(4);
-    let (par_out, par_steps) = net.forward_until(&x, 4, |_, _| true);
-    let par_any = anytime_forward_scheduled(&net, &x, &cfg);
-    parallel::set_threads(0);
+    let ((serial_out, serial_steps), serial_any) = parallel::with_threads(1, run);
+    let ((par_out, par_steps), par_any) = parallel::with_threads(4, run);
 
     assert_eq!(serial_steps, par_steps);
     assert_eq!(

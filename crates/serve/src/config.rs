@@ -127,8 +127,9 @@ pub struct ServeConfig {
     /// steps, slightly lower accuracy, proportionally lower cost).
     pub t_reduced: usize,
     /// Worker threads pulling batches off the queue. Each worker runs its
-    /// batch's kernels on its own thread, whatever `ULL_THREADS` says, so
-    /// this is the serving parallelism: raise it on a larger box.
+    /// batch's kernels on its own thread (`parallel::with_threads(1, …)`),
+    /// whatever `ULL_THREADS` says, so this is the serving parallelism:
+    /// raise it on a larger box.
     pub workers: usize,
     /// Bounded admission-queue capacity; a full queue sheds with a typed
     /// `Overloaded` reply instead of queueing unboundedly.

@@ -101,9 +101,9 @@ pub struct Client {
 
 impl Server {
     /// Starts `cfg.workers` worker threads over `engine`. Each worker
-    /// runs inside [`parallel::serial`]: its kernels stay on its own
-    /// thread. [`Engine::execute`] called from any other thread keeps
-    /// the process-wide kernel pool.
+    /// runs inside [`parallel::with_threads`] at one thread: its kernels
+    /// stay on its own thread. [`Engine::execute`] called from any other
+    /// thread uses that thread's kernel budget or the process default.
     pub fn start(engine: Engine) -> Server {
         let cfg = engine.config().clone();
         let workers_n = cfg.workers;
@@ -125,7 +125,7 @@ impl Server {
                     .spawn(move || {
                         // Serving's parallelism is its workers: each runs
                         // its kernels on its own thread, spawning none.
-                        parallel::serial(|| {
+                        parallel::with_threads(1, || {
                             ull_obs::with_registry(shared.engine.registry(), || {
                                 worker_loop(&shared)
                             })

@@ -386,56 +386,61 @@ fn tcp_round_trip_speaks_typed_replies() {
 
 #[test]
 fn clean_runs_are_invariant_to_ull_threads() {
-    let _guard = parallel::override_lock();
     let data = test_data();
     let run = |threads: usize| -> Vec<Vec<u32>> {
-        parallel::set_threads(threads);
-        let cfg = ServeConfig {
-            workers: 1,
-            ..base_config()
-        };
-        let engine = primary_engine(&cfg, &data);
-        let server = Server::start(engine);
-        let client = server.client();
-        let logits: Vec<Vec<u32>> = requests(&data, 6)
-            .into_iter()
-            .map(|r| match client.call(r) {
-                Reply::Prediction { logits, .. } => logits.iter().map(|l| l.to_bits()).collect(),
-                other => panic!("got {other:?}"),
-            })
-            .collect();
-        // Served kernels run at a budget of 1 whatever the pool; the same
-        // six images as one direct batch cross the pool.
-        let batch = data.eval_batches(6).next().expect("six images").images;
-        let direct = server.engine().execute(&batch, RungLabel::Full).logits;
-        let direct_rows: Vec<Vec<u32>> = direct
-            .data()
-            .chunks(CLASSES)
-            .map(|row| row.iter().map(|l| l.to_bits()).collect())
-            .collect();
-        assert_eq!(
-            logits, direct_rows,
-            "served rows differ from one direct batch"
-        );
-        server.shutdown();
-        logits
+        parallel::with_threads(threads, || {
+            let cfg = ServeConfig {
+                workers: 1,
+                ..base_config()
+            };
+            let engine = primary_engine(&cfg, &data);
+            let server = Server::start(engine);
+            let client = server.client();
+            let logits: Vec<Vec<u32>> = requests(&data, 6)
+                .into_iter()
+                .map(|r| match client.call(r) {
+                    Reply::Prediction { logits, .. } => {
+                        logits.iter().map(|l| l.to_bits()).collect()
+                    }
+                    other => panic!("got {other:?}"),
+                })
+                .collect();
+            // Served kernels run at a budget of 1 whatever the pool; the same
+            // six images as one direct batch cross the pool.
+            let batch = data.eval_batches(6).next().expect("six images").images;
+            let direct = server.engine().execute(&batch, RungLabel::Full).logits;
+            let direct_rows: Vec<Vec<u32>> = direct
+                .data()
+                .chunks(CLASSES)
+                .map(|row| row.iter().map(|l| l.to_bits()).collect())
+                .collect();
+            assert_eq!(
+                logits, direct_rows,
+                "served rows differ from one direct batch"
+            );
+            server.shutdown();
+            logits
+        })
     };
     let serial = run(1);
     let parallel_run = run(4);
-    parallel::set_threads(0);
     assert_eq!(
         serial, parallel_run,
         "served logits must be bit-identical across ULL_THREADS"
     );
 }
 
-/// Serve workers run their kernels on their own thread: on a two-thread
-/// kernel pool, served traffic spawns no kernel thread, while the same
-/// engine called directly from this thread still fans out a batch of 2.
+/// Serve workers run their kernels on their own thread: served traffic
+/// spawns no kernel thread, while the same engine called directly from
+/// this thread at two threads still fans out a batch of 2.
+///
+/// A kernel budget does not reach the threads a server spawns, so the
+/// served half runs at the process default (`ULL_THREADS`, else the
+/// cores). It catches a worker that lost its one-thread budget only where
+/// that default is ≥ 2, as in CI's unset, `ULL_THREADS=2` and
+/// `ULL_THREADS=4` runs; at `ULL_THREADS=1` only the control half tests.
 #[test]
 fn served_batches_spawn_no_kernel_threads() {
-    let _guard = parallel::override_lock();
-    parallel::set_threads(2);
     let data = test_data();
     let engine = primary_engine(&base_config(), &data);
     let server = Server::start(engine);
@@ -456,8 +461,7 @@ fn served_batches_spawn_no_kernel_threads() {
 
     // Positive control: the counter sees a direct call's fan-out.
     let batch = data.eval_batches(2).next().expect("a batch of 2").images;
-    server.engine().execute(&batch, RungLabel::Full);
-    parallel::set_threads(0);
+    parallel::with_threads(2, || server.engine().execute(&batch, RungLabel::Full));
     assert!(spawned(&server) > 0, "a direct batch of 2 spawned nothing");
     server.shutdown();
 }

@@ -120,17 +120,23 @@ fn replies_echo_deterministic_trace_ids() {
 /// Trace ids and the per-rung step histograms are bit-identical across
 /// `ULL_THREADS` and reruns: traces are pure functions of the serials,
 /// and step counts are pure functions of the (deterministic) forwards.
+///
+/// The thread count reaches only the engine build (its envelope
+/// profiling): served forwards run at a budget of 1 on the worker, so this
+/// is a rerun check of the served path. A multi-thread forward is covered
+/// by `clean_runs_are_invariant_to_ull_threads`, whose direct arm crosses
+/// the pool; without an anytime schedule every step count is `t_full`, so
+/// a direct arm here would record nothing that could differ.
 #[test]
 fn trace_ids_and_step_histograms_are_invariant_to_ull_threads() {
-    let _guard = parallel::override_lock();
     let data = test_data();
     let run = |threads: usize| -> (Vec<u64>, String) {
-        parallel::set_threads(threads);
         let cfg = ServeConfig {
             workers: 1,
             ..base_config()
         };
-        let server = Server::start(primary_engine(&cfg, &data));
+        let engine = parallel::with_threads(threads, || primary_engine(&cfg, &data));
+        let server = Server::start(engine);
         let client = server.client();
         let traces: Vec<u64> = requests(&data, 6)
             .into_iter()
@@ -152,7 +158,6 @@ fn trace_ids_and_step_histograms_are_invariant_to_ull_threads() {
     let (traces_a, steps_a) = run(1);
     let (traces_b, steps_b) = run(4);
     let (traces_c, steps_c) = run(1);
-    parallel::set_threads(0);
     assert_eq!(
         traces_a, traces_b,
         "trace ids must not depend on ULL_THREADS"

@@ -1246,14 +1246,10 @@ mod tests {
 
     #[test]
     fn batch_parallel_forward_matches_serial() {
-        let _guard = parallel::override_lock();
         let snn = tiny_snn(50);
         let x = normal(&[5, 2, 4, 4], 0.0, 1.0, &mut seeded_rng(51));
-        parallel::set_threads(1);
-        let serial = snn.forward(&x, 3);
-        parallel::set_threads(4);
-        let par = snn.forward(&x, 3);
-        parallel::set_threads(0);
+        let serial = parallel::with_threads(1, || snn.forward(&x, 3));
+        let par = parallel::with_threads(4, || snn.forward(&x, 3));
         assert_eq!(serial.logits, par.logits);
         assert_eq!(serial.stats, par.stats);
     }
@@ -1608,14 +1604,10 @@ mod tests {
 
     #[test]
     fn tampered_forward_is_thread_invariant() {
-        let _guard = parallel::override_lock();
         let snn = tiny_snn(84);
         let x = normal(&[5, 2, 4, 4], 0.0, 1.0, &mut seeded_rng(85));
-        parallel::set_threads(1);
-        let serial = snn.forward_tampered(&x, 3, &DropAll);
-        parallel::set_threads(4);
-        let par = snn.forward_tampered(&x, 3, &DropAll);
-        parallel::set_threads(0);
+        let serial = parallel::with_threads(1, || snn.forward_tampered(&x, 3, &DropAll));
+        let par = parallel::with_threads(4, || snn.forward_tampered(&x, 3, &DropAll));
         assert_eq!(serial.logits, par.logits);
         assert_eq!(serial.stats, par.stats);
     }
@@ -1624,13 +1616,7 @@ mod tests {
     fn forward_until_full_run_matches_forward() {
         let snn = tiny_snn(86);
         let x = normal(&[2, 2, 4, 4], 0.0, 1.0, &mut seeded_rng(87));
-        let full = {
-            let _guard = parallel::override_lock();
-            parallel::set_threads(1);
-            let out = snn.forward(&x, 4);
-            parallel::set_threads(0);
-            out
-        };
+        let full = parallel::with_threads(1, || snn.forward(&x, 4));
         let (out, steps) = snn.forward_until(&x, 4, |_, _| true);
         assert_eq!(steps, 4);
         assert_eq!(out.logits, full.logits);

@@ -199,17 +199,16 @@ mod tests {
     fn packing_is_reused_across_timesteps_batches_and_threads() {
         let net = test_net(2);
         assert!(!is_packed(&net), "a fresh network starts unpacked");
-        let _threads = parallel::override_lock();
-        parallel::set_threads(1);
-        net.forward(&input(3, 20), 1);
+        parallel::with_threads(1, || net.forward(&input(3, 20), 1));
         let pack = net.prepack();
         assert_eq!(pack.layer_count(), 2);
         assert!(pack.packed_bytes() > 0);
         for threads in [1, 4] {
-            parallel::set_threads(threads);
             for (batch, t_steps) in [(3, 5), (1, 2), (5, 3)] {
-                net.forward(&input(batch, 21), t_steps);
-                net.forward_until(&input(batch, 22), t_steps, |_, _| true);
+                parallel::with_threads(threads, || {
+                    net.forward(&input(batch, 21), t_steps);
+                    net.forward_until(&input(batch, 22), t_steps, |_, _| true);
+                });
                 assert!(
                     Arc::ptr_eq(&pack, &net.prepack()),
                     "threads {threads}, batch {batch}, T {t_steps} re-packed"
@@ -220,7 +219,6 @@ mod tests {
             &pack,
             &packed_for(&net).expect("always packed")
         ));
-        parallel::set_threads(0);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! steady steps — the assertion is that there are none.
 //!
 //! Hits are counted per thread. The tests run the forward on one kernel
-//! thread — a one-thread pool, or a two-thread pool inside
-//! `parallel::serial` as a serve worker runs it — so every allocation it
+//! thread — a one-thread budget, or a two-thread budget with a nested
+//! one-thread budget as a serve worker runs it — so every allocation it
 //! makes lands on the test's own thread, while the test harness and other
 //! test threads allocating at the same moment cannot inflate the count.
 //!
@@ -106,36 +106,34 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 #[test]
 fn steady_state_step_loop_does_not_allocate() {
     let snn = test_net(42);
-    let _threads = parallel::override_lock();
-    // One kernel thread: a one-thread pool, and a two-thread pool inside
-    // `parallel::serial` as a serve worker runs it. Batch 1 is where an
-    // unbudgeted two-thread pool would split every GEMM.
+    // One kernel thread: a one-thread budget, and a two-thread budget
+    // with a nested one-thread budget as a serve worker runs it. Batch 1
+    // is where a two-thread budget alone would split every GEMM.
     for (threads, batch) in [(1, 3), (2, 1), (2, 3)] {
-        parallel::set_threads(threads);
         let x = normal(&[batch, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(99));
-        parallel::serial(|| {
-            // Warm up lazily initialised state (thread-count cache, the
-            // network's pack, allocator internals).
-            snn.forward(&x, 1);
+        parallel::with_threads(threads, || {
+            parallel::with_threads(1, || {
+                // Warm up lazily initialised state (thread-count cache, the
+                // network's pack, allocator internals).
+                snn.forward(&x, 1);
 
-            // Step 1 grows every workspace buffer to its working size, so
-            // steps 2+ must be allocation-free and T=8 may not out-allocate
-            // T=2.
-            let short = allocs_during(|| {
-                snn.forward(&x, 2);
-            });
-            let long = allocs_during(|| {
-                snn.forward(&x, 8);
-            });
-            assert!(
-                long <= short,
-                "{threads} threads, batch {batch}: steady-state steps allocated: \
+                // Step 1 grows every workspace buffer to its working size, so
+                // steps 2+ must be allocation-free and T=8 may not out-allocate
+                // T=2.
+                let short = allocs_during(|| {
+                    snn.forward(&x, 2);
+                });
+                let long = allocs_during(|| {
+                    snn.forward(&x, 8);
+                });
+                assert!(
+                    long <= short,
+                    "{threads} threads, batch {batch}: steady-state steps allocated: \
                  T=2 cost {short} hits, T=8 cost {long}"
-            );
+                );
+            })
         });
     }
-
-    parallel::set_threads(0);
 }
 
 /// The probes run the same step engine as `forward`: `forward_until`
@@ -145,35 +143,32 @@ fn steady_state_step_loop_does_not_allocate() {
 fn probe_steady_state_steps_do_not_allocate() {
     let snn = test_net(43);
     let x = normal(&[3, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(98));
-    let _threads = parallel::override_lock();
-    parallel::set_threads(1);
+    parallel::with_threads(1, || {
+        snn.forward_until(&x, 1, |_, _| true);
+        snn.forward_rates(&x, 1);
 
-    snn.forward_until(&x, 1, |_, _| true);
-    snn.forward_rates(&x, 1);
+        let short = allocs_during(|| {
+            snn.forward_until(&x, 2, |_, _| true);
+        });
+        let long = allocs_during(|| {
+            snn.forward_until(&x, 8, |_, _| true);
+        });
+        assert!(
+            long <= short,
+            "forward_until steady-state steps allocated: T=2 cost {short} hits, T=8 cost {long}"
+        );
 
-    let short = allocs_during(|| {
-        snn.forward_until(&x, 2, |_, _| true);
+        let short = allocs_during(|| {
+            snn.forward_rates(&x, 2);
+        });
+        let long = allocs_during(|| {
+            snn.forward_rates(&x, 8);
+        });
+        assert!(
+            long <= short,
+            "forward_rates steady-state steps allocated: T=2 cost {short} hits, T=8 cost {long}"
+        );
     });
-    let long = allocs_during(|| {
-        snn.forward_until(&x, 8, |_, _| true);
-    });
-    assert!(
-        long <= short,
-        "forward_until steady-state steps allocated: T=2 cost {short} hits, T=8 cost {long}"
-    );
-
-    let short = allocs_during(|| {
-        snn.forward_rates(&x, 2);
-    });
-    let long = allocs_during(|| {
-        snn.forward_rates(&x, 8);
-    });
-    assert!(
-        long <= short,
-        "forward_rates steady-state steps allocated: T=2 cost {short} hits, T=8 cost {long}"
-    );
-
-    parallel::set_threads(0);
 }
 
 /// Allocator hits above [`SHAPE_BYTES`] on the calling thread while `f`
@@ -194,28 +189,25 @@ fn buffers_during(f: impl FnOnce()) -> u64 {
 fn training_steps_allocate_only_what_the_tape_keeps() {
     let snn = test_net(44);
     let x = normal(&[3, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(97));
-    let _threads = parallel::override_lock();
-    parallel::set_threads(1);
+    parallel::with_threads(1, || {
+        snn.forward_train(&x, 1, &mut seeded_rng(0));
 
-    snn.forward_train(&x, 1, &mut seeded_rng(0));
-
-    let short = buffers_during(|| {
-        snn.forward_train(&x, 2, &mut seeded_rng(0));
+        let short = buffers_during(|| {
+            snn.forward_train(&x, 2, &mut seeded_rng(0));
+        });
+        let long = buffers_during(|| {
+            snn.forward_train(&x, 4, &mut seeded_rng(0));
+        });
+        let count = |f: fn(&SnnOp) -> bool| snn.nodes().iter().filter(|n| f(&n.op)).count() as u64;
+        let spikes = count(|op| matches!(op, SnnOp::Spike(_)));
+        let maxpools = count(|op| matches!(op, SnnOp::MaxPool2d { .. }));
+        let per_step = snn.nodes().len() as u64 + 2 * spikes + maxpools + 2;
+        assert_eq!(
+            long - short,
+            2 * per_step,
+            "T=2 cost {short} buffers, T=4 cost {long}; each step should add {per_step}"
+        );
     });
-    let long = buffers_during(|| {
-        snn.forward_train(&x, 4, &mut seeded_rng(0));
-    });
-    let count = |f: fn(&SnnOp) -> bool| snn.nodes().iter().filter(|n| f(&n.op)).count() as u64;
-    let spikes = count(|op| matches!(op, SnnOp::Spike(_)));
-    let maxpools = count(|op| matches!(op, SnnOp::MaxPool2d { .. }));
-    let per_step = snn.nodes().len() as u64 + 2 * spikes + maxpools + 2;
-    assert_eq!(
-        long - short,
-        2 * per_step,
-        "T=2 cost {short} buffers, T=4 cost {long}; each step should add {per_step}"
-    );
-
-    parallel::set_threads(0);
 }
 
 /// Packed weights are built exactly once per network: after the first
@@ -226,40 +218,37 @@ fn packing_builds_once_and_steady_state_stays_alloc_free() {
     let snn = test_net(7);
     let x = normal(&[3, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(17));
     let x_small = normal(&[1, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(18));
-    let _threads = parallel::override_lock();
-    parallel::set_threads(1);
+    parallel::with_threads(1, || {
+        let reg = ull_obs::Registry::new();
+        let pack = ull_obs::with_registry(&reg, || {
+            snn.forward(&x, 1); // builds the pack, grows workspace buffers
+            let pack = snn.prepack();
+            snn.forward(&x, 8); // extra timesteps: same pack
+            snn.forward(&x_small, 2); // different batch shape: same pack
+            pack
+        });
+        let snap = reg.snapshot();
+        assert_eq!(
+            snap.counters.get("snn.pack.builds"),
+            Some(&1),
+            "pack must be built exactly once across forwards, timesteps and batches"
+        );
+        assert!(Arc::ptr_eq(&pack, &snn.prepack()));
 
-    let reg = ull_obs::Registry::new();
-    let pack = ull_obs::with_registry(&reg, || {
-        snn.forward(&x, 1); // builds the pack, grows workspace buffers
-        let pack = snn.prepack();
-        snn.forward(&x, 8); // extra timesteps: same pack
-        snn.forward(&x_small, 2); // different batch shape: same pack
-        pack
+        // With the pack warm (and outside the collecting registry — its
+        // records allocate), extra steady-state steps must not touch the
+        // allocator.
+        let short = allocs_during(|| {
+            snn.forward(&x, 2);
+        });
+        let long = allocs_during(|| {
+            snn.forward(&x, 8);
+        });
+        assert!(
+            long <= short,
+            "packed steady-state steps allocated: T=2 cost {short} hits, T=8 cost {long}"
+        );
     });
-    let snap = reg.snapshot();
-    assert_eq!(
-        snap.counters.get("snn.pack.builds"),
-        Some(&1),
-        "pack must be built exactly once across forwards, timesteps and batches"
-    );
-    assert!(Arc::ptr_eq(&pack, &snn.prepack()));
-
-    // With the pack warm (and outside the collecting registry — its
-    // records allocate), extra steady-state steps must not touch the
-    // allocator.
-    let short = allocs_during(|| {
-        snn.forward(&x, 2);
-    });
-    let long = allocs_during(|| {
-        snn.forward(&x, 8);
-    });
-    assert!(
-        long <= short,
-        "packed steady-state steps allocated: T=2 cost {short} hits, T=8 cost {long}"
-    );
-
-    parallel::set_threads(0);
 }
 
 /// Two threads racing the first forward of one shared network build its
@@ -268,17 +257,17 @@ fn packing_builds_once_and_steady_state_stays_alloc_free() {
 fn packing_race_on_first_forward_builds_once() {
     let snn = Arc::new(test_net(8));
     let x = normal(&[2, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(19));
-    let _threads = parallel::override_lock();
-    parallel::set_threads(1);
     let start = Barrier::new(2);
 
     let reg = ull_obs::Registry::new();
     std::thread::scope(|s| {
         for _ in 0..2 {
             s.spawn(|| {
-                ull_obs::with_registry(&reg, || {
-                    start.wait();
-                    snn.forward(&x, 2);
+                parallel::with_threads(1, || {
+                    ull_obs::with_registry(&reg, || {
+                        start.wait();
+                        snn.forward(&x, 2);
+                    })
                 })
             });
         }
@@ -288,8 +277,6 @@ fn packing_race_on_first_forward_builds_once() {
         Some(&1),
         "racing first forwards must share one build"
     );
-
-    parallel::set_threads(0);
 }
 
 struct NoopTamper;
@@ -306,35 +293,32 @@ impl StepTamper for NoopTamper {
 fn tampered_weight_mutation_triggers_repack() {
     let mut snn = test_net(11);
     let x = normal(&[2, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(23));
-    let _threads = parallel::override_lock();
-    parallel::set_threads(1);
-
-    let reg = ull_obs::Registry::new();
-    let packed_out = ull_obs::with_registry(&reg, || {
-        snn.forward_tampered(&x, 3, &NoopTamper);
-        // Simulate an in-place weight fault between inference calls.
-        for node in snn.nodes_mut() {
-            if let SnnOp::Conv2d { weight, .. } = &mut node.op {
-                weight.value.data_mut()[0] += 0.25;
+    parallel::with_threads(1, || {
+        let reg = ull_obs::Registry::new();
+        let packed_out = ull_obs::with_registry(&reg, || {
+            snn.forward_tampered(&x, 3, &NoopTamper);
+            // Simulate an in-place weight fault between inference calls.
+            for node in snn.nodes_mut() {
+                if let SnnOp::Conv2d { weight, .. } = &mut node.op {
+                    weight.value.data_mut()[0] += 0.25;
+                }
             }
+            snn.forward_tampered(&x, 3, &NoopTamper)
+        });
+        let snap = reg.snapshot();
+        assert_eq!(
+            snap.counters.get("snn.pack.builds"),
+            Some(&2),
+            "mutated weights must re-pack"
+        );
+
+        // The re-packed result must match the unpacked reference on the
+        // mutated weights bit for bit — a stale pack would reproduce the old
+        // weights.
+        let reference = common::reference::reference_run(&snn, &x, 3, None);
+        assert_eq!(packed_out.logits.shape(), reference.logits.shape());
+        for (p, u) in packed_out.logits.data().iter().zip(reference.logits.data()) {
+            assert_eq!(p.to_bits(), u.to_bits(), "{p} vs {u}");
         }
-        snn.forward_tampered(&x, 3, &NoopTamper)
     });
-    let snap = reg.snapshot();
-    assert_eq!(
-        snap.counters.get("snn.pack.builds"),
-        Some(&2),
-        "mutated weights must re-pack"
-    );
-
-    // The re-packed result must match the unpacked reference on the
-    // mutated weights bit for bit — a stale pack would reproduce the old
-    // weights.
-    let reference = common::reference::reference_run(&snn, &x, 3, None);
-    assert_eq!(packed_out.logits.shape(), reference.logits.shape());
-    for (p, u) in packed_out.logits.data().iter().zip(reference.logits.data()) {
-        assert_eq!(p.to_bits(), u.to_bits(), "{p} vs {u}");
-    }
-
-    parallel::set_threads(0);
 }

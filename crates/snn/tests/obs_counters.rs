@@ -19,13 +19,10 @@ fn tiny_snn(seed: u64) -> SnnNetwork {
 
 #[test]
 fn obs_counters_agree_with_spike_stats() {
-    let _guard = parallel::override_lock();
     let reg = ull_obs::Registry::new();
-    parallel::set_threads(1);
     let snn = tiny_snn(60);
     let x = normal(&[3, 2, 4, 4], 0.5, 1.0, &mut seeded_rng(61));
-    let out = ull_obs::with_registry(&reg, || snn.forward(&x, 4));
-    parallel::set_threads(0);
+    let out = parallel::with_threads(1, || ull_obs::with_registry(&reg, || snn.forward(&x, 4)));
     let snap = reg.snapshot();
     // Per-node counters mirror SpikeStats exactly; the prefix sum is
     // the whole-network total the energy audit reasons about.

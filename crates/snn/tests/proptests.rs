@@ -31,12 +31,9 @@ proptest! {
     ) {
         let snn = tiny_snn(seed);
         let x = normal(&[batch, 2, 4, 4], 0.0, 1.0, &mut seeded_rng(seed ^ 0x5eed));
-        let _guard = parallel::override_lock();
-        parallel::set_threads(1);
-        let base = snn.forward(&x, t_steps);
+        let base = parallel::with_threads(1, || snn.forward(&x, t_steps));
         for threads in [2, 3, 4] {
-            parallel::set_threads(threads);
-            let out = snn.forward(&x, t_steps);
+            let out = parallel::with_threads(threads, || snn.forward(&x, t_steps));
             // Exact equality: batch chunking must not change any sample's
             // temporal dynamics or the integer spike counters.
             prop_assert_eq!(&out.logits, &base.logits, "threads {}", threads);
@@ -47,7 +44,6 @@ proptest! {
             );
             prop_assert_eq!(out.stats.batch(), base.stats.batch());
         }
-        parallel::set_threads(0);
     }
 
     #[test]

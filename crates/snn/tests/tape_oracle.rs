@@ -123,7 +123,6 @@ proptest! {
         t_steps in 1usize..5,
     ) {
         let x = normal(&[batch, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(seed ^ 0x7a9e));
-        let _threads = parallel::override_lock();
         for (name, snn) in nets(seed) {
             // Eval run: dropout is the identity.
             let reference = reference_run(&snn, &x, t_steps, None);
@@ -131,23 +130,28 @@ proptest! {
             let spikes = reference.spikes_per_node(&snn);
             let spike_ids = snn.spike_nodes();
             for threads in [1usize, 4] {
-                parallel::set_threads(threads);
                 let ctx = format!("{name}: threads {threads}");
+                let (out, (until, steps), direct, (rated, rates), trace) =
+                    parallel::with_threads(threads, || {
+                        (
+                            snn.forward(&x, t_steps),
+                            snn.forward_until(&x, t_steps, |_, _| true),
+                            snn.forward_with_encoding(
+                                &x, t_steps, InputEncoding::Direct, &mut seeded_rng(0),
+                            ),
+                            snn.forward_rates(&x, t_steps),
+                            snn.forward_trace(&x, t_steps),
+                        )
+                    });
 
-                let out = snn.forward(&x, t_steps);
                 prop_assert_eq!(&out.logits, &reference.logits, "forward {}", ctx);
                 prop_assert_eq!(out.stats.spikes_per_node(), &spikes[..], "forward {}", ctx);
 
-                let (until, steps) = snn.forward_until(&x, t_steps, |_, _| true);
                 prop_assert_eq!(steps, t_steps, "{}", ctx);
                 prop_assert_eq!(&until.logits, &reference.logits, "forward_until {}", ctx);
 
-                let direct = snn.forward_with_encoding(
-                    &x, t_steps, InputEncoding::Direct, &mut seeded_rng(0),
-                );
                 prop_assert_eq!(&direct.logits, &reference.logits, "Direct encoding {}", ctx);
 
-                let (rated, rates) = snn.forward_rates(&x, t_steps);
                 prop_assert_eq!(&rated.logits, &reference.logits, "forward_rates {}", ctx);
                 prop_assert_eq!(rates.len(), spike_ids.len());
                 for (id, current, output) in &rates {
@@ -158,7 +162,6 @@ proptest! {
                     prop_assert_eq!(output, &want_out, "output rate of node {} {}", id, ctx);
                 }
 
-                let trace = snn.forward_trace(&x, t_steps);
                 prop_assert_eq!(trace.len(), t_steps);
                 for (t, (counts, step)) in trace.iter().zip(acts).enumerate() {
                     for (node, (&count, act)) in counts.iter().zip(step).enumerate() {
@@ -172,7 +175,6 @@ proptest! {
                 }
             }
         }
-        parallel::set_threads(0);
     }
 
     /// `forward_train` records every activation, samples the dropout masks
@@ -185,13 +187,13 @@ proptest! {
         t_steps in 1usize..5,
     ) {
         let x = normal(&[batch, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(seed ^ 0x51a7));
-        let _threads = parallel::override_lock();
         for (name, snn) in nets(seed) {
             let reference = reference_run(&snn, &x, t_steps, Some(&mut seeded_rng(seed)));
             for threads in [1usize, 4] {
-                parallel::set_threads(threads);
                 let ctx = format!("{name}: threads {threads}");
-                let tape = snn.forward_train(&x, t_steps, &mut seeded_rng(seed));
+                let tape = parallel::with_threads(threads, || {
+                    snn.forward_train(&x, t_steps, &mut seeded_rng(seed))
+                });
                 prop_assert_eq!(tape.steps, t_steps, "{}", ctx);
                 prop_assert_eq!(&tape.logits, &reference.logits, "logits {}", ctx);
                 prop_assert_eq!(tape.acts(), &reference.acts[..], "activations {}", ctx);
@@ -200,7 +202,6 @@ proptest! {
                 }
             }
         }
-        parallel::set_threads(0);
     }
 
     /// The fault hook sees global batch offsets, so a tampered forward
@@ -215,16 +216,12 @@ proptest! {
     ) {
         let x = normal(&[batch, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(seed ^ 0xbeef));
         let plan = HashTamper { seed: seed ^ 0xfa17, rate_256 };
-        let _threads = parallel::override_lock();
         for (name, snn) in nets(seed) {
-            parallel::set_threads(1);
-            let serial = snn.forward_tampered(&x, t_steps, &plan);
-            parallel::set_threads(4);
-            let split = snn.forward_tampered(&x, t_steps, &plan);
+            let serial = parallel::with_threads(1, || snn.forward_tampered(&x, t_steps, &plan));
+            let split = parallel::with_threads(4, || snn.forward_tampered(&x, t_steps, &plan));
             prop_assert_eq!(&split.logits, &serial.logits, "{}", name);
             prop_assert_eq!(&split.stats, &serial.stats, "{}", name);
         }
-        parallel::set_threads(0);
     }
 }
 

@@ -11,17 +11,18 @@
 //! # Thread count and kernel budget
 //!
 //! [`num_threads`] resolves, in order: the calling thread's kernel budget,
-//! the programmatic [`set_threads`] override, the `ULL_THREADS`
-//! environment variable, and finally
+//! the `ULL_THREADS` environment variable, and finally
 //! [`std::thread::available_parallelism`]. A count of 1 is a guaranteed
 //! serial fallback: every entry point runs its work inline on the calling
 //! thread without spawning, and every kernel sizes its row and batch
 //! blocks for one thread.
 //!
-//! The budget is per thread and unset by default. [`serial`] sets it to 1
-//! for the duration of a closure, so a thread that already is one of
-//! several parallel workers (an `ull-serve` batch worker) runs its kernels
-//! on itself, whatever the process-wide count.
+//! The budget is per thread and unset by default. [`with_threads`] sets it
+//! for the duration of a closure; it is the one way to pick a thread count
+//! in code. `with_threads(1, …)` keeps a thread that already is one of
+//! several parallel workers (an `ull-serve` batch worker) running its
+//! kernels on itself, whatever the process-wide count. The budget does not
+//! reach threads the closure spawns itself: each such thread starts unset.
 //!
 //! # Fan-out
 //!
@@ -51,8 +52,7 @@
 //! 3- and 4-thread runs.
 //!
 //! Threads are scoped: they are spawned and joined inside each call, so
-//! the pool holds no global state beyond the thread-count override and
-//! borrows (not moves) the caller's data.
+//! the pool borrows (not moves) the caller's data.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -60,33 +60,35 @@ use std::sync::{Mutex, OnceLock};
 
 thread_local! {
     /// This thread's kernel budget: the worker count its parallel calls
-    /// use, ahead of the process-wide resolution. 0 means unset.
+    /// use, ahead of `ULL_THREADS`. 0 means unset.
     static BUDGET: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Runs `f` with this thread's kernel budget at 1: every parallel call
-/// `f` makes, directly or nested, runs inline on this thread and sizes
-/// its blocks for one thread. The previous budget is restored when `f`
+/// Runs `f` with this thread's kernel budget at `n`: every parallel call
+/// `f` makes on this thread splits over at most `n` workers, and `n = 1`
+/// runs them all inline. The previous budget is restored when `f`
 /// returns or unwinds.
 ///
-/// Results are bit-identical to a run at any other thread count; only
-/// where the work runs changes.
-pub fn serial<R>(f: impl FnOnce() -> R) -> R {
+/// Results are bit-identical at every `n`; only where the work runs
+/// changes.
+///
+/// # Panics
+///
+/// Panics if `n == 0`.
+pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    assert!(n > 0, "with_threads needs at least one thread");
     struct Restore(usize);
     impl Drop for Restore {
         fn drop(&mut self) {
             BUDGET.with(|b| b.set(self.0));
         }
     }
-    let _restore = Restore(BUDGET.with(|b| b.replace(1)));
+    let _restore = Restore(BUDGET.with(|b| b.replace(n)));
     f()
 }
 
-/// Programmatic override; 0 means "not set".
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
 /// `ULL_THREADS` is read once — changing the environment mid-process does
-/// not retune the pool (the override exists for that).
+/// not retune the pool ([`with_threads`] exists for that).
 static ENV_THREADS: OnceLock<Option<usize>> = OnceLock::new();
 
 /// Parses one `ULL_THREADS` value. `Err` carries the reason the value was
@@ -146,18 +148,14 @@ fn default_threads() -> usize {
 
 /// The worker count every parallel entry point will use.
 ///
-/// Resolution order: this thread's kernel budget (see [`serial`]) →
-/// [`set_threads`] override → `ULL_THREADS` environment variable
-/// (malformed values warn once and are ignored) →
-/// [`std::thread::available_parallelism`] (queried once, then cached) → 1.
+/// Resolution order: this thread's kernel budget (see [`with_threads`])
+/// → `ULL_THREADS` environment variable (malformed values warn once and
+/// are ignored) → [`std::thread::available_parallelism`] (queried once,
+/// then cached) → 1.
 pub fn num_threads() -> usize {
     let budget = BUDGET.with(Cell::get);
     if budget > 0 {
         return budget;
-    }
-    let o = THREAD_OVERRIDE.load(Ordering::Relaxed);
-    if o > 0 {
-        return o;
     }
     if let Some(n) = env_threads() {
         return n;
@@ -165,12 +163,12 @@ pub fn num_threads() -> usize {
     default_threads()
 }
 
-/// Overrides the worker count process-wide; `set_threads(0)` restores the
-/// `ULL_THREADS`/`available_parallelism` default. A thread inside
-/// [`serial`] keeps its budget of 1. Mainly for tests and benches that
-/// compare thread counts within one process.
+/// Sets this thread's kernel budget until changed; `set_threads(0)`
+/// clears it. Unlike [`with_threads`], nothing restores the old budget,
+/// so code in this workspace uses [`with_threads`] (`clippy.toml`
+/// rejects new callers); the separate perfbench harness still calls it.
 pub fn set_threads(n: usize) {
-    THREAD_OVERRIDE.store(n, Ordering::Relaxed);
+    BUDGET.with(|b| b.set(n));
 }
 
 /// Runs `work` on `workers` threads: `workers − 1` scoped spawns, which
@@ -182,9 +180,9 @@ fn fan_out(workers: usize, work: impl Fn() + Sync) {
     let parent = ull_obs::current_scope();
     std::thread::scope(|s| {
         for _ in 1..workers {
-            s.spawn(|| serial(|| ull_obs::with_scope(&parent, &work)));
+            s.spawn(|| with_threads(1, || ull_obs::with_scope(&parent, &work)));
         }
-        serial(&work);
+        with_threads(1, &work);
     });
 }
 
@@ -256,66 +254,51 @@ where
         .collect()
 }
 
-/// Serializes tests that mutate the global thread override so they do not
-/// race each other (test binaries run tests concurrently).
-#[doc(hidden)]
-pub fn override_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    match LOCK.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn par_chunks_mut_touches_every_element_once() {
-        let _guard = override_lock();
         for threads in [1, 2, 4] {
-            set_threads(threads);
             let mut v = vec![0u32; 103];
-            par_chunks_mut(&mut v, 10, |i, chunk| {
-                for (j, x) in chunk.iter_mut().enumerate() {
-                    *x += (i * 10 + j) as u32 + 1;
-                }
+            with_threads(threads, || {
+                par_chunks_mut(&mut v, 10, |i, chunk| {
+                    for (j, x) in chunk.iter_mut().enumerate() {
+                        *x += (i * 10 + j) as u32 + 1;
+                    }
+                })
             });
             assert!(
                 v.iter().enumerate().all(|(i, &x)| x == i as u32 + 1),
                 "threads={threads}"
             );
         }
-        set_threads(0);
     }
 
     #[test]
     fn par_map_preserves_index_order() {
-        let _guard = override_lock();
         for threads in [1, 3, 8] {
-            set_threads(threads);
-            let out = par_map(37, |i| i * i);
+            let out = with_threads(threads, || par_map(37, |i| i * i));
             assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
         }
-        set_threads(0);
     }
 
     #[test]
     fn serial_fallback_spawns_no_threads() {
-        let _guard = override_lock();
         let caller = std::thread::current().id();
         let reg = ull_obs::Registry::new();
         let ids = ull_obs::with_registry(&reg, || {
-            set_threads(1);
-            let mut v = vec![0u8; 16];
-            par_chunks_mut(&mut v, 4, |_, _| {});
-            let mut ids = par_map(4, |_| std::thread::current().id());
-            set_threads(4);
-            ids.extend(serial(|| par_map(4, |_| std::thread::current().id())));
-            ids
+            with_threads(1, || {
+                let mut v = vec![0u8; 16];
+                par_chunks_mut(&mut v, 4, |_, _| {});
+                let mut ids = par_map(4, |_| std::thread::current().id());
+                ids.extend(with_threads(4, || {
+                    with_threads(1, || par_map(4, |_| std::thread::current().id()))
+                }));
+                ids
+            })
         });
-        set_threads(0);
         assert!(ids.iter().all(|&id| id == caller));
         // Inline calls record nothing on the obs plane.
         let snap = reg.snapshot();
@@ -360,8 +343,6 @@ mod tests {
             assert_eq!(default_threads(), first);
         }
         // And the full resolution chain stays stable too.
-        let _guard = override_lock();
-        set_threads(0);
         let resolved = num_threads();
         for _ in 0..100 {
             assert_eq!(num_threads(), resolved);
@@ -369,80 +350,117 @@ mod tests {
     }
 
     #[test]
-    fn override_beats_environment() {
-        let _guard = override_lock();
-        set_threads(3);
-        assert_eq!(num_threads(), 3);
-        set_threads(0);
-        assert!(num_threads() >= 1);
+    fn budget_beats_environment() {
+        let default = env_threads().unwrap_or_else(default_threads);
+        assert_eq!(
+            num_threads(),
+            default,
+            "no budget: ULL_THREADS or the cores"
+        );
+        with_threads(default + 1, || assert_eq!(num_threads(), default + 1));
+        assert_eq!(num_threads(), default);
+    }
+
+    #[test]
+    fn each_thread_reads_its_own_count() {
+        // Two threads set different counts at once, by each of the two
+        // setters, and a third reads none. None may see another's count,
+        // as it did when the count was one process-wide value.
+        let default = env_threads().unwrap_or_else(default_threads);
+        let both_set = std::sync::Barrier::new(3);
+        let both_read = std::sync::Barrier::new(3);
+        let (setter, scoped, bystander) = std::thread::scope(|s| {
+            let setter = s.spawn(|| {
+                #[allow(clippy::disallowed_methods)]
+                set_threads(default + 1);
+                both_set.wait();
+                let n = num_threads();
+                both_read.wait();
+                n
+            });
+            let scoped = s.spawn(|| {
+                with_threads(default + 2, || {
+                    both_set.wait();
+                    let n = num_threads();
+                    both_read.wait();
+                    n
+                })
+            });
+            both_set.wait();
+            let bystander = num_threads();
+            both_read.wait();
+            (
+                setter.join().expect("setter thread"),
+                scoped.join().expect("scoped thread"),
+                bystander,
+            )
+        });
+        assert_eq!(setter, default + 1);
+        assert_eq!(scoped, default + 2);
+        assert_eq!(bystander, default);
     }
 
     #[test]
     fn nested_calls_run_inline_on_the_worker() {
-        let _guard = override_lock();
-        set_threads(4);
-        let outer = par_map(4, |i| {
-            let worker = std::thread::current().id();
-            // The nested call must not spawn: every inner closure runs on
-            // the same pool worker that owns the outer item.
-            let inner = par_map(3, |_| std::thread::current().id());
-            (i, inner.into_iter().all(|id| id == worker))
+        let outer = with_threads(4, || {
+            par_map(4, |i| {
+                let worker = std::thread::current().id();
+                // The nested call must not spawn: every inner closure runs
+                // on the same pool worker that owns the outer item.
+                let inner = par_map(3, |_| std::thread::current().id());
+                (i, inner.into_iter().all(|id| id == worker))
+            })
         });
         assert!(outer.iter().all(|&(_, same)| same));
-        set_threads(0);
     }
 
     #[test]
-    fn serial_budget_wins_and_is_restored_on_unwind() {
-        let _guard = override_lock();
-        set_threads(4);
-        serial(|| {
-            assert_eq!(num_threads(), 1, "the budget beats the override");
-            serial(|| assert_eq!(num_threads(), 1));
-            assert_eq!(num_threads(), 1, "a nested serial restores 1");
+    fn nested_budgets_are_restored_on_return_and_unwind() {
+        let default = num_threads();
+        with_threads(4, || {
+            assert_eq!(num_threads(), 4);
+            with_threads(1, || assert_eq!(num_threads(), 1));
+            assert_eq!(num_threads(), 4, "a nested budget restores the outer one");
+            let unwound = std::panic::catch_unwind(|| with_threads(1, || panic!("kernel failed")));
+            assert!(unwound.is_err());
+            assert_eq!(num_threads(), 4, "an unwind restores the budget too");
         });
-        assert_eq!(num_threads(), 4, "serial restores the unset budget");
-        let unwound = std::panic::catch_unwind(|| serial(|| panic!("kernel failed")));
-        assert!(unwound.is_err());
-        assert_eq!(num_threads(), 4, "an unwind restores the budget too");
-        set_threads(0);
+        assert_eq!(num_threads(), default, "the unset budget is restored");
     }
 
     #[test]
     fn the_caller_works_as_one_of_the_workers() {
-        let _guard = override_lock();
-        set_threads(3);
         let caller = std::thread::current().id();
-        let ids = par_map(64, |_| {
-            std::thread::sleep(std::time::Duration::from_micros(200));
-            std::thread::current().id()
+        with_threads(3, || {
+            let ids = par_map(64, |_| {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+                std::thread::current().id()
+            });
+            assert!(ids.contains(&caller), "the caller ran no item");
+            let distinct: std::collections::HashSet<_> = ids.iter().collect();
+            assert!(distinct.len() <= 3, "{} threads ran items", distinct.len());
+            let budgets = par_map(6, |_| num_threads());
+            assert!(budgets.iter().all(|&b| b == 1), "workers run at budget 1");
+            assert_eq!(num_threads(), 3, "the caller's budget is restored");
         });
-        assert!(ids.contains(&caller), "the caller ran no item");
-        let distinct: std::collections::HashSet<_> = ids.iter().collect();
-        assert!(distinct.len() <= 3, "{} threads ran items", distinct.len());
-        let budgets = par_map(6, |_| num_threads());
-        assert!(budgets.iter().all(|&b| b == 1), "workers run at budget 1");
-        assert_eq!(num_threads(), 3, "the caller's budget is restored");
-        set_threads(0);
     }
 
     #[test]
     fn worker_spans_roll_up_under_the_callers_span() {
-        let _guard = override_lock();
         // Collecting into the global registry too, so a leak out of the
         // scoped one would show up there.
         let global = ull_obs::Registry::global();
         global.set_enabled(true);
         let reg = ull_obs::Registry::new();
-        set_threads(4);
-        ull_obs::with_registry(&reg, || {
-            let _outer = ull_obs::span("parallel.test.outer");
-            par_map(8, |_| {
-                let _inner = ull_obs::span("parallel.test.work");
-                ull_obs::counter_add("parallel.test.items", 1);
+        with_threads(4, || {
+            ull_obs::with_registry(&reg, || {
+                let _outer = ull_obs::span("parallel.test.outer");
+                par_map(8, |_| {
+                    let _inner = ull_obs::span("parallel.test.work");
+                    ull_obs::counter_add("parallel.test.items", 1);
+                })
             })
         });
-        set_threads(0);
         global.set_enabled(false);
         let snap = reg.snapshot();
         // Every per-item span lands on the parent path, none at top level.
@@ -465,17 +483,16 @@ mod tests {
 
     #[test]
     fn empty_and_tiny_inputs_are_fine() {
-        let _guard = override_lock();
-        set_threads(4);
-        let mut empty: Vec<f32> = Vec::new();
-        par_chunks_mut(&mut empty, 8, |_, _| panic!("no chunks expected"));
-        assert_eq!(par_map(0, |i| i).len(), 0);
-        let mut one = vec![1.0f32];
-        par_chunks_mut(&mut one, 8, |i, c| {
-            assert_eq!(i, 0);
-            c[0] = 2.0;
+        with_threads(4, || {
+            let mut empty: Vec<f32> = Vec::new();
+            par_chunks_mut(&mut empty, 8, |_, _| panic!("no chunks expected"));
+            assert_eq!(par_map(0, |i| i).len(), 0);
+            let mut one = vec![1.0f32];
+            par_chunks_mut(&mut one, 8, |i, c| {
+                assert_eq!(i, 0);
+                c[0] = 2.0;
+            });
+            assert_eq!(one, vec![2.0]);
         });
-        assert_eq!(one, vec![2.0]);
-        set_threads(0);
     }
 }

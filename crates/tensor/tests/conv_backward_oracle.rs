@@ -49,7 +49,6 @@ fn sparse_grad(shape: &[usize], seed: u64) -> Tensor {
 
 #[test]
 fn backward_is_bit_identical_to_the_materialized_oracle() {
-    let _guard = parallel::override_lock();
     let mut case = 0usize;
     for k in [1usize, 3] {
         for stride in [1usize, 2] {
@@ -75,11 +74,12 @@ fn backward_is_bit_identical_to_the_materialized_oracle() {
                     let grad = sparse_grad(&[n, f, oh, ow], seed + 2);
                     let (dx, dw, db) = reference::conv2d_backward(&x, &weight, &grad, geo);
                     for threads in [1usize, 4] {
-                        parallel::set_threads(threads);
                         let ctx = format!(
                             "k {k} stride {stride} pad {padding} {n}x{c}x{h}x{w} f {f}, threads {threads}"
                         );
-                        let (gx, gw, gb) = conv2d_backward(&x, &weight, &grad, geo);
+                        let (gx, gw, gb) = parallel::with_threads(threads, || {
+                            conv2d_backward(&x, &weight, &grad, geo)
+                        });
                         assert_bits_eq(&gx, &dx, &format!("dx, {ctx}"));
                         assert_bits_eq(&gw, &dw, &format!("dW, {ctx}"));
                         assert_bits_eq(&gb, &db, &format!("db, {ctx}"));
@@ -89,7 +89,6 @@ fn backward_is_bit_identical_to_the_materialized_oracle() {
         }
     }
     assert!(case >= 30, "only {case} geometries ran");
-    parallel::set_threads(0);
 }
 
 /// `<im2col(x), y> == <x, col2im(y)>` — the defining adjoint property of

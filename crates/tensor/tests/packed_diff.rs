@@ -54,7 +54,6 @@ fn sparsify(t: &mut Tensor, keep_one_in: usize, amp: f32) {
 /// thread counts — the deterministic backbone of the harness.
 #[test]
 fn panel_and_tile_boundaries_bitwise_across_threads() {
-    let _guard = parallel::override_lock();
     for n in [1usize, 7, 8, 9, 16, 17] {
         for m in [1usize, 3, 4, 5, 8, 9] {
             let k = 6 + (m + n) % 5;
@@ -68,21 +67,20 @@ fn panel_and_tile_boundaries_bitwise_across_threads() {
                 }
                 // The same values read as the `[k, m]` lhs of `Aᵀ · B`.
                 let at = a.reshape(&[k, m]).unwrap();
-                parallel::set_threads(1);
                 let want_tb = reference::matmul_tb(&a, &bt);
                 let want = reference::matmul(&a, &b);
                 let want_ta = reference::matmul_ta(&at, &b);
                 for threads in [1usize, 4] {
-                    parallel::set_threads(threads);
-                    let ctx = format!("m={m} n={n} k={k} sparse={sparse} threads={threads}");
-                    assert_bits_eq(&matmul_tb_packed(&a, &packed_t), &want_tb, &ctx);
-                    assert_bits_eq(&matmul(&a, &b), &want, &ctx);
-                    assert_bits_eq(&matmul_transpose_a(&at, &b), &want_ta, &ctx);
+                    parallel::with_threads(threads, || {
+                        let ctx = format!("m={m} n={n} k={k} sparse={sparse} threads={threads}");
+                        assert_bits_eq(&matmul_tb_packed(&a, &packed_t), &want_tb, &ctx);
+                        assert_bits_eq(&matmul(&a, &b), &want, &ctx);
+                        assert_bits_eq(&matmul_transpose_a(&at, &b), &want_ta, &ctx);
+                    });
                 }
             }
         }
     }
-    parallel::set_threads(0);
 }
 
 /// Non-finite weights (`±∞`, NaN, as a weight bit flip can leave) where
@@ -91,7 +89,6 @@ fn panel_and_tile_boundaries_bitwise_across_threads() {
 /// (`0 · ∞` is NaN). Covers every tile height and a padded last panel.
 #[test]
 fn zero_lhs_skips_non_finite_weights_bitwise_across_threads() {
-    let _guard = parallel::override_lock();
     let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
     let k = 9;
     for n in [10usize, 17] {
@@ -107,22 +104,19 @@ fn zero_lhs_skips_non_finite_weights_bitwise_across_threads() {
                 }
             }
             let packed = PackedWeights::pack_rhs_t(&bt);
-            parallel::set_threads(1);
             let want = reference::matmul_tb(&a, &bt);
             assert!(want.data().iter().all(|v| v.is_finite()), "m={m} n={n}");
             for threads in [1usize, 4] {
-                parallel::set_threads(threads);
                 let ctx = format!("m={m} n={n} threads={threads}");
-                assert_bits_eq(&matmul_tb_packed(&a, &packed), &want, &ctx);
+                let got = parallel::with_threads(threads, || matmul_tb_packed(&a, &packed));
+                assert_bits_eq(&got, &want, &ctx);
             }
         }
     }
-    parallel::set_threads(0);
 }
 
 #[test]
 fn packed_conv_boundaries_bitwise_across_threads() {
-    let _guard = parallel::override_lock();
     let mut scratch = ConvScratch::default();
     let mut got = Tensor::default();
     for f in [1usize, 7, 8, 9] {
@@ -131,16 +125,15 @@ fn packed_conv_boundaries_bitwise_across_threads() {
         let bias = rand_tensor(&[f], f as u64 + 60);
         let packed = PackedWeights::pack_conv(&w);
         for geo in [ConvGeometry::square(3, 1, 1), ConvGeometry::square(3, 2, 0)] {
-            parallel::set_threads(1);
             let want = reference::conv2d(&x, &w, Some(&bias), geo);
             for threads in [1usize, 4] {
-                parallel::set_threads(threads);
-                conv2d_packed_into(&x, &packed, Some(&bias), geo, &mut scratch, &mut got);
+                parallel::with_threads(threads, || {
+                    conv2d_packed_into(&x, &packed, Some(&bias), geo, &mut scratch, &mut got)
+                });
                 assert_bits_eq(&got, &want, &format!("f={f} threads={threads}"));
             }
         }
     }
-    parallel::set_threads(0);
 }
 
 proptest! {
@@ -158,17 +151,14 @@ proptest! {
         let a = Tensor::from_vec(data[..m * k].to_vec(), &[m, k]).unwrap();
         let bt = Tensor::from_vec(data[64 - n * k..].to_vec(), &[n, k]).unwrap();
         let packed = PackedWeights::pack_rhs_t(&bt);
-        let _guard = parallel::override_lock();
         for threads in [1usize, 4] {
-            parallel::set_threads(threads);
             let want = reference::matmul_tb(&a, &bt);
-            let got = matmul_tb_packed(&a, &packed);
+            let got = parallel::with_threads(threads, || matmul_tb_packed(&a, &packed));
             prop_assert_eq!(got.shape(), want.shape());
             for (g, w) in got.data().iter().zip(want.data()) {
                 prop_assert_eq!(g.to_bits(), w.to_bits(), "threads {}: {} vs {}", threads, g, w);
             }
         }
-        parallel::set_threads(0);
     }
 
     /// Spike-sparse lhs (uniform amplitude, ~1-in-5 active): the panel
@@ -184,16 +174,13 @@ proptest! {
         let a = Tensor::from_vec(vals, &[5, 6]).unwrap();
         let bt = Tensor::from_vec(w, &[10, 6]).unwrap();
         let packed = PackedWeights::pack_rhs_t(&bt);
-        let _guard = parallel::override_lock();
         for threads in [1usize, 4] {
-            parallel::set_threads(threads);
             let want = reference::matmul_tb(&a, &bt);
-            let got = matmul_tb_packed(&a, &packed);
+            let got = parallel::with_threads(threads, || matmul_tb_packed(&a, &packed));
             for (g, wv) in got.data().iter().zip(want.data()) {
                 prop_assert_eq!(g.to_bits(), wv.to_bits(), "threads {}", threads);
             }
         }
-        parallel::set_threads(0);
     }
 
     /// Random conv shapes: packed conv == reference conv, bitwise, with and
@@ -215,17 +202,16 @@ proptest! {
         let packed = PackedWeights::pack_conv(&w);
         let mut scratch = ConvScratch::default();
         let mut got = Tensor::default();
-        let _guard = parallel::override_lock();
         for threads in [1usize, 4] {
-            parallel::set_threads(threads);
             let want = reference::conv2d(&x, &w, b, geo);
-            conv2d_packed_into(&x, &packed, b, geo, &mut scratch, &mut got);
+            parallel::with_threads(threads, || {
+                conv2d_packed_into(&x, &packed, b, geo, &mut scratch, &mut got)
+            });
             prop_assert_eq!(got.shape(), want.shape());
             for (g, e) in got.data().iter().zip(want.data()) {
                 prop_assert_eq!(g.to_bits(), e.to_bits(), "threads {}", threads);
             }
         }
-        parallel::set_threads(0);
     }
 
     /// The backward GEMMs: `A · B` and `Aᵀ · B` == reference, bitwise, at
@@ -242,16 +228,14 @@ proptest! {
         let b = Tensor::from_vec(data[60 - k * n..].to_vec(), &[k, n]).unwrap();
         let want = reference::matmul(&a, &b);
         let want_ta = reference::matmul_ta(&at, &b);
-        let _guard = parallel::override_lock();
         for threads in [1usize, 4] {
-            parallel::set_threads(threads);
-            for (got, want) in [(matmul(&a, &b), &want), (matmul_transpose_a(&at, &b), &want_ta)] {
+            let got = parallel::with_threads(threads, || [matmul(&a, &b), matmul_transpose_a(&at, &b)]);
+            for (got, want) in got.into_iter().zip([&want, &want_ta]) {
                 prop_assert_eq!(got.shape(), want.shape());
                 for (g, w) in got.data().iter().zip(want.data()) {
                     prop_assert_eq!(g.to_bits(), w.to_bits(), "threads {}", threads);
                 }
             }
         }
-        parallel::set_threads(0);
     }
 }

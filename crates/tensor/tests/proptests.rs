@@ -171,19 +171,21 @@ proptest! {
     ) {
         let a = Tensor::from_vec(data[..m * k].to_vec(), &[m, k]).unwrap();
         let b = Tensor::from_vec(data[25..25 + k * n].to_vec(), &[k, n]).unwrap();
-        let _guard = parallel::override_lock();
-        parallel::set_threads(1);
-        let base = matmul(&a, &b);
-        let base_ta = matmul_transpose_a(&a.transpose(), &b);
-        let base_tb = matmul_transpose_b(&a, &b.transpose());
+        let run = || {
+            (
+                matmul(&a, &b),
+                matmul_transpose_a(&a.transpose(), &b),
+                matmul_transpose_b(&a, &b.transpose()),
+            )
+        };
+        let (base, base_ta, base_tb) = parallel::with_threads(1, run);
         for threads in [2, 3, 4] {
-            parallel::set_threads(threads);
+            let (got, got_ta, got_tb) = parallel::with_threads(threads, run);
             // Exact equality: partitioning must not change float order.
-            prop_assert_eq!(&matmul(&a, &b), &base, "threads {}", threads);
-            prop_assert_eq!(&matmul_transpose_a(&a.transpose(), &b), &base_ta, "threads {}", threads);
-            prop_assert_eq!(&matmul_transpose_b(&a, &b.transpose()), &base_tb, "threads {}", threads);
+            prop_assert_eq!(&got, &base, "threads {}", threads);
+            prop_assert_eq!(&got_ta, &base_ta, "threads {}", threads);
+            prop_assert_eq!(&got_tb, &base_tb, "threads {}", threads);
         }
-        parallel::set_threads(0);
     }
 
     #[test]
@@ -194,18 +196,20 @@ proptest! {
         let geo = ConvGeometry::square(3, 1, 1);
         let x = Tensor::from_vec(x, &[3, 2, 6, 6]).unwrap();
         let w = Tensor::from_vec(w, &[3, 2, 3, 3]).unwrap();
-        let _guard = parallel::override_lock();
-        parallel::set_threads(1);
-        let base = conv2d(&x, &w, None, geo);
-        // The forward output, zeroed where negative, as a ReLU-like grad.
-        let grad = base.map(|v| v.max(0.0));
-        let base_grads = conv2d_backward(&x, &w, &grad, geo);
+        let (base, grad, base_grads) = parallel::with_threads(1, || {
+            let base = conv2d(&x, &w, None, geo);
+            // The forward output, zeroed where negative, as a ReLU-like grad.
+            let grad = base.map(|v| v.max(0.0));
+            let base_grads = conv2d_backward(&x, &w, &grad, geo);
+            (base, grad, base_grads)
+        });
         for threads in [2, 3, 4] {
-            parallel::set_threads(threads);
-            prop_assert_eq!(&conv2d(&x, &w, None, geo), &base, "threads {}", threads);
-            prop_assert_eq!(&conv2d_backward(&x, &w, &grad, geo), &base_grads, "threads {}", threads);
+            let (got, got_grads) = parallel::with_threads(threads, || {
+                (conv2d(&x, &w, None, geo), conv2d_backward(&x, &w, &grad, geo))
+            });
+            prop_assert_eq!(&got, &base, "threads {}", threads);
+            prop_assert_eq!(&got_grads, &base_grads, "threads {}", threads);
         }
-        parallel::set_threads(0);
     }
 
     #[test]
@@ -249,18 +253,18 @@ proptest! {
         let w = Tensor::from_vec(w, &[4, 3, 3, 3]).unwrap();
         let bias = Tensor::from_vec(b, &[4]).unwrap();
         let ev = SpikeBatch::from_dense(&x).expect("uniform by construction");
-        let _guard = parallel::override_lock();
         for threads in [1usize, 3] {
-            parallel::set_threads(threads);
-            let dense = conv2d(&x, &w, Some(&bias), geo);
-            let mut sparse = Tensor::default();
-            conv2d_events(&ev, &w, Some(&bias), geo, &mut sparse);
+            let (dense, sparse) = parallel::with_threads(threads, || {
+                let dense = conv2d(&x, &w, Some(&bias), geo);
+                let mut sparse = Tensor::default();
+                conv2d_events(&ev, &w, Some(&bias), geo, &mut sparse);
+                (dense, sparse)
+            });
             prop_assert_eq!(sparse.shape(), dense.shape());
             for (s, d) in sparse.data().iter().zip(dense.data()) {
                 prop_assert_eq!(s.to_bits(), d.to_bits(), "threads {}", threads);
             }
         }
-        parallel::set_threads(0);
     }
 
     #[test]
@@ -272,18 +276,18 @@ proptest! {
         let x = to_dense(&mask, amp, &[3, 12]);
         let w = Tensor::from_vec(w, &[5, 12]).unwrap();
         let ev = SpikeBatch::from_dense(&x).expect("uniform by construction");
-        let _guard = parallel::override_lock();
         for threads in [1usize, 3] {
-            parallel::set_threads(threads);
-            let dense = matmul_transpose_b(&x, &w);
-            let mut sparse = Tensor::default();
-            ull_tensor::matmul_tb_events(&ev, &w, &mut sparse);
+            let (dense, sparse) = parallel::with_threads(threads, || {
+                let dense = matmul_transpose_b(&x, &w);
+                let mut sparse = Tensor::default();
+                ull_tensor::matmul_tb_events(&ev, &w, &mut sparse);
+                (dense, sparse)
+            });
             prop_assert_eq!(sparse.shape(), dense.shape());
             for (s, d) in sparse.data().iter().zip(dense.data()) {
                 prop_assert_eq!(s.to_bits(), d.to_bits(), "threads {}", threads);
             }
         }
-        parallel::set_threads(0);
     }
 
     #[test]
